@@ -239,6 +239,10 @@ def cmd_generate(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 # cluster
 
+# each learner's own default trade-off constant c, also used for the band
+DEFAULT_C = {"poincare": 0.5, "gaussian-recursive": 1.0}
+
+
 def _run_poincare(spec, cfg: dict, seed: int) -> LearnedMixture:
     mix = MixtureSampler(spec, seed=seed)
     base = BaseSampler(spec.dist_tag, spec.d, seed, 7)
@@ -250,7 +254,7 @@ def _run_poincare(spec, cfg: dict, seed: int) -> LearnedMixture:
         float(cfg.get("w_min", spec.w_min)),
         sep,
         float(cfg.get("alpha", 2.0)),
-        float(cfg.get("c", 0.5)),
+        float(cfg.get("c", DEFAULT_C["poincare"])),
         t=cfg.get("t"),
         reps=int(cfg.get("reps", 64)),
         n_per_stage=int(cfg.get("n_per_stage", 50_000)),
@@ -270,7 +274,7 @@ def _run_gaussian(spec, cfg: dict, seed: int) -> LearnedMixture:
         mix,
         spec.k,
         w_min,
-        float(cfg.get("c", 1.0)),
+        float(cfg.get("c", DEFAULT_C["gaussian-recursive"])),
         float(cfg.get("alpha", 2.0)),
         params=params,
         seed=seed,
@@ -283,7 +287,7 @@ def cmd_cluster(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", gen.seed))
     spec = build_spec(gen)
     variant = cfg["variant"]
-    if variant not in ("poincare", "gaussian-recursive"):
+    if variant not in DEFAULT_C:
         raise ConfigError(f"unknown variant {variant!r}")
 
     report = _base_report("cluster", cfg, seed)
@@ -333,7 +337,7 @@ def cmd_cluster(cfg: dict, args) -> int:
     _write_report(report_path, report)
 
     assign_path = os.path.join(out, "assignments.csv")
-    band = default_band(spec.k, spec.w_min, float(cfg.get("c", 0.5)))
+    band = default_band(spec.k, spec.w_min, float(cfg.get("c", DEFAULT_C[variant])))
     if len(est):
         write_assignments_csv(assign_path, xs, learned, band)
     else:

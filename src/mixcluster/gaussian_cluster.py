@@ -857,6 +857,10 @@ class SampleGroup:
 def _far_pair(pts: np.ndarray, threshold: float):
     """Any index pair at distance >= threshold, or None (chunked scan)."""
     n = len(pts)
+    # no pair is farther apart than the bounding box's diagonal; the slack
+    # leaves pairs within rounding of the threshold to the scan
+    if n == 0 or np.linalg.norm(np.ptp(pts, axis=0)) * (1.0 + 1e-9) < threshold:
+        return None
     step = max(1, int(4e7 // max(n * pts.shape[1], 1)))
     for start in range(0, n, step):
         block = pts[start : start + step]

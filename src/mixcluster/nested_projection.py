@@ -9,13 +9,12 @@ flatten(v_1 x ... x v_s) equal to apply_rank1 on (v_1, ..., v_s).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor_core import SizeLimitError
 
-_ORTHO_TOL = 1e-10
 _REORTH_DRIFT = 1e-8
 _DENSE_GUARD = 10_000
 

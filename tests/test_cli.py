@@ -140,6 +140,32 @@ class TestCluster:
         assert report["config"]["mixture"]["k"] == 1
         assert "versions" in report and "timings" in report
 
+    def test_gaussian_recursive_band_uses_learner_default_c(self, tmp_path, monkeypatch):
+        import mixcluster.cli as cli
+        from mixcluster.poincare_cluster import LearnedMixture
+
+        seen = {}
+        real_band = cli.default_band
+
+        def fake_recursive_cluster(mix, k, w_min, c, alpha, **kwargs):
+            seen["learner_c"] = c
+            return LearnedMixture(np.array(mix.spec.means), np.array(mix.spec.weights))
+
+        def spy_band(k, w_min, c):
+            seen["band_c"] = c
+            return real_band(k, w_min, c)
+
+        monkeypatch.setattr(cli.gc, "recursive_cluster", fake_recursive_cluster)
+        monkeypatch.setattr(cli, "default_band", spy_band)
+        doc = {
+            "mixture": {"k": 2, "d": 2, "separation": 10.0, "dist_tag": "gaussian", "seed": 1},
+            "variant": "gaussian-recursive",
+            "eval_samples": 50,
+        }
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert seen == {"learner_c": 1.0, "band_c": 1.0}
+
 
 class TestValidate:
     def test_unknown_suite_exits_2(self, tmp_path):

@@ -185,6 +185,41 @@ class TestBoundedMeansSplit:
         assert np.array_equal(all_idx, np.arange(200))
 
 
+def _far_pair_scan(pts, threshold):
+    """The chunked all-pairs scan without the bounding-box shortcut."""
+    n = len(pts)
+    step = max(1, int(4e7 // max(n * pts.shape[1], 1)))
+    for start in range(0, n, step):
+        block = pts[start : start + step]
+        dists = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
+        hit = np.argwhere(dists >= threshold)
+        if len(hit):
+            i, j = hit[0]
+            return start + int(i), int(j)
+    return None
+
+
+class TestFarPairShortcut:
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 40),
+        d=hst.integers(1, 5),
+        scale=hst.sampled_from([1e-3, 1.0, 1e3, 1e9]),
+        anchor=hst.sampled_from(["diameter", "diagonal"]),
+        factor=hst.sampled_from([0.5, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_scan(self, seed, n, d, scale, anchor, factor):
+        r = np.random.default_rng(seed)
+        pts = r.standard_normal((n, d)) * scale
+        if anchor == "diameter":
+            ref = np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2))
+        else:
+            ref = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
+        threshold = ref * factor if ref > 0 else factor
+        assert gc._far_pair(pts, threshold) == _far_pair_scan(pts, threshold)
+
+
 class TestDimensionReduction:
     def test_exact_covariance_preserves_mean_distances(self, rng):
         k, d = 3, 10

@@ -3,10 +3,54 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import mixcluster.sample_test as st
+from conftest import random_nested_projection
 from mixcluster.mixture_gen import BaseSampler, MixtureSampler
-from mixcluster.moment_pipeline import MixtureSpec, exact_projection_chain
+from mixcluster.moment_pipeline import MixtureSpec, ProjectionChain, exact_projection_chain
+from mixcluster.nested_projection import apply_rank1_batch, dense_matrix
+from mixcluster.poly_estimators import BASE_TAGS, r_expansion_arrays, r_poly_terms
+
+
+# Reference for st._statistic_batch in its direct word-gather form: every one
+# of the t^t words of every (test point, rep) row goes through the full chain,
+# and the reps are averaged last.
+def _reference_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.TestConfig, base_sampler) -> np.ndarray:
+    """Averaged projected R_t statistics for a batch of test points.
+
+    zs has shape (n, d); returns the n statistics ||A_i||.  Each test point
+    gets cfg.reps independent blocks of 2t-1 fresh base draws.
+    """
+    t = cfg.t
+    np_ = chain.projection
+    n, d = zs.shape
+    words, coeffs = r_expansion_arrays(t)
+    n_words = len(words)
+    reps = cfg.reps
+    draws = np.asarray(base_sampler.draw(n * reps * (2 * t - 1)), dtype=float)
+    draws = draws.reshape(n, reps, 2 * t - 1, d)
+    block0 = np.concatenate(
+        [np.broadcast_to(zs[:, None, None, :], (n, reps, 1, d)), draws[:, :, : t - 1, :]], axis=2
+    )
+    block1 = draws[:, :, t - 1 :, :]
+    out = np.zeros((n, np_.out_dim))
+    # chunk over (n, reps) rows to bound the (rows * n_words) working set
+    rows = n * reps
+    b0 = block0.reshape(rows, t, d)
+    b1 = block1.reshape(rows, t, d)
+    chunk = max(1, 2_000_000 // max(1, n_words * t))
+    acc = np.zeros((rows, np_.out_dim))
+    for start in range(0, rows, chunk):
+        end = min(rows, start + chunk)
+        for block, sign in ((b0[start:end], 1.0), (b1[start:end], -1.0)):
+            m = end - start
+            f = block[:, words, :].reshape(m * n_words, t, d)
+            v = apply_rank1_batch(np_, f).reshape(m, n_words, np_.out_dim)
+            acc[start:end] += sign * np.einsum("mwv,w->mv", v, coeffs, optimize=True)
+    a = acc.reshape(n, reps, np_.out_dim).mean(axis=1)
+    return np.linalg.norm(a, axis=1)
 
 
 def _point_mass_chain(mu, t):
@@ -145,3 +189,64 @@ class TestPairTest:
         mask = st.pair_test_batch(z, others, chain, cfg, base)
         singles = [st.pair_test(z, o, chain, cfg, base) == st.ACCEPT for o in others]
         assert list(mask) == singles
+
+
+def _random_chain(d, t, rng):
+    widths = []
+    c_prev = 1
+    for _ in range(t):
+        c_prev = int(rng.integers(1, min(d * c_prev, 5) + 1))
+        widths.append(c_prev)
+    return ProjectionChain(random_nested_projection(d, widths, rng))
+
+
+class TestStatisticByLinearity:
+    @given(
+        t=hst.integers(1, 4),
+        tag=hst.sampled_from(BASE_TAGS),
+        d=hst.integers(1, 4),
+        n=hst.integers(1, 5),
+        reps=hst.integers(1, 6),
+        exact=hst.booleans(),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_word_gather_reference(self, t, tag, d, n, reps, exact, seed):
+        rng = np.random.default_rng(seed)
+        if exact:
+            k = int(rng.integers(1, 4))
+            spec = MixtureSpec(np.full(k, 1.0 / k), 3.0 * rng.standard_normal((k, d)), tag)
+            chain = exact_projection_chain(spec, t, k)
+        else:
+            chain = _random_chain(d, t, rng)
+        zs = 2.0 * rng.standard_normal((n, d))
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        got = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
+        want = _reference_statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
+        # relative to the size of the rank-1 terms, so that a statistic that
+        # cancels to near zero is not held to a relative bound on itself
+        draws = BaseSampler(tag, d, seed, 5).draw(n * reps * (2 * t - 1))
+        size = max(np.abs(zs).max(), np.abs(draws).max(), 1.0) ** t
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * size)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("tag", ["gaussian", "laplace"])
+    def test_matches_dense_projection_of_r_expansion(self, t, tag):
+        rng = np.random.default_rng(100 * t + len(tag))
+        d, n, reps = 3, 3, 4
+        chain = _random_chain(d, t, rng)
+        zs = rng.standard_normal((n, d))
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        got = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, 11, 3))
+        draws = BaseSampler(tag, d, 11, 3).draw(n * reps * (2 * t - 1)).reshape(n, reps, 2 * t - 1, d)
+        gamma = dense_matrix(chain.projection)
+        want = [
+            np.linalg.norm(
+                np.mean(
+                    [gamma @ r_poly_terms([z, *draws[i, r]], t).dense_sum().reshape(-1) for r in range(reps)],
+                    axis=0,
+                )
+            )
+            for i, z in enumerate(zs)
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
