@@ -178,19 +178,21 @@ def _base_report(command: str, cfg: dict, seed: int) -> dict:
         "config": cfg,
         "seed": seed,
         "versions": {
-            "artifact": __version__,
+            "mixcluster": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
     }
 
 
-def _match_means(estimated: np.ndarray, true_means: np.ndarray):
+def match_means(estimated, true_means):
     """Hungarian matching of estimated to true means.
 
     Returns (perm over true indices -> estimated index or -1, per-true errors).
     Unmatched true means get error inf.
     """
+    estimated = np.asarray(estimated, dtype=float)
+    true_means = np.asarray(true_means, dtype=float)
     n_est, n_true = len(estimated), len(true_means)
     errors = np.full(n_true, np.inf)
     perm = np.full(n_true, -1, dtype=int)
@@ -204,10 +206,19 @@ def _match_means(estimated: np.ndarray, true_means: np.ndarray):
     return perm, errors
 
 
-def _accuracy(assigned: np.ndarray, labels: np.ndarray, perm: np.ndarray) -> float:
-    """Fraction of samples whose assigned estimated mean matches their label's."""
-    mapped = perm[labels]
-    return float(np.mean(assigned == mapped))
+def evaluate(spec, learned: LearnedMixture, seed: int, n: int):
+    """Scores learned means on n labeled samples from the evaluation stream
+    (stream id 17): returns the samples, their labels, the Hungarian
+    matching and per-true-mean errors of :func:`match_means`, and the share
+    of samples whose nearest learned mean is their own component's match."""
+    xs, labels = MixtureSampler(spec, seed=seed, stream_id=17).draw_labeled(n)
+    est = np.asarray(learned.means, dtype=float)
+    perm, errors = match_means(est, spec.means)
+    accuracy = 0.0
+    if len(est):
+        assigned = np.argmin(np.linalg.norm(xs[:, None, :] - est[None, :, :], axis=2), axis=1)
+        accuracy = float(np.mean(assigned == perm[labels]))
+    return xs, labels, perm, errors, accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +318,15 @@ def cmd_cluster(cfg: dict, args) -> int:
         return 1
     cluster_s = time.perf_counter() - t0
 
-    eval_n = int(cfg.get("eval_samples", 2_000))
-    eval_sampler = MixtureSampler(spec, seed=seed, stream_id=17)
-    xs, labels = eval_sampler.draw_labeled(eval_n)
-    est = np.asarray(learned.means, dtype=float)
-    perm, errors = _match_means(est, np.asarray(spec.means))
-    if len(est):
-        assigned = np.argmin(
-            np.linalg.norm(xs[:, None, :] - est[None, :, :], axis=2), axis=1
-        )
-        accuracy = _accuracy(assigned, labels, perm)
-    else:
-        assigned = np.zeros(eval_n, dtype=int)
-        accuracy = 0.0
+    xs, _, perm, errors, accuracy = evaluate(spec, learned, seed, int(cfg.get("eval_samples", 2_000)))
+    found = len(learned.means)
     weight_errors = [
         abs(float(learned.weights[perm[i]]) - float(spec.weights[i])) if perm[i] >= 0 else 1.0
         for i in range(spec.k)
     ]
 
     report["metrics"] = {
-        "recovered_components": int(len(est)),
+        "recovered_components": found,
         "mean_errors": [float(e) for e in errors],
         "max_mean_error": float(np.max(errors)),
         "weight_errors": weight_errors,
@@ -338,18 +338,17 @@ def cmd_cluster(cfg: dict, args) -> int:
 
     assign_path = os.path.join(out, "assignments.csv")
     band = default_band(spec.k, spec.w_min, float(cfg.get("c", DEFAULT_C[variant])))
-    if len(est):
+    if found:
         write_assignments_csv(assign_path, xs, learned, band)
     else:
         with open(assign_path, "w", encoding="utf-8") as fh:
             fh.write("id,assigned,flags\n")
 
-    failed = len(est) == 0
     print(
-        f"recovered {len(est)}/{spec.k} components, accuracy {accuracy:.4f}; "
+        f"recovered {found}/{spec.k} components, accuracy {accuracy:.4f}; "
         f"wrote {report_path}"
     )
-    return 1 if failed else 0
+    return 0 if found else 1
 
 
 def _jsonable(obj):
@@ -460,7 +459,6 @@ def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict
     spec = build_spec(gen)
     mix = MixtureSampler(spec, seed=seed)
     base = BaseSampler(spec.dist_tag, spec.d, seed, 7)
-    eval_n = int(cfg.get("eval_samples", 1_000))
 
     t0 = time.perf_counter()
     # A deliberately loose weight floor: bench cells run with small probe
@@ -479,20 +477,10 @@ def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict
         batch=120,
     )
     learn_s = time.perf_counter() - t0
-
-    eval_sampler = MixtureSampler(spec, seed=seed, stream_id=17)
-    xs, labels = eval_sampler.draw_labeled(eval_n)
-    est = np.asarray(learned.means, dtype=float)
-    perm, errors = _match_means(est, np.asarray(spec.means))
-    if len(est):
-        assigned = np.argmin(np.linalg.norm(xs[:, None, :] - est[None, :, :], axis=2), axis=1)
-        accuracy = _accuracy(assigned, labels, perm)
-    else:
-        accuracy = 0.0
+    xs, labels, _, errors, accuracy = evaluate(spec, learned, seed, int(cfg.get("eval_samples", 1_000)))
 
     # PCA + k-means baseline for context.
-    x_arr = np.asarray(xs, dtype=float)
-    centered = x_arr - x_arr.mean(axis=0)
+    centered = xs - xs.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     proj = centered @ vt[: spec.k].T
     tb = time.perf_counter()
@@ -506,7 +494,7 @@ def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict
         "seed": int(seed),
         "accuracy": accuracy,
         "max_mean_error": float(np.max(errors)),
-        "recovered_components": int(len(est)),
+        "recovered_components": len(learned.means),
         "baseline_accuracy": base_acc,
         "timings": {"learn_s": learn_s, "baseline_s": baseline_s},
     }

@@ -22,6 +22,7 @@ overrides sized for small-``k`` experiments.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from scipy.stats import chi2, ncx2
 from . import sample_test as st
 from .mixture_gen import BaseSampler
 from .moment_pipeline import MixtureSpec, iterative_projection
-from .poincare_cluster import LearnedMixture, difference_sampler, majority_vote
+from .poincare_cluster import LearnedMixture, difference_sampler, margin_matrix, probe_batch_vote
 from .rng import stream
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "NoSignalError",
     "RefineFailedError",
     "IsolateFailedError",
+    "StarvationError",
     "trivial_checker",
     "checker_contains",
     "checker_contains_batch",
@@ -56,13 +58,11 @@ __all__ = [
     "is_signal_direction",
     "find_signal_direction",
     "full_cluster_bounded",
-    "cluster_with_means",
     "refine_checker",
     "test_max_separation",
     "isolate_component",
     "recursive_cluster",
     "reduce_bounded_means",
-    "reduce_dimension",
     "dimension_basis",
     "write_trail",
 ]
@@ -88,6 +88,11 @@ class RefineFailedError(RuntimeError):
 
 class IsolateFailedError(RuntimeError):
     """No cluster qualified as the component to isolate."""
+
+
+class StarvationError(RuntimeError):
+    """A rejection sampler spent its draw budget before collecting the rows
+    it was asked for."""
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +177,16 @@ def complement_basis(ch: Checker) -> np.ndarray:
 
 
 class ReducedSampler:
-    """Rejection-samples an inner stream through a checker, emitting the
-    survivors' coordinates in the complement of the checker subspace."""
+    """Rejection-samples an inner stream: keeps the rows for which ``keep``
+    (a row block -> bool mask) is true and, given a ``basis`` (d, d') of
+    columns, emits their coordinates in it.  One request may draw at most
+    ``max_draw_factor * max(n, 64)`` rows; past that it starves."""
 
-    def __init__(self, inner, checker: Checker, max_draw_factor: int = 500):
-        if checker.d != inner.d:
-            raise ValueError("checker dimension does not match the sampler")
+    def __init__(self, inner, keep, basis=None, max_draw_factor: int = 500):
         self.inner = inner
-        self.checker = checker
-        self.comp = complement_basis(checker)
-        self.d = self.comp.shape[1]
+        self.keep = keep
+        self.basis = basis
+        self.d = inner.d if basis is None else basis.shape[1]
         self.max_draw_factor = max_draw_factor
 
     def draw(self, n: int) -> np.ndarray:
@@ -193,21 +198,28 @@ class ReducedSampler:
             want = max(n - got, 256)
             x = np.asarray(self.inner.draw(want), dtype=float)
             drawn += want
-            keep = x[checker_contains_batch(self.checker, x)]
-            got += len(keep)
-            out.append(keep @ self.comp)
-            if drawn > budget and got == 0:
-                raise RuntimeError(
-                    f"checker acceptance below 1/{self.max_draw_factor}; "
-                    "reduction is starving"
-                )
+            kept = x[self.keep(x)]
+            got += len(kept)
+            out.append(kept if self.basis is None else kept @ self.basis)
             if drawn > budget:
-                raise RuntimeError("reduction exceeded its draw budget")
+                raise StarvationError(
+                    f"kept {got} of {drawn} drawn rows, wanted {n}: acceptance "
+                    f"below 1/{self.max_draw_factor}"
+                )
         return np.concatenate(out)[:n]
 
 
-def reduce_by_checker(sampler, ch: Checker, max_draw_factor: int = 500) -> ReducedSampler:
-    return ReducedSampler(sampler, ch, max_draw_factor)
+def reduce_by_checker(sampler, ch: Checker, max_draw_factor: int = 500):
+    """The stream restricted to the samples inside the checker, emitted in
+    coordinates of the checker subspace's complement; the trivial checker
+    leaves the stream as it is."""
+    if ch.d != sampler.d:
+        raise ValueError("checker dimension does not match the sampler")
+    if ch.a == 0:
+        return sampler
+    return ReducedSampler(
+        sampler, functools.partial(checker_contains_batch, ch), complement_basis(ch), max_draw_factor
+    )
 
 
 @dataclass(frozen=True)
@@ -312,10 +324,10 @@ def is_signal_direction(samples, v, p_level: float, delta: float) -> bool:
     return bool(hi - lo >= 2.0 * delta)
 
 
-def _default_grid(mix_sampler, ratio: float, floor: float, max_steps: int, rng) -> list:
+def _default_grid(mix_sampler, ratio: float, floor: float, max_steps: int) -> list:
     """Multiplicative grid from the empirical spread of a pilot batch down to
     ``floor``."""
-    pilot = np.asarray(mix_sampler.draw(min(256, 256)), dtype=float)
+    pilot = np.asarray(mix_sampler.draw(256), dtype=float)
     diffs = pilot[:, None, :] - pilot[None, :, :]
     start = float(np.linalg.norm(diffs, axis=2).max())
     if start <= floor:
@@ -371,13 +383,10 @@ def find_signal_direction(
     level when ``check_p``/``check_delta`` are given.
     """
     params = params or ClusterParams()
-    rng = stream(seed, 17)
     log_k = math.log(k / w_star)
     if delta_guess_grid is None:
         floor = max(0.04 * log_k**4, params.pair_sep_floor, 1e-6)
-        delta_guess_grid = _default_grid(
-            mix_sampler, params.grid_ratio, floor, params.grid_steps, rng
-        )
+        delta_guess_grid = _default_grid(mix_sampler, params.grid_ratio, floor, params.grid_steps)
     chain, base = _difference_chain(mix_sampler, k, params, seed)
     m = params.signal_batch
     n_check = max(params.signal_samples, math.ceil(20.0 / (check_p or 0.8 * w_star)))
@@ -507,30 +516,16 @@ def full_cluster_bounded(
     params = params or ClusterParams()
     log_k = math.log(k / w_star)
     s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
-    sep = max(s, params.pair_sep_floor)
     chain, base = _difference_chain(mix_sampler, k, params, seed)
-    cfg = _pair_config(sep, params.t, k, params)
+    cfg = _pair_config(max(s, params.pair_sep_floor), params.t, k, params)
     l = params.probes if params.probes is not None else int(round(20 * k / w_star))
     m = params.batch if params.batch is not None else int(round(50 * k / w_star))
-
-    candidates = np.full((l, mix_sampler.d), np.nan)
-    for i in range(l):
-        probe = np.asarray(mix_sampler.draw(1), dtype=float)[0]
-        others = np.asarray(mix_sampler.draw(m), dtype=float)
-        accept = st.pair_test_batch(probe, others, chain, cfg, base)
-        if accept.any():
-            candidates[i] = others[accept].mean(axis=0)
-    ledger = majority_vote(candidates, params.vote_alpha, params.support_factor * w_star * l)
-    valid = candidates[~np.isnan(candidates[:, 0])]
-    # Strongest-supported candidates first, refined by averaging supporters.
-    order = sorted(ledger.accepted, key=lambda i: -ledger.support[i])
-    means = []
-    for i in order:
-        ball = valid[np.linalg.norm(valid - candidates[i], axis=1) <= 0.2 * params.vote_alpha]
-        means.append(ball.mean(axis=0))
-    means = np.array(means) if means else np.zeros((0, mix_sampler.d))
-    # Dedup guarantees the spacing only up to the candidate error, so enforce
-    # the pairwise floor explicitly.
+    means, support = probe_batch_vote(
+        mix_sampler, base, chain, cfg, l, m, params.vote_alpha, params.support_factor * w_star * l
+    )
+    # Strongest-supported first.  Dedup guarantees the spacing only up to the
+    # candidate error, so enforce the pairwise floor explicitly.
+    means = means[np.argsort(-support, kind="stable")]
     kept = []
     for i in range(len(means)):
         if all(np.linalg.norm(means[i] - means[j]) >= 0.5 * s for j in kept):
@@ -538,72 +533,9 @@ def full_cluster_bounded(
     return means[kept]
 
 
-def _margin_matrix(xs: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """(n, r) worst-case margins: entry (i, j) is the largest deviation of
-    x_i from mean j along any inter-mean unit direction (0 when r == 1)."""
-    r = len(means)
-    dirs = []
-    for j1 in range(r):
-        for j2 in range(j1 + 1, r):
-            diff = means[j1] - means[j2]
-            norm = np.linalg.norm(diff)
-            if norm > 0:
-                dirs.append(diff / norm)
-    if not dirs:
-        return np.zeros((len(xs), r))
-    dirs = np.array(dirs)  # (D, d)
-    # |(x_i - mu_j) . v_D| maximized over D
-    proj_x = xs @ dirs.T  # (n, D)
-    proj_m = means @ dirs.T  # (r, D)
-    return np.max(np.abs(proj_x[:, None, :] - proj_m[None, :, :]), axis=2)
-
-
-def cluster_with_means(z, candidate_means, s: float):
-    """Index of the candidate consistent with z along every inter-candidate
-    direction (margin 0.1*s); falls back to the minimax margin with a flag
-    when zero or several candidates qualify."""
-    means = np.atleast_2d(np.asarray(candidate_means, dtype=float))
-    if len(means) == 0:
-        raise ValueError("no candidate means")
-    z = np.asarray(z, dtype=float)
-    margins = _margin_matrix(z[None, :], means)[0]
-    qualifying = np.flatnonzero(margins <= 0.1 * s)
-    if len(qualifying) == 1:
-        return int(qualifying[0]), False
-    return int(np.argmin(margins)), True
-
-
-def _cluster_batch(xs, candidate_means, s: float):
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    means = np.atleast_2d(np.asarray(candidate_means, dtype=float))
-    margins = _margin_matrix(xs, means)
-    qualifying = margins <= 0.1 * s
-    counts = qualifying.sum(axis=1)
-    idx = np.where(counts == 1, np.argmax(qualifying, axis=1), np.argmin(margins, axis=1))
-    return idx.astype(int), counts != 1
-
-
 # ---------------------------------------------------------------------------
 # Checker refinement and termination test
 # ---------------------------------------------------------------------------
-
-
-def _draw_contained(sampler, ch: Checker, n: int, max_draw_factor: int) -> np.ndarray:
-    """Full-dimensional samples that pass the checker (no projection)."""
-    out = []
-    got = 0
-    drawn = 0
-    budget = max_draw_factor * max(n, 64)
-    while got < n:
-        want = max(n - got, 256)
-        x = np.asarray(sampler.draw(want), dtype=float)
-        drawn += want
-        keep = x[checker_contains_batch(ch, x)]
-        got += len(keep)
-        out.append(keep)
-        if drawn > budget:
-            raise RuntimeError("checker acceptance too low while collecting samples")
-    return np.concatenate(out)[:n]
 
 
 def refine_checker(
@@ -630,10 +562,9 @@ def refine_checker(
     gammas = rng.permutation(np.arange(1, gamma_max + 1))[: params.refine_attempts]
     last_error: Exception | None = None
     for gamma in gammas:
-        scope = ch.with_radius(beta + float(gamma) * theta) if ch.a > 0 else ch
+        scope = ch.with_radius(beta + float(gamma) * theta)
         try:
-            reduced = reduce_by_checker(mix_sampler, scope, params.max_draw_factor) \
-                if ch.a > 0 else mix_sampler
+            reduced = reduce_by_checker(mix_sampler, scope, params.max_draw_factor)
             # The grid search verifies at (0.8w*, 0.8*guess) with the largest
             # guess first, which forces alignment with the widest split; the
             # found direction must then also classify as a signal at the
@@ -648,7 +579,7 @@ def refine_checker(
                     "signal direction failed the refinement floor classification"
                 )
                 continue
-        except (NoSignalError, RuntimeError) as err:
+        except (NoSignalError, StarvationError) as err:
             last_error = err
             continue
         comp = complement_basis(ch)
@@ -658,8 +589,11 @@ def refine_checker(
         # QR may flip signs; realign the last column with the signal direction.
         if new_basis[:, -1] @ v_full < 0:
             new_basis[:, -1] = -new_basis[:, -1]
-        keep_ch = ch.with_radius(beta + float(gamma + 2) * theta) if ch.a > 0 else ch
-        kept = _draw_contained(mix_sampler, keep_ch, params.refine_samples, params.max_draw_factor)
+        keep_ch = ch.with_radius(beta + float(gamma + 2) * theta)
+        kept = ReducedSampler(
+            mix_sampler, functools.partial(checker_contains_batch, keep_ch),
+            max_draw_factor=params.max_draw_factor,
+        ).draw(params.refine_samples)
         proj = kept @ new_basis
         dists = np.linalg.norm(proj[:, None, :] - proj[None, :, :], axis=2)
         frac = (dists <= theta).mean(axis=1)
@@ -711,10 +645,9 @@ def test_max_separation(
     delta = 0.4 * log_k**4
     verdict = st.ACCEPT
     for gamma in range(1, _gamma_count(k, w_star, params) + 1):
-        scope = ch.with_radius((30.0 + gamma) * theta) if ch.a > 0 else ch
+        scope = ch.with_radius((30.0 + gamma) * theta)
         try:
-            reduced = reduce_by_checker(mix_sampler, scope, params.max_draw_factor) \
-                if ch.a > 0 else mix_sampler
+            reduced = reduce_by_checker(mix_sampler, scope, params.max_draw_factor)
             find_signal_direction(
                 reduced,
                 k,
@@ -728,7 +661,7 @@ def test_max_separation(
             )
             verdict = st.REJECT
             break
-        except (NoSignalError, RuntimeError):
+        except (NoSignalError, StarvationError):
             continue
     if trail is not None:
         trail.append(
@@ -775,7 +708,7 @@ class ComponentTest:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         mask = checker_contains_batch(self.checker, xs)
         if mask.any():
-            margins = _margin_matrix(xs[mask] @ self.comp, self.means)
+            margins = margin_matrix(xs[mask] @ self.comp, self.means)
             hit = (np.argmin(margins, axis=1) == self.target) & (
                 margins[:, self.target] <= self.margin
             )
@@ -799,22 +732,22 @@ def isolate_component(
     params = params or ClusterParams()
     theta = _theta(k, w_star, c)
     log_k = math.log(k / w_star)
-    scope19 = ch.with_radius(19.0 * theta) if ch.a > 0 else ch
-    reduced = reduce_by_checker(mix_sampler, scope19, params.max_draw_factor) \
-        if ch.a > 0 else mix_sampler
+    reduced = reduce_by_checker(mix_sampler, ch.with_radius(19.0 * theta), params.max_draw_factor)
     means_r = full_cluster_bounded(reduced, k, w_star, c, params=params, seed=seed)
     if len(means_r) == 0:
         raise IsolateFailedError("full clustering of the checker scope found no means")
     s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
     scope17 = ch.with_radius(17.0 * theta) if ch.a > 0 else ch
-    scope11 = ch.with_radius(11.0 * theta) if ch.a > 0 else ch
     comp = complement_basis(ch)
-    fresh = _draw_contained(mix_sampler, scope17, params.isolate_samples, params.max_draw_factor)
+    fresh = ReducedSampler(
+        mix_sampler, functools.partial(checker_contains_batch, scope17),
+        max_draw_factor=params.max_draw_factor,
+    ).draw(params.isolate_samples)
     margin = params.margin_factor * s
-    margins = _margin_matrix(fresh @ comp, means_r)
+    margins = margin_matrix(fresh @ comp, means_r)
     labels = np.argmin(margins, axis=1)
     ok = margins[np.arange(len(fresh)), labels] <= margin
-    in_core = checker_contains_batch(scope11, fresh)
+    in_core = checker_contains_batch(ch.with_radius(11.0 * theta), fresh)
     best = None
     best_count = -1
     for j in range(len(means_r)):
@@ -924,19 +857,6 @@ def dimension_basis(cov_diff: np.ndarray, k: int) -> np.ndarray:
     return basis
 
 
-def reduce_dimension(samples, base_cov, k: int):
-    """Project samples onto the top-k principal components of the estimated
-    (mixture covariance - base covariance); identity when d <= k."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    d = samples.shape[1]
-    if d <= k:
-        basis = np.eye(d)
-        return samples.copy(), basis
-    second = samples.T @ samples / len(samples)
-    basis = dimension_basis(second - np.asarray(base_cov, dtype=float), k)
-    return samples @ basis.T, basis
-
-
 class _ProjectedSampler:
     def __init__(self, inner, basis: np.ndarray, offset: np.ndarray):
         self.inner = inner
@@ -947,35 +867,6 @@ class _ProjectedSampler:
     def draw(self, n: int) -> np.ndarray:
         x = np.asarray(self.inner.draw(n), dtype=float)
         return (x - self.offset) @ self.basis.T
-
-
-class _FilteredSampler:
-    """Rejection-samples the inner stream, dropping points accepted by any of
-    the given component tests."""
-
-    def __init__(self, inner, tests, max_draw_factor: int = 500):
-        self.inner = inner
-        self.tests = tuple(tests)
-        self.d = inner.d
-        self.max_draw_factor = max_draw_factor
-
-    def draw(self, n: int) -> np.ndarray:
-        out = []
-        got = 0
-        drawn = 0
-        budget = self.max_draw_factor * max(n, 64)
-        while got < n:
-            want = max(n - got, 256)
-            x = np.asarray(self.inner.draw(want), dtype=float)
-            drawn += want
-            mask = np.ones(len(x), dtype=bool)
-            for test in self.tests:
-                mask &= ~test.accept_batch(x)
-            got += int(mask.sum())
-            out.append(x[mask])
-            if drawn > budget:
-                raise RuntimeError("component filtering exceeded its draw budget")
-        return np.concatenate(out)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -1026,11 +917,13 @@ def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParam
             )
             if trail:
                 trail[-1]["level"] = level
-        except (IsolateFailedError, RuntimeError) as err:
+        except (IsolateFailedError, StarvationError) as err:
             warnings.append(f"level {level}: {err}")
             break
         tests.append(test)
-        current = _FilteredSampler(current, [test], params.max_draw_factor)
+        current = ReducedSampler(
+            current, lambda x, test=test: ~test.accept_batch(x), max_draw_factor=params.max_draw_factor
+        )
 
     # Provisional means: one per isolated component from its own predicate,
     # plus the never-isolated remainder.  The remainder stream still carries
@@ -1049,7 +942,7 @@ def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParam
         tail_means = full_cluster_bounded(
             current, k, w_min, c, params=params, seed=int(rng.integers(2**62))
         )
-    except RuntimeError as err:
+    except StarvationError as err:
         tail_means = np.zeros((0, sampler.d))
         warnings.append(f"remainder clustering failed: {err}")
     if len(tail_means):
@@ -1059,7 +952,7 @@ def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParam
             tail_batch = np.asarray(current.draw(2_000), dtype=float)
             warnings.append("remainder mean falls back to the filtered-stream average")
             provisional.append(tail_batch.mean(axis=0))
-        except RuntimeError:
+        except StarvationError:
             warnings.append("remainder stream exhausted; no remainder component emitted")
     provisional = np.array(provisional)
 
@@ -1090,7 +983,6 @@ def recursive_cluster(
     params: ClusterParams | None = None,
     seed: int = 0,
     trail_path=None,
-    oracle_spec: MixtureSpec | None = None,
 ) -> LearnedMixture:
     """Learn all component means and weights of a spherical Gaussian mixture
     with no bound on the overall spread.
@@ -1122,15 +1014,16 @@ def recursive_cluster(
             group_sampler = mix_sampler
             k_g = k
         else:
-            group_sampler = _NearestGroupSampler(mix_sampler, offsets, g, params.max_draw_factor)
+            # The groups are separated by huge empty gaps, so nearest-center
+            # assignment is exact up to exponentially rare errors.
+            group_sampler = ReducedSampler(
+                mix_sampler,
+                lambda x, g=g: np.argmin(
+                    np.linalg.norm(x[:, None, :] - offsets[None, :, :], axis=2), axis=1
+                ) == g,
+                max_draw_factor=params.max_draw_factor,
+            )
             k_g = max(1, int(round(k * shares[g])))
-        if oracle_spec is not None:
-            in_scope = [
-                float(np.linalg.norm(mu - offsets[g]))
-                for mu in np.asarray(oracle_spec.means)
-                if np.argmin(np.linalg.norm(offsets - mu, axis=1)) == g
-            ]
-            trail[-1].setdefault("means_in_scope", []).append(len(in_scope))
 
         if group_sampler.d > k_g:
             shifted = np.asarray(group_sampler.draw(params.cov_samples), dtype=float) - offsets[g]
@@ -1172,33 +1065,3 @@ def recursive_cluster(
         "warnings": warnings,
     }
     return LearnedMixture(means, weights, meta)
-
-
-class _NearestGroupSampler:
-    """Restricts a stream to the samples nearest one bounded-spread group
-    center (the groups are separated by huge empty gaps, so nearest-center
-    assignment is exact up to exponentially rare errors)."""
-
-    def __init__(self, inner, offsets: np.ndarray, index: int, max_draw_factor: int = 500):
-        self.inner = inner
-        self.offsets = offsets
-        self.index = index
-        self.d = inner.d
-        self.max_draw_factor = max_draw_factor
-
-    def draw(self, n: int) -> np.ndarray:
-        out = []
-        got = 0
-        drawn = 0
-        budget = self.max_draw_factor * max(n, 64)
-        while got < n:
-            want = max(n - got, 256)
-            x = np.asarray(self.inner.draw(want), dtype=float)
-            drawn += want
-            dists = np.linalg.norm(x[:, None, :] - self.offsets[None, :, :], axis=2)
-            keep = x[np.argmin(dists, axis=1) == self.index]
-            got += len(keep)
-            out.append(keep)
-            if drawn > budget:
-                raise RuntimeError("group filtering exceeded its draw budget")
-        return np.concatenate(out)[:n]

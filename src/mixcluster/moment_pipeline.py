@@ -75,15 +75,6 @@ class MixtureSpec:
         ]
         return float(min(dists))
 
-    def max_separation(self) -> float:
-        if self.k < 2:
-            return 0.0
-        dists = [
-            np.linalg.norm(self.means[i] - self.means[j])
-            for i, j in itertools.combinations(range(self.k), 2)
-        ]
-        return float(max(dists))
-
     def to_dict(self) -> dict:
         return {
             "weights": self.weights.tolist(),
@@ -297,29 +288,3 @@ def exact_projection_chain(spec: MixtureSpec, t: int, k: int) -> ProjectionChain
         diags.append(_stage_diagnostics(s, a, pi.shape[0], 0))
         chain = NestedProjection(chain.stages + (pi,), spec.d)
     return ProjectionChain(chain, tuple(diags), {"mode": "exact", "t": t, "k": k})
-
-
-class PaddedSampler:
-    """Wraps a sampler, appending fresh standard-normal coordinates so that
-    the ambient dimension reaches target_d (the d < k normalization)."""
-
-    def __init__(self, inner, target_d: int, rng: np.random.Generator):
-        if target_d < inner.d:
-            raise ValueError("target dimension must be >= the sampler's")
-        self.inner = inner
-        self.d = target_d
-        self._rng = rng
-
-    def draw(self, n: int) -> np.ndarray:
-        x = np.asarray(self.inner.draw(n), dtype=float)
-        extra = self.d - x.shape[1]
-        if extra == 0:
-            return x
-        return np.concatenate([x, self._rng.standard_normal((n, extra))], axis=1)
-
-
-def pad_spec(spec: MixtureSpec, target_d: int) -> MixtureSpec:
-    if target_d < spec.d:
-        raise ValueError("target dimension must be >= spec.d")
-    pad = np.zeros((spec.k, target_d - spec.d))
-    return MixtureSpec(spec.weights, np.concatenate([spec.means, pad], axis=1), spec.dist_tag)

@@ -3,7 +3,9 @@
 Works on the difference mixture: a chain is built for (z - z')/sqrt(2), pair
 tests decide same-component membership, accepted batches are averaged into
 candidate means, and majority voting dedups the candidates.  Weights come
-from assigning a fresh batch to the voted means.
+from assigning a fresh batch to the voted means by worst-direction margins.
+The recursive Gaussian learner reuses the probe/batch/vote routine and the
+margin classifier.
 """
 
 from __future__ import annotations
@@ -90,41 +92,79 @@ def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float
     return VoteLedger(candidates, support, tuple(accepted))
 
 
-def assign_sample(z, learned: LearnedMixture, band: float):
-    """Index of the mean consistent with z along all inter-mean directions.
-
-    Returns (index, ambiguous): ambiguous is set when zero or several means
-    satisfy every margin; the minimax margin (lexicographic on ties) decides.
-    """
-    means = np.asarray(learned.means, dtype=float)
+def margin_matrix(xs, means) -> np.ndarray:
+    """(n, r) worst-direction margins: entry (i, j) is the largest deviation
+    of x_i from mean j along any inter-mean unit direction (all zero when no
+    two means differ)."""
     r = len(means)
-    if r == 0:
-        raise ValueError("learned mixture has no means")
-    z = np.asarray(z, dtype=float)
     dirs = []
     for j1 in range(r):
         for j2 in range(j1 + 1, r):
-            v = means[j1] - means[j2]
-            nv = np.linalg.norm(v)
-            if nv > 0:
-                dirs.append(v / nv)
+            diff = means[j1] - means[j2]
+            norm = np.linalg.norm(diff)
+            if norm > 0:
+                dirs.append(diff / norm)
     if not dirs:
-        return 0, False
-    dirs = np.array(dirs)
-    margins = np.max(np.abs((means - z[None, :]) @ dirs.T), axis=1)
-    qualifying = np.flatnonzero(margins <= band)
-    if len(qualifying) == 1:
-        return int(qualifying[0]), False
-    return int(np.argmin(margins)), True
+        return np.zeros((len(xs), r))
+    dirs = np.array(dirs)  # (D, d)
+    # |(x_i - mu_j) . v_D| maximized over D
+    proj_x = xs @ dirs.T  # (n, D)
+    proj_m = means @ dirs.T  # (r, D)
+    return np.max(np.abs(proj_x[:, None, :] - proj_m[None, :, :]), axis=2)
 
 
-def assign_batch(xs, learned: LearnedMixture, band: float):
+def assign_batch(xs, means, band: float):
+    """Index of the mean consistent with each row of xs along all inter-mean
+    directions.
+
+    Returns (indices, ambiguous): ambiguous is set where zero or several
+    means satisfy every margin; the minimax margin (lowest index on ties)
+    then decides.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    out = np.empty(len(xs), dtype=int)
-    flags = np.empty(len(xs), dtype=bool)
-    for i, x in enumerate(xs):
-        out[i], flags[i] = assign_sample(x, learned, band)
-    return out, flags
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    if len(means) == 0:
+        raise ValueError("no means to assign to")
+    margins = margin_matrix(xs, means)
+    qualifying = margins <= band
+    counts = qualifying.sum(axis=1)
+    idx = np.where(counts == 1, np.argmax(qualifying, axis=1), np.argmin(margins, axis=1))
+    return idx, counts != 1
+
+
+def probe_batch_vote(
+    mix_sampler,
+    base_sampler,
+    chain,
+    cfg: st.TestConfig,
+    probes: int,
+    batch: int,
+    alpha: float,
+    support_threshold: float,
+):
+    """Probe/batch/vote mean recovery.
+
+    Each probe is pair-tested against a fresh batch, the accepted rows
+    average into one candidate (NaN when none is accepted), and
+    :func:`majority_vote` admits candidates.  Each admitted candidate is then
+    refined by averaging the candidates in its 0.2*alpha ball: candidates
+    come from disjoint probe batches, so this cuts the variance by the
+    support count without changing what gets admitted.  Returns the means in
+    admission order and their support counts.
+    """
+    candidates = np.full((probes, mix_sampler.d), np.nan)
+    for i in range(probes):
+        probe = np.asarray(mix_sampler.draw(1), dtype=float)[0]
+        others = np.asarray(mix_sampler.draw(batch), dtype=float)
+        accept = st.pair_test_batch(probe, others, chain, cfg, base_sampler)
+        if accept.any():
+            candidates[i] = others[accept].mean(axis=0)
+    ledger = majority_vote(candidates, alpha, support_threshold)
+    valid = candidates[~np.isnan(candidates[:, 0])]
+    means = np.zeros((len(ledger.accepted), mix_sampler.d))
+    for row, i in enumerate(ledger.accepted):
+        means[row] = valid[np.linalg.norm(valid - candidates[i], axis=1) <= 0.2 * alpha].mean(axis=0)
+    return means, ledger.support[list(ledger.accepted)]
 
 
 def default_band(k: int, w_min: float, c: float) -> float:
@@ -176,29 +216,15 @@ def learn_means(
     void = not st.threshold_feasible(sep, t, k, delta, "poincare")
     cfg = st.TestConfig(t, tau, reps=reps, delta=delta, guarantee_void=void)
 
-    candidates = np.full((l, mix_sampler.d), np.nan)
-    for i in range(l):
-        probe = mix_sampler.draw(1)[0]
-        others = mix_sampler.draw(m)
-        accept = st.pair_test_batch(probe, others, chain, cfg, base_sampler)
-        if accept.any():
-            candidates[i] = others[accept].mean(axis=0)
-    ledger = majority_vote(candidates, alpha, 0.9 * w_min * l)
-    # Refine each admitted candidate by averaging its supporters: candidates
-    # come from disjoint probe batches, so this cuts the variance by the
-    # support count without changing what gets admitted.
-    valid = candidates[~np.isnan(candidates[:, 0])]
-    means = []
-    for i in ledger.accepted:
-        ball = valid[np.linalg.norm(valid - candidates[i], axis=1) <= 0.2 * alpha]
-        means.append(ball.mean(axis=0))
-    means = np.array(means) if means else np.zeros((0, mix_sampler.d))
+    means, support = probe_batch_vote(
+        mix_sampler, base_sampler, chain, cfg, l, m, alpha, 0.9 * w_min * l
+    )
 
     if band is None:
         band = default_band(k, w_min, c)
     if len(means) > 0:
         fresh = mix_sampler.draw(weight_samples)
-        idx, flags = assign_batch(fresh, LearnedMixture(means, np.zeros(len(means))), band)
+        idx, flags = assign_batch(fresh, means, band)
         weights = np.bincount(idx, minlength=len(means)) / float(weight_samples)
         ambiguous_rate = float(flags.mean())
     else:
@@ -217,7 +243,7 @@ def learn_means(
         "band": band,
         "guarantee_void": void,
         "ambiguous_assignment_rate": ambiguous_rate,
-        "support_counts": ledger.support[list(ledger.accepted)].tolist(),
+        "support_counts": support.tolist(),
         "warnings": warnings,
     }
     return LearnedMixture(means, weights, meta)
@@ -225,7 +251,7 @@ def learn_means(
 
 def write_assignments_csv(path, xs, learned: LearnedMixture, band: float) -> None:
     """CSV with columns (id, assigned, flags)."""
-    idx, flags = assign_batch(xs, learned, band)
+    idx, flags = assign_batch(xs, learned.means, band)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id,assigned,flags\n")
         for i, (j, flag) in enumerate(zip(idx, flags)):

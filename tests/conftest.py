@@ -1,23 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
-
-
-def hungarian_errors(true_means, estimated):
-    """Per-true-component distances under the optimal matching; unmatched
-    components get infinity."""
-    true_means = np.asarray(true_means, dtype=float)
-    estimated = np.asarray(estimated, dtype=float)
-    errors = np.full(len(true_means), np.inf)
-    if len(estimated) == 0:
-        return errors, np.full(len(true_means), -1, dtype=int)
-    cost = np.linalg.norm(true_means[:, None, :] - estimated[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.full(len(true_means), -1, dtype=int)
-    for i, j in zip(rows, cols):
-        errors[i] = cost[i, j]
-        perm[i] = j
-    return errors, perm
 
 
 def random_nested_projection(d, widths, rng):

@@ -13,6 +13,7 @@ from scipy import integrate
 from scipy.stats import chi2, norm
 
 from mixcluster.cli import main as cli_main
+from mixcluster.cli import match_means
 from mixcluster.gaussian_cluster import (
     Checker,
     checker_contains_batch,
@@ -39,7 +40,7 @@ from mixcluster.sample_test import choose_threshold
 from mixcluster.sample_test import test_sample_batch as far_mask
 from mixcluster.tensor_core import outer_power
 
-from conftest import hungarian_errors, random_nested_projection
+from conftest import random_nested_projection
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -295,7 +296,7 @@ class TestCriterion8:
                 )
                 elapsed = time.perf_counter() - start
                 worst_time = max(worst_time, elapsed)
-                errors, perm = hungarian_errors(spec.means, learned.means)
+                perm, errors = match_means(learned.means, spec.means)
                 if np.all(errors <= 0.25) and np.all(
                     np.abs(learned.weights[perm] - spec.weights) <= 0.05
                 ):
@@ -329,7 +330,7 @@ class TestCriterion9:
             )
             elapsed = time.perf_counter() - start
             worst_time = max(worst_time, elapsed)
-            errors, _ = hungarian_errors(spec.means, learned.means)
+            _, errors = match_means(learned.means, spec.means)
             recursed = any(
                 e["action"] == "isolate" and e.get("level", -1) >= 1
                 for e in learned.metadata["trail"]

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.stats import chi2
+from scipy.stats import chi2, norm
 
 import mixcluster.gaussian_cluster as gc
 from mixcluster.moment_pipeline import MixtureSpec
 from mixcluster.mixture_gen import MixtureSampler
+from mixcluster.poincare_cluster import assign_batch
 
 
 def _spec(weights, means, tag="gaussian"):
@@ -33,6 +34,26 @@ class _ArraySampler:
         idx = (self._pos + np.arange(n)) % len(self.xs)
         self._pos = (self._pos + n) % len(self.xs)
         return self.xs[idx]
+
+
+class _NormalSampler:
+    """Standard-normal rows; counts the rows drawn."""
+
+    def __init__(self, d, seed):
+        self.d = d
+        self.rows = 0
+        self._rng = np.random.default_rng(seed)
+
+    def draw(self, n):
+        self.rows += n
+        return self._rng.standard_normal((n, self.d))
+
+
+class _BrokenSampler:
+    d = 2
+
+    def draw(self, n):
+        raise RuntimeError("inner stream failed")
 
 
 class TestChecker:
@@ -93,8 +114,34 @@ class TestReduction:
         xs = np.full((8, 2), 100.0)
         ch = _checker_1d(2, 0, 0.0, 1.0)
         red = gc.reduce_by_checker(_ArraySampler(xs), ch, max_draw_factor=2)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(gc.StarvationError):
             red.draw(4)
+
+    def test_trivial_checker_leaves_stream(self):
+        inner = _ArraySampler(np.zeros((4, 3)))
+        assert gc.reduce_by_checker(inner, gc.trivial_checker(3)) is inner
+
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 700),
+        rate=hst.sampled_from([0.0, 0.001, 0.02, 0.3, 1.0]),
+        factor=hst.integers(1, 8),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_returns_kept_rows_or_starves_within_budget(self, seed, n, rate, factor):
+        inner = _NormalSampler(2, seed)
+        cut = norm.ppf(rate)
+
+        def keep(x):
+            return x[:, 0] <= cut
+
+        sampler = gc.ReducedSampler(inner, keep, max_draw_factor=factor)
+        try:
+            out = sampler.draw(n)
+        except gc.StarvationError:
+            assert inner.rows <= factor * max(n, 64) + max(n, 256)
+            return
+        assert out.shape == (n, 2) and keep(out).all()
 
     def test_oracle_weights_trivial_checker(self):
         spec = _spec([0.3, 0.7], [[0.0, 0.0], [5.0, 0.0]])
@@ -237,12 +284,6 @@ class TestDimensionReduction:
         basis = gc.dimension_basis(cov + cov.T, 3)
         assert np.max(np.abs(basis @ basis.T - np.eye(3))) < 1e-10
 
-    def test_identity_when_d_at_most_k(self, rng):
-        samples = rng.standard_normal((50, 3))
-        projected, basis = gc.reduce_dimension(samples, np.eye(3), 4)
-        assert np.array_equal(basis, np.eye(3))
-        assert np.array_equal(projected, samples)
-
 
 class TestParams:
     def test_defaults_derive_counts(self):
@@ -263,15 +304,16 @@ class TestParams:
 
 
 class TestClusterWithMeans:
+    # the Gaussian learner's margin is 0.1*s
     def test_margin_assignment(self):
         means = np.array([[0.0, 0.0], [10.0, 0.0]])
-        idx, flag = gc.cluster_with_means(np.array([0.3, 0.0]), means, s=10.0)
-        assert idx == 0 and not flag
+        idx, flags = assign_batch(np.array([[0.3, 0.0]]), means, 0.1 * 10.0)
+        assert idx[0] == 0 and not flags[0]
 
     def test_midpoint_flagged(self):
         means = np.array([[0.0, 0.0], [10.0, 0.0]])
-        idx, flag = gc.cluster_with_means(np.array([5.0, 0.0]), means, s=10.0)
-        assert flag
+        _, flags = assign_batch(np.array([[5.0, 0.0]]), means, 0.1 * 10.0)
+        assert flags[0]
 
     def test_trail_written_as_json_lines(self, tmp_path):
         path = tmp_path / "trail.jsonl"
@@ -280,3 +322,12 @@ class TestClusterWithMeans:
 
         lines = path.read_text().strip().splitlines()
         assert json.loads(lines[0])["action"] == "refine"
+
+
+class TestTypedFailures:
+    @pytest.mark.parametrize("checker", [gc.trivial_checker(2), _checker_1d(2, 0, 0.0, 1.0)])
+    def test_separation_test_propagates_stream_errors(self, checker):
+        # only starvation and a missing signal count as "no split found"
+        params = gc.desk_params(2, 0.5, sep_hint=4.0, gamma_count=1)
+        with pytest.raises(RuntimeError, match="inner stream failed"):
+            gc.test_max_separation(_BrokenSampler(), checker, 2, 0.5, 1.0, params=params)

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import hungarian_errors
 from mixcluster.mixture_gen import BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import (
     MixtureSpec,
-    PaddedSampler,
     estimate_moment_matrix,
     exact_moment_matrix,
     exact_projection_chain,
     identity_projection,
     iterative_projection,
-    pad_spec,
     top_k_subspace,
 )
 from mixcluster.nested_projection import NestedProjection, apply_rank1
@@ -156,17 +153,3 @@ class TestIterativeProjection:
         chain = exact_projection_chain(spec, 4, 1)
         assert chain.degree == 4
         assert chain.projection.stage_count == 4
-
-
-class TestPadding:
-    def test_pad_spec_extends_means_with_zeros(self):
-        spec = _spec([1.0], [[1.0, 2.0]])
-        padded = pad_spec(spec, 4)
-        assert padded.d == 4
-        assert np.allclose(np.asarray(padded.means)[:, 2:], 0.0)
-
-    def test_padded_sampler_width(self):
-        spec = _spec([1.0], [[1.0, 2.0]])
-        mix = MixtureSampler(spec, seed=0)
-        padded = PaddedSampler(mix, 5, np.random.default_rng(0))
-        assert padded.draw(7).shape == (7, 5)

@@ -2,14 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from conftest import hungarian_errors
+from mixcluster.cli import match_means
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster.moment_pipeline import MixtureSpec
 from mixcluster.poincare_cluster import (
     LearnedMixture,
     assign_batch,
-    assign_sample,
     default_band,
     difference_sampler,
     learn_means,
@@ -59,25 +60,88 @@ class TestMajorityVote:
         ledger = majority_vote(cands, alpha=1.0, support_threshold=4.0)
         assert len(ledger.accepted) == 1
 
+    @given(seed=hst.integers(0, 2**32 - 1), failed=hst.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_failed_probes_do_not_change_admitted_means(self, seed, failed):
+        g = np.random.default_rng(seed)
+        centers = g.standard_normal((3, 2)) * 5
+        cands = centers[g.integers(0, 3, 24)] + 0.1 * g.standard_normal((24, 2))
+        padded = np.insert(cands, g.integers(0, len(cands) + 1, failed), np.nan, axis=0)
+        plain = majority_vote(cands, alpha=1.0, support_threshold=4.0)
+        with_nan = majority_vote(padded, alpha=1.0, support_threshold=4.0)
+        assert np.array_equal(cands[list(plain.accepted)], padded[list(with_nan.accepted)])
+        assert np.array_equal(
+            plain.support[list(plain.accepted)], with_nan.support[list(with_nan.accepted)]
+        )
+
+
+# The row-by-row classifier that assign_batch replaced, kept as its reference.
+def assign_sample(z, learned: LearnedMixture, band: float):
+    """Index of the mean consistent with z along all inter-mean directions.
+
+    Returns (index, ambiguous): ambiguous is set when zero or several means
+    satisfy every margin; the minimax margin (lexicographic on ties) decides.
+    """
+    means = np.asarray(learned.means, dtype=float)
+    r = len(means)
+    if r == 0:
+        raise ValueError("learned mixture has no means")
+    z = np.asarray(z, dtype=float)
+    dirs = []
+    for j1 in range(r):
+        for j2 in range(j1 + 1, r):
+            v = means[j1] - means[j2]
+            nv = np.linalg.norm(v)
+            if nv > 0:
+                dirs.append(v / nv)
+    if not dirs:
+        return 0, False
+    dirs = np.array(dirs)
+    margins = np.max(np.abs((means - z[None, :]) @ dirs.T), axis=1)
+    qualifying = np.flatnonzero(margins <= band)
+    if len(qualifying) == 1:
+        return int(qualifying[0]), False
+    return int(np.argmin(margins)), True
+
 
 class TestAssignSample:
     def test_exact_mean_unflagged(self):
-        learned = LearnedMixture(np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([0.5, 0.5]))
-        idx, flag = assign_sample(np.array([10.0, 0.0]), learned, band=2.0)
-        assert idx == 1 and not flag
+        means = np.array([[0.0, 0.0], [10.0, 0.0]])
+        idx, flags = assign_batch(np.array([[10.0, 0.0]]), means, band=2.0)
+        assert idx[0] == 1 and not flags[0]
 
     def test_symmetric_tie_flagged_to_first(self):
-        learned = LearnedMixture(np.array([[-5.0, 0.0], [5.0, 0.0]]), np.array([0.5, 0.5]))
-        idx, flag = assign_sample(np.zeros(2), learned, band=1.0)
-        assert idx == 0 and flag
+        means = np.array([[-5.0, 0.0], [5.0, 0.0]])
+        idx, flags = assign_batch(np.zeros((1, 2)), means, band=1.0)
+        assert idx[0] == 0 and flags[0]
 
     def test_batch_matches_single(self, rng):
-        learned = LearnedMixture(rng.standard_normal((3, 2)) * 6, np.full(3, 1 / 3))
+        means = rng.standard_normal((3, 2)) * 6
         xs = rng.standard_normal((20, 2)) * 4
-        idx, flags = assign_batch(xs, learned, band=1.5)
+        idx, flags = assign_batch(xs, means, band=1.5)
         for i, x in enumerate(xs):
-            j, f = assign_sample(x, learned, band=1.5)
-            assert idx[i] == j and flags[i] == f
+            j, f = assign_batch(x[None, :], means, band=1.5)
+            assert idx[i] == j[0] and flags[i] == f[0]
+
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        r=hst.integers(1, 5),
+        d=hst.integers(1, 4),
+        n=hst.integers(1, 60),
+        spread=hst.sampled_from([0.1, 1.0, 5.0]),
+        band=hst.sampled_from([0.0, 0.5, 1.5, 4.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_by_row_reference(self, seed, r, d, n, spread, band):
+        # distinct mean rows: with r > 1 coincident means the reference returns
+        # (0, False) where the batch form flags the row ambiguous
+        g = np.random.default_rng(seed)
+        means = g.standard_normal((r, d)) * 4
+        xs = means[g.integers(0, r, n)] + spread * g.standard_normal((n, d))
+        idx, flags = assign_batch(xs, means, band)
+        learned = LearnedMixture(means, np.full(r, 1.0 / r))
+        for i, x in enumerate(xs):
+            assert (idx[i], flags[i]) == assign_sample(x, learned, band)
 
 
 class TestLearnMeans:
@@ -95,7 +159,7 @@ class TestLearnMeans:
         mix = MixtureSampler(spec, seed=5)
         base = BaseSampler("point_mass", 3, 5, 7)
         learned = learn_means(mix, base, 3, 0.25, 12.0, 2.0, 0.5, reps=2, n_per_stage=500)
-        errors, _ = hungarian_errors(means, learned.means)
+        _, errors = match_means(learned.means, means)
         assert len(learned.means) == 3
         assert np.max(errors) < 1e-9
 
