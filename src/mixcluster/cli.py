@@ -254,29 +254,29 @@ def cmd_generate(cfg: dict, args) -> int:
 DEFAULT_C = {"poincare": 0.5, "gaussian-recursive": 1.0}
 
 
-def _run_poincare(spec, cfg: dict, seed: int) -> LearnedMixture:
+def _run_poincare(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
     mix = MixtureSampler(spec, seed=seed)
     base = BaseSampler(spec.dist_tag, spec.d, seed, 7)
     sep = float(cfg.get("sep", spec.min_separation))
+    # learn_means's own defaults apply to the keys the config leaves out
+    overrides = {key: int(cfg[key]) for key in ("reps", "n_per_stage") if key in cfg}
     return learn_means(
         mix,
         base,
         spec.k,
-        float(cfg.get("w_min", spec.w_min)),
+        w_min,
         sep,
         float(cfg.get("alpha", 2.0)),
         float(cfg.get("c", DEFAULT_C["poincare"])),
         t=cfg.get("t"),
-        reps=int(cfg.get("reps", 64)),
-        n_per_stage=int(cfg.get("n_per_stage", 50_000)),
+        **overrides,
     )
 
 
-def _run_gaussian(spec, cfg: dict, seed: int) -> LearnedMixture:
+def _run_gaussian(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
     if spec.dist_tag != "gaussian":
         raise ConfigError("the recursive variant requires a gaussian base distribution")
     mix = MixtureSampler(spec, seed=seed)
-    w_min = float(cfg.get("w_min", spec.w_min))
     if cfg.get("desk", True):
         params = gc.desk_params(spec.k, w_min, sep_hint=cfg.get("sep_hint"))
     else:
@@ -300,6 +300,8 @@ def cmd_cluster(cfg: dict, args) -> int:
     variant = cfg["variant"]
     if variant not in DEFAULT_C:
         raise ConfigError(f"unknown variant {variant!r}")
+    # the learner and the assignment band share one w_min
+    w_min = float(cfg.get("w_min", spec.w_min))
 
     report = _base_report("cluster", cfg, seed)
     report["variant"] = variant
@@ -307,9 +309,9 @@ def cmd_cluster(cfg: dict, args) -> int:
     t0 = time.perf_counter()
     try:
         if variant == "poincare":
-            learned = _run_poincare(spec, cfg, seed)
+            learned = _run_poincare(spec, cfg, seed, w_min)
         else:
-            learned = _run_gaussian(spec, cfg, seed)
+            learned = _run_gaussian(spec, cfg, seed, w_min)
     except Exception as err:  # pipeline failure: report it, exit 1
         report["error"] = f"{type(err).__name__}: {err}"
         report["timings"] = {"cluster_s": time.perf_counter() - t0}
@@ -337,7 +339,7 @@ def cmd_cluster(cfg: dict, args) -> int:
     _write_report(report_path, report)
 
     assign_path = os.path.join(out, "assignments.csv")
-    band = default_band(spec.k, spec.w_min, float(cfg.get("c", DEFAULT_C[variant])))
+    band = default_band(spec.k, w_min, float(cfg.get("c", DEFAULT_C[variant])))
     if found:
         write_assignments_csv(assign_path, xs, learned, band)
     else:

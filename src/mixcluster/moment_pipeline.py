@@ -1,11 +1,14 @@
 """Estimating projected moment matrices A_{2s} and the iterative projection.
 
 The estimator never materializes a d^{2s} tensor.  Each mixture sample
-contributes the rank-1 expansion of R_{2s}(z, x_1..x_{4s-1}); the two factor
-halves of every term are pushed through (I_d kron Gamma) and accumulated as a
-dk x dk outer product.  Terms are grouped by the set of samples they touch,
-which collapses the (2s)^{2s} labeled partitions into (2s)^s half-words and a
-small coefficient matrix over sample subsets.
+contributes the rank-1 expansion of R_{2s}(z, x_1..x_{4s-1}), whose terms
+pair two half-words over the sample slots.  Terms are grouped by the slot
+sets their halves touch, which collapses the (2s)^{2s} labeled partitions
+into one vector per slot set and a small coefficient matrix between them.
+Within a slot set the half-words are grouped again by their first factor,
+so Gamma is applied to each of the (2s)^(s-1) distinct tails once per block
+(nested_projection.grouped_tail_images), not to each of the (2s)^s
+half-words.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .nested_projection import (
     NestedProjection,
     apply_kron_block,
-    apply_kron_block_batch,
+    grouped_tail_images,
     identity_projection,
 )
 
@@ -119,10 +122,12 @@ class ProjectionChain:
 def _half_word_tables(s: int):
     """Grouping tables for the degree-2s estimator.
 
-    Returns (words, indicator, coeffs) where words is the ((2s)^s, s) array of
-    half-words over sample slots [2s], indicator scatters each word onto the
-    id of its slot set, and coeffs[a, b] is the signed weight of any labeled
-    partition whose two halves cover slot sets a and b.
+    A half-word is a word of s sample slots from [2s]; in product order,
+    half-word j * (2s)^(s-1) + u has first slot j and tail u.  Returns
+    (tails, weights, coeffs): tails is the ((2s)^(s-1), s-1) array of
+    distinct tails, weights[j, a, u] is 1 when half-word (j, tail u) covers
+    slot set a and 0 otherwise, and coeffs[a, b] is the signed weight of any
+    labeled partition whose two halves cover slot sets a and b.
     """
     t = 2 * s
     words = np.array(list(itertools.product(range(t), repeat=s)), dtype=np.intp)
@@ -133,15 +138,17 @@ def _half_word_tables(s: int):
             sub_id[frozenset(comb)] = len(subsets)
             subsets.append(frozenset(comb))
     nsub = len(subsets)
-    indicator = np.zeros((len(words), nsub))
+    n_tails = t ** (s - 1)
+    weights = np.zeros((t, nsub, n_tails))
     for i, w in enumerate(words):
-        indicator[i, sub_id[frozenset(w.tolist())]] = 1.0
+        j, u = divmod(i, n_tails)
+        weights[j, sub_id[frozenset(w.tolist())], u] = 1.0
     coeffs = np.empty((nsub, nsub))
     for a, sa in enumerate(subsets):
         for b, sb in enumerate(subsets):
             c = len(sa | sb)
             coeffs[a, b] = float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
-    return words, indicator, coeffs
+    return words[:n_tails, 1:], weights, coeffs
 
 
 def estimate_moment_matrix(
@@ -149,36 +156,46 @@ def estimate_moment_matrix(
 ) -> MomentMatrixEstimate:
     """Monte-Carlo estimate of A_{2s} from n mixture samples.
 
-    Each sample draws 4s-1 fresh base samples; the rank-1 expansion of
-    R_{2s}(z_i, x_1..x_{4s-1}) is applied blockwise through (I kron Gamma)
-    and averaged into a symmetric (d c_{s-1}) x (d c_{s-1}) matrix.
+    Each sample draws 4s-1 fresh base samples and splits (z_i, x_1..x_{4s-1})
+    into two blocks of 2s.  The rank-1 expansion of R_{2s} over a block pairs
+    two half-words; the half-words covering slot set a sum to
+    v_a = sum_j b_j x sum_u weights[j, a, u] Gamma(tail u), so each block
+    pushes its (2s)^(s-1) tails through Gamma once (grouped_tail_images) and
+    adds the signed quadratic form sum_{a,b} v_a^T coeffs[a, b] v_b, block 1
+    with the opposite sign, to a symmetric (d c_{s-1}) x (d c_{s-1}) average.
     """
     if n < 1:
         raise EmptySampleError("estimate_moment_matrix needs n >= 1")
     if np_prev.stage_count != s - 1:
         raise ValueError(f"np_prev must have {s - 1} stages for degree 2s={2 * s}")
     d = np_prev.d
-    out_dim = d * np_prev.out_dim
-    words, indicator, coeffs = _half_word_tables(s)
-    n_words = len(words)
+    c = np_prev.out_dim
+    out_dim = d * c
+    tails, weights, coeffs = _half_word_tables(s)
+    nsub = len(coeffs)
     acc = np.zeros((out_dim, out_dim))
-    chunk = max(1, min(n, 4_000_000 // max(1, n_words * out_dim)))
+    # the chunk fixes the draw sizes, and the difference sampler pairs rows
+    # within one draw, so the chunk is part of which samples are used
+    chunk = max(1, min(n, 4_000_000 // max(1, (2 * s) ** s * out_dim)))
     done = 0
     while done < n:
         b = min(chunk, n - done)
         z = np.asarray(mix_sampler.draw(b), dtype=float)
         x = np.asarray(base_sampler.draw(b * (4 * s - 1)), dtype=float)
-        x = x.reshape(b, 4 * s - 1, d)
-        block0 = np.concatenate([z[:, None, :], x[:, : 2 * s - 1, :]], axis=1)
-        block1 = x[:, 2 * s - 1 :, :]
-        for block, sign in ((block0, 1.0), (block1, -1.0)):
-            f = block[:, words, :].reshape(b * n_words, s, d)
-            v = apply_kron_block_batch(np_prev, f).reshape(b, n_words, out_dim)
-            grouped = np.einsum("bwm,wn->bnm", v, indicator, optimize=True)
-            acc += sign * np.einsum(
-                "bim,ij,bjn->mn", grouped, coeffs, grouped, optimize=True
-            )
+        # rows alternate block 0 (z, x_1..x_{2s-1}) and block 1 (x_{2s}..x_{4s-1})
+        blocks = np.concatenate([z[:, None, :], x.reshape(b, 4 * s - 1, d)], axis=1)
+        blocks = blocks.reshape(2 * b, 2 * s, d)
+        grouped = grouped_tail_images(np_prev, blocks, tails, weights)
+        # v[i, a] = sum_j grouped[i, j, a] x b_j: v_a with its factors in
+        # (Gamma, d) order, which spares a transposed copy; acc is put back
+        # in (d, Gamma) order once, after the loop
+        v = np.matmul(grouped.reshape(2 * b, 2 * s, nsub * c).transpose(0, 2, 1), blocks)
+        v = v.reshape(2 * b, nsub, out_dim)
+        cv = np.matmul(coeffs, v).reshape(b, 2, nsub, out_dim)
+        cv[:, 1] *= -1.0
+        acc += v.reshape(-1, out_dim).T @ cv.reshape(-1, out_dim)
         done += b
+    acc = acc.reshape(c, d, c, d).transpose(1, 0, 3, 2).reshape(out_dim, out_dim)
     return MomentMatrixEstimate(acc / n, samples_used=n, degree=2 * s)
 
 

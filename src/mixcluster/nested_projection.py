@@ -133,17 +133,39 @@ def apply_kron_block(np_: NestedProjection, left_factor, tail) -> np.ndarray:
     return np.kron(left_factor, apply_rank1(np_, tail))
 
 
-def apply_kron_block_batch(np_: NestedProjection, factors: np.ndarray) -> np.ndarray:
-    """Vectorized apply_kron_block on (n, s, d) blocks: factor 0 is the left
-    (unprojected) factor, factors 1..s-1 feed the chain."""
-    n, s, d = factors.shape
-    if s - 1 != np_.stage_count:
-        raise ValueError("expected one more factor than the chain has stages")
-    left = factors[:, 0, :]
-    if s == 1:
-        return left.copy()
-    w = apply_rank1_batch(np_, factors[:, 1:, :])
-    return (left[:, :, None] * w[:, None, :]).reshape(n, -1)
+def grouped_tail_images(
+    np_: NestedProjection, blocks: np.ndarray, tails: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Weighted sums of the chain's images of each block's tail words.
+
+    blocks (n, q, d) holds q samples per row, tails (u, L) lists words over
+    those q slots with L = the chain's stage count, and weights has shape
+    (q, r, u).  Returns (n, q, r, c) with
+    [i, j, a] = sum_u weights[j, a, u] * Gamma(blocks[i, tails[u]]).
+
+    A sum over words v_1..v_{L+1} of coefficient times
+    (I_d kron Gamma)(b_{v_1} x b_{v_2..v_{L+1}}) groups by first factor into
+    sum_j b_j x [j, a] when the tails are the distinct v_2..v_{L+1} and
+    weights[j, a, u] is the coefficient of word (j, tail u) in sum a.  Each
+    tail then goes through the chain once per row instead of once per word.
+    With no stages the only tail is empty and its image is the scalar 1.
+    """
+    n, q, d = blocks.shape
+    n_tails, length = tails.shape
+    if length != np_.stage_count or d != np_.d:
+        raise ValueError("tail words do not match the chain")
+    r = weights.shape[1]
+    if weights.shape != (q, r, n_tails):
+        raise ValueError(f"weights must have shape ({q}, r, {n_tails})")
+    c = np_.out_dim
+    if length == 0:
+        images = np.ones((n, n_tails * c))
+    else:
+        gathered = np.take(blocks, tails, axis=1).reshape(n * n_tails, length, d)
+        images = apply_rank1_batch(np_, gathered).reshape(n, n_tails * c)
+    # one gemm for all rows: faster than a batched matmul over n tiny matrices
+    grouping = np.kron(weights.reshape(q * r, n_tails), np.eye(c)).T
+    return (images @ grouping).reshape(n, q, r, c)
 
 
 def dense_matrix(np_: NestedProjection) -> np.ndarray:
@@ -157,11 +179,3 @@ def dense_matrix(np_: NestedProjection) -> np.ndarray:
         g = np_.stages[i] @ np.kron(eye, g)
     return g
 
-
-def residual_norm(np_: NestedProjection, factors) -> float:
-    """sqrt of the squared norm lost by projecting the rank-1 tensor."""
-    total = 1.0
-    for f in factors:
-        total *= float(np.linalg.norm(np.asarray(f, dtype=float))) ** 2
-    proj = float(np.linalg.norm(apply_rank1(np_, factors))) ** 2
-    return float(np.sqrt(max(0.0, total - proj)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moment_pipeline import ProjectionChain
-from .nested_projection import apply_rank1_batch
+from .nested_projection import grouped_tail_images
 from .poly_estimators import r_expansion_arrays
 
 DEFAULT_REPS = 64
@@ -120,10 +120,10 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
 
     Gamma is linear and Gamma(v_1 x ... x v_t) = Pi_t(v_1 x Gamma_{t-1}(v_2..v_t)),
     so the t^t words of a block are grouped by their first factor j into
-    sum_j b_j x T_j, where T_j = sum_u c_{j,u} Gamma_{t-1}(tail u).  The
-    reps' groups are averaged before Pi_t.  Per test point this costs
-    reps * 2 * t^(t-1) prefix-chain applications (t^(t-1) per block of t
-    samples) and one Pi_t application.
+    sum_j b_j x T_j, where grouped_tail_images forms
+    T_j = sum_u c_{j,u} Gamma_{t-1}(tail u).  The reps' groups are averaged
+    before Pi_t.  Per test point this costs reps * 2 * t^(t-1) prefix-chain
+    applications (t^(t-1) per block of t samples) and one Pi_t application.
     """
     t = cfg.t
     proj = chain.projection
@@ -137,10 +137,9 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
     words, coeffs = r_expansion_arrays(t)
     n_tails = t ** (t - 1)
     tails = words[:n_tails, 1:]  # product order: word j * n_tails + u has tail u
+    weights = coeffs.reshape(t, 1, n_tails)
     head = proj.prefix(t - 1)
     width = head.out_dim
-    # maps the n_tails images Gamma_{t-1}(tail u) of a block to T_1..T_t
-    grouping = np.kron(coeffs.reshape(t, n_tails), np.eye(width)).T
     # chunk over test points (all reps of a point in one chunk) to bound
     # the gathered tails and the prefix chain's widest intermediate
     per_point = 2 * reps * n_tails * d * max(t - 1, *head.widths)
@@ -152,9 +151,8 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
         # samples (z, y_1..y_{2t-1}) of each rep, split into block 0 and block 1
         blocks = np.concatenate(
             [np.broadcast_to(zs[start:end, None, None, :], (m, reps, 1, d)), draws[start:end]], axis=2
-        ).reshape(m, reps * 2, t, d)
-        g = apply_rank1_batch(head, np.take(blocks, tails, axis=2).reshape(-1, t - 1, d))
-        grouped = (g.reshape(m * reps * 2, n_tails * width) @ grouping).reshape(m, reps, 2, t * width)
+        ).reshape(m * reps * 2, t, d)
+        grouped = grouped_tail_images(head, blocks, tails, weights).reshape(m, reps, 2, t * width)
         grouped[:, :, 1] *= -1.0
         acc = np.matmul(
             blocks.reshape(m, reps * 2 * t, d).transpose(0, 2, 1),

@@ -7,7 +7,6 @@ convention is row-major flattening: the first tensor axis is most significant.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +19,6 @@ PARTITION_GUARD = 12
 
 class SizeLimitError(ValueError):
     """A combinatorial or dense-tensor guard was exceeded."""
-
-
-class InvalidIndexError(ValueError):
-    """A multi-index entry is outside its axis range."""
 
 
 @dataclass(frozen=True)
@@ -49,38 +44,6 @@ class Rank1Term:
         for f in self.factors:
             out = np.multiply.outer(out, np.asarray(f, dtype=float))
         return out
-
-
-def flatten_index(entries, dims) -> int:
-    """Row-major linear index of a multi-index (first axis most significant)."""
-    if len(entries) != len(dims):
-        raise InvalidIndexError("entries and dims must have equal length")
-    lin = 0
-    for e, m in zip(entries, dims):
-        if not 0 <= e < m:
-            raise InvalidIndexError(f"index entry {e} out of range [0, {m})")
-        lin = lin * m + e
-    return lin
-
-
-def unflatten_index(lin: int, dims) -> tuple:
-    """Inverse of flatten_index over the same index box."""
-    total = math.prod(dims)
-    if not 0 <= lin < total:
-        raise InvalidIndexError(f"linear index {lin} out of range [0, {total})")
-    out = []
-    for m in reversed(dims):
-        out.append(lin % m)
-        lin //= m
-    return tuple(reversed(out))
-
-
-def matricize_square(v, m: int) -> np.ndarray:
-    """Rearrange a length-m^2 vector into an m x m matrix, row-major."""
-    v = np.asarray(v)
-    if v.shape != (m * m,):
-        raise ValueError(f"expected a vector of length {m * m}, got {v.shape}")
-    return v.reshape(m, m)
 
 
 def labeled_partitions(t: int):

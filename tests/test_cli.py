@@ -148,11 +148,11 @@ class TestCluster:
         real_band = cli.default_band
 
         def fake_recursive_cluster(mix, k, w_min, c, alpha, **kwargs):
-            seen["learner_c"] = c
+            seen["learner"] = (w_min, c)
             return LearnedMixture(np.array(mix.spec.means), np.array(mix.spec.weights))
 
         def spy_band(k, w_min, c):
-            seen["band_c"] = c
+            seen["band"] = (w_min, c)
             return real_band(k, w_min, c)
 
         monkeypatch.setattr(cli.gc, "recursive_cluster", fake_recursive_cluster)
@@ -161,10 +161,11 @@ class TestCluster:
             "mixture": {"k": 2, "d": 2, "separation": 10.0, "dist_tag": "gaussian", "seed": 1},
             "variant": "gaussian-recursive",
             "eval_samples": 50,
+            "w_min": 0.3,  # below the spec's 0.5, which the band must not fall back to
         }
         cfg = _write(tmp_path / "c.json", doc)
         assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert seen == {"learner_c": 1.0, "band_c": 1.0}
+        assert seen == {"learner": (0.3, 1.0), "band": (0.3, 1.0)}
 
 
 class TestValidate:

@@ -1,9 +1,18 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from conftest import random_nested_projection
 from mixcluster.mixture_gen import BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import (
+    EmptySampleError,
     MixtureSpec,
+    MomentMatrixEstimate,
     estimate_moment_matrix,
     exact_moment_matrix,
     exact_projection_chain,
@@ -11,7 +20,90 @@ from mixcluster.moment_pipeline import (
     iterative_projection,
     top_k_subspace,
 )
-from mixcluster.nested_projection import NestedProjection, apply_rank1
+from mixcluster.nested_projection import NestedProjection, apply_rank1, apply_rank1_batch
+from mixcluster.poly_estimators import BASE_TAGS
+
+
+# Reference for estimate_moment_matrix in its direct word-gather form: every
+# one of the (2s)^s half-words of each block goes through (I_d kron Gamma) on
+# its own, then the words are scattered onto their slot sets.
+def _reference_half_word_tables(s: int):
+    """Grouping tables for the degree-2s estimator.
+
+    Returns (words, indicator, coeffs) where words is the ((2s)^s, s) array of
+    half-words over sample slots [2s], indicator scatters each word onto the
+    id of its slot set, and coeffs[a, b] is the signed weight of any labeled
+    partition whose two halves cover slot sets a and b.
+    """
+    t = 2 * s
+    words = np.array(list(itertools.product(range(t), repeat=s)), dtype=np.intp)
+    subsets = []
+    sub_id = {}
+    for size in range(1, s + 1):
+        for comb in itertools.combinations(range(t), size):
+            sub_id[frozenset(comb)] = len(subsets)
+            subsets.append(frozenset(comb))
+    nsub = len(subsets)
+    indicator = np.zeros((len(words), nsub))
+    for i, w in enumerate(words):
+        indicator[i, sub_id[frozenset(w.tolist())]] = 1.0
+    coeffs = np.empty((nsub, nsub))
+    for a, sa in enumerate(subsets):
+        for b, sb in enumerate(subsets):
+            c = len(sa | sb)
+            coeffs[a, b] = float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
+    return words, indicator, coeffs
+
+
+def _reference_kron_block_batch(np_: NestedProjection, factors: np.ndarray) -> np.ndarray:
+    """Vectorized apply_kron_block on (n, s, d) blocks: factor 0 is the left
+    (unprojected) factor, factors 1..s-1 feed the chain."""
+    n, s, d = factors.shape
+    if s - 1 != np_.stage_count:
+        raise ValueError("expected one more factor than the chain has stages")
+    left = factors[:, 0, :]
+    if s == 1:
+        return left.copy()
+    w = apply_rank1_batch(np_, factors[:, 1:, :])
+    return (left[:, :, None] * w[:, None, :]).reshape(n, -1)
+
+
+def _reference_estimate_moment_matrix(
+    mix_sampler, base_sampler, s: int, np_prev: NestedProjection, n: int
+) -> MomentMatrixEstimate:
+    """Monte-Carlo estimate of A_{2s} from n mixture samples.
+
+    Each sample draws 4s-1 fresh base samples; the rank-1 expansion of
+    R_{2s}(z_i, x_1..x_{4s-1}) is applied blockwise through (I kron Gamma)
+    and averaged into a symmetric (d c_{s-1}) x (d c_{s-1}) matrix.
+    """
+    if n < 1:
+        raise EmptySampleError("estimate_moment_matrix needs n >= 1")
+    if np_prev.stage_count != s - 1:
+        raise ValueError(f"np_prev must have {s - 1} stages for degree 2s={2 * s}")
+    d = np_prev.d
+    out_dim = d * np_prev.out_dim
+    words, indicator, coeffs = _reference_half_word_tables(s)
+    n_words = len(words)
+    acc = np.zeros((out_dim, out_dim))
+    chunk = max(1, min(n, 4_000_000 // max(1, n_words * out_dim)))
+    done = 0
+    while done < n:
+        b = min(chunk, n - done)
+        z = np.asarray(mix_sampler.draw(b), dtype=float)
+        x = np.asarray(base_sampler.draw(b * (4 * s - 1)), dtype=float)
+        x = x.reshape(b, 4 * s - 1, d)
+        block0 = np.concatenate([z[:, None, :], x[:, : 2 * s - 1, :]], axis=1)
+        block1 = x[:, 2 * s - 1 :, :]
+        for block, sign in ((block0, 1.0), (block1, -1.0)):
+            f = block[:, words, :].reshape(b * n_words, s, d)
+            v = _reference_kron_block_batch(np_prev, f).reshape(b, n_words, out_dim)
+            grouped = np.einsum("bwm,wn->bnm", v, indicator, optimize=True)
+            acc += sign * np.einsum(
+                "bim,ij,bjn->mn", grouped, coeffs, grouped, optimize=True
+            )
+        done += b
+    return MomentMatrixEstimate(acc / n, samples_used=n, degree=2 * s)
 
 
 def _spec(weights, means, tag="gaussian"):
@@ -80,18 +172,18 @@ class TestEstimateMomentMatrix:
     def test_unbiased_within_four_se(self):
         means = np.array([[1.0, 0.0], [-0.5, 1.5]])
         spec = _spec([0.5, 0.5], means)
-        exact = exact_moment_matrix(spec, NestedProjection((), 2))
-        runs = []
-        for seed in range(8):
-            mix = MixtureSampler(spec, seed=seed)
-            base = BaseSampler("gaussian", 2, seed, 5)
-            runs.append(
-                estimate_moment_matrix(mix, base, 1, NestedProjection((), 2), 4_000).matrix
-            )
-        runs = np.array(runs)
-        mean = runs.mean(axis=0)
-        se = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
-        assert np.all(np.abs(mean - exact) <= 4.0 * se + 1e-6)
+        # s=1 has no chain stages; s=2 runs the half-word grouping through one
+        for s, np_prev in ((1, NestedProjection((), 2)), (2, identity_projection(2))):
+            exact = exact_moment_matrix(spec, np_prev)
+            runs = []
+            for seed in range(8):
+                mix = MixtureSampler(spec, seed=seed)
+                base = BaseSampler("gaussian", 2, seed, 5)
+                runs.append(estimate_moment_matrix(mix, base, s, np_prev, 4_000).matrix)
+            runs = np.array(runs)
+            mean = runs.mean(axis=0)
+            se = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
+            assert np.all(np.abs(mean - exact) <= 4.0 * se + 1e-6), s
 
     def test_error_shrinks_with_n(self):
         means = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
@@ -111,6 +203,33 @@ class TestEstimateMomentMatrix:
         base = BaseSampler("gaussian", 2, 0, 5)
         m = estimate_moment_matrix(mix, base, 1, NestedProjection((), 2), 500).matrix
         assert np.max(np.abs(m - m.T)) < 1e-12
+
+
+class TestEstimatorByGrouping:
+    @given(
+        s=hst.integers(1, 3),
+        tag=hst.sampled_from(BASE_TAGS),
+        d=hst.integers(1, 4),
+        n=hst.integers(1, 30),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_word_gather_reference(self, s, tag, d, n, seed):
+        rng = np.random.default_rng(seed)
+        widths = []
+        for _ in range(s - 1):
+            widths.append(int(rng.integers(1, min(d * (widths[-1] if widths else 1), 4) + 1)))
+        np_prev = random_nested_projection(d, tuple(widths), rng)
+        k = int(rng.integers(1, 4))
+        spec = MixtureSpec(np.full(k, 1.0 / k), 3.0 * rng.standard_normal((k, d)), tag)
+        got = estimate_moment_matrix(
+            MixtureSampler(spec, seed), BaseSampler(tag, d, seed, 5), s, np_prev, n
+        ).matrix
+        want = _reference_estimate_moment_matrix(
+            MixtureSampler(spec, seed), BaseSampler(tag, d, seed, 5), s, np_prev, n
+        ).matrix
+        # entries that cancel to near zero are held to the matrix's scale
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestIterativeProjection:

@@ -10,8 +10,8 @@ from mixcluster.nested_projection import (
     apply_rank1,
     apply_rank1_batch,
     dense_matrix,
+    grouped_tail_images,
     identity_projection,
-    residual_norm,
 )
 from mixcluster.tensor_core import Rank1Term
 
@@ -130,21 +130,16 @@ class TestProperties:
         for i in range(7):
             assert np.allclose(batch[i], apply_rank1(np_, list(factors[i])))
 
-    def test_residual_pythagoras(self, rng):
-        np_ = random_nested_projection(3, (2, 2), rng)
-        for _ in range(10):
-            factors = [rng.standard_normal(3) for _ in range(2)]
-            proj = np.linalg.norm(apply_rank1(np_, factors)) ** 2
-            res = residual_norm(np_, factors) ** 2
-            total = np.prod([np.linalg.norm(f) ** 2 for f in factors])
-            assert abs(proj + res - total) < 1e-9
-
-    def test_residual_zero_under_identity(self, rng):
-        np_ = identity_projection(4)
-        assert residual_norm(np_, [rng.standard_normal(4)]) < 1e-12
-
-    def test_residual_full_norm_when_orthogonal(self):
-        stage = np.array([[1.0, 0.0, 0.0]])
-        np_ = NestedProjection((stage,), 3)
-        v = np.array([0.0, 2.0, 0.0])
-        assert abs(residual_norm(np_, [v]) - 2.0) < 1e-12
+    @pytest.mark.parametrize("widths", [(), (2,), (3, 2)])
+    def test_grouped_tail_images_matches_word_loop(self, widths, rng):
+        d, q, r, n = 3, 4, 2, 5
+        np_ = random_nested_projection(d, widths, rng)
+        blocks = rng.standard_normal((n, q, d))
+        tails = rng.integers(0, q, size=(6, len(widths)))
+        weights = rng.standard_normal((q, r, len(tails)))
+        got = grouped_tail_images(np_, blocks, tails, weights)
+        assert got.shape == (n, q, r, np_.out_dim)
+        for i in range(n):
+            images = [apply_rank1(np_, list(blocks[i, tail])) if len(widths) else np.ones(1) for tail in tails]
+            want = np.einsum("jau,uc->jac", weights, np.array(images))
+            assert np.max(np.abs(got[i] - want)) < 1e-12

@@ -3,71 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
 from mixcluster.tensor_core import (
-    InvalidIndexError,
     Rank1Term,
     SizeLimitError,
     count_nonempty,
-    flatten_index,
     labeled_partitions,
-    matricize_square,
     outer_power,
     place_blocks,
     sym_interleavings,
-    unflatten_index,
     unordered_partitions,
 )
-
-
-class TestFlattenIndex:
-    def test_zero_index(self):
-        assert flatten_index((0, 0), (3, 3)) == 0
-
-    def test_row_major_pairs(self):
-        assert flatten_index((1, 2), (3, 3)) == 5
-
-    def test_row_major_triples(self):
-        assert flatten_index((2, 1, 0), (3, 3, 3)) == 21
-
-    def test_out_of_range_entry(self):
-        with pytest.raises(InvalidIndexError):
-            flatten_index((3, 0), (3, 3))
-
-    def test_bijective_over_box(self):
-        dims = (2, 3, 4)
-        seen = {flatten_index(idx, dims) for idx in itertools.product(*(range(m) for m in dims))}
-        assert seen == set(range(24))
-
-    @given(
-        dims=hst.lists(hst.integers(1, 4), min_size=1, max_size=4).map(tuple),
-        data=hst.data(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, dims, data):
-        idx = tuple(data.draw(hst.integers(0, m - 1)) for m in dims)
-        assert unflatten_index(flatten_index(idx, dims), dims) == idx
-
-
-class TestMatricizeSquare:
-    def test_identity(self):
-        assert np.array_equal(matricize_square(np.array([1.0, 0, 0, 1]), 2), np.eye(2))
-
-    def test_row_major_layout(self):
-        m = matricize_square(np.array([1.0, 2, 3, 4]), 2)
-        assert np.array_equal(m, [[1, 2], [3, 4]])
-
-    def test_matches_outer_product(self, rng):
-        for d in (2, 4, 8):
-            u, w = rng.standard_normal(d), rng.standard_normal(d)
-            flat = np.tensordot(u, w, axes=0).reshape(-1)
-            assert np.max(np.abs(matricize_square(flat, d) - np.outer(u, w))) < 1e-12
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            matricize_square(np.zeros(3), 2)
 
 
 def _stirling2(n, c):
