@@ -257,7 +257,7 @@ DEFAULT_C = {"poincare": 0.5, "gaussian-recursive": 1.0}
 def _run_poincare(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
     mix = MixtureSampler(spec, seed=seed)
     base = BaseSampler(spec.dist_tag, spec.d, seed, 7)
-    sep = float(cfg.get("sep", spec.min_separation))
+    sep = float(cfg.get("sep", spec.min_separation()))
     # learn_means's own defaults apply to the keys the config leaves out
     overrides = {key: int(cfg[key]) for key in ("reps", "n_per_stage") if key in cfg}
     return learn_means(
@@ -305,6 +305,9 @@ def cmd_cluster(cfg: dict, args) -> int:
 
     report = _base_report("cluster", cfg, seed)
     report["variant"] = variant
+    # keys the config leaves out that the run fills in from the ground-truth spec
+    from_spec = ("sep", "w_min") if variant == "poincare" else ("w_min",)
+    report["oracle_defaults"] = sorted(key for key in from_spec if key not in cfg)
     report_path = os.path.join(out, "report.json")
     t0 = time.perf_counter()
     try:

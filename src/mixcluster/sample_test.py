@@ -1,13 +1,20 @@
 """The Far/Close sample test on projected rank-1 moment statistics.
 
-A sample z is tested by averaging Gamma flat(R_t(z, z_1..z_{2t-1})) over
-fresh base draws and thresholding the norm of the average.  By linearity the
-average is taken before the last stage Pi_t: per test point the statistic
-costs reps * 2 * t^(t-1) applications of the (t-1)-stage prefix chain and one
-application of Pi_t, instead of reps * 2 * t^t applications of the full
-chain.  Threshold and degree policies follow the separation-driven forms;
-the averaging count is a knob since the in-theory count is astronomically
-large.
+A sample z is tested by averaging Gamma flat(R_t(z, y_0..y_{2t-2})) over
+base draws and thresholding the norm of the average.  The tests of one call
+share one set of draws (common random numbers): one call draws
+reps * (2t-1) base rows, whatever its number of test points.  Each test's
+draws stay independent of its own point and keep their distribution, so
+each test's error probability is unchanged; only the tests within one call
+become dependent, and each call gets fresh draws.
+
+By linearity the average is taken before the last stage Pi_t.  Block 1 of
+the expansion (y_{t-1}..y_{2t-2}) holds no z, so it goes through the
+(t-1)-stage prefix chain once per call, in reps * t^(t-1) applications;
+block 0 (z, y_0..y_{t-2}) costs reps * t^(t-1) prefix-chain applications
+and one application of Pi_t per test point.  Threshold and degree policies
+follow the separation-driven forms; the averaging count is a knob since the
+in-theory count is astronomically large.
 """
 
 from __future__ import annotations
@@ -115,49 +122,59 @@ def choose_degree(
 def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Averaged projected R_t statistics for a batch of test points.
 
-    zs has shape (n, d); returns the n statistics ||A_i||.  Each test point
-    gets cfg.reps independent blocks of 2t-1 fresh base draws.
+    zs has shape (n, d); returns the n statistics ||A_i||.  One call draws
+    cfg.reps blocks of 2t-1 base rows once, and every test point in the call
+    shares them (common random numbers): each test's draws are independent
+    of its own point, as the test needs, but not of the other tests'.
 
     Gamma is linear and Gamma(v_1 x ... x v_t) = Pi_t(v_1 x Gamma_{t-1}(v_2..v_t)),
     so the t^t words of a block are grouped by their first factor j into
     sum_j b_j x T_j, where grouped_tail_images forms
-    T_j = sum_u c_{j,u} Gamma_{t-1}(tail u).  The reps' groups are averaged
-    before Pi_t.  Per test point this costs reps * 2 * t^(t-1) prefix-chain
-    applications (t^(t-1) per block of t samples) and one Pi_t application.
+    T_j = sum_u c_{j,u} Gamma_{t-1}(tail u).  Block 1 (y_{t-1}..y_{2t-2})
+    holds no z, so its sum over the reps is formed once per call and
+    subtracted from each point's block-0 (z, y_0..y_{t-2}) sum before the
+    mean and Pi_t.  Per call this costs reps * (2t-1) draws and
+    reps * t^(t-1) prefix-chain applications for block 1; per test point,
+    reps * t^(t-1) prefix-chain applications for block 0 and one Pi_t
+    application.
     """
     t = cfg.t
     proj = chain.projection
     n, d = zs.shape
     reps = cfg.reps
-    draws = np.asarray(base_sampler.draw(n * reps * (2 * t - 1)), dtype=float)
-    draws = draws.reshape(n, reps, 2 * t - 1, d)
+    draws = np.asarray(base_sampler.draw(reps * (2 * t - 1)), dtype=float)
+    draws = draws.reshape(reps, 2 * t - 1, d)
     last = proj.stages[-1]
     if t == 1:
-        return np.linalg.norm((zs - draws[:, :, 0, :].mean(axis=1)) @ last.T, axis=1)
+        return np.linalg.norm((zs - draws[:, 0, :].mean(axis=0)) @ last.T, axis=1)
     words, coeffs = r_expansion_arrays(t)
     n_tails = t ** (t - 1)
     tails = words[:n_tails, 1:]  # product order: word j * n_tails + u has tail u
     weights = coeffs.reshape(t, 1, n_tails)
     head = proj.prefix(t - 1)
     width = head.out_dim
+    # block 1 (y_{t-1}..y_{2t-2}) holds no z: one sum over the reps serves every point
+    block1 = draws[:, t - 1 :, :]
+    grouped1 = grouped_tail_images(head, block1, tails, weights).reshape(reps * t, width)
+    shared = block1.reshape(reps * t, d).T @ grouped1
+    ys = draws[:, : t - 1, :]
     # chunk over test points (all reps of a point in one chunk) to bound
     # the gathered tails and the prefix chain's widest intermediate
-    per_point = 2 * reps * n_tails * d * max(t - 1, *head.widths)
+    per_point = reps * n_tails * d * max(t - 1, *head.widths)
     chunk = max(1, _WORKING_SET // per_point)
     out = np.empty(n)
     for start in range(0, n, chunk):
         end = min(n, start + chunk)
         m = end - start
-        # samples (z, y_1..y_{2t-1}) of each rep, split into block 0 and block 1
         blocks = np.concatenate(
-            [np.broadcast_to(zs[start:end, None, None, :], (m, reps, 1, d)), draws[start:end]], axis=2
-        ).reshape(m * reps * 2, t, d)
-        grouped = grouped_tail_images(head, blocks, tails, weights).reshape(m, reps, 2, t * width)
-        grouped[:, :, 1] *= -1.0
-        acc = np.matmul(
-            blocks.reshape(m, reps * 2 * t, d).transpose(0, 2, 1),
-            grouped.reshape(m, reps * 2 * t, width),
-        )
+            [
+                np.broadcast_to(zs[start:end, None, None, :], (m, reps, 1, d)),
+                np.broadcast_to(ys, (m, reps, t - 1, d)),
+            ],
+            axis=2,
+        ).reshape(m * reps, t, d)
+        grouped = grouped_tail_images(head, blocks, tails, weights).reshape(m, reps * t, width)
+        acc = np.matmul(blocks.reshape(m, reps * t, d).transpose(0, 2, 1), grouped) - shared
         a = (acc.reshape(m, d * width) / reps) @ last.T
         out[start:end] = np.linalg.norm(a, axis=1)
     return out
@@ -176,7 +193,10 @@ def test_sample(z, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> Tes
 
 
 def test_sample_batch(zs, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
-    """Vectorized Far/Close over rows of zs; returns a boolean Far mask."""
+    """Vectorized Far/Close over rows of zs; returns a boolean Far mask.
+
+    The rows share one set of reps * (2t-1) base draws (see _statistic_batch
+    for the cost per call)."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     stats = _statistic_batch(zs, chain, cfg, base_sampler)
     return stats >= cfg.tau
@@ -190,7 +210,11 @@ def pair_test(z, z_prime, chain: ProjectionChain, cfg: TestConfig, base_sampler)
 
 
 def pair_test_batch(z, others, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
-    """Accept mask of pair tests between one probe and many other samples."""
+    """Accept mask of pair tests between one probe and many other samples.
+
+    The call's pair tests share one set of reps * (2t-1) base draws: block 1
+    of the statistic goes through the chain once per call and block 0 once
+    per pair (see _statistic_batch)."""
     z = np.asarray(z, dtype=float)
     others = np.atleast_2d(np.asarray(others, dtype=float))
     diffs = (z[None, :] - others) / math.sqrt(2.0)

@@ -167,6 +167,35 @@ class TestCluster:
         assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert seen == {"learner": (0.3, 1.0), "band": (0.3, 1.0)}
 
+    @pytest.mark.parametrize(
+        "variant, keys, want",
+        [
+            ("poincare", {}, ["sep", "w_min"]),
+            ("poincare", {"sep": 10.0, "w_min": 0.3}, []),
+            ("gaussian-recursive", {}, ["w_min"]),
+            ("gaussian-recursive", {"w_min": 0.3}, []),
+        ],
+    )
+    def test_report_lists_oracle_defaults(self, tmp_path, monkeypatch, variant, keys, want):
+        import mixcluster.cli as cli
+        from mixcluster.poincare_cluster import LearnedMixture
+
+        def fake_learner(mix, *args, **kwargs):
+            return LearnedMixture(np.array(mix.spec.means), np.array(mix.spec.weights))
+
+        monkeypatch.setattr(cli, "learn_means", fake_learner)
+        monkeypatch.setattr(cli.gc, "recursive_cluster", fake_learner)
+        doc = {
+            "mixture": {"k": 2, "d": 2, "separation": 10.0, "dist_tag": "gaussian", "seed": 1},
+            "variant": variant,
+            "eval_samples": 50,
+            **keys,
+        }
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["oracle_defaults"] == want
+
 
 class TestValidate:
     def test_unknown_suite_exits_2(self, tmp_path):

@@ -53,6 +53,30 @@ def _reference_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.T
     return np.linalg.norm(a, axis=1)
 
 
+class _TiledSampler:
+    """Hands every test point of a reference call the same draws: a request
+    for n * rows rows draws rows rows once and repeats them n times, which
+    is what _statistic_batch's shared draws look like to the reference."""
+
+    def __init__(self, inner, n):
+        self.inner = inner
+        self.n = n
+
+    def draw(self, m):
+        return np.tile(np.asarray(self.inner.draw(m // self.n)), (self.n, 1))
+
+
+class _CountingSampler:
+    def __init__(self, inner):
+        self.inner = inner
+        self.d = inner.d
+        self.rows = 0
+
+    def draw(self, m):
+        self.rows += m
+        return self.inner.draw(m)
+
+
 def _point_mass_chain(mu, t):
     spec = MixtureSpec(np.array([1.0]), np.array([mu]), "point_mass")
     return spec, exact_projection_chain(spec, t, 1)
@@ -222,10 +246,10 @@ class TestStatisticByLinearity:
         zs = 2.0 * rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
         got = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
-        want = _reference_statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
+        want = _reference_statistic_batch(zs, chain, cfg, _TiledSampler(BaseSampler(tag, d, seed, 5), n))
         # relative to the size of the rank-1 terms, so that a statistic that
         # cancels to near zero is not held to a relative bound on itself
-        draws = BaseSampler(tag, d, seed, 5).draw(n * reps * (2 * t - 1))
+        draws = BaseSampler(tag, d, seed, 5).draw(reps * (2 * t - 1))
         size = max(np.abs(zs).max(), np.abs(draws).max(), 1.0) ** t
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * size)
 
@@ -238,15 +262,52 @@ class TestStatisticByLinearity:
         zs = rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
         got = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, 11, 3))
-        draws = BaseSampler(tag, d, 11, 3).draw(n * reps * (2 * t - 1)).reshape(n, reps, 2 * t - 1, d)
+        draws = BaseSampler(tag, d, 11, 3).draw(reps * (2 * t - 1)).reshape(reps, 2 * t - 1, d)
         gamma = dense_matrix(chain.projection)
         want = [
             np.linalg.norm(
                 np.mean(
-                    [gamma @ r_poly_terms([z, *draws[i, r]], t).dense_sum().reshape(-1) for r in range(reps)],
+                    [gamma @ r_poly_terms([z, *draws[r]], t).dense_sum().reshape(-1) for r in range(reps)],
                     axis=0,
                 )
             )
-            for i, z in enumerate(zs)
+            for z in zs
         ]
         np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 600])
+    def test_one_call_draws_one_set_of_base_rows(self, t, n):
+        rng = np.random.default_rng(10 * t + n)
+        d, reps = 3, 4
+        chain = _random_chain(d, t, rng)
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        base = _CountingSampler(BaseSampler("gaussian", d, 3, 1))
+        z = rng.standard_normal(d)
+        others = rng.standard_normal((n, d))
+        mask = st.pair_test_batch(z, others, chain, cfg, base)
+        assert mask.shape == (n,)
+        assert base.rows == reps * (2 * t - 1)
+
+    @given(
+        t=hst.integers(1, 4),
+        tag=hst.sampled_from(BASE_TAGS),
+        d=hst.integers(1, 4),
+        n=hst.integers(2, 6),
+        reps=hst.integers(1, 6),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_row_matches_single_point_call(self, t, tag, d, n, reps, seed):
+        rng = np.random.default_rng(seed)
+        chain = _random_chain(d, t, rng)
+        zs = 2.0 * rng.standard_normal((n, d))
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        batch = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
+        draws = BaseSampler(tag, d, seed, 5).draw(reps * (2 * t - 1))
+        size = max(np.abs(zs).max(), np.abs(draws).max(), 1.0) ** t
+        for i in range(n):
+            single = st._statistic_batch(zs[i : i + 1], chain, cfg, BaseSampler(tag, d, seed, 5))
+            np.testing.assert_allclose(batch[i : i + 1], single, rtol=1e-12, atol=1e-12 * size)
