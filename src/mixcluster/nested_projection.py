@@ -66,6 +66,9 @@ class NestedProjection:
         return self.stages[-1].shape[0] if self.stages else 1
 
     def prefix(self, n_stages: int) -> "NestedProjection":
+        """The chain of the first n_stages stages.  No production code calls it:
+        it is the oracle C6 (and the estimator's unit tests) need to read a
+        chain's lower-degree stages."""
         return NestedProjection(self.stages[:n_stages], self.d)
 
     def to_json(self) -> str:

@@ -8,25 +8,26 @@ draws stay independent of its own point and keep their distribution, so
 each test's error probability is unchanged; only the tests within one call
 become dependent, and each call gets fresh draws.
 
-By linearity the average is taken before the last stage Pi_t.  Block 1 of
-the expansion (y_{t-1}..y_{2t-2}) holds no z, so it goes through the
-(t-1)-stage prefix chain once per call, in reps * t^(t-1) applications;
-block 0 (z, y_0..y_{t-2}) costs reps * t^(t-1) prefix-chain applications
-and one application of Pi_t per test point.  Threshold and degree policies
-follow the separation-driven forms; the averaging count is a knob since the
-in-theory count is astronomically large.
+With the draws fixed, the average is a degree-t polynomial in z,
+sum_{k<t} C_k z^(x)k + Gamma(z^(x)t).  Its coefficients are set up once per
+call, in at most reps * ((d+t-1)^t - d^t + t^t) chain rows; each test
+point then costs sum_{k<t} c_t d^k multiply-adds and one chain row,
+whatever reps is.
+Threshold and degree policies follow the separation-driven forms; the
+averaging count is a knob since the in-theory count is astronomically large.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import nested_projection
 from .moment_pipeline import ProjectionChain
-from .nested_projection import grouped_tail_images
 from .poly_estimators import r_expansion_arrays
 
 DEFAULT_REPS = 64
@@ -67,19 +68,6 @@ class TestVerdict:
     reps: int
     guarantee_void: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "label": self.label,
-                "statistic": self.statistic,
-                "tau": self.tau,
-                "t": self.t,
-                "reps": self.reps,
-                "guarantee_void": self.guarantee_void,
-            },
-            sort_keys=True,
-        )
-
 
 @dataclass(frozen=True)
 class DegreeChoice:
@@ -119,6 +107,35 @@ def choose_degree(
     return DegreeChoice(t, False)
 
 
+@lru_cache(maxsize=None)
+def _polynomial_tables(t: int, d: int):
+    """Set-up tables of the statistic as a polynomial in the test point.
+
+    The 2 t^t words of R_t run over the slots [z, y_0..y_{2t-2}]: block 0 as
+    r_expansion_arrays gives it, block 1 shifted by t with -coeffs.  They are
+    grouped by k, the number of positions that hold z; the all-z word (k = t)
+    has coefficient 1 and is left out.  Each group k < t gets
+    (index, coeffs): index[w, a, i] picks position i's factor of word w with
+    e_{a_1}, .., e_{a_k} at its z positions, for every row-major multi-index
+    a over [d]^k, out of the pool [e_0..e_{d-1}, y_0..y_{2t-2}].
+    """
+    words, coeffs = r_expansion_arrays(t)
+    words = np.concatenate([words, words + t])
+    coeffs = np.concatenate([coeffs, -coeffs])
+    z_count = (words == 0).sum(axis=1)
+    assert coeffs[z_count == t].tolist() == [1.0]
+    tables = []
+    for k in range(t):
+        group = words[z_count == k]
+        is_z = group == 0
+        rank = np.cumsum(is_z, axis=1) - 1  # which z of its word a position holds
+        digits = np.array(list(itertools.product(range(d), repeat=k)), dtype=np.intp)
+        picks = (is_z[:, :, None] & (rank[:, :, None] == np.arange(k))).astype(np.intp)
+        index = np.where(is_z, 0, d + group - 1)[:, None, :] + np.einsum("ak,wik->wai", digits, picks)
+        tables.append((index, coeffs[z_count == k]))
+    return tuple(tables)
+
+
 def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Averaged projected R_t statistics for a batch of test points.
 
@@ -127,16 +144,16 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
     shares them (common random numbers): each test's draws are independent
     of its own point, as the test needs, but not of the other tests'.
 
-    Gamma is linear and Gamma(v_1 x ... x v_t) = Pi_t(v_1 x Gamma_{t-1}(v_2..v_t)),
-    so the t^t words of a block are grouped by their first factor j into
-    sum_j b_j x T_j, where grouped_tail_images forms
-    T_j = sum_u c_{j,u} Gamma_{t-1}(tail u).  Block 1 (y_{t-1}..y_{2t-2})
-    holds no z, so its sum over the reps is formed once per call and
-    subtracted from each point's block-0 (z, y_0..y_{t-2}) sum before the
-    mean and Pi_t.  Per call this costs reps * (2t-1) draws and
-    reps * t^(t-1) prefix-chain applications for block 1; per test point,
-    reps * t^(t-1) prefix-chain applications for block 0 and one Pi_t
-    application.
+    With the draws fixed, A(z) = sum_{k<t} C_k z^(x)k + Gamma(z^(x)t) is a
+    degree-t polynomial in z.  Gamma is linear, so C_k (c_t, d^k) is the
+    reps-mean of the coefficient-weighted images of the words with z at k
+    positions, with the standard basis of R^d put at those positions; C_0
+    holds block 1 and the z-free words of block 0.  The t(t-1) words with
+    one y factor are linear in the draws and take their mean instead.  Per
+    call this costs reps * (2t-1) draws and
+    reps * ((d+t-1)^t - d^t + t^t) - (reps-1) * t(t-1) * d^(t-1) chain rows;
+    per test point, sum_{k<t} c_t d^k multiply-adds and one chain row for
+    Gamma(z^(x)t).  t = 1 is ||Pi_1(z - mean_r y_r)||.
     """
     t = cfg.t
     proj = chain.projection
@@ -144,39 +161,39 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
     reps = cfg.reps
     draws = np.asarray(base_sampler.draw(reps * (2 * t - 1)), dtype=float)
     draws = draws.reshape(reps, 2 * t - 1, d)
-    last = proj.stages[-1]
     if t == 1:
-        return np.linalg.norm((zs - draws[:, 0, :].mean(axis=0)) @ last.T, axis=1)
-    words, coeffs = r_expansion_arrays(t)
-    n_tails = t ** (t - 1)
-    tails = words[:n_tails, 1:]  # product order: word j * n_tails + u has tail u
-    weights = coeffs.reshape(t, 1, n_tails)
-    head = proj.prefix(t - 1)
-    width = head.out_dim
-    # block 1 (y_{t-1}..y_{2t-2}) holds no z: one sum over the reps serves every point
-    block1 = draws[:, t - 1 :, :]
-    grouped1 = grouped_tail_images(head, block1, tails, weights).reshape(reps * t, width)
-    shared = block1.reshape(reps * t, d).T @ grouped1
-    ys = draws[:, : t - 1, :]
-    # chunk over test points (all reps of a point in one chunk) to bound
-    # the gathered tails and the prefix chain's widest intermediate
-    per_point = reps * n_tails * d * max(t - 1, *head.widths)
-    chunk = max(1, _WORKING_SET // per_point)
+        return np.linalg.norm((zs - draws[:, 0, :].mean(axis=0)) @ proj.stages[-1].T, axis=1)
+    c = proj.out_dim
+    per_row = d * max(t, *proj.widths)  # floats of a chain row's widest intermediate
+    pool = np.concatenate([np.broadcast_to(np.eye(d), (reps, d, d)), draws], axis=1)
+    poly = []
+    for k, (index, coeffs) in enumerate(_polynomial_tables(t, d)):
+        # a word with one y factor (k = t-1) is linear in the draws, so the
+        # mean of its images over the reps is the image of the mean draws
+        pools = pool.mean(axis=0, keepdims=True) if k == t - 1 else pool
+        # chain rows in (rep, word, a) order, chunked over whole (rep, word) groups
+        n_groups = len(pools) * len(coeffs)
+        chunk = max(1, _WORKING_SET // (d**k * per_row))
+        acc = np.zeros((d**k, c))
+        for start in range(0, n_groups, chunk):
+            rep, word = np.divmod(np.arange(start, min(n_groups, start + chunk)), len(coeffs))
+            factors = pools[rep[:, None, None], index[word]].reshape(-1, t, d)
+            images = nested_projection.apply_rank1_batch(proj, factors)
+            acc += np.tensordot(coeffs[word], images.reshape(len(word), d**k, c), axes=1)
+        poly.append(acc / len(pools))
+    # chunk over test points to bound z^(x)(t-1) and the chain row's intermediates
+    chunk = max(1, _WORKING_SET // (2 * d ** (t - 1) + per_row))
     out = np.empty(n)
     for start in range(0, n, chunk):
-        end = min(n, start + chunk)
-        m = end - start
-        blocks = np.concatenate(
-            [
-                np.broadcast_to(zs[start:end, None, None, :], (m, reps, 1, d)),
-                np.broadcast_to(ys, (m, reps, t - 1, d)),
-            ],
-            axis=2,
-        ).reshape(m * reps, t, d)
-        grouped = grouped_tail_images(head, blocks, tails, weights).reshape(m, reps * t, width)
-        acc = np.matmul(blocks.reshape(m, reps * t, d).transpose(0, 2, 1), grouped) - shared
-        a = (acc.reshape(m, d * width) / reps) @ last.T
-        out[start:end] = np.linalg.norm(a, axis=1)
+        z = zs[start : start + chunk]
+        m = len(z)
+        a = nested_projection.apply_rank1_batch(proj, np.broadcast_to(z[:, None, :], (m, t, d))) + poly[0]
+        power = z
+        for k in range(1, t):
+            a += power @ poly[k]
+            if k < t - 1:
+                power = (power[:, :, None] * z[:, None, :]).reshape(m, -1)
+        out[start : start + m] = np.linalg.norm(a, axis=1)
     return out
 
 
@@ -195,8 +212,10 @@ def test_sample(z, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> Tes
 def test_sample_batch(zs, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Vectorized Far/Close over rows of zs; returns a boolean Far mask.
 
-    The rows share one set of reps * (2t-1) base draws (see _statistic_batch
-    for the cost per call)."""
+    The rows share one set of reps * (2t-1) base draws.  Per call the
+    statistic's coefficients cost at most reps * ((d+t-1)^t - d^t + t^t)
+    chain rows; per row, sum_{k<t} c_t d^k multiply-adds and one chain row
+    (see _statistic_batch)."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     stats = _statistic_batch(zs, chain, cfg, base_sampler)
     return stats >= cfg.tau
@@ -212,9 +231,10 @@ def pair_test(z, z_prime, chain: ProjectionChain, cfg: TestConfig, base_sampler)
 def pair_test_batch(z, others, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Accept mask of pair tests between one probe and many other samples.
 
-    The call's pair tests share one set of reps * (2t-1) base draws: block 1
-    of the statistic goes through the chain once per call and block 0 once
-    per pair (see _statistic_batch)."""
+    The call's pair tests share one set of reps * (2t-1) base draws.  The
+    statistic's coefficients cost at most reps * ((d+t-1)^t - d^t + t^t)
+    chain rows per call; each pair then costs sum_{k<t} c_t d^k
+    multiply-adds and one chain row (see _statistic_batch)."""
     z = np.asarray(z, dtype=float)
     others = np.atleast_2d(np.asarray(others, dtype=float))
     diffs = (z[None, :] - others) / math.sqrt(2.0)

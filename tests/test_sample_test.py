@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import mixcluster.nested_projection as npj
 import mixcluster.sample_test as st
 from conftest import random_nested_projection
 from mixcluster.mixture_gen import BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import MixtureSpec, ProjectionChain, exact_projection_chain
-from mixcluster.nested_projection import apply_rank1_batch, dense_matrix
+from mixcluster.nested_projection import apply_rank1_batch, dense_matrix, grouped_tail_images
 from mixcluster.poly_estimators import BASE_TAGS, r_expansion_arrays, r_poly_terms
 
 
@@ -51,6 +51,73 @@ def _reference_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.T
             acc[start:end] += sign * np.einsum("mwv,w->mv", v, coeffs, optimize=True)
     a = acc.reshape(n, reps, np_.out_dim).mean(axis=1)
     return np.linalg.norm(a, axis=1)
+
+
+# Second reference, the statistic by linearity with shared draws: block 0 of
+# every test point goes through the (t-1)-stage prefix chain once per rep, its
+# tails grouped by first factor, and block 1 once per call.
+_WORKING_SET = st._WORKING_SET
+
+
+def _reference_linearity_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.TestConfig, base_sampler) -> np.ndarray:
+    """Averaged projected R_t statistics for a batch of test points.
+
+    zs has shape (n, d); returns the n statistics ||A_i||.  One call draws
+    cfg.reps blocks of 2t-1 base rows once, and every test point in the call
+    shares them (common random numbers): each test's draws are independent
+    of its own point, as the test needs, but not of the other tests'.
+
+    Gamma is linear and Gamma(v_1 x ... x v_t) = Pi_t(v_1 x Gamma_{t-1}(v_2..v_t)),
+    so the t^t words of a block are grouped by their first factor j into
+    sum_j b_j x T_j, where grouped_tail_images forms
+    T_j = sum_u c_{j,u} Gamma_{t-1}(tail u).  Block 1 (y_{t-1}..y_{2t-2})
+    holds no z, so its sum over the reps is formed once per call and
+    subtracted from each point's block-0 (z, y_0..y_{t-2}) sum before the
+    mean and Pi_t.  Per call this costs reps * (2t-1) draws and
+    reps * t^(t-1) prefix-chain applications for block 1; per test point,
+    reps * t^(t-1) prefix-chain applications for block 0 and one Pi_t
+    application.
+    """
+    t = cfg.t
+    proj = chain.projection
+    n, d = zs.shape
+    reps = cfg.reps
+    draws = np.asarray(base_sampler.draw(reps * (2 * t - 1)), dtype=float)
+    draws = draws.reshape(reps, 2 * t - 1, d)
+    last = proj.stages[-1]
+    if t == 1:
+        return np.linalg.norm((zs - draws[:, 0, :].mean(axis=0)) @ last.T, axis=1)
+    words, coeffs = r_expansion_arrays(t)
+    n_tails = t ** (t - 1)
+    tails = words[:n_tails, 1:]  # product order: word j * n_tails + u has tail u
+    weights = coeffs.reshape(t, 1, n_tails)
+    head = proj.prefix(t - 1)
+    width = head.out_dim
+    # block 1 (y_{t-1}..y_{2t-2}) holds no z: one sum over the reps serves every point
+    block1 = draws[:, t - 1 :, :]
+    grouped1 = grouped_tail_images(head, block1, tails, weights).reshape(reps * t, width)
+    shared = block1.reshape(reps * t, d).T @ grouped1
+    ys = draws[:, : t - 1, :]
+    # chunk over test points (all reps of a point in one chunk) to bound
+    # the gathered tails and the prefix chain's widest intermediate
+    per_point = reps * n_tails * d * max(t - 1, *head.widths)
+    chunk = max(1, _WORKING_SET // per_point)
+    out = np.empty(n)
+    for start in range(0, n, chunk):
+        end = min(n, start + chunk)
+        m = end - start
+        blocks = np.concatenate(
+            [
+                np.broadcast_to(zs[start:end, None, None, :], (m, reps, 1, d)),
+                np.broadcast_to(ys, (m, reps, t - 1, d)),
+            ],
+            axis=2,
+        ).reshape(m * reps, t, d)
+        grouped = grouped_tail_images(head, blocks, tails, weights).reshape(m, reps * t, width)
+        acc = np.matmul(blocks.reshape(m, reps * t, d).transpose(0, 2, 1), grouped) - shared
+        a = (acc.reshape(m, d * width) / reps) @ last.T
+        out[start:end] = np.linalg.norm(a, axis=1)
+    return out
 
 
 class _TiledSampler:
@@ -162,13 +229,6 @@ class TestTestSample:
         ]
         assert stats[0] == stats[1]
 
-    def test_verdict_json_fields(self):
-        spec, chain = _point_mass_chain(np.array([1.0, 0.0]), 2)
-        base = BaseSampler("point_mass", 2, 0, 1)
-        verdict = st.test_sample(np.zeros(2), chain, st.TestConfig(2, 1.0, reps=1, delta=0.05), base)
-        doc = json.loads(verdict.to_json())
-        assert set(doc) >= {"label", "statistic", "tau", "t", "reps"}
-
 
 class TestPairTest:
     def test_identical_samples_accept(self):
@@ -232,10 +292,11 @@ class TestStatisticByLinearity:
         n=hst.integers(1, 5),
         reps=hst.integers(1, 6),
         exact=hst.booleans(),
+        far=hst.booleans(),
         seed=hst.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_word_gather_reference(self, t, tag, d, n, reps, exact, seed):
+    def test_matches_both_references(self, t, tag, d, n, reps, exact, far, seed):
         rng = np.random.default_rng(seed)
         if exact:
             k = int(rng.integers(1, 4))
@@ -243,15 +304,18 @@ class TestStatisticByLinearity:
             chain = exact_projection_chain(spec, t, k)
         else:
             chain = _random_chain(d, t, rng)
-        zs = 2.0 * rng.standard_normal((n, d))
+        # Far-sized points sit ten times further out than Close-sized ones
+        zs = (20.0 if far else 2.0) * rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
         got = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
-        want = _reference_statistic_batch(zs, chain, cfg, _TiledSampler(BaseSampler(tag, d, seed, 5), n))
+        gathered = _reference_statistic_batch(zs, chain, cfg, _TiledSampler(BaseSampler(tag, d, seed, 5), n))
+        linear = _reference_linearity_statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
         # relative to the size of the rank-1 terms, so that a statistic that
         # cancels to near zero is not held to a relative bound on itself
         draws = BaseSampler(tag, d, seed, 5).draw(reps * (2 * t - 1))
         size = max(np.abs(zs).max(), np.abs(draws).max(), 1.0) ** t
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * size)
+        np.testing.assert_allclose(got, gathered, rtol=1e-12, atol=1e-12 * size)
+        np.testing.assert_allclose(got, linear, rtol=1e-12, atol=1e-12 * size)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize("tag", ["gaussian", "laplace"])
@@ -290,6 +354,29 @@ class TestSharedDraws:
         mask = st.pair_test_batch(z, others, chain, cfg, base)
         assert mask.shape == (n,)
         assert base.rows == reps * (2 * t - 1)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("reps", [1, 4, 32])
+    def test_one_chain_row_per_test_point(self, t, reps, monkeypatch):
+        rows = []
+
+        def counting(np_, factors):
+            rows.append(len(factors))
+            return apply_rank1_batch(np_, factors)
+
+        monkeypatch.setattr(npj, "apply_rank1_batch", counting)
+        rng = np.random.default_rng(10 * t + reps)
+        d, n = 3, 50
+        chain = _random_chain(d, t, rng)
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        z = rng.standard_normal(d)
+        others = rng.standard_normal((2 * n, d))
+        counts = []
+        for m in (n, 2 * n):
+            rows.clear()
+            st.pair_test_batch(z, others[:m], chain, cfg, BaseSampler("gaussian", d, 3, 1))
+            counts.append(sum(rows))
+        assert counts[1] - counts[0] == n
 
     @given(
         t=hst.integers(1, 4),
