@@ -168,7 +168,7 @@ def _out_dir(args) -> str:
 
 def _write_report(path: str, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -204,6 +204,12 @@ def match_means(estimated, true_means):
         perm[i] = int(j)
         errors[i] = float(cost[i, j])
     return perm, errors
+
+
+def _error_or_null(error) -> float | None:
+    """A match_means error as report JSON: null for an unmatched mean, whose
+    error is inf, which strict JSON cannot hold."""
+    return float(error) if np.isfinite(error) else None
 
 
 def evaluate(spec, learned: LearnedMixture, seed: int, n: int):
@@ -332,8 +338,8 @@ def cmd_cluster(cfg: dict, args) -> int:
 
     report["metrics"] = {
         "recovered_components": found,
-        "mean_errors": [float(e) for e in errors],
-        "max_mean_error": float(np.max(errors)),
+        "mean_errors": [_error_or_null(e) for e in errors],
+        "max_mean_error": _error_or_null(np.max(errors)),
         "weight_errors": weight_errors,
         "accuracy": accuracy,
     }
@@ -353,7 +359,8 @@ def cmd_cluster(cfg: dict, args) -> int:
         f"recovered {found}/{spec.k} components, accuracy {accuracy:.4f}; "
         f"wrote {report_path}"
     )
-    return 0 if found else 1
+    # a true component left unmatched is a failed run, even with a report
+    return 0 if np.all(perm >= 0) else 1
 
 
 def _jsonable(obj):
@@ -498,7 +505,7 @@ def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict
         "t": int(t),
         "seed": int(seed),
         "accuracy": accuracy,
-        "max_mean_error": float(np.max(errors)),
+        "max_mean_error": _error_or_null(np.max(errors)),
         "recovered_components": len(learned.means),
         "baseline_accuracy": base_acc,
         "timings": {"learn_s": learn_s, "baseline_s": baseline_s},

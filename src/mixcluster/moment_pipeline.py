@@ -5,10 +5,12 @@ contributes the rank-1 expansion of R_{2s}(z, x_1..x_{4s-1}), whose terms
 pair two half-words over the sample slots.  Terms are grouped by the slot
 sets their halves touch, which collapses the (2s)^{2s} labeled partitions
 into one vector per slot set and a small coefficient matrix between them.
-Within a slot set the half-words are grouped again by their first factor,
-so Gamma is applied to each of the (2s)^(s-1) distinct tails once per block
-(nested_projection.grouped_tail_images), not to each of the (2s)^s
-half-words.
+That matrix is rank-deficient, so its eigenvectors are folded into the
+grouping and the quadratic form runs over its r nonzero eigenvalues, not
+over the slot sets.  Within a slot set the half-words are grouped again by
+their first factor, so Gamma is applied to each of the (2s)^(s-1) distinct
+tails once per block, and all tails of a chunk go through each chain stage
+in one gemm and one row-batched matmul (nested_projection.word_images).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .nested_projection import (
     NestedProjection,
     apply_kron_block,
-    grouped_tail_images,
     identity_projection,
+    word_images,
 )
 
 
@@ -120,17 +122,20 @@ class ProjectionChain:
 
 @lru_cache(maxsize=None)
 def _half_word_tables(s: int):
-    """Grouping tables for the degree-2s estimator.
+    """Folded grouping tables for the degree-2s estimator.
 
     A half-word is a word of s sample slots from [2s]; in product order,
-    half-word j * (2s)^(s-1) + u has first slot j and tail u.  Returns
-    (tails, weights, coeffs): tails is the ((2s)^(s-1), s-1) array of
-    distinct tails, weights[j, a, u] is 1 when half-word (j, tail u) covers
-    slot set a and 0 otherwise, and coeffs[a, b] is the signed weight of any
-    labeled partition whose two halves cover slot sets a and b.
+    half-word j * (2s)^(s-1) + u has first slot j and tail u.  Let
+    weights[j, a, u] be 1 when half-word (j, tail u) covers slot set a and
+    0 otherwise, and C[a, b] the signed weight of any labeled partition
+    whose two halves cover slot sets a and b.  C is rank-deficient (rank 5
+    of 10 slot sets at s = 2, 19 of 41 at s = 3), so with C = Q diag(lam) Q^T
+    over its eigenvalues above 1e-9 of the largest magnitude, the tables
+    returned are (folded, lam): folded[j, m, u] = sum_a weights[j, a, u] Q[a, m],
+    of shape (2s, r, (2s)^(s-1)), and the r eigenvalues lam.
     """
     t = 2 * s
-    words = np.array(list(itertools.product(range(t), repeat=s)), dtype=np.intp)
+    words = itertools.product(range(t), repeat=s)
     subsets = []
     sub_id = {}
     for size in range(1, s + 1):
@@ -142,13 +147,16 @@ def _half_word_tables(s: int):
     weights = np.zeros((t, nsub, n_tails))
     for i, w in enumerate(words):
         j, u = divmod(i, n_tails)
-        weights[j, sub_id[frozenset(w.tolist())], u] = 1.0
+        weights[j, sub_id[frozenset(w)], u] = 1.0
     coeffs = np.empty((nsub, nsub))
     for a, sa in enumerate(subsets):
         for b, sb in enumerate(subsets):
             c = len(sa | sb)
             coeffs[a, b] = float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
-    return words[:n_tails, 1:], weights, coeffs
+    lam, vecs = np.linalg.eigh(coeffs)
+    keep = np.abs(lam) > 1e-9 * np.abs(lam).max()
+    folded = np.einsum("jau,am->jmu", weights, vecs[:, keep])
+    return folded, lam[keep]
 
 
 def estimate_moment_matrix(
@@ -158,11 +166,14 @@ def estimate_moment_matrix(
 
     Each sample draws 4s-1 fresh base samples and splits (z_i, x_1..x_{4s-1})
     into two blocks of 2s.  The rank-1 expansion of R_{2s} over a block pairs
-    two half-words; the half-words covering slot set a sum to
-    v_a = sum_j b_j x sum_u weights[j, a, u] Gamma(tail u), so each block
-    pushes its (2s)^(s-1) tails through Gamma once (grouped_tail_images) and
-    adds the signed quadratic form sum_{a,b} v_a^T coeffs[a, b] v_b, block 1
-    with the opposite sign, to a symmetric (d c_{s-1}) x (d c_{s-1}) average.
+    two half-words, and the pairs sum to the quadratic form
+    sum_m lam_m v_m^T v_m over the r folded rows
+    v_m = sum_j b_j x sum_u folded[j, m, u] Gamma(tail u) (_half_word_tables).
+    Each block pushes all its (2s)^(s-1) tails through Gamma at once
+    (word_images), and adds the form, block 1 with the opposite sign, to a
+    symmetric (d c_{s-1}) x (d c_{s-1}) average.  Per chunk that costs one
+    gemm and one row-batched matmul per chain stage, one grouping matmul,
+    and an accumulation over r rows per block instead of one per slot set.
     """
     if n < 1:
         raise EmptySampleError("estimate_moment_matrix needs n >= 1")
@@ -171,8 +182,10 @@ def estimate_moment_matrix(
     d = np_prev.d
     c = np_prev.out_dim
     out_dim = d * c
-    tails, weights, coeffs = _half_word_tables(s)
-    nsub = len(coeffs)
+    folded, lam = _half_word_tables(s)
+    q, r, n_tails = folded.shape
+    grouping = folded.reshape(q * r, n_tails)
+    signed = np.stack([lam, -lam])[None, :, :, None]
     acc = np.zeros((out_dim, out_dim))
     # the chunk fixes the draw sizes, and the difference sampler pairs rows
     # within one draw, so the chunk is part of which samples are used
@@ -185,15 +198,13 @@ def estimate_moment_matrix(
         # rows alternate block 0 (z, x_1..x_{2s-1}) and block 1 (x_{2s}..x_{4s-1})
         blocks = np.concatenate([z[:, None, :], x.reshape(b, 4 * s - 1, d)], axis=1)
         blocks = blocks.reshape(2 * b, 2 * s, d)
-        grouped = grouped_tail_images(np_prev, blocks, tails, weights)
-        # v[i, a] = sum_j grouped[i, j, a] x b_j: v_a with its factors in
+        grouped = np.matmul(grouping, word_images(np_prev, blocks))
+        # v[i, m] = sum_j grouped[i, j, m] x b_j: v_m with its factors in
         # (Gamma, d) order, which spares a transposed copy; acc is put back
         # in (d, Gamma) order once, after the loop
-        v = np.matmul(grouped.reshape(2 * b, 2 * s, nsub * c).transpose(0, 2, 1), blocks)
-        v = v.reshape(2 * b, nsub, out_dim)
-        cv = np.matmul(coeffs, v).reshape(b, 2, nsub, out_dim)
-        cv[:, 1] *= -1.0
-        acc += v.reshape(-1, out_dim).T @ cv.reshape(-1, out_dim)
+        v = np.matmul(grouped.reshape(2 * b, q, r * c).transpose(0, 2, 1), blocks)
+        v = v.reshape(2 * b, r, out_dim)
+        acc += v.reshape(-1, out_dim).T @ (v.reshape(b, 2, r, out_dim) * signed).reshape(-1, out_dim)
         done += b
     acc = acc.reshape(c, d, c, d).transpose(1, 0, 3, 2).reshape(out_dim, out_dim)
     return MomentMatrixEstimate(acc / n, samples_used=n, degree=2 * s)

@@ -8,7 +8,6 @@ flatten(v_1 x ... x v_s) equal to apply_rank1 on (v_1, ..., v_s).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,6 @@ from .tensor_core import SizeLimitError
 
 _REORTH_DRIFT = 1e-8
 _DENSE_GUARD = 10_000
-
-SERIALIZATION_VERSION = 1
 
 
 def _orthonormalize_rows(stage: np.ndarray) -> np.ndarray:
@@ -71,30 +68,6 @@ class NestedProjection:
         chain's lower-degree stages."""
         return NestedProjection(self.stages[:n_stages], self.d)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": SERIALIZATION_VERSION,
-                "d": self.d,
-                "stages": [
-                    {"shape": list(s.shape), "entries": s.ravel().tolist()}
-                    for s in self.stages
-                ],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "NestedProjection":
-        data = json.loads(doc)
-        if data.get("version") != SERIALIZATION_VERSION:
-            raise ValueError(f"unsupported serialization version {data.get('version')}")
-        stages = tuple(
-            np.array(rec["entries"], dtype=float).reshape(rec["shape"])
-            for rec in data["stages"]
-        )
-        return cls(stages, int(data["d"]))
-
 
 def identity_projection(d: int) -> NestedProjection:
     """The single-stage chain Pi_1 = I_d."""
@@ -136,39 +109,36 @@ def apply_kron_block(np_: NestedProjection, left_factor, tail) -> np.ndarray:
     return np.kron(left_factor, apply_rank1(np_, tail))
 
 
-def grouped_tail_images(
-    np_: NestedProjection, blocks: np.ndarray, tails: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Weighted sums of the chain's images of each block's tail words.
+def word_images(np_: NestedProjection, blocks: np.ndarray) -> np.ndarray:
+    """The chain's image of every word over each row's vectors.
 
-    blocks (n, q, d) holds q samples per row, tails (u, L) lists words over
-    those q slots with L = the chain's stage count, and weights has shape
-    (q, r, u).  Returns (n, q, r, c) with
-    [i, j, a] = sum_u weights[j, a, u] * Gamma(blocks[i, tails[u]]).
+    blocks (n, q, d) holds q vectors per row.  Returns (n, q^L, c) with
+    [i, w] = Gamma(blocks[i, w_1], ..., blocks[i, w_L]) for the words w of
+    L = the chain's stage count slots over [q], in product order (w_1 most
+    significant).  With no stages the only word is empty and its image is
+    the scalar 1.
 
-    A sum over words v_1..v_{L+1} of coefficient times
-    (I_d kron Gamma)(b_{v_1} x b_{v_2..v_{L+1}}) groups by first factor into
-    sum_j b_j x [j, a] when the tails are the distinct v_2..v_{L+1} and
-    weights[j, a, u] is the coefficient of word (j, tail u) in sum a.  Each
-    tail then goes through the chain once per row instead of once per word.
-    With no stages the only tail is empty and its image is the scalar 1.
+    Words of one length that share a suffix share its image: stage l maps
+    each suffix image W of length l-1 and each first factor b to
+    Pi_l (b x W).  Contracting W with Pi_l first is one gemm over all rows
+    and suffixes, and contracting the result with b is one matmul batched
+    over rows, so each stage costs two large products however many words
+    there are.
     """
     n, q, d = blocks.shape
-    n_tails, length = tails.shape
-    if length != np_.stage_count or d != np_.d:
-        raise ValueError("tail words do not match the chain")
-    r = weights.shape[1]
-    if weights.shape != (q, r, n_tails):
-        raise ValueError(f"weights must have shape ({q}, r, {n_tails})")
-    c = np_.out_dim
-    if length == 0:
-        images = np.ones((n, n_tails * c))
-    else:
-        gathered = np.take(blocks, tails, axis=1).reshape(n * n_tails, length, d)
-        images = apply_rank1_batch(np_, gathered).reshape(n, n_tails * c)
-    # one gemm for all rows: faster than a batched matmul over n tiny matrices
-    grouping = np.kron(weights.reshape(q * r, n_tails), np.eye(c)).T
-    return (images @ grouping).reshape(n, q, r, c)
+    if d != np_.d:
+        raise ValueError("block vectors do not match the chain")
+    if np_.stage_count == 0:
+        return np.ones((n, 1, 1))
+    w = blocks @ np_.stages[0].T
+    for stage in np_.stages[1:]:
+        c_prev = w.shape[2]
+        c_next = stage.shape[0]
+        # p[m, (k, a)] = Pi_l[k, a * c_prev + m]: the factor b sits on the left
+        p = stage.reshape(c_next, d, c_prev).transpose(2, 0, 1).reshape(c_prev, c_next * d)
+        z = (w.reshape(-1, c_prev) @ p).reshape(n, -1, d)
+        w = np.matmul(blocks, z.transpose(0, 2, 1)).reshape(n, -1, c_next)
+    return w
 
 
 def dense_matrix(np_: NestedProjection) -> np.ndarray:

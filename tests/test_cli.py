@@ -11,6 +11,10 @@ def _write(path, doc):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _gen_cfg(n=50, k=2, dist_tag="gaussian", **mix):
     mixture = {"k": k, "d": 2, "separation": 10.0, "dist_tag": dist_tag, "seed": 1}
     mixture.update(mix)
@@ -195,6 +199,28 @@ class TestCluster:
         assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["oracle_defaults"] == want
+
+
+    def test_unrecovered_component_reports_strict_json_with_exit_1(self, tmp_path, monkeypatch):
+        import mixcluster.cli as cli
+        from mixcluster.poincare_cluster import LearnedMixture
+
+        def fake_learner(mix, *args, **kwargs):
+            return LearnedMixture(np.array(mix.spec.means[:-1]), np.array(mix.spec.weights[:-1]))
+
+        monkeypatch.setattr(cli, "learn_means", fake_learner)
+        doc = {
+            "mixture": {"k": 3, "d": 2, "separation": 10.0, "dist_tag": "gaussian", "seed": 1},
+            "variant": "poincare",
+            "eval_samples": 50,
+        }
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
+        metrics = report["metrics"]
+        assert metrics["recovered_components"] == 2
+        assert metrics["max_mean_error"] is None
+        assert sum(e is None for e in metrics["mean_errors"]) == 1
 
 
 class TestValidate:

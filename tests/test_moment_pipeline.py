@@ -11,6 +11,7 @@ from conftest import random_nested_projection
 from mixcluster.mixture_gen import BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import (
     EmptySampleError,
+    _half_word_tables,
     MixtureSpec,
     MomentMatrixEstimate,
     estimate_moment_matrix,
@@ -230,6 +231,42 @@ class TestEstimatorByGrouping:
         ).matrix
         # entries that cancel to near zero are held to the matrix's scale
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestFoldedTables:
+    @pytest.mark.parametrize("s, rank", [(1, 1), (2, 5), (3, 19)])
+    def test_fold_reproduces_coefficients(self, s, rank):
+        folded, lam = _half_word_tables(s)
+        _, indicator, coeffs = _reference_half_word_tables(s)
+        q = 2 * s
+        weights = indicator.reshape(q, q ** (s - 1), -1).transpose(0, 2, 1)
+        assert len(lam) == rank and folded.shape == (q, rank, q ** (s - 1))
+        got = np.einsum("m,jmu,kmv->jukv", lam, folded, folded)
+        want = np.einsum("jau,ab,kbv->jukv", weights, coeffs, weights)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+class _CountingSampler:
+    def __init__(self, inner):
+        self.inner = inner
+        self.sizes = []
+
+    def draw(self, n):
+        self.sizes.append(n)
+        return self.inner.draw(n)
+
+
+class TestDrawSchedule:
+    def test_deg3_shape_chunks(self, rng):
+        # the chunk decides which samples the estimator uses, so its draw
+        # sizes at the poincare-deg3 shape (d = 6, c = 4, s = 3) are pinned
+        d, c, s, n = 6, 4, 3, 20_000
+        spec = MixtureSpec(np.array([1.0]), np.zeros((1, d)), "point_mass")
+        mix = _CountingSampler(MixtureSampler(spec, seed=0))
+        base = _CountingSampler(BaseSampler("point_mass", d, 0, 5))
+        estimate_moment_matrix(mix, base, s, random_nested_projection(d, (d, c), rng), n)
+        assert mix.sizes == [771] * 25 + [725]
+        assert base.sizes == [11 * b for b in mix.sizes]
 
 
 class TestIterativeProjection:

@@ -1,17 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import random_nested_projection
+from conftest import grouped_tail_images, random_nested_projection
 from mixcluster.nested_projection import (
     NestedProjection,
     apply_kron_block,
     apply_rank1,
     apply_rank1_batch,
     dense_matrix,
-    grouped_tail_images,
     identity_projection,
+    word_images,
 )
 from mixcluster.tensor_core import Rank1Term
 
@@ -43,13 +45,6 @@ class TestConstruction:
         np_ = random_nested_projection(3, (2, 2, 2), rng)
         assert np_.widths == (1, 2, 2, 2)
         assert np_.prefix(2).stage_count == 2
-
-    def test_serialization_round_trip(self, rng):
-        np_ = random_nested_projection(3, (2, 2), rng)
-        back = NestedProjection.from_json(np_.to_json())
-        for a, b in zip(np_.stages, back.stages):
-            assert np.array_equal(a, b)
-        assert back.d == np_.d
 
 
 class TestDenseOracle:
@@ -143,3 +138,26 @@ class TestProperties:
             images = [apply_rank1(np_, list(blocks[i, tail])) if len(widths) else np.ones(1) for tail in tails]
             want = np.einsum("jau,uc->jac", weights, np.array(images))
             assert np.max(np.abs(got[i] - want)) < 1e-12
+
+    @given(
+        length=hst.integers(0, 3),
+        q=hst.integers(1, 6),
+        d=hst.integers(1, 4),
+        n=hst.integers(1, 4),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_word_images_match_rank1_per_word(self, length, q, d, n, seed):
+        r = np.random.default_rng(seed)
+        widths = []
+        for _ in range(length):
+            widths.append(int(r.integers(1, d * (widths[-1] if widths else 1) + 1)))
+        np_ = random_nested_projection(d, tuple(widths), r)
+        blocks = r.standard_normal((n, q, d))
+        got = word_images(np_, blocks)
+        words = list(itertools.product(range(q), repeat=length))
+        assert got.shape == (n, len(words), np_.out_dim)
+        for i in range(n):
+            for w, word in enumerate(words):
+                want = apply_rank1(np_, list(blocks[i, list(word)])) if length else np.ones(1)
+                np.testing.assert_allclose(got[i, w], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -7,10 +7,10 @@ from hypothesis import strategies as hst
 
 import mixcluster.nested_projection as npj
 import mixcluster.sample_test as st
-from conftest import random_nested_projection
+from conftest import grouped_tail_images, random_nested_projection
 from mixcluster.mixture_gen import BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import MixtureSpec, ProjectionChain, exact_projection_chain
-from mixcluster.nested_projection import apply_rank1_batch, dense_matrix, grouped_tail_images
+from mixcluster.nested_projection import apply_rank1_batch, dense_matrix
 from mixcluster.poly_estimators import BASE_TAGS, r_expansion_arrays, r_poly_terms
 
 
