@@ -23,17 +23,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.stats import chi2, ncx2
 
 from . import sample_test as st
 from .mixture_gen import BaseSampler
-from .moment_pipeline import MixtureSpec, iterative_projection
+from .moment_pipeline import iterative_projection
 from .poincare_cluster import LearnedMixture, difference_sampler, margin_matrix, probe_batch_vote
 from .rng import stream
 
@@ -49,12 +46,9 @@ __all__ = [
     "IsolateFailedError",
     "StarvationError",
     "trivial_checker",
-    "checker_contains",
     "checker_contains_batch",
     "complement_basis",
     "reduce_by_checker",
-    "truncated_weights_oracle",
-    "is_reasonable",
     "is_signal_direction",
     "find_signal_direction",
     "full_cluster_bounded",
@@ -64,7 +58,6 @@ __all__ = [
     "recursive_cluster",
     "reduce_bounded_means",
     "dimension_basis",
-    "write_trail",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -145,15 +138,6 @@ def trivial_checker(d: int) -> Checker:
     return Checker(np.zeros((d, 0)), np.zeros(0), math.inf)
 
 
-def checker_contains(ch: Checker, x) -> bool:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ch.d,):
-        raise ValueError(f"point has shape {x.shape}, expected ({ch.d},)")
-    if ch.a == 0:
-        return True
-    return bool(np.linalg.norm(x @ ch.basis - ch.p) <= ch.r)
-
-
 def checker_contains_batch(ch: Checker, xs) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != ch.d:
@@ -168,7 +152,8 @@ def complement_basis(ch: Checker) -> np.ndarray:
     as (d, d-a) columns with the largest-magnitude entry made positive."""
     if ch.a == 0:
         return np.eye(ch.d)
-    comp = null_space(ch.basis.T)
+    # Checker holds its columns orthonormal, so the rank is exactly a.
+    comp = np.linalg.svd(ch.basis.T)[2][ch.a :].T
     for j in range(comp.shape[1]):
         lead = np.argmax(np.abs(comp[:, j]))
         if comp[lead, j] < 0:
@@ -220,61 +205,6 @@ def reduce_by_checker(sampler, ch: Checker, max_draw_factor: int = 500):
     return ReducedSampler(
         sampler, functools.partial(checker_contains_batch, ch), complement_basis(ch), max_draw_factor
     )
-
-
-@dataclass(frozen=True)
-class TruncatedWeights:
-    relevant: tuple  # indices whose projected mean lies within r + theta
-    weights: np.ndarray  # renormalized weights over `relevant`
-    accept_probs: np.ndarray  # per-component probability of passing the checker
-
-
-def _checker_accept_prob(a: int, r: float, dist_sq: float) -> float:
-    """Probability that a unit-covariance Gaussian whose projected mean sits
-    at squared distance ``dist_sq`` from the center passes an a-dimensional
-    radius-r checker (a noncentral chi-square tail)."""
-    if a == 0 or math.isinf(r):
-        return 1.0
-    if dist_sq <= 0:
-        return float(chi2.cdf(r * r, df=a))
-    return float(ncx2.cdf(r * r, df=a, nc=dist_sq))
-
-
-def truncated_weights_oracle(spec: MixtureSpec, ch: Checker, theta: float) -> TruncatedWeights:
-    """Ground-truth relevant set and renormalized weights of the truncated
-    reduction (testing path only)."""
-    means = np.asarray(spec.means, dtype=float)
-    if means.shape[1] != ch.d:
-        raise ValueError("spec dimension does not match the checker")
-    w = np.asarray(spec.weights, dtype=float)
-    if ch.a == 0:
-        dists = np.zeros(len(means))
-    else:
-        dists = np.linalg.norm(means @ ch.basis - ch.p, axis=1)
-    probs = np.array([_checker_accept_prob(ch.a, ch.r, di * di) for di in dists])
-    relevant = tuple(int(i) for i in np.flatnonzero(dists <= ch.r + theta))
-    if relevant:
-        raw = w[list(relevant)] * probs[list(relevant)]
-        weights = raw / raw.sum()
-    else:
-        weights = np.zeros(0)
-    return TruncatedWeights(relevant, weights, probs)
-
-
-def is_reasonable(spec: MixtureSpec, w_star: float) -> bool:
-    """Ground-truth predicate: the largest separation among heavy components
-    (weight >= w_star) is at least the square root of the global maximum
-    separation.  Single-component mixtures count as reasonable."""
-    means = np.asarray(spec.means, dtype=float)
-    if len(means) <= 1:
-        return True
-    diffs = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-    global_max = float(diffs.max())
-    heavy = np.flatnonzero(np.asarray(spec.weights) >= w_star)
-    if len(heavy) < 2:
-        return False
-    heavy_max = float(diffs[np.ix_(heavy, heavy)].max())
-    return heavy_max >= math.sqrt(global_max)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +770,7 @@ def reduce_bounded_means(samples, k: int, w_min: float, threshold: float | None 
 
 def dimension_basis(cov_diff: np.ndarray, k: int) -> np.ndarray:
     """Top-k principal directions of (mixture covariance - base covariance)
-    as (k, d) rows, deterministically signed and padded to k rows."""
+    as (min(k, d), d) rows, deterministically signed."""
     cov_diff = np.asarray(cov_diff, dtype=float)
     d = cov_diff.shape[0]
     k = min(k, d)
@@ -851,9 +781,6 @@ def dimension_basis(cov_diff: np.ndarray, k: int) -> np.ndarray:
         lead = np.argmax(np.abs(basis[j]))
         if basis[j, lead] < 0:
             basis[j] = -basis[j]
-    if len(basis) < k:
-        pad = null_space(basis)[:, : k - len(basis)].T
-        basis = np.vstack([basis, pad])
     return basis
 
 
@@ -872,13 +799,6 @@ class _ProjectedSampler:
 # ---------------------------------------------------------------------------
 # The complete recursive algorithm
 # ---------------------------------------------------------------------------
-
-
-def write_trail(path, events) -> None:
-    """Diagnostics trail as JSON-lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
 
 
 def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParams, rng, trail, level_base: int):
@@ -982,7 +902,6 @@ def recursive_cluster(
     *,
     params: ClusterParams | None = None,
     seed: int = 0,
-    trail_path=None,
 ) -> LearnedMixture:
     """Learn all component means and weights of a spherical Gaussian mixture
     with no bound on the overall spread.
@@ -1053,8 +972,6 @@ def recursive_cluster(
     weights = np.array(all_weights)
     if weights.sum() > 0:
         weights = weights / weights.sum()
-    if trail_path is not None:
-        write_trail(trail_path, trail)
     refine_levels = sum(1 for e in trail if e["action"] == "refine")
     meta = {
         "seed": seed,

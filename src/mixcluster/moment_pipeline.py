@@ -87,14 +87,6 @@ class MixtureSpec:
             "dist_tag": self.dist_tag,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MixtureSpec":
-        return cls(
-            np.array(data["weights"], dtype=float),
-            np.array(data["means"], dtype=float),
-            data.get("dist_tag", "gaussian"),
-        )
-
 
 @dataclass(frozen=True)
 class MomentMatrixEstimate:

@@ -10,7 +10,6 @@ margin classifier.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,25 +28,6 @@ class LearnedMixture:
     @property
     def k(self) -> int:
         return len(self.weights)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "means": np.asarray(self.means).tolist(),
-                "weights": np.asarray(self.weights).tolist(),
-                "metadata": self.metadata,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "LearnedMixture":
-        data = json.loads(doc)
-        return cls(
-            np.array(data["means"], dtype=float),
-            np.array(data["weights"], dtype=float),
-            data.get("metadata", {}),
-        )
 
 
 @dataclass(frozen=True)

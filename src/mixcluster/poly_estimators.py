@@ -24,7 +24,6 @@ from .tensor_core import (
     outer_power,
     place_blocks,
     sym_interleavings,
-    unordered_partitions,
 )
 
 BASE_TAGS = ("gaussian", "laplace", "uniform_cube", "point_mass")
@@ -151,29 +150,6 @@ def adjusted_poly_recursive(x, t: int, bm: BaseMoments) -> np.ndarray:
     return polys[t]
 
 
-def adjusted_poly_explicit(x, t: int, bm: BaseMoments) -> np.ndarray:
-    """P_t(x) via the closed-form sum over subsets and unordered partitions.
-
-    Terms are x on a subset S_0 tensored with base moments on a partition of
-    the complement, weighted (-1)^C * C! over the C nonempty parts.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    out = np.zeros((d,) * t) if t > 0 else np.array(1.0)
-    ground = range(t)
-    for r in range(t + 1):
-        xp = outer_power(x, r)
-        for s0 in itertools.combinations(ground, r):
-            rest = set(ground) - set(s0)
-            for part in unordered_partitions(rest, t):
-                c = len(part)
-                coeff = (-1) ** c * math.factorial(c)
-                pieces = [(s0, xp)]
-                pieces += [(tuple(sorted(s)), bm.moment(len(s))) for s in part]
-                out = out + coeff * place_blocks(t, d, pieces)
-    return out
-
-
 def _singleton_pair_partitions(t: int):
     """Partitions of {0..t-1} into singletons and pairs: (singletons, pairs)."""
 
@@ -225,10 +201,6 @@ def hermite_univariate(a: float, t: int) -> float:
 class Rank1Expansion:
     terms: tuple  # of Rank1Term
     degree: int
-
-    @property
-    def sample_block_size(self) -> int:
-        return 2 * self.degree
 
     def dense_sum(self) -> np.ndarray:
         out = self.terms[0].dense() * 0.0

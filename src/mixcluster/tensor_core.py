@@ -65,37 +65,6 @@ def count_nonempty(parts) -> int:
     return sum(1 for p in parts if len(p) > 0)
 
 
-def unordered_partitions(s, t: int):
-    """Partitions of the index set `s` into at most t unordered nonempty blocks.
-
-    Each partition is yielded once (blocks ordered by smallest element); the
-    all-empty partition of the empty set is the empty tuple.  Padding with
-    empty blocks up to t parts is implicit.
-    """
-    elems = sorted(s)
-    if len(elems) > PARTITION_GUARD:
-        raise SizeLimitError(f"partition ground set larger than {PARTITION_GUARD}")
-    if not elems:
-        yield ()
-        return
-
-    def rec(i, blocks):
-        if i == len(elems):
-            yield tuple(frozenset(b) for b in blocks)
-            return
-        e = elems[i]
-        for b in blocks:
-            b.append(e)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < t:
-            blocks.append([e])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
-
-
 def sym_interleavings(sizes):
     """All ways to split positions {0..sum(sizes)-1} into ordered blocks.
 

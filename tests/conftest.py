@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mixcluster.nested_projection import NestedProjection, apply_rank1_batch
+from mixcluster.tensor_core import PARTITION_GUARD, SizeLimitError
 
 
 def random_nested_projection(d, widths, rng):
@@ -59,3 +60,37 @@ def grouped_tail_images(
     # one gemm for all rows: faster than a batched matmul over n tiny matrices
     grouping = np.kron(weights.reshape(q * r, n_tails), np.eye(c)).T
     return (images @ grouping).reshape(n, q, r, c)
+
+
+# Enumerator behind the closed-form adjusted polynomial that
+# test_poly_estimators cross-checks the recursion against; test_tensor_core
+# checks its counts.
+def unordered_partitions(s, t: int):
+    """Partitions of the index set `s` into at most t unordered nonempty blocks.
+
+    Each partition is yielded once (blocks ordered by smallest element); the
+    all-empty partition of the empty set is the empty tuple.  Padding with
+    empty blocks up to t parts is implicit.
+    """
+    elems = sorted(s)
+    if len(elems) > PARTITION_GUARD:
+        raise SizeLimitError(f"partition ground set larger than {PARTITION_GUARD}")
+    if not elems:
+        yield ()
+        return
+
+    def rec(i, blocks):
+        if i == len(elems):
+            yield tuple(frozenset(b) for b in blocks)
+            return
+        e = elems[i]
+        for b in blocks:
+            b.append(e)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        if len(blocks) < t:
+            blocks.append([e])
+            yield from rec(i + 1, blocks)
+            blocks.pop()
+
+    yield from rec(0, [])

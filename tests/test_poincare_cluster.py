@@ -183,12 +183,6 @@ class TestLearnMeans:
 
 
 class TestExports:
-    def test_learned_mixture_json_round_trip(self, rng):
-        learned = LearnedMixture(rng.standard_normal((2, 3)), np.array([0.4, 0.6]), {"t": 2})
-        back = LearnedMixture.from_json(learned.to_json())
-        assert np.allclose(np.asarray(back.means), np.asarray(learned.means))
-        assert np.allclose(np.asarray(back.weights), np.asarray(learned.weights))
-
     def test_assignments_csv_columns(self, tmp_path, rng):
         learned = LearnedMixture(np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([0.5, 0.5]))
         path = tmp_path / "assign.csv"

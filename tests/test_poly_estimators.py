@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.polynomial import hermite_e
 
+from conftest import unordered_partitions
 from mixcluster.tensor_core import outer_power, place_blocks, sym_interleavings
 from mixcluster.poly_estimators import (
+    BaseMoments,
     UnsupportedDistributionError,
-    adjusted_poly_explicit,
     adjusted_poly_recursive,
     base_moments,
     hermite_tensor,
@@ -17,6 +19,30 @@ from mixcluster.poly_estimators import (
     r_poly_dense_oracle,
     r_poly_terms,
 )
+
+
+# Reference for adjusted_poly_recursive: the closed form of P_t.
+def adjusted_poly_explicit(x, t: int, bm: BaseMoments) -> np.ndarray:
+    """P_t(x) via the closed-form sum over subsets and unordered partitions.
+
+    Terms are x on a subset S_0 tensored with base moments on a partition of
+    the complement, weighted (-1)^C * C! over the C nonempty parts.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[0]
+    out = np.zeros((d,) * t) if t > 0 else np.array(1.0)
+    ground = range(t)
+    for r in range(t + 1):
+        xp = outer_power(x, r)
+        for s0 in itertools.combinations(ground, r):
+            rest = set(ground) - set(s0)
+            for part in unordered_partitions(rest, t):
+                c = len(part)
+                coeff = (-1) ** c * math.factorial(c)
+                pieces = [(s0, xp)]
+                pieces += [(tuple(sorted(s)), bm.moment(len(s))) for s in part]
+                out = out + coeff * place_blocks(t, d, pieces)
+    return out
 
 
 class TestBaseMoments:

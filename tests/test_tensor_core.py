@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import unordered_partitions
 from mixcluster.tensor_core import (
     Rank1Term,
     SizeLimitError,
@@ -12,7 +13,6 @@ from mixcluster.tensor_core import (
     outer_power,
     place_blocks,
     sym_interleavings,
-    unordered_partitions,
 )
 
 
