@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +165,15 @@ def complement_basis(ch: Checker) -> np.ndarray:
 class ReducedSampler:
     """Rejection-samples an inner stream: keeps the rows for which ``keep``
     (a row block -> bool mask) is true and, given a ``basis`` (d, d') of
-    columns, emits their coordinates in it.  One request may draw at most
-    ``max_draw_factor * max(n, 64)`` rows; past that it starves."""
+    columns, emits their coordinates in it.
+
+    Kept rows beyond a request are held back and served first on the next
+    one, so the output is the inner stream's kept rows, in order, whatever
+    the request sizes (when the inner stream's rows do not depend on its own
+    request sizes).  The rows stay i.i.d. from the scoped distribution: only
+    ``keep`` has looked at them.  The budget applies per request: one
+    request may draw at most ``max_draw_factor * max(n, 64)`` inner rows;
+    past that it starves, and the rows it kept are held for the next."""
 
     def __init__(self, inner, keep, basis=None, max_draw_factor: int = 500):
         self.inner = inner
@@ -173,10 +181,11 @@ class ReducedSampler:
         self.basis = basis
         self.d = inner.d if basis is None else basis.shape[1]
         self.max_draw_factor = max_draw_factor
+        self._surplus = np.zeros((0, self.d))
 
     def draw(self, n: int) -> np.ndarray:
-        out = []
-        got = 0
+        out = [self._surplus]
+        got = len(self._surplus)
         drawn = 0
         budget = self.max_draw_factor * max(n, 64)
         while got < n:
@@ -187,11 +196,15 @@ class ReducedSampler:
             got += len(kept)
             out.append(kept if self.basis is None else kept @ self.basis)
             if drawn > budget:
+                self._surplus = np.concatenate(out)
                 raise StarvationError(
                     f"kept {got} of {drawn} drawn rows, wanted {n}: acceptance "
                     f"below 1/{self.max_draw_factor}"
                 )
-        return np.concatenate(out)[:n]
+        rows = np.concatenate(out)
+        # a copy: a view would keep the whole request's block alive
+        self._surplus = rows[n:].copy()
+        return rows[:n]
 
 
 def reduce_by_checker(sampler, ch: Checker, max_draw_factor: int = 500):
@@ -271,18 +284,36 @@ def _default_grid(mix_sampler, ratio: float, floor: float, max_steps: int) -> li
     return grid
 
 
+# One (chain, base) per stream and (k, t, n_per_stage); an entry goes when
+# its stream does.
+_chains: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _difference_chain(mix_sampler, k: int, params: "ClusterParams", seed: int):
-    """Projection chain plus test config factory for a Gaussian mixture
-    stream; the chain is built on pairwise differences so it is mean-free."""
-    base = BaseSampler("gaussian", mix_sampler.d, seed, 3)
-    chain = iterative_projection(
-        difference_sampler(mix_sampler),
-        difference_sampler(base),
-        params.t,
-        k,
-        params.n_per_stage,
-    )
-    return chain, base
+    """Projection chain and Gaussian base stream for a Gaussian mixture
+    stream; the chain is built on pairwise differences so it is mean-free.
+
+    Each stream gets one chain (per k, t and n_per_stage), built on the first
+    call with that call's ``seed``; later calls on the same stream object get
+    the same chain and base.  At each level the separation test on the
+    trivial checker and the refinement search that follows both search that
+    one stream, because the trivial checker leaves it as it is.  The reuse
+    keeps the paper's guarantee: both calls sample one distribution, and the
+    chain is built only from rows drawn before, hence independent of, every
+    row a later search draws, which is all the per-scope construction needs.
+    Chains are not shared across streams, so each checker scope (radius 31, 32
+    and 19 theta) still builds its own.
+
+    The base difference (g - g')/sqrt(2) of two standard normals is again a
+    standard normal, so the chain draws its base rows directly.
+    """
+    built = _chains.setdefault(mix_sampler, {})
+    key = (k, params.t, params.n_per_stage)
+    if key not in built:
+        base = BaseSampler("gaussian", mix_sampler.d, seed, 3)
+        chain = iterative_projection(difference_sampler(mix_sampler), base, params.t, k, params.n_per_stage)
+        built[key] = (chain, base)
+    return built[key]
 
 
 def _pair_config(sep: float, t: int, k: int, params: "ClusterParams") -> st.TestConfig:

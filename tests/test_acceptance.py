@@ -306,6 +306,20 @@ class TestCriterion8:
         _verdict("C8", all_ok, "; ".join(summary))
 
 
+class _RowCounter:
+    """Passes draws through to a stream and counts the rows it returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d = inner.d
+        self.rows = 0
+
+    def draw(self, n):
+        out = self.inner.draw(n)
+        self.rows += len(out)
+        return out
+
+
 class TestCriterion9:
     def test_c09_recursive_gaussian_end_to_end(self):
         spec = build_spec(
@@ -323,12 +337,13 @@ class TestCriterion9:
         wins = 0
         worst_time = 0.0
         recursed_all = True
+        rows = []
         for seed in range(20):
             start = time.perf_counter()
-            learned = recursive_cluster(
-                sample_stream(spec, seed), 4, 0.25, 1.0, 2.0, params=params, seed=seed
-            )
+            mix = _RowCounter(sample_stream(spec, seed))
+            learned = recursive_cluster(mix, 4, 0.25, 1.0, 2.0, params=params, seed=seed)
             elapsed = time.perf_counter() - start
+            rows.append(mix.rows)
             worst_time = max(worst_time, elapsed)
             _, errors = match_means(learned.means, spec.means)
             recursed = any(
@@ -343,7 +358,8 @@ class TestCriterion9:
             "C9",
             ok,
             f"recursive clustering {wins}/20 seeds, slowest {worst_time:.1f}s, "
-            f"recursion levels {'observed' if recursed_all else 'missing on some seeds'}",
+            f"recursion levels {'observed' if recursed_all else 'missing on some seeds'}, "
+            f"mixture rows per seed mean {np.mean(rows):,.0f} max {max(rows):,}",
         )
 
 

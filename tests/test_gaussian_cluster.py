@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -10,7 +11,8 @@ from scipy.stats import chi2, ncx2, norm
 
 import mixcluster.gaussian_cluster as gc
 from mixcluster.moment_pipeline import MixtureSpec
-from mixcluster.mixture_gen import MixtureSampler
+from mixcluster.mixture_gen import BaseSampler, MixtureSampler
+from mixcluster import sample_test as st
 from mixcluster.poincare_cluster import assign_batch
 
 
@@ -212,6 +214,39 @@ class TestReduction:
             return
         assert out.shape == (n, 2) and keep(out).all()
 
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        sizes=hst.lists(hst.one_of(hst.sampled_from([1, 2]), hst.integers(1, 700)), min_size=1, max_size=12),
+        rate=hst.sampled_from([0.02, 0.3, 1.0]),
+        nested=hst.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_output_is_the_kept_rows_whatever_the_request_sizes(self, seed, sizes, rate, nested):
+        cut = norm.ppf(rate)
+        # the basis spans axes 1 and 2, so the outer filter is independent
+        # of the inner one and never starves
+        basis = np.zeros((3, 2))
+        basis[1:], _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((2, 2)))
+
+        def keep_inner(x):
+            return x[:, 0] <= cut
+
+        def keep_outer(y):
+            return y[:, 1] >= -1.0
+
+        inner = _NormalSampler(3, seed)
+        sampler = gc.ReducedSampler(inner, keep_inner, basis)
+        if nested:
+            sampler = gc.ReducedSampler(sampler, keep_outer)
+        out = np.concatenate([sampler.draw(n) for n in sizes])
+        ref = _NormalSampler(3, seed).draw(inner.rows)
+        want = ref[keep_inner(ref)] @ basis
+        if nested:
+            want = want[keep_outer(want)]
+        assert len(out) == sum(sizes) <= len(want)
+        # the projection of a smaller row block may round differently
+        np.testing.assert_allclose(out, want[: len(out)], rtol=0, atol=1e-12)
+
     def test_oracle_weights_trivial_checker(self):
         spec = _spec([0.3, 0.7], [[0.0, 0.0], [5.0, 0.0]])
         tw = truncated_weights_oracle(spec, gc.trivial_checker(2), theta=1.0)
@@ -238,6 +273,58 @@ class TestReduction:
         spec = _spec([1.0], [[0.0, 0.0, 0.0]])
         tw = truncated_weights_oracle(spec, ch, theta=1.0)
         assert tw.accept_probs[0] == pytest.approx(chi2.cdf(1.0, df=1))
+
+
+def _count_chain_builds(monkeypatch) -> list:
+    calls = []
+    build = gc.iterative_projection
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gc, "iterative_projection", counting)
+    return calls
+
+
+class TestDifferenceChain:
+    # one Gaussian has no split, so the separation test walks every gamma
+    spec = _spec([1.0], [[0.0, 0.0]])
+    params = gc.desk_params(
+        2, 0.5, sep_hint=4.0, gamma_count=2, n_per_stage=2_000,
+        grid_steps=2, signal_trials=1, refine_attempts=1,
+    )
+
+    def test_one_chain_per_stream(self, monkeypatch):
+        calls = _count_chain_builds(monkeypatch)
+        stream = MixtureSampler(self.spec, seed=3)
+        ch = gc.trivial_checker(2)
+        assert gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1) == st.ACCEPT
+        with pytest.raises(gc.RefineFailedError):
+            gc.refine_checker(stream, ch, 2, 0.5, 1.0, params=self.params, seed=2)
+        assert len(calls) == 1
+
+    def test_each_scope_builds_its_own_chain(self, monkeypatch):
+        calls = _count_chain_builds(monkeypatch)
+        stream = MixtureSampler(self.spec, seed=3)
+        ch = _checker_1d(2, 0, 0.0, 1.0)
+        assert gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1) == st.ACCEPT
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_chain_draws_its_gaussian_base_directly(self, monkeypatch, t):
+        rows = []
+
+        class CountingBase(BaseSampler):
+            def draw(self, n):
+                rows.append(n)
+                return super().draw(n)
+
+        monkeypatch.setattr(gc, "BaseSampler", CountingBase)
+        params = dataclasses.replace(self.params, t=t, n_per_stage=500)
+        gc._difference_chain(MixtureSampler(self.spec, seed=3), 2, params, seed=0)
+        # a stage at degree 2s draws 4s - 1 base rows per mixture row
+        assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, t + 1))
 
 
 class TestSignalDirection:
