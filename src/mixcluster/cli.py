@@ -258,6 +258,8 @@ def cmd_generate(cfg: dict, args) -> int:
 
 # each learner's own default trade-off constant c, also used for the band
 DEFAULT_C = {"poincare": 0.5, "gaussian-recursive": 1.0}
+# the cluster keys only one variant reads; the other rejects them
+VARIANT_KEYS = {"poincare": ("sep", "t", "reps", "n_per_stage"), "gaussian-recursive": ("desk", "sep_hint")}
 
 
 def _run_poincare(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
@@ -306,6 +308,11 @@ def cmd_cluster(cfg: dict, args) -> int:
     variant = cfg["variant"]
     if variant not in DEFAULT_C:
         raise ConfigError(f"unknown variant {variant!r}")
+    ignored = [key for other, keys in VARIANT_KEYS.items() if other != variant for key in keys if key in cfg]
+    if ignored:
+        raise ConfigError(f"config key {ignored[0]!r} is not read by variant {variant!r}")
+    if "sep_hint" in cfg and not cfg.get("desk", True):
+        raise ConfigError("config key 'sep_hint' is read only with desk: true")
     # the learner and the assignment band share one w_min
     w_min = float(cfg.get("w_min", spec.w_min))
 
@@ -582,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="override a leaf config key by dotted path",
             )
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--workers", type=int, default=1, help="worker pool cap")
         p.add_argument(
             "--out", default=None, help=f"output directory (default ${OUT_ENV} or cwd)"
         )
@@ -592,7 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run an oracle suite")
     p_val.add_argument("suite", help=f"one of: {', '.join(VALIDATE_SUITES)}")
     common(p_val, needs_config=False)
-    common(sub.add_parser("bench", help="sweep separation x degree with a k-means baseline"))
+    p_bench = sub.add_parser("bench", help="sweep separation x degree with a k-means baseline")
+    common(p_bench)
+    p_bench.add_argument("--workers", type=int, default=1, help="worker pool cap")
     return parser
 
 

@@ -14,9 +14,10 @@ are partitioned along huge empty gaps so each part has polynomially bounded
 spread, and the ambient dimension is cut to ``k`` via the top principal
 components of (mixture covariance - base covariance).
 
-The literal polylog radii collapse to single digits at desk scale, so every
-constant lives in :class:`ClusterParams`, with :func:`desk_params` producing
-overrides sized for small-``k`` experiments.
+The literal polylog radii collapse to single digits at desk scale, so
+:class:`ClusterParams` holds the values that desk-scale and theory runs set
+differently, with :func:`desk_params` producing those sized for small-``k``
+experiments.  The sample sizes both kinds of run share are module constants.
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
+
+GRID_RATIO = 1.1  # separation-guess grid ratio
+SIGNAL_BATCH = 96  # batch size per anchor
+SIGNAL_SAMPLES = 1_500  # fresh samples for signal verification
+REFINE_SAMPLES = 1_500  # kept-sample pool for choosing the new center
+ISOLATE_SAMPLES = 3_000  # samples clustered when isolating
+MEAN_SAMPLES = 20_000  # samples for final mean/weight estimates
+PILOT_SAMPLES = 4_000  # samples for the bounded-spread split
+COV_SAMPLES = 60_000  # samples for the covariance-based projection
+MAX_DRAW_FACTOR = 500  # rejection-sampling budget multiplier
 
 
 class SampleSizeError(ValueError):
@@ -175,7 +186,7 @@ class ReducedSampler:
     request may draw at most ``max_draw_factor * max(n, 64)`` inner rows;
     past that it starves, and the rows it kept are held for the next."""
 
-    def __init__(self, inner, keep, basis=None, max_draw_factor: int = 500):
+    def __init__(self, inner, keep, basis=None, max_draw_factor: int = MAX_DRAW_FACTOR):
         self.inner = inner
         self.keep = keep
         self.basis = basis
@@ -207,7 +218,7 @@ class ReducedSampler:
         return rows[:n]
 
 
-def reduce_by_checker(sampler, ch: Checker, max_draw_factor: int = 500):
+def reduce_by_checker(sampler, ch: Checker, max_draw_factor: int = MAX_DRAW_FACTOR):
     """The stream restricted to the samples inside the checker, emitted in
     coordinates of the checker subspace's complement; the trivial checker
     leaves the stream as it is."""
@@ -267,7 +278,7 @@ def is_signal_direction(samples, v, p_level: float, delta: float) -> bool:
     return bool(hi - lo >= 2.0 * delta)
 
 
-def _default_grid(mix_sampler, ratio: float, floor: float, max_steps: int) -> list:
+def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
     """Multiplicative grid from the empirical spread of a pilot batch down to
     ``floor``."""
     pilot = np.asarray(mix_sampler.draw(256), dtype=float)
@@ -279,7 +290,7 @@ def _default_grid(mix_sampler, ratio: float, floor: float, max_steps: int) -> li
     val = start
     while val > floor and len(grid) < max_steps:
         grid.append(val)
-        val /= ratio
+        val /= GRID_RATIO
     grid.append(floor)
     return grid
 
@@ -316,17 +327,16 @@ def _difference_chain(mix_sampler, k: int, params: "ClusterParams", seed: int):
     return built[key]
 
 
-def _pair_config(sep: float, t: int, k: int, params: "ClusterParams") -> st.TestConfig:
+def _pair_config(sep: float, t: int, k: int) -> st.TestConfig:
     tau = st.choose_threshold(sep, t)
-    void = not st.threshold_feasible(sep, t, k, params.delta, "gaussian")
-    return st.TestConfig(t, tau, reps=params.reps, delta=params.delta, guarantee_void=void)
+    void = not st.threshold_feasible(sep, t, k, st.DELTA, "gaussian")
+    return st.TestConfig(t, tau, guarantee_void=void)
 
 
 def find_signal_direction(
     mix_sampler,
     k: int,
     w_star: float,
-    c: float,
     delta_guess_grid=None,
     *,
     params: "ClusterParams | None" = None,
@@ -347,14 +357,14 @@ def find_signal_direction(
     log_k = math.log(k / w_star)
     if delta_guess_grid is None:
         floor = max(0.04 * log_k**4, params.pair_sep_floor, 1e-6)
-        delta_guess_grid = _default_grid(mix_sampler, params.grid_ratio, floor, params.grid_steps)
+        delta_guess_grid = _default_grid(mix_sampler, floor, params.grid_steps)
     chain, base = _difference_chain(mix_sampler, k, params, seed)
-    m = params.signal_batch
-    n_check = max(params.signal_samples, math.ceil(20.0 / (check_p or 0.8 * w_star)))
+    m = SIGNAL_BATCH
+    n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / (check_p or 0.8 * w_star)))
     tried = []
     for delta in delta_guess_grid:
         sep = max(0.01 * delta, params.pair_sep_floor)
-        cfg = _pair_config(sep, params.t, k, params)
+        cfg = _pair_config(sep, params.t, k)
         p_lvl = check_p if check_p is not None else 0.8 * w_star
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
         for _ in range(params.signal_trials):
@@ -392,17 +402,18 @@ def find_signal_direction(
 
 @dataclass(frozen=True)
 class ClusterParams:
-    """Constants table for the Gaussian clustering pipeline.
+    """The Gaussian pipeline's values that desk-scale and theory runs set
+    differently, plus the pair-test degree ``t``.
 
     Defaults follow the displayed theory values; the probe/batch counts use
     the same practical scaling as the Poincare learner because the theory
-    counts ((k/w*)^100) are not runnable.  Use :func:`desk_params` for
-    small-k overrides where the polylog radii collapse to single digits.
+    counts ((k/w*)^100) are not runnable.  Use :func:`desk_params` for the
+    small-k values where the polylog radii collapse to single digits.  The
+    pair test averages ``st.DEFAULT_REPS`` draws at failure probability
+    ``st.DELTA``; the sample sizes are this module's constants.
     """
 
     t: int = 2  # pair-test degree
-    reps: int = st.DEFAULT_REPS
-    delta: float = 0.05
     n_per_stage: int = 20_000  # samples per projection stage
     probes: int | None = None  # vote probes l; None -> 20k/w*
     batch: int | None = None  # batch size m per probe; None -> 50k/w*
@@ -411,30 +422,22 @@ class ClusterParams:
     sep_hint: float | None = None  # known minimum separation, if any
     pair_sep_floor: float = 0.0  # lower bound on the pair-test separation
     gamma_count: int | None = None  # None -> ceil(1e4 * ln ln(k/w*))
-    grid_ratio: float = 1.1  # separation-guess grid ratio
     grid_steps: int = 60  # max grid length
     signal_trials: int = 6  # anchor redraws per grid point
-    signal_batch: int = 96  # batch size per anchor
-    signal_samples: int = 1_500  # fresh samples for signal verification
     refine_attempts: int = 4  # gamma redraws inside refine_checker
     refine_delta: float | None = None  # signal floor for refinement; None -> 0.04 ln(k/w*)^4
-    refine_samples: int = 1_500  # kept-sample pool for choosing the new center
-    refine_rounds: int | None = None  # None -> ceil(ln(k/w*)^{1+0.1c})
-    isolate_samples: int = 3_000  # samples clustered when isolating
     margin_factor: float = 0.1  # clustering margin as a fraction of s
-    mean_samples: int = 20_000  # samples for final mean/weight estimates
-    pilot_samples: int = 4_000  # samples for the bounded-spread split
-    cov_samples: int = 60_000  # samples for the covariance-based projection
-    max_draw_factor: int = 500  # rejection-sampling budget multiplier
 
 
-def desk_params(k: int, w_min: float, sep_hint: float | None = None, **overrides) -> ClusterParams:
-    """Constants sized for small-k runs: fewer gamma draws, pair-test
+def desk_params(k: int, w_min: float, sep_hint: float | None = None) -> ClusterParams:
+    """Values sized for small-k runs: fewer gamma draws, pair-test
     thresholds floored at the known separation, looser vote support, and a
-    dedup radius scaled to the separation."""
+    dedup radius scaled to the separation.  Given a ``sep_hint``, every
+    field but ``t`` differs from its :class:`ClusterParams` default; vary
+    one with ``dataclasses.replace``."""
     log_k = math.log(k / w_min)
     s = sep_hint if sep_hint is not None else log_k ** 1.0
-    values = dict(
+    return ClusterParams(
         probes=48,
         batch=120,
         vote_alpha=0.5 * s,
@@ -449,8 +452,6 @@ def desk_params(k: int, w_min: float, sep_hint: float | None = None, **overrides
         margin_factor=0.3,
         n_per_stage=15_000,
     )
-    values.update(overrides)
-    return ClusterParams(**values)
 
 
 def _theta(k: int, w_star: float, c: float) -> float:
@@ -478,7 +479,7 @@ def full_cluster_bounded(
     log_k = math.log(k / w_star)
     s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
     chain, base = _difference_chain(mix_sampler, k, params, seed)
-    cfg = _pair_config(max(s, params.pair_sep_floor), params.t, k, params)
+    cfg = _pair_config(max(s, params.pair_sep_floor), params.t, k)
     l = params.probes if params.probes is not None else int(round(20 * k / w_star))
     m = params.batch if params.batch is not None else int(round(50 * k / w_star))
     means, support = probe_batch_vote(
@@ -525,15 +526,13 @@ def refine_checker(
     for gamma in gammas:
         scope = ch.with_radius(beta + float(gamma) * theta)
         try:
-            reduced = reduce_by_checker(mix_sampler, scope, params.max_draw_factor)
+            reduced = reduce_by_checker(mix_sampler, scope)
             # The grid search verifies at (0.8w*, 0.8*guess) with the largest
             # guess first, which forces alignment with the widest split; the
             # found direction must then also classify as a signal at the
             # refinement floor.
-            sig = find_signal_direction(
-                reduced, k, w_star, c, params=params, seed=int(rng.integers(2**62))
-            )
-            n_check = max(params.signal_samples, math.ceil(20.0 / class_p))
+            sig = find_signal_direction(reduced, k, w_star, params=params, seed=int(rng.integers(2**62)))
+            n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / class_p))
             fresh_check = np.asarray(reduced.draw(n_check), dtype=float)
             if not is_signal_direction(fresh_check, sig.v, class_p, class_delta):
                 last_error = RefineFailedError(
@@ -551,10 +550,8 @@ def refine_checker(
         if new_basis[:, -1] @ v_full < 0:
             new_basis[:, -1] = -new_basis[:, -1]
         keep_ch = ch.with_radius(beta + float(gamma + 2) * theta)
-        kept = ReducedSampler(
-            mix_sampler, functools.partial(checker_contains_batch, keep_ch),
-            max_draw_factor=params.max_draw_factor,
-        ).draw(params.refine_samples)
+        in_keep = functools.partial(checker_contains_batch, keep_ch)
+        kept = ReducedSampler(mix_sampler, in_keep).draw(REFINE_SAMPLES)
         proj = kept @ new_basis
         dists = np.linalg.norm(proj[:, None, :] - proj[None, :, :], axis=2)
         frac = (dists <= theta).mean(axis=1)
@@ -608,12 +605,11 @@ def test_max_separation(
     for gamma in range(1, _gamma_count(k, w_star, params) + 1):
         scope = ch.with_radius((30.0 + gamma) * theta)
         try:
-            reduced = reduce_by_checker(mix_sampler, scope, params.max_draw_factor)
+            reduced = reduce_by_checker(mix_sampler, scope)
             find_signal_direction(
                 reduced,
                 k,
                 w_star,
-                c,
                 delta_guess_grid=[delta],
                 params=params,
                 seed=int(rng.integers(2**62)),
@@ -693,17 +689,15 @@ def isolate_component(
     params = params or ClusterParams()
     theta = _theta(k, w_star, c)
     log_k = math.log(k / w_star)
-    reduced = reduce_by_checker(mix_sampler, ch.with_radius(19.0 * theta), params.max_draw_factor)
+    reduced = reduce_by_checker(mix_sampler, ch.with_radius(19.0 * theta))
     means_r = full_cluster_bounded(reduced, k, w_star, c, params=params, seed=seed)
     if len(means_r) == 0:
         raise IsolateFailedError("full clustering of the checker scope found no means")
     s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
     scope17 = ch.with_radius(17.0 * theta) if ch.a > 0 else ch
     comp = complement_basis(ch)
-    fresh = ReducedSampler(
-        mix_sampler, functools.partial(checker_contains_batch, scope17),
-        max_draw_factor=params.max_draw_factor,
-    ).draw(params.isolate_samples)
+    in_scope = functools.partial(checker_contains_batch, scope17)
+    fresh = ReducedSampler(mix_sampler, in_scope).draw(ISOLATE_SAMPLES)
     margin = params.margin_factor * s
     margins = margin_matrix(fresh @ comp, means_r)
     labels = np.argmin(margins, axis=1)
@@ -744,7 +738,6 @@ def isolate_component(
 @dataclass(frozen=True)
 class SampleGroup:
     indices: np.ndarray  # positions in the original sample set
-    centered: np.ndarray  # group samples minus the group mean
     offset: np.ndarray  # the group mean
 
 
@@ -768,7 +761,7 @@ def _far_pair(pts: np.ndarray, threshold: float):
 
 def reduce_bounded_means(samples, k: int, w_min: float, threshold: float | None = None):
     """Split the sample set along huge empty gaps until each part has
-    bounded spread; each part is recentered by its own mean."""
+    bounded spread; each part carries its own mean as its offset."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     d = samples.shape[1]
     if threshold is None:
@@ -794,8 +787,7 @@ def reduce_bounded_means(samples, k: int, w_min: float, threshold: float | None 
     groups = rec(np.arange(len(samples)))
     out = []
     for idx in groups:
-        offset = samples[idx].mean(axis=0)
-        out.append(SampleGroup(idx, samples[idx] - offset, offset))
+        out.append(SampleGroup(idx, samples[idx].mean(axis=0)))
     return out
 
 
@@ -839,9 +831,7 @@ def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParam
     tests = []
     warnings = []
     current = sampler
-    rounds = params.refine_rounds
-    if rounds is None:
-        rounds = max(1, math.ceil(math.log(k / w_min) ** (1.0 + 0.1 * c)))
+    rounds = max(1, math.ceil(math.log(k / w_min) ** (1.0 + 0.1 * c)))
     for comp_idx in range(k - 1):
         level = level_base + comp_idx
         ch = trivial_checker(current.d)
@@ -872,15 +862,13 @@ def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParam
             warnings.append(f"level {level}: {err}")
             break
         tests.append(test)
-        current = ReducedSampler(
-            current, lambda x, test=test: ~test.accept_batch(x), max_draw_factor=params.max_draw_factor
-        )
+        current = ReducedSampler(current, lambda x, test=test: ~test.accept_batch(x))
 
     # Provisional means: one per isolated component from its own predicate,
     # plus the never-isolated remainder.  The remainder stream still carries
     # the tails each predicate rejected, so its mean comes from another
     # probe/batch/vote pass (tails are outvoted) rather than a plain average.
-    batch = np.asarray(sampler.draw(params.mean_samples), dtype=float)
+    batch = np.asarray(sampler.draw(MEAN_SAMPLES), dtype=float)
     provisional = []
     for j, test in enumerate(tests):
         members = test.accept_batch(batch)
@@ -941,14 +929,14 @@ def recursive_cluster(
     the top-k covariance directions; the core loop alternates separation
     testing and checker refinement, then isolates and strips one component
     per level.  ``alpha`` is a target accuracy knob recorded in the metadata
-    (estimates are driven by the sample budgets in ``params``).
+    (estimates are driven by the module's fixed sample sizes).
     """
     params = params or ClusterParams()
     rng = stream(seed, 29)
     trail: list = []
     d0 = mix_sampler.d
 
-    pilot = np.asarray(mix_sampler.draw(params.pilot_samples), dtype=float)
+    pilot = np.asarray(mix_sampler.draw(PILOT_SAMPLES), dtype=float)
     groups = reduce_bounded_means(pilot, k, w_min)
     offsets = np.array([g.offset for g in groups])
     shares = np.array([len(g.indices) for g in groups], dtype=float)
@@ -971,12 +959,11 @@ def recursive_cluster(
                 lambda x, g=g: np.argmin(
                     np.linalg.norm(x[:, None, :] - offsets[None, :, :], axis=2), axis=1
                 ) == g,
-                max_draw_factor=params.max_draw_factor,
             )
             k_g = max(1, int(round(k * shares[g])))
 
         if group_sampler.d > k_g:
-            shifted = np.asarray(group_sampler.draw(params.cov_samples), dtype=float) - offsets[g]
+            shifted = np.asarray(group_sampler.draw(COV_SAMPLES), dtype=float) - offsets[g]
             second = shifted.T @ shifted / len(shifted)
             basis = dimension_basis(second - np.eye(d0), k_g)
             trail.append({"action": "project", "level": -1, "checker_dim": 0, "radius": None, "dims": int(basis.shape[0])})
@@ -985,7 +972,7 @@ def recursive_cluster(
         reduced = _ProjectedSampler(group_sampler, basis, offsets[g])
 
         if k_g == 1:
-            batch = np.asarray(reduced.draw(params.mean_samples), dtype=float)
+            batch = np.asarray(reduced.draw(MEAN_SAMPLES), dtype=float)
             means_g = batch.mean(axis=0, keepdims=True)
             weights_g = np.array([1.0])
             warn_g = []

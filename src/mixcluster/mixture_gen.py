@@ -42,10 +42,14 @@ class GenConfig:
             raise ValueError(f"unknown separation profile {self.profile!r}")
         if self.profile == "hierarchical" and len(self.ratios) < 1:
             raise ValueError("hierarchical profile needs at least one ratio level")
+        if self.weight_profile not in ("uniform", "dirichlet", "explicit"):
+            raise ValueError(f"unknown weight profile {self.weight_profile!r}")
         if self.weight_profile == "explicit":
             w = np.array(self.weights, dtype=float)
             if len(w) != self.k or abs(w.sum() - 1.0) > 1e-9:
                 raise ValueError("explicit weights must have length k and sum to 1")
+        if self.dist_tag not in BASE_TAGS:
+            raise UnsupportedDistributionError(f"unknown base distribution {self.dist_tag!r}")
 
 
 def _place_points(n: int, d: int, sep: float, rng: np.random.Generator) -> np.ndarray:
@@ -98,10 +102,8 @@ def build_spec(cfg: GenConfig) -> MixtureSpec:
         weights = np.full(cfg.k, 1.0 / cfg.k)
     elif cfg.weight_profile == "dirichlet":
         weights = rng.dirichlet(np.full(cfg.k, 5.0))
-    elif cfg.weight_profile == "explicit":
-        weights = np.array(cfg.weights, dtype=float)
     else:
-        raise ValueError(f"unknown weight profile {cfg.weight_profile!r}")
+        weights = np.array(cfg.weights, dtype=float)
     weights = weights / weights.sum()
     return MixtureSpec(weights, means, cfg.dist_tag)
 

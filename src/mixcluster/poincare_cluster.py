@@ -18,6 +18,8 @@ import numpy as np
 from . import sample_test as st
 from .moment_pipeline import iterative_projection
 
+WEIGHT_SAMPLES = 2_000  # fresh rows assigned to estimate the weights
+
 
 @dataclass(frozen=True)
 class LearnedMixture:
@@ -160,17 +162,17 @@ def learn_means(
     alpha: float,
     c: float = 0.5,
     *,
-    delta: float = 0.05,
     t: int | None = None,
-    t_max: int = 2,
     reps: int = st.DEFAULT_REPS,
     probes: int | None = None,
     batch: int | None = None,
     n_per_stage: int = 50_000,
-    weight_samples: int = 2_000,
-    band: float | None = None,
 ) -> LearnedMixture:
     """Recover the component means and weights of a 1-Poincare mixture.
+
+    ``t`` defaults to the least degree the separation allows at failure
+    probability ``st.DELTA``, capped at 2; ``probes`` and ``batch`` to
+    20k/w_min and 50k/w_min.  Weights come from ``WEIGHT_SAMPLES`` rows.
 
     Separations below the (ln K)^{1+c} regime run anyway and are flagged in
     the metadata, as are degree caps; desk-scale runs live outside the
@@ -182,7 +184,7 @@ def learn_means(
         warnings.append(f"separation {sep:.3g} below regime floor {regime_floor:.3g}")
     capped = False
     if t is None:
-        choice = st.choose_degree(sep, k, w_min, delta, "poincare", t_max=t_max)
+        choice = st.choose_degree(sep, k, w_min, st.DELTA, "poincare", t_max=2)
         t, capped = choice.t, choice.capped
         if capped:
             warnings.append(f"degree capped at t={t}")
@@ -193,19 +195,18 @@ def learn_means(
     diff_base = difference_sampler(base_sampler)
     chain = iterative_projection(diff_mix, diff_base, t, k, n_per_stage)
     tau = st.choose_threshold(sep, t)
-    void = not st.threshold_feasible(sep, t, k, delta, "poincare")
-    cfg = st.TestConfig(t, tau, reps=reps, delta=delta, guarantee_void=void)
+    void = not st.threshold_feasible(sep, t, k, st.DELTA, "poincare")
+    cfg = st.TestConfig(t, tau, reps=reps, guarantee_void=void)
 
     means, support = probe_batch_vote(
         mix_sampler, base_sampler, chain, cfg, l, m, alpha, 0.9 * w_min * l
     )
 
-    if band is None:
-        band = default_band(k, w_min, c)
+    band = default_band(k, w_min, c)
     if len(means) > 0:
-        fresh = mix_sampler.draw(weight_samples)
+        fresh = mix_sampler.draw(WEIGHT_SAMPLES)
         idx, flags = assign_batch(fresh, means, band)
-        weights = np.bincount(idx, minlength=len(means)) / float(weight_samples)
+        weights = np.bincount(idx, minlength=len(means)) / WEIGHT_SAMPLES
         ambiguous_rate = float(flags.mean())
     else:
         weights = np.zeros(0)

@@ -31,6 +31,7 @@ from .moment_pipeline import ProjectionChain
 from .poly_estimators import r_expansion_arrays
 
 DEFAULT_REPS = 64
+DELTA = 0.05  # failure probability both learners size their tests for
 DEGREE_CAP = 8
 _WORKING_SET = 1 << 21  # floats per chunk of test points
 
@@ -49,7 +50,6 @@ class TestConfig:
     t: int
     tau: float
     reps: int = DEFAULT_REPS
-    delta: float = 0.05
     guarantee_void: bool = False  # set when the feasibility gate fails
 
     def __post_init__(self):

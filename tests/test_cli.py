@@ -85,6 +85,18 @@ class TestGenerate:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("mix", [{"weight_profile": "zipf"}, {"dist_tag": "cauchy"}])
+    def test_unknown_weight_profile_or_base_exits_2(self, tmp_path, capsys, mix):
+        cfg = _write(tmp_path / "c.json", _gen_cfg(**mix))
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: unknown" in capsys.readouterr().err
+
+    def test_workers_is_a_usage_error(self, tmp_path):
+        cfg = _write(tmp_path / "c.json", _gen_cfg())
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--config", cfg, "--workers", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUT_ENV, str(tmp_path / "envout"))
         cfg = _write(tmp_path / "c.json", _gen_cfg(n=5))
@@ -116,6 +128,44 @@ class TestCluster:
         doc = {"mixture": {"k": 2, "d": 2, "seed": 1}, "variant": "spectral"}
         cfg = _write(tmp_path / "c.json", doc)
         assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "variant, keys, named",
+        [
+            ("gaussian-recursive", {"t": 2}, "t"),
+            ("gaussian-recursive", {"reps": 8}, "reps"),
+            ("gaussian-recursive", {"n_per_stage": 1_000}, "n_per_stage"),
+            ("gaussian-recursive", {"sep": 10.0}, "sep"),
+            ("gaussian-recursive", {"desk": False, "sep_hint": 10.0}, "sep_hint"),
+            ("poincare", {"desk": True}, "desk"),
+            ("poincare", {"sep_hint": 10.0}, "sep_hint"),
+        ],
+    )
+    def test_key_the_variant_ignores_exits_2(self, tmp_path, monkeypatch, capsys, variant, keys, named):
+        import mixcluster.cli as cli
+        from mixcluster.poincare_cluster import LearnedMixture
+
+        def fake_learner(mix, *args, **kwargs):
+            return LearnedMixture(np.array(mix.spec.means), np.array(mix.spec.weights))
+
+        monkeypatch.setattr(cli, "learn_means", fake_learner)
+        monkeypatch.setattr(cli.gc, "recursive_cluster", fake_learner)
+        doc = {
+            "mixture": {"k": 2, "d": 2, "separation": 10.0, "dist_tag": "gaussian", "seed": 1},
+            "variant": variant,
+            "eval_samples": 50,
+            **keys,
+        }
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config key {named!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mix", [{"weight_profile": "zipf"}, {"dist_tag": "cauchy"}])
+    def test_unknown_weight_profile_or_base_exits_2(self, tmp_path, capsys, mix):
+        doc = {"mixture": _gen_cfg(**mix)["mixture"], "variant": "poincare"}
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: unknown" in capsys.readouterr().err
 
     def test_pipeline_error_reported_with_exit_1(self, tmp_path):
         # the recursive variant rejects non-gaussian bases at run time

@@ -290,9 +290,9 @@ def _count_chain_builds(monkeypatch) -> list:
 class TestDifferenceChain:
     # one Gaussian has no split, so the separation test walks every gamma
     spec = _spec([1.0], [[0.0, 0.0]])
-    params = gc.desk_params(
-        2, 0.5, sep_hint=4.0, gamma_count=2, n_per_stage=2_000,
-        grid_steps=2, signal_trials=1, refine_attempts=1,
+    params = dataclasses.replace(
+        gc.desk_params(2, 0.5, sep_hint=4.0),
+        gamma_count=2, n_per_stage=2_000, grid_steps=2, signal_trials=1, refine_attempts=1,
     )
 
     def test_one_chain_per_stream(self, monkeypatch):
@@ -351,7 +351,7 @@ class TestBoundedMeansSplit:
         samples = rng.standard_normal((500, 3)) * 10
         groups = gc.reduce_bounded_means(samples, k=2, w_min=0.5)
         assert len(groups) == 1
-        assert np.max(np.abs(groups[0].centered.mean(axis=0))) < 1e-9
+        assert np.array_equal(groups[0].offset, samples.mean(axis=0))
 
     def test_huge_gap_splits_cleanly(self, rng):
         lo = rng.standard_normal((300, 2))
@@ -442,9 +442,14 @@ class TestParams:
         assert p.refine_delta == pytest.approx(max(0.04 * math.log(16.0) ** 4, 20.0))
         assert p.margin_factor == 0.3
 
-    def test_desk_params_accepts_explicit_overrides(self):
-        p = gc.desk_params(4, 0.25, sep_hint=10.0, probes=12)
-        assert p.probes == 12
+    def test_desk_params_sets_every_field_but_t(self):
+        # a field both kinds of run leave at one value belongs in a constant
+        desk, theory = gc.desk_params(4, 0.25, sep_hint=10.0), gc.ClusterParams()
+        same = [
+            f.name for f in dataclasses.fields(gc.ClusterParams)
+            if getattr(desk, f.name) == getattr(theory, f.name)
+        ]
+        assert same == ["t"]
 
 
 class TestClusterWithMeans:
@@ -464,6 +469,6 @@ class TestTypedFailures:
     @pytest.mark.parametrize("checker", [gc.trivial_checker(2), _checker_1d(2, 0, 0.0, 1.0)])
     def test_separation_test_propagates_stream_errors(self, checker):
         # only starvation and a missing signal count as "no split found"
-        params = gc.desk_params(2, 0.5, sep_hint=4.0, gamma_count=1)
+        params = dataclasses.replace(gc.desk_params(2, 0.5, sep_hint=4.0), gamma_count=1)
         with pytest.raises(RuntimeError, match="inner stream failed"):
             gc.test_max_separation(_BrokenSampler(), checker, 2, 0.5, 1.0, params=params)

@@ -181,7 +181,7 @@ class TestTestSample:
         mu = np.array([3.0, 0.0])
         spec, chain = _point_mass_chain(mu, 2)
         base = BaseSampler("point_mass", 2, 0, 1)
-        cfg = st.TestConfig(2, tau=1.0, reps=4, delta=0.05)
+        cfg = st.TestConfig(2, tau=1.0, reps=4)
         verdict = st.test_sample(np.zeros(2), chain, cfg, base)
         assert verdict.label == st.CLOSE
         assert verdict.statistic == pytest.approx(0.0, abs=1e-12)
@@ -190,7 +190,7 @@ class TestTestSample:
         mu = np.array([2.0, 1.0])
         spec, chain = _point_mass_chain(mu, 3)
         base = BaseSampler("point_mass", 2, 0, 1)
-        cfg = st.TestConfig(3, tau=1.0, reps=2, delta=0.05)
+        cfg = st.TestConfig(3, tau=1.0, reps=2)
         verdict = st.test_sample(mu, chain, cfg, base)
         assert verdict.statistic == pytest.approx(np.linalg.norm(mu) ** 3, rel=1e-9)
         assert verdict.label == st.FAR
@@ -199,7 +199,7 @@ class TestTestSample:
         mu = np.array([1.0, -2.0])
         spec, chain = _point_mass_chain(mu, 2)
         base = BaseSampler("point_mass", 2, 0, 1)
-        cfg = st.TestConfig(2, tau=1.0, reps=2, delta=0.05)
+        cfg = st.TestConfig(2, tau=1.0, reps=2)
         s1 = st.test_sample(mu, chain, cfg, base).statistic
         s3 = st.test_sample(3.0 * mu, chain, cfg, base).statistic
         assert s3 == pytest.approx(9.0 * s1, rel=1e-9)
@@ -208,8 +208,8 @@ class TestTestSample:
         mu = np.array([2.0, 0.0])
         spec, chain = _point_mass_chain(mu, 2)
         base = BaseSampler("point_mass", 2, 0, 1)
-        low = st.TestConfig(2, tau=1.0, reps=2, delta=0.05)
-        high = st.TestConfig(2, tau=1e6, reps=2, delta=0.05)
+        low = st.TestConfig(2, tau=1.0, reps=2)
+        high = st.TestConfig(2, tau=1e6, reps=2)
         assert st.test_sample(mu, chain, low, base).label == st.FAR
         assert st.test_sample(mu, chain, high, base).label == st.CLOSE
 
@@ -217,12 +217,12 @@ class TestTestSample:
         spec, chain = _point_mass_chain(np.array([1.0, 0.0]), 2)
         base = BaseSampler("point_mass", 2, 0, 1)
         with pytest.raises(ValueError):
-            st.test_sample(np.zeros(2), chain, st.TestConfig(3, 1.0, reps=1, delta=0.05), base)
+            st.test_sample(np.zeros(2), chain, st.TestConfig(3, 1.0, reps=1), base)
 
     def test_deterministic_given_seed(self):
         spec = MixtureSpec(np.array([1.0]), np.array([[2.0, 0.0]]), "gaussian")
         chain = exact_projection_chain(spec, 2, 1)
-        cfg = st.TestConfig(2, tau=1.0, reps=8, delta=0.05)
+        cfg = st.TestConfig(2, tau=1.0, reps=8)
         stats = [
             st.test_sample(np.array([2.0, 0.0]), chain, cfg, BaseSampler("gaussian", 2, 9, 1)).statistic
             for _ in range(2)
@@ -234,7 +234,7 @@ class TestPairTest:
     def test_identical_samples_accept(self):
         spec, chain = _point_mass_chain(np.array([1.0, 0.0]), 2)
         base = BaseSampler("point_mass", 2, 0, 1)
-        cfg = st.TestConfig(2, tau=0.5, reps=2, delta=0.05)
+        cfg = st.TestConfig(2, tau=0.5, reps=2)
         z = np.array([4.0, 4.0])
         assert st.pair_test(z, z, chain, cfg, base) == st.ACCEPT
 
@@ -249,7 +249,7 @@ class TestPairTest:
         chain = exact_projection_chain(diff_spec, 2, 3)
         base = BaseSampler("point_mass", 2, 0, 1)
         tau = st.choose_threshold(np.linalg.norm(mu), 2)
-        cfg = st.TestConfig(2, tau=tau, reps=2, delta=0.05)
+        cfg = st.TestConfig(2, tau=tau, reps=2)
         assert st.pair_test(mu, np.zeros(2), chain, cfg, base) == st.REJECT
         assert st.pair_test(mu, mu, chain, cfg, base) == st.ACCEPT
 
@@ -258,7 +258,7 @@ class TestPairTest:
         # which is invariant under negating the difference
         spec, chain = _point_mass_chain(np.array([2.0, 1.0]), 3)
         base = BaseSampler("point_mass", 2, 0, 1)
-        cfg = st.TestConfig(3, tau=1.0, reps=2, delta=0.05)
+        cfg = st.TestConfig(3, tau=1.0, reps=2)
         z, zp = np.array([2.0, 1.0]), np.array([-1.0, 0.5])
         a = st.test_sample((z - zp) / math.sqrt(2), chain, cfg, base).statistic
         b = st.test_sample((zp - z) / math.sqrt(2), chain, cfg, base).statistic
@@ -267,7 +267,7 @@ class TestPairTest:
     def test_batch_matches_singletons(self):
         spec, chain = _point_mass_chain(np.array([3.0, 0.0]), 2)
         base = BaseSampler("point_mass", 2, 0, 1)
-        cfg = st.TestConfig(2, tau=1.0, reps=2, delta=0.05)
+        cfg = st.TestConfig(2, tau=1.0, reps=2)
         z = np.array([3.0, 0.0])
         others = np.array([[3.0, 0.0], [0.0, 0.0], [3.0, 0.1]])
         mask = st.pair_test_batch(z, others, chain, cfg, base)
