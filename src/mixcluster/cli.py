@@ -282,8 +282,6 @@ def _run_poincare(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
 
 
 def _run_gaussian(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
-    if spec.dist_tag != "gaussian":
-        raise ConfigError("the recursive variant requires a gaussian base distribution")
     mix = MixtureSampler(spec, seed=seed)
     if cfg.get("desk", True):
         params = gc.desk_params(spec.k, w_min, sep_hint=cfg.get("sep_hint"))
@@ -313,6 +311,8 @@ def cmd_cluster(cfg: dict, args) -> int:
         raise ConfigError(f"config key {ignored[0]!r} is not read by variant {variant!r}")
     if "sep_hint" in cfg and not cfg.get("desk", True):
         raise ConfigError("config key 'sep_hint' is read only with desk: true")
+    if variant == "gaussian-recursive" and spec.dist_tag != "gaussian":
+        raise ConfigError("the recursive variant requires a gaussian base distribution")
     # the learner and the assignment band share one w_min
     w_min = float(cfg.get("w_min", spec.w_min))
 

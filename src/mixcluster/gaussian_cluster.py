@@ -295,8 +295,8 @@ def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
     return grid
 
 
-# One (chain, base) per stream and (k, t, n_per_stage); an entry goes when
-# its stream does.
+# One (chain, base) per owner stream and key; an entry goes when its owner
+# does.  See _difference_chain for the owner and the key.
 _chains: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -304,25 +304,45 @@ def _difference_chain(mix_sampler, k: int, params: "ClusterParams", seed: int):
     """Projection chain and Gaussian base stream for a Gaussian mixture
     stream; the chain is built on pairwise differences so it is mean-free.
 
-    Each stream gets one chain (per k, t and n_per_stage), built on the first
-    call with that call's ``seed``; later calls on the same stream object get
-    the same chain and base.  At each level the separation test on the
-    trivial checker and the refinement search that follows both search that
-    one stream, because the trivial checker leaves it as it is.  The reuse
-    keeps the paper's guarantee: both calls sample one distribution, and the
-    chain is built only from rows drawn before, hence independent of, every
-    row a later search draws, which is all the per-scope construction needs.
-    Chains are not shared across streams, so each checker scope (radius 31, 32
-    and 19 theta) still builds its own.
+    A stream that :func:`_checker_scope` made at a refined checker shares one
+    chain with every other scope of that checker.  The chain is built once,
+    with the first call's ``seed``, on the level stream restricted to the
+    checker's source scope, the widest radius any caller uses there
+    (:func:`_source_radius`); it is keyed by the level stream and the
+    checker's subspace and center.  Any other stream is its own owner and
+    gets one chain built on its own rows.  At the trivial checker that is
+    the level stream itself, which the separation test, the refinement
+    search and isolation all search, because the trivial checker leaves it
+    as it is.  Every search still draws its rows from its own scoped stream;
+    only the chain is shared.
+
+    The shared chain keeps the paper's per-scope guarantee at every scope:
+
+    - every scope used at a checker is a ball around the checker's center
+      in its subspace, of radius at most the source's, so it is a sub-ball
+      of the source scope, and its components are a subset of the source's;
+    - restricting the source to the scope only discards mass, so a
+      component's weight in the source is at least its scoped weight times
+      P(scope)/P(source): a component the chain must capture for the scope
+      is heavy in the source too;
+    - the chain's rows are the source stream's own draws, made before and
+      apart from every row a scoped search draws, so the chain is
+      independent of the rows each search tests, which is all the
+      per-scope construction needs.  The chain on the trivial checker's
+      stream rests on the same independence.
 
     The base difference (g - g')/sqrt(2) of two standard normals is again a
     standard normal, so the chain draws its base rows directly.
     """
-    built = _chains.setdefault(mix_sampler, {})
+    owner, source = getattr(mix_sampler, "chain_source", (mix_sampler, None))
     key = (k, params.t, params.n_per_stage)
+    if source is not None:
+        key += (source.basis.tobytes(), source.p.tobytes(), source.r)
+    built = _chains.setdefault(owner, {})
     if key not in built:
-        base = BaseSampler("gaussian", mix_sampler.d, seed, 3)
-        chain = iterative_projection(difference_sampler(mix_sampler), base, params.t, k, params.n_per_stage)
+        rows = mix_sampler if source is None else reduce_by_checker(owner, source)
+        base = BaseSampler("gaussian", rows.d, seed, 3)
+        chain = iterative_projection(difference_sampler(rows), base, params.t, k, params.n_per_stage)
         built[key] = (chain, base)
     return built[key]
 
@@ -464,6 +484,29 @@ def _gamma_count(k: int, w_star: float, params: ClusterParams) -> int:
     return max(1, math.ceil(1e4 * math.log(max(math.log(k / w_star), 1.0 + 1e-9))))
 
 
+def _beta(k: int, w_star: float, c: float) -> float:
+    return math.log(k / w_star) ** ((1.0 + 1.1 * c) / 2.0)
+
+
+def _source_radius(k: int, w_star: float, c: float, params: ClusterParams) -> float:
+    """The widest radius any caller scopes a refined checker to: the
+    separation test's last gamma, (30 + gamma_count) theta, or refinement's
+    beta + gamma_count theta if beta exceeds 30 theta.  Isolation's
+    19 theta lies inside both."""
+    theta = _theta(k, w_star, c)
+    return max(30.0 * theta, _beta(k, w_star, c)) + _gamma_count(k, w_star, params) * theta
+
+
+def _checker_scope(mix_sampler, ch: Checker, r: float, k: int, w_star: float, c: float, params: ClusterParams):
+    """The stream restricted to ``ch`` at radius ``r``.  At a refined
+    checker the stream also names the checker's source scope, on which
+    :func:`_difference_chain` builds the one chain all its scopes share."""
+    reduced = reduce_by_checker(mix_sampler, ch.with_radius(r))
+    if ch.a > 0:
+        reduced.chain_source = (mix_sampler, ch.with_radius(_source_radius(k, w_star, c, params)))
+    return reduced
+
+
 def full_cluster_bounded(
     mix_sampler,
     k: int,
@@ -517,16 +560,15 @@ def refine_checker(
     rng = stream(seed, 19)
     log_k = math.log(k / w_star)
     theta = _theta(k, w_star, c)
-    beta = log_k ** ((1.0 + 1.1 * c) / 2.0)
+    beta = _beta(k, w_star, c)
     class_delta = params.refine_delta if params.refine_delta is not None else 0.04 * log_k**4
     class_p = 0.4 * w_star
     gamma_max = _gamma_count(k, w_star, params)
     gammas = rng.permutation(np.arange(1, gamma_max + 1))[: params.refine_attempts]
     last_error: Exception | None = None
     for gamma in gammas:
-        scope = ch.with_radius(beta + float(gamma) * theta)
         try:
-            reduced = reduce_by_checker(mix_sampler, scope)
+            reduced = _checker_scope(mix_sampler, ch, beta + float(gamma) * theta, k, w_star, c, params)
             # The grid search verifies at (0.8w*, 0.8*guess) with the largest
             # guess first, which forces alignment with the widest split; the
             # found direction must then also classify as a signal at the
@@ -603,9 +645,8 @@ def test_max_separation(
     delta = 0.4 * log_k**4
     verdict = st.ACCEPT
     for gamma in range(1, _gamma_count(k, w_star, params) + 1):
-        scope = ch.with_radius((30.0 + gamma) * theta)
         try:
-            reduced = reduce_by_checker(mix_sampler, scope)
+            reduced = _checker_scope(mix_sampler, ch, (30.0 + gamma) * theta, k, w_star, c, params)
             find_signal_direction(
                 reduced,
                 k,
@@ -689,7 +730,7 @@ def isolate_component(
     params = params or ClusterParams()
     theta = _theta(k, w_star, c)
     log_k = math.log(k / w_star)
-    reduced = reduce_by_checker(mix_sampler, ch.with_radius(19.0 * theta))
+    reduced = _checker_scope(mix_sampler, ch, 19.0 * theta, k, w_star, c, params)
     means_r = full_cluster_bounded(reduced, k, w_star, c, params=params, seed=seed)
     if len(means_r) == 0:
         raise IsolateFailedError("full clustering of the checker scope found no means")

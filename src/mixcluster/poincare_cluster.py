@@ -184,7 +184,7 @@ def learn_means(
         warnings.append(f"separation {sep:.3g} below regime floor {regime_floor:.3g}")
     capped = False
     if t is None:
-        choice = st.choose_degree(sep, k, w_min, st.DELTA, "poincare", t_max=2)
+        choice = st.choose_degree(sep, k, w_min, st.DELTA, t_max=2)
         t, capped = choice.t, choice.capped
         if capped:
             warnings.append(f"degree capped at t={t}")

@@ -90,9 +90,7 @@ def threshold_feasible(sep: float, t: int, k: int, delta: float, variant: str = 
     return tau >= (20 * t) ** t * k / delta
 
 
-def choose_degree(
-    sep: float, k: int, w_star: float, delta: float, variant: str = "poincare", t_max: int = DEGREE_CAP
-) -> DegreeChoice:
+def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = DEGREE_CAP) -> DegreeChoice:
     """Smallest t with (sep / ln K)^t >= K^10, K = k/(w* delta), capped at t_max."""
     big_k = k / (w_star * delta)
     log_k = math.log(big_k)

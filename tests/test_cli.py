@@ -167,16 +167,31 @@ class TestCluster:
         assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error: unknown" in capsys.readouterr().err
 
-    def test_pipeline_error_reported_with_exit_1(self, tmp_path):
-        # the recursive variant rejects non-gaussian bases at run time
+    def test_pipeline_error_reported_with_exit_1(self, tmp_path, monkeypatch):
+        import mixcluster.cli as cli
+
+        def starving_learner(*args, **kwargs):
+            raise cli.gc.StarvationError("kept 3 of 70000 drawn rows, wanted 20000")
+
+        monkeypatch.setattr(cli.gc, "recursive_cluster", starving_learner)
         doc = {
-            "mixture": {"k": 2, "d": 2, "separation": 10.0, "dist_tag": "laplace", "seed": 1},
+            "mixture": {"k": 2, "d": 2, "separation": 10.0, "dist_tag": "gaussian", "seed": 1},
             "variant": "gaussian-recursive",
         }
         cfg = _write(tmp_path / "c.json", doc)
         assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "report.json").read_text())
-        assert "error" in report
+        assert report["error"].startswith("StarvationError: kept 3")
+
+    def test_recursive_variant_on_non_gaussian_base_exits_2(self, tmp_path, capsys):
+        doc = {
+            "mixture": {"k": 2, "d": 2, "separation": 10.0, "dist_tag": "laplace", "seed": 1},
+            "variant": "gaussian-recursive",
+        }
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "requires a gaussian base" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_report_embeds_config_and_seed(self, tmp_path):
         doc = {

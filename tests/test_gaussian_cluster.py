@@ -11,9 +11,9 @@ from scipy.stats import chi2, ncx2, norm
 
 import mixcluster.gaussian_cluster as gc
 from mixcluster.moment_pipeline import MixtureSpec
-from mixcluster.mixture_gen import BaseSampler, MixtureSampler
+from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster import sample_test as st
-from mixcluster.poincare_cluster import assign_batch
+from mixcluster.poincare_cluster import assign_batch, learn_means
 
 
 def _spec(weights, means, tag="gaussian"):
@@ -304,11 +304,30 @@ class TestDifferenceChain:
             gc.refine_checker(stream, ch, 2, 0.5, 1.0, params=self.params, seed=2)
         assert len(calls) == 1
 
-    def test_each_scope_builds_its_own_chain(self, monkeypatch):
+    def test_scopes_of_one_checker_share_one_chain(self, monkeypatch):
         calls = _count_chain_builds(monkeypatch)
         stream = MixtureSampler(self.spec, seed=3)
         ch = _checker_1d(2, 0, 0.0, 1.0)
+        # the separation test scopes to 31 and 32 theta, refinement to
+        # beta + theta and isolation to 19 theta
         assert gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1) == st.ACCEPT
+        with pytest.raises(gc.RefineFailedError):
+            gc.refine_checker(stream, ch, 2, 0.5, 1.0, params=self.params, seed=2)
+        test = gc.isolate_component(stream, ch, 2, 0.5, 1.0, params=self.params, seed=4)
+        assert np.linalg.norm(test.approx_mean) < 0.5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("other", ["center", "stream"])
+    def test_distinct_checkers_build_their_own(self, monkeypatch, other):
+        calls = _count_chain_builds(monkeypatch)
+        stream = MixtureSampler(self.spec, seed=3)
+        ch = _checker_1d(2, 0, 0.0, 1.0)
+        gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1)
+        if other == "center":
+            ch = _checker_1d(2, 0, 0.5, 1.0)
+        else:
+            stream = MixtureSampler(self.spec, seed=5)
+        gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("t", [2, 3])
@@ -325,6 +344,31 @@ class TestDifferenceChain:
         gc._difference_chain(MixtureSampler(self.spec, seed=3), 2, params, seed=0)
         # a stage at degree 2s draws 4s - 1 base rows per mixture row
         assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, t + 1))
+
+
+class TestRecursiveDeterminism:
+    # the hierarchical pair forces a refined checker, whose scopes share a
+    # cached chain
+    spec = build_spec(GenConfig(k=3, d=4, separation=10.0, profile="hierarchical", ratios=(10.0, 1000.0), seed=0))
+    params = dataclasses.replace(gc.desk_params(3, 1 / 3, sep_hint=10.0), n_per_stage=3_000)
+
+    def _run(self, seed):
+        stream = MixtureSampler(self.spec, seed=seed)
+        return gc.recursive_cluster(stream, 3, 1 / 3, 1.0, 2.0, params=self.params, seed=seed)
+
+    def test_same_seed_same_result_after_other_calls(self):
+        first = self._run(3)
+        assert any(e["action"] == "refine" for e in first.metadata["trail"])
+        again = [self._run(3)]
+        poincare = _spec([1.0], [[2.0, -1.0]])
+        learn_means(MixtureSampler(poincare, seed=3), BaseSampler("gaussian", 2, 3, 7), 1, 1.0, 12.0, 2.0, 0.5)
+        again.append(self._run(3))
+        self._run(4)
+        again.append(self._run(3))
+        for run in again:
+            assert np.array_equal(run.means, first.means)
+            assert np.array_equal(run.weights, first.weights)
+            assert run.metadata["trail"] == first.metadata["trail"]
 
 
 class TestSignalDirection:
