@@ -73,7 +73,6 @@ SCHEMAS = {
         "alpha": float,
         "sep": float,
         "sep_hint": float,
-        "desk": bool,
         "t": int,
         "reps": int,
         "n_per_stage": int,
@@ -259,7 +258,7 @@ def cmd_generate(cfg: dict, args) -> int:
 # each learner's own default trade-off constant c, also used for the band
 DEFAULT_C = {"poincare": 0.5, "gaussian-recursive": 1.0}
 # the cluster keys only one variant reads; the other rejects them
-VARIANT_KEYS = {"poincare": ("sep", "t", "reps", "n_per_stage"), "gaussian-recursive": ("desk", "sep_hint")}
+VARIANT_KEYS = {"poincare": ("sep", "t", "reps", "n_per_stage"), "gaussian-recursive": ("sep_hint",)}
 
 
 def _run_poincare(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
@@ -283,10 +282,7 @@ def _run_poincare(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
 
 def _run_gaussian(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
     mix = MixtureSampler(spec, seed=seed)
-    if cfg.get("desk", True):
-        params = gc.desk_params(spec.k, w_min, sep_hint=cfg.get("sep_hint"))
-    else:
-        params = gc.ClusterParams()
+    params = gc.desk_params(spec.k, w_min, sep_hint=cfg.get("sep_hint"))
     return gc.recursive_cluster(
         mix,
         spec.k,
@@ -309,8 +305,6 @@ def cmd_cluster(cfg: dict, args) -> int:
     ignored = [key for other, keys in VARIANT_KEYS.items() if other != variant for key in keys if key in cfg]
     if ignored:
         raise ConfigError(f"config key {ignored[0]!r} is not read by variant {variant!r}")
-    if "sep_hint" in cfg and not cfg.get("desk", True):
-        raise ConfigError("config key 'sep_hint' is read only with desk: true")
     if variant == "gaussian-recursive" and spec.dist_tag != "gaussian":
         raise ConfigError("the recursive variant requires a gaussian base distribution")
     # the learner and the assignment band share one w_min

@@ -14,10 +14,11 @@ are partitioned along huge empty gaps so each part has polynomially bounded
 spread, and the ambient dimension is cut to ``k`` via the top principal
 components of (mixture covariance - base covariance).
 
-The literal polylog radii collapse to single digits at desk scale, so
-:class:`ClusterParams` holds the values that desk-scale and theory runs set
-differently, with :func:`desk_params` producing those sized for small-``k``
-experiments.  The sample sizes both kinds of run share are module constants.
+The paper's constants (a 0.02 vote ball, 1e4 ln ln(k/w*) truncation radii
+per checker, 20k/w* probes) recover nothing at any size this package runs, so the counts
+and sample sizes are module constants sized for small ``k``, and
+:class:`ClusterParams` holds only the pair-test degree, the separation hint
+and the values :func:`desk_params` derives from ``(k, w_min, sep_hint)``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ MEAN_SAMPLES = 20_000  # samples for final mean/weight estimates
 PILOT_SAMPLES = 4_000  # samples for the bounded-spread split
 COV_SAMPLES = 60_000  # samples for the covariance-based projection
 MAX_DRAW_FACTOR = 500  # rejection-sampling budget multiplier
+N_PER_STAGE = 15_000  # samples per projection stage
+PROBES = 48  # vote probes l
+BATCH = 120  # batch size m per probe
+SUPPORT_FACTOR = 0.5  # vote support threshold factor (x w* x l)
+GAMMA_COUNT = 2  # truncation radii (30 + gamma) theta tried per checker
+GRID_STEPS = 40  # max separation-grid length
+SIGNAL_TRIALS = 4  # anchor redraws per grid point
+REFINE_ATTEMPTS = 2  # gamma redraws inside refine_checker
+MARGIN_FACTOR = 0.3  # clustering margin as a fraction of s
 
 
 class SampleSizeError(ValueError):
@@ -300,7 +310,7 @@ def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
 _chains: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _difference_chain(mix_sampler, k: int, params: "ClusterParams", seed: int):
+def _difference_chain(mix_sampler, k: int, t: int, seed: int):
     """Projection chain and Gaussian base stream for a Gaussian mixture
     stream; the chain is built on pairwise differences so it is mean-free.
 
@@ -335,14 +345,14 @@ def _difference_chain(mix_sampler, k: int, params: "ClusterParams", seed: int):
     standard normal, so the chain draws its base rows directly.
     """
     owner, source = getattr(mix_sampler, "chain_source", (mix_sampler, None))
-    key = (k, params.t, params.n_per_stage)
+    key = (k, t)
     if source is not None:
         key += (source.basis.tobytes(), source.p.tobytes(), source.r)
     built = _chains.setdefault(owner, {})
     if key not in built:
         rows = mix_sampler if source is None else reduce_by_checker(owner, source)
         base = BaseSampler("gaussian", rows.d, seed, 3)
-        chain = iterative_projection(difference_sampler(rows), base, params.t, k, params.n_per_stage)
+        chain = iterative_projection(difference_sampler(rows), base, t, k, N_PER_STAGE)
         built[key] = (chain, base)
     return built[key]
 
@@ -359,7 +369,7 @@ def find_signal_direction(
     w_star: float,
     delta_guess_grid=None,
     *,
-    params: "ClusterParams | None" = None,
+    params: ClusterParams,
     seed: int = 0,
     check_p: float | None = None,
     check_delta: float | None = None,
@@ -373,12 +383,11 @@ def find_signal_direction(
     direction — by default at (0.8*w_star, 0.8*guess), or at a caller-fixed
     level when ``check_p``/``check_delta`` are given.
     """
-    params = params or ClusterParams()
     log_k = math.log(k / w_star)
     if delta_guess_grid is None:
         floor = max(0.04 * log_k**4, params.pair_sep_floor, 1e-6)
-        delta_guess_grid = _default_grid(mix_sampler, floor, params.grid_steps)
-    chain, base = _difference_chain(mix_sampler, k, params, seed)
+        delta_guess_grid = _default_grid(mix_sampler, floor, GRID_STEPS)
+    chain, base = _difference_chain(mix_sampler, k, params.t, seed)
     m = SIGNAL_BATCH
     n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / (check_p or 0.8 * w_star)))
     tried = []
@@ -387,7 +396,7 @@ def find_signal_direction(
         cfg = _pair_config(sep, params.t, k)
         p_lvl = check_p if check_p is not None else 0.8 * w_star
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
-        for _ in range(params.signal_trials):
+        for _ in range(SIGNAL_TRIALS):
             anchors = np.asarray(mix_sampler.draw(2), dtype=float)
             batch = np.asarray(mix_sampler.draw(2 * m), dtype=float)
             acc0 = st.pair_test_batch(anchors[0], batch[:m], chain, cfg, base)
@@ -420,57 +429,35 @@ def find_signal_direction(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ClusterParams:
-    """The Gaussian pipeline's values that desk-scale and theory runs set
-    differently, plus the pair-test degree ``t``.
+    """The pair-test degree ``t``, the separation hint, and the values
+    :func:`desk_params` derives from the mixture's ``(k, w_min, sep_hint)``.
 
-    Defaults follow the displayed theory values; the probe/batch counts use
-    the same practical scaling as the Poincare learner because the theory
-    counts ((k/w*)^100) are not runnable.  Use :func:`desk_params` for the
-    small-k values where the polylog radii collapse to single digits.  The
+    The derived values have no default: build them with :func:`desk_params`
+    from the spec's ``k``, and vary one with ``dataclasses.replace``.  The
     pair test averages ``st.DEFAULT_REPS`` draws at failure probability
-    ``st.DELTA``; the sample sizes are this module's constants.
+    ``st.DELTA``; every count and sample size is a module constant.
     """
 
     t: int = 2  # pair-test degree
-    n_per_stage: int = 20_000  # samples per projection stage
-    probes: int | None = None  # vote probes l; None -> 20k/w*
-    batch: int | None = None  # batch size m per probe; None -> 50k/w*
-    vote_alpha: float = 0.1  # vote ball 0.2*alpha = 0.02, dedup alpha = 0.1
-    support_factor: float = 0.9  # support threshold factor (x w* x l)
-    sep_hint: float | None = None  # known minimum separation, if any
-    pair_sep_floor: float = 0.0  # lower bound on the pair-test separation
-    gamma_count: int | None = None  # None -> ceil(1e4 * ln ln(k/w*))
-    grid_steps: int = 60  # max grid length
-    signal_trials: int = 6  # anchor redraws per grid point
-    refine_attempts: int = 4  # gamma redraws inside refine_checker
-    refine_delta: float | None = None  # signal floor for refinement; None -> 0.04 ln(k/w*)^4
-    margin_factor: float = 0.1  # clustering margin as a fraction of s
+    sep_hint: float | None  # known minimum separation, if any
+    vote_alpha: float  # dedup radius; the vote ball is 0.2 * vote_alpha
+    pair_sep_floor: float  # lower bound on the pair-test separation
+    refine_delta: float  # signal floor for refinement
 
 
 def desk_params(k: int, w_min: float, sep_hint: float | None = None) -> ClusterParams:
-    """Values sized for small-k runs: fewer gamma draws, pair-test
-    thresholds floored at the known separation, looser vote support, and a
-    dedup radius scaled to the separation.  Given a ``sep_hint``, every
-    field but ``t`` differs from its :class:`ClusterParams` default; vary
-    one with ``dataclasses.replace``."""
+    """Values sized for small-k runs: pair-test thresholds floored at the
+    known separation (ln(k/w_min) without one), a dedup radius scaled to
+    it, and a refinement floor of at least twice it."""
     log_k = math.log(k / w_min)
     s = sep_hint if sep_hint is not None else log_k ** 1.0
     return ClusterParams(
-        probes=48,
-        batch=120,
-        vote_alpha=0.5 * s,
-        support_factor=0.5,
         sep_hint=sep_hint,
+        vote_alpha=0.5 * s,
         pair_sep_floor=s,
-        gamma_count=2,
-        grid_steps=40,
-        signal_trials=4,
-        refine_attempts=2,
         refine_delta=max(0.04 * log_k**4, 2.0 * s),
-        margin_factor=0.3,
-        n_per_stage=15_000,
     )
 
 
@@ -478,32 +465,26 @@ def _theta(k: int, w_star: float, c: float) -> float:
     return math.log(k / w_star) ** ((1.0 + c) / 2.0)
 
 
-def _gamma_count(k: int, w_star: float, params: ClusterParams) -> int:
-    if params.gamma_count is not None:
-        return params.gamma_count
-    return max(1, math.ceil(1e4 * math.log(max(math.log(k / w_star), 1.0 + 1e-9))))
-
-
 def _beta(k: int, w_star: float, c: float) -> float:
     return math.log(k / w_star) ** ((1.0 + 1.1 * c) / 2.0)
 
 
-def _source_radius(k: int, w_star: float, c: float, params: ClusterParams) -> float:
+def _source_radius(k: int, w_star: float, c: float) -> float:
     """The widest radius any caller scopes a refined checker to: the
-    separation test's last gamma, (30 + gamma_count) theta, or refinement's
-    beta + gamma_count theta if beta exceeds 30 theta.  Isolation's
+    separation test's last gamma, (30 + GAMMA_COUNT) theta, or refinement's
+    beta + GAMMA_COUNT theta if beta exceeds 30 theta.  Isolation's
     19 theta lies inside both."""
     theta = _theta(k, w_star, c)
-    return max(30.0 * theta, _beta(k, w_star, c)) + _gamma_count(k, w_star, params) * theta
+    return max(30.0 * theta, _beta(k, w_star, c)) + GAMMA_COUNT * theta
 
 
-def _checker_scope(mix_sampler, ch: Checker, r: float, k: int, w_star: float, c: float, params: ClusterParams):
+def _checker_scope(mix_sampler, ch: Checker, r: float, k: int, w_star: float, c: float):
     """The stream restricted to ``ch`` at radius ``r``.  At a refined
     checker the stream also names the checker's source scope, on which
     :func:`_difference_chain` builds the one chain all its scopes share."""
     reduced = reduce_by_checker(mix_sampler, ch.with_radius(r))
     if ch.a > 0:
-        reduced.chain_source = (mix_sampler, ch.with_radius(_source_radius(k, w_star, c, params)))
+        reduced.chain_source = (mix_sampler, ch.with_radius(_source_radius(k, w_star, c)))
     return reduced
 
 
@@ -513,20 +494,17 @@ def full_cluster_bounded(
     w_star: float,
     c: float,
     *,
-    params: ClusterParams | None = None,
+    params: ClusterParams,
     seed: int = 0,
 ) -> np.ndarray:
     """Probe/batch/vote mean recovery for a mixture whose maximum separation
     is polylog-bounded; returns r <= k means pairwise >= s/2 apart."""
-    params = params or ClusterParams()
     log_k = math.log(k / w_star)
     s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
-    chain, base = _difference_chain(mix_sampler, k, params, seed)
+    chain, base = _difference_chain(mix_sampler, k, params.t, seed)
     cfg = _pair_config(max(s, params.pair_sep_floor), params.t, k)
-    l = params.probes if params.probes is not None else int(round(20 * k / w_star))
-    m = params.batch if params.batch is not None else int(round(50 * k / w_star))
     means, support = probe_batch_vote(
-        mix_sampler, base, chain, cfg, l, m, params.vote_alpha, params.support_factor * w_star * l
+        mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, SUPPORT_FACTOR * w_star * PROBES
     )
     # Strongest-supported first.  Dedup guarantees the spacing only up to the
     # candidate error, so enforce the pairwise floor explicitly.
@@ -550,25 +528,21 @@ def refine_checker(
     w_star: float,
     c: float,
     *,
-    params: ClusterParams | None = None,
+    params: ClusterParams,
     seed: int = 0,
     trail: list | None = None,
 ) -> Checker:
     """Grow the checker subspace by one signal direction and recenter on a
     well-supported sample from one side of the split."""
-    params = params or ClusterParams()
     rng = stream(seed, 19)
-    log_k = math.log(k / w_star)
     theta = _theta(k, w_star, c)
     beta = _beta(k, w_star, c)
-    class_delta = params.refine_delta if params.refine_delta is not None else 0.04 * log_k**4
     class_p = 0.4 * w_star
-    gamma_max = _gamma_count(k, w_star, params)
-    gammas = rng.permutation(np.arange(1, gamma_max + 1))[: params.refine_attempts]
+    gammas = rng.permutation(np.arange(1, GAMMA_COUNT + 1))[:REFINE_ATTEMPTS]
     last_error: Exception | None = None
     for gamma in gammas:
         try:
-            reduced = _checker_scope(mix_sampler, ch, beta + float(gamma) * theta, k, w_star, c, params)
+            reduced = _checker_scope(mix_sampler, ch, beta + float(gamma) * theta, k, w_star, c)
             # The grid search verifies at (0.8w*, 0.8*guess) with the largest
             # guess first, which forces alignment with the widest split; the
             # found direction must then also classify as a signal at the
@@ -576,7 +550,7 @@ def refine_checker(
             sig = find_signal_direction(reduced, k, w_star, params=params, seed=int(rng.integers(2**62)))
             n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / class_p))
             fresh_check = np.asarray(reduced.draw(n_check), dtype=float)
-            if not is_signal_direction(fresh_check, sig.v, class_p, class_delta):
+            if not is_signal_direction(fresh_check, sig.v, class_p, params.refine_delta):
                 last_error = RefineFailedError(
                     "signal direction failed the refinement floor classification"
                 )
@@ -632,21 +606,20 @@ def test_max_separation(
     w_star: float,
     c: float,
     *,
-    params: ClusterParams | None = None,
+    params: ClusterParams,
     seed: int = 0,
     trail: list | None = None,
 ) -> str:
     """Reject iff a verified wide split survives in some truncated reduction
     of the checker scope; Accept otherwise."""
-    params = params or ClusterParams()
     rng = stream(seed, 23)
     log_k = math.log(k / w_star)
     theta = _theta(k, w_star, c)
     delta = 0.4 * log_k**4
     verdict = st.ACCEPT
-    for gamma in range(1, _gamma_count(k, w_star, params) + 1):
+    for gamma in range(1, GAMMA_COUNT + 1):
         try:
-            reduced = _checker_scope(mix_sampler, ch, (30.0 + gamma) * theta, k, w_star, c, params)
+            reduced = _checker_scope(mix_sampler, ch, (30.0 + gamma) * theta, k, w_star, c)
             find_signal_direction(
                 reduced,
                 k,
@@ -688,7 +661,7 @@ class ComponentTest:
     means: np.ndarray  # candidate means in reduced coordinates
     target: int  # f(j): label that accepts
     s: float  # separation scale for the margins
-    margin: float  # absolute margin bound (margin_factor * s)
+    margin: float  # absolute margin bound (MARGIN_FACTOR * s)
 
     @property
     def approx_mean(self) -> np.ndarray:
@@ -698,9 +671,6 @@ class ComponentTest:
         if self.checker.a > 0:
             lifted = lifted + self.checker.basis @ self.checker.p
         return lifted
-
-    def accept(self, z) -> bool:
-        return bool(self.accept_batch(np.asarray(z, dtype=float)[None, :])[0])
 
     def accept_batch(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -721,16 +691,15 @@ def isolate_component(
     w_star: float,
     c: float,
     *,
-    params: ClusterParams | None = None,
+    params: ClusterParams,
     seed: int = 0,
     trail: list | None = None,
 ) -> ComponentTest:
     """Fully cluster the checker scope and return the predicate for the
     cluster that is heavy and concentrated near the checker center."""
-    params = params or ClusterParams()
     theta = _theta(k, w_star, c)
     log_k = math.log(k / w_star)
-    reduced = _checker_scope(mix_sampler, ch, 19.0 * theta, k, w_star, c, params)
+    reduced = _checker_scope(mix_sampler, ch, 19.0 * theta, k, w_star, c)
     means_r = full_cluster_bounded(reduced, k, w_star, c, params=params, seed=seed)
     if len(means_r) == 0:
         raise IsolateFailedError("full clustering of the checker scope found no means")
@@ -739,7 +708,7 @@ def isolate_component(
     comp = complement_basis(ch)
     in_scope = functools.partial(checker_contains_batch, scope17)
     fresh = ReducedSampler(mix_sampler, in_scope).draw(ISOLATE_SAMPLES)
-    margin = params.margin_factor * s
+    margin = MARGIN_FACTOR * s
     margins = margin_matrix(fresh @ comp, means_r)
     labels = np.argmin(margins, axis=1)
     ok = margins[np.arange(len(fresh)), labels] <= margin
@@ -960,7 +929,7 @@ def recursive_cluster(
     c: float,
     alpha: float,
     *,
-    params: ClusterParams | None = None,
+    params: ClusterParams,
     seed: int = 0,
 ) -> LearnedMixture:
     """Learn all component means and weights of a spherical Gaussian mixture
@@ -972,7 +941,6 @@ def recursive_cluster(
     per level.  ``alpha`` is a target accuracy knob recorded in the metadata
     (estimates are driven by the module's fixed sample sizes).
     """
-    params = params or ClusterParams()
     rng = stream(seed, 29)
     trail: list = []
     d0 = mix_sampler.d

@@ -134,6 +134,12 @@ def base_moments(dist_tag: str, t: int, d: int) -> BaseMoments:
     return BaseMoments(dist_tag, d, tuple(tensors))
 
 
+@lru_cache(maxsize=None)
+def _split_positions(j: int, rest: int) -> tuple:
+    """Every split of j + rest positions into a j-block and a rest-block."""
+    return tuple(sym_interleavings((j, rest)))
+
+
 def adjusted_poly_recursive(x, t: int, bm: BaseMoments) -> np.ndarray:
     """P_t(x) via the defining recursion P_t = x^{t} - sum_j Sym(D_j (x) P_{t-j})."""
     x = np.asarray(x, dtype=float)
@@ -144,7 +150,7 @@ def adjusted_poly_recursive(x, t: int, bm: BaseMoments) -> np.ndarray:
         for j in range(1, s + 1):
             dj = bm.moment(j)
             lower = polys[s - j]
-            for dj_pos, low_pos in sym_interleavings((j, s - j)):
+            for dj_pos, low_pos in _split_positions(j, s - j):
                 acc = acc - place_blocks(s, d, [(dj_pos, dj), (low_pos, lower)])
         polys.append(acc)
     return polys[t]
@@ -244,6 +250,18 @@ def r_poly_terms(samples, t: int) -> Rank1Expansion:
     return Rank1Expansion(tuple(terms), t)
 
 
+@lru_cache(maxsize=None)
+def _q_partitions(t: int) -> tuple:
+    """Per labeled partition of {0..t-1}: its coefficient (-1)^C / binom(t-1, C-1)
+    and, per nonempty slot j, (j, the slot's sorted positions)."""
+    out = []
+    for parts in labeled_partitions(t):
+        c = count_nonempty(parts)
+        coeff = float(Fraction((-1) ** c, math.comb(t - 1, c - 1)))
+        out.append((coeff, tuple((j, tuple(sorted(s))) for j, s in enumerate(parts) if s)))
+    return tuple(out)
+
+
 def _q_poly_dense(xs, t: int, bm: BaseMoments) -> np.ndarray:
     """Dense Q_t(x_1..x_t): sum over labeled partitions of adjusted-polynomial
     factors with coefficients (-1)^C / binom(t-1, C-1)."""
@@ -257,13 +275,8 @@ def _q_poly_dense(xs, t: int, bm: BaseMoments) -> np.ndarray:
             cache[key] = adjusted_poly_recursive(xs[j], order, bm)
         return cache[key]
 
-    for parts in labeled_partitions(t):
-        c = count_nonempty(parts)
-        coeff = float(Fraction((-1) ** c, math.comb(t - 1, c - 1)))
-        pieces = []
-        for j, s in enumerate(parts):
-            if s:
-                pieces.append((tuple(sorted(s)), p_of(j, len(s))))
+    for coeff, slots in _q_partitions(t):
+        pieces = [(positions, p_of(j, len(positions))) for j, positions in slots]
         out = out + coeff * place_blocks(t, d, pieces)
     return out
 

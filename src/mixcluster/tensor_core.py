@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,11 +106,21 @@ def place_blocks(t: int, d: int, pieces) -> np.ndarray:
             raise ValueError("piece order does not match its position count")
         out = np.multiply.outer(out, tensor)
         axes.extend(positions)
-    if sorted(axes) != list(range(t)):
-        raise ValueError("positions must cover 0..t-1 exactly")
+    order = _axis_order(t, tuple(axes))
     if t == 0:
         return out
-    return np.ascontiguousarray(np.moveaxis(out, range(t), axes))
+    return np.ascontiguousarray(out.transpose(order))
+
+
+@lru_cache(maxsize=None)
+def _axis_order(t: int, axes: tuple) -> tuple:
+    """The transpose moving stacked axis i to position ``axes[i]``."""
+    if sorted(axes) != list(range(t)):
+        raise ValueError("positions must cover 0..t-1 exactly")
+    order = [0] * t
+    for i, pos in enumerate(axes):
+        order[pos] = i
+    return tuple(order)
 
 
 def outer_power(x, t: int) -> np.ndarray:

@@ -290,10 +290,14 @@ def _count_chain_builds(monkeypatch) -> list:
 class TestDifferenceChain:
     # one Gaussian has no split, so the separation test walks every gamma
     spec = _spec([1.0], [[0.0, 0.0]])
-    params = dataclasses.replace(
-        gc.desk_params(2, 0.5, sep_hint=4.0),
-        gamma_count=2, n_per_stage=2_000, grid_steps=2, signal_trials=1, refine_attempts=1,
-    )
+    params = gc.desk_params(2, 0.5, sep_hint=4.0)
+
+    @pytest.fixture(autouse=True)
+    def _small_searches(self, monkeypatch):
+        for name, value in [
+            ("N_PER_STAGE", 2_000), ("GRID_STEPS", 2), ("SIGNAL_TRIALS", 1), ("REFINE_ATTEMPTS", 1)
+        ]:
+            monkeypatch.setattr(gc, name, value)
 
     def test_one_chain_per_stream(self, monkeypatch):
         calls = _count_chain_builds(monkeypatch)
@@ -340,8 +344,8 @@ class TestDifferenceChain:
                 return super().draw(n)
 
         monkeypatch.setattr(gc, "BaseSampler", CountingBase)
-        params = dataclasses.replace(self.params, t=t, n_per_stage=500)
-        gc._difference_chain(MixtureSampler(self.spec, seed=3), 2, params, seed=0)
+        monkeypatch.setattr(gc, "N_PER_STAGE", 500)
+        gc._difference_chain(MixtureSampler(self.spec, seed=3), 2, t, seed=0)
         # a stage at degree 2s draws 4s - 1 base rows per mixture row
         assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, t + 1))
 
@@ -350,7 +354,11 @@ class TestRecursiveDeterminism:
     # the hierarchical pair forces a refined checker, whose scopes share a
     # cached chain
     spec = build_spec(GenConfig(k=3, d=4, separation=10.0, profile="hierarchical", ratios=(10.0, 1000.0), seed=0))
-    params = dataclasses.replace(gc.desk_params(3, 1 / 3, sep_hint=10.0), n_per_stage=3_000)
+    params = gc.desk_params(3, 1 / 3, sep_hint=10.0)
+
+    @pytest.fixture(autouse=True)
+    def _small_chains(self, monkeypatch):
+        monkeypatch.setattr(gc, "N_PER_STAGE", 3_000)
 
     def _run(self, seed):
         stream = MixtureSampler(self.spec, seed=seed)
@@ -474,30 +482,24 @@ class TestDimensionReduction:
 
 
 class TestParams:
-    def test_defaults_derive_counts(self):
-        p = gc.ClusterParams()
-        assert p.probes is None and p.batch is None
-        assert p.t == 2 and p.vote_alpha == 0.1
-
     def test_desk_params_overrides(self):
         p = gc.desk_params(4, 0.25, sep_hint=10.0)
         assert p.sep_hint == 10.0
         assert p.pair_sep_floor == 10.0
+        assert p.vote_alpha == 5.0
         assert p.refine_delta == pytest.approx(max(0.04 * math.log(16.0) ** 4, 20.0))
-        assert p.margin_factor == 0.3
 
-    def test_desk_params_sets_every_field_but_t(self):
-        # a field both kinds of run leave at one value belongs in a constant
-        desk, theory = gc.desk_params(4, 0.25, sep_hint=10.0), gc.ClusterParams()
-        same = [
-            f.name for f in dataclasses.fields(gc.ClusterParams)
-            if getattr(desk, f.name) == getattr(theory, f.name)
-        ]
-        assert same == ["t"]
+    def test_fields_are_the_values_callers_vary(self):
+        # a value every caller leaves at one setting belongs in a module
+        # constant, and the derived values have no default to fall back on
+        names = [f.name for f in dataclasses.fields(gc.ClusterParams)]
+        assert names == ["t", "sep_hint", "vote_alpha", "pair_sep_floor", "refine_delta"]
+        with pytest.raises(TypeError):
+            gc.ClusterParams()
 
 
 class TestClusterWithMeans:
-    # the Gaussian learner's margin is 0.1*s
+    # a margin band of 0.1*s around two means s = 10 apart
     def test_margin_assignment(self):
         means = np.array([[0.0, 0.0], [10.0, 0.0]])
         idx, flags = assign_batch(np.array([[0.3, 0.0]]), means, 0.1 * 10.0)
@@ -511,8 +513,9 @@ class TestClusterWithMeans:
 
 class TestTypedFailures:
     @pytest.mark.parametrize("checker", [gc.trivial_checker(2), _checker_1d(2, 0, 0.0, 1.0)])
-    def test_separation_test_propagates_stream_errors(self, checker):
+    def test_separation_test_propagates_stream_errors(self, monkeypatch, checker):
         # only starvation and a missing signal count as "no split found"
-        params = dataclasses.replace(gc.desk_params(2, 0.5, sep_hint=4.0), gamma_count=1)
+        monkeypatch.setattr(gc, "GAMMA_COUNT", 1)
+        params = gc.desk_params(2, 0.5, sep_hint=4.0)
         with pytest.raises(RuntimeError, match="inner stream failed"):
             gc.test_max_separation(_BrokenSampler(), checker, 2, 0.5, 1.0, params=params)

@@ -117,3 +117,6 @@ class TestRank1Term:
         u, w = rng.standard_normal(2), rng.standard_normal(2)
         got = place_blocks(2, 2, [((0,), u), ((1,), w)])
         assert np.allclose(got, np.outer(u, w))
+        m = rng.standard_normal((2, 2))
+        got = place_blocks(3, 2, [((1,), u), ((2, 0), m)])
+        assert np.array_equal(got, np.einsum("j,ki->ijk", u, m))
