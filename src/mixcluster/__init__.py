@@ -1,10 +1,12 @@
 """Moment-based learning of translated mixtures via implicit tensor projections.
 
-The package splits into a moment/projection core (tensor_core,
-poly_estimators, nested_projection, moment_pipeline), the Far/Close pair
-test (sample_test), two learners (poincare_cluster for general 1-Poincare
-mixtures, gaussian_cluster for the recursive Gaussian variant), synthetic
-data generation (mixture_gen), and a CLI harness (cli).
+The package splits into a lazy moment/projection core (nested_projection,
+moment_pipeline), the Far/Close test of pairs and batches (sample_test),
+two learners (poincare_cluster for general 1-Poincare mixtures,
+gaussian_cluster for the recursive Gaussian variant), synthetic data
+generation (mixture_gen), and a CLI harness (cli).  The dense d^t
+references the tests and the CLI's validate suites check the lazy core
+against live in oracles, which no learner imports.
 """
 
 from .gaussian_cluster import ClusterParams, desk_params, recursive_cluster
@@ -12,7 +14,7 @@ from .mixture_gen import GenConfig, MixtureSampler, base_sampler, build_spec, sa
 from .moment_pipeline import MixtureSpec, ProjectionChain, iterative_projection
 from .nested_projection import NestedProjection
 from .poincare_cluster import LearnedMixture, learn_means
-from .sample_test import TestConfig, choose_threshold, pair_test, test_sample
+from .sample_test import TestConfig, choose_threshold, pair_test
 
 __all__ = [
     "ClusterParams",
@@ -32,7 +34,6 @@ __all__ = [
     "pair_test",
     "recursive_cluster",
     "sample_stream",
-    "test_sample",
 ]
 
 __version__ = "0.1.0"

@@ -24,17 +24,18 @@ from scipy.optimize import linear_sum_assignment
 from . import __version__
 from . import gaussian_cluster as gc
 from .mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
-from .moment_pipeline import MixtureSpec, exact_projection_chain
-from .nested_projection import dense_matrix
-from .poincare_cluster import LearnedMixture, default_band, learn_means, write_assignments_csv
-from .poly_estimators import (
+from .moment_pipeline import MixtureSpec
+from .oracles import (
     adjusted_poly_recursive,
     base_moments,
+    dense_matrix,
+    exact_projection_chain,
     hermite_tensor,
     hermite_univariate,
     r_poly_dense_oracle,
     r_poly_terms,
 )
+from .poincare_cluster import LearnedMixture, default_band, learn_means, write_assignments_csv
 
 OUT_ENV = "MIXCLUSTER_OUT"
 
@@ -122,6 +123,8 @@ def validate_config(cfg: dict, command: str) -> dict:
     for key in REQUIRED[command]:
         if key not in cfg:
             raise ConfigError(f"missing required config key {key!r}")
+    if cfg.get("eval_samples", 1) < 1:
+        raise ConfigError("eval_samples must be >= 1")
     return cfg
 
 
@@ -166,9 +169,10 @@ def _out_dir(args) -> str:
 
 
 def _write_report(path: str, report: dict) -> None:
+    # serialize first, so a report that cannot be written leaves no partial file
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _base_report(command: str, cfg: dict, seed: int) -> dict:

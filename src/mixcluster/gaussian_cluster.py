@@ -17,8 +17,8 @@ components of (mixture covariance - base covariance).
 The paper's constants (a 0.02 vote ball, 1e4 ln ln(k/w*) truncation radii
 per checker, 20k/w* probes) recover nothing at any size this package runs, so the counts
 and sample sizes are module constants sized for small ``k``, and
-:class:`ClusterParams` holds only the pair-test degree, the separation hint
-and the values :func:`desk_params` derives from ``(k, w_min, sep_hint)``.
+:class:`ClusterParams` holds only the separation hint and the values
+:func:`desk_params` derives from ``(k, w_min, sep_hint)``.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-10
 
+PAIR_DEGREE = 2  # pair-test degree t
 GRID_RATIO = 1.1  # separation-guess grid ratio
 SIGNAL_BATCH = 96  # batch size per anchor
 SIGNAL_SAMPLES = 1_500  # fresh samples for signal verification
@@ -357,10 +358,10 @@ def _difference_chain(mix_sampler, k: int, t: int, seed: int):
     return built[key]
 
 
-def _pair_config(sep: float, t: int, k: int) -> st.TestConfig:
-    tau = st.choose_threshold(sep, t)
-    void = not st.threshold_feasible(sep, t, k, st.DELTA, "gaussian")
-    return st.TestConfig(t, tau, guarantee_void=void)
+def _pair_config(sep: float, k: int) -> st.TestConfig:
+    tau = st.choose_threshold(sep, PAIR_DEGREE)
+    void = not st.threshold_feasible(sep, PAIR_DEGREE, k, st.DELTA, "gaussian")
+    return st.TestConfig(PAIR_DEGREE, tau, guarantee_void=void)
 
 
 def find_signal_direction(
@@ -387,13 +388,13 @@ def find_signal_direction(
     if delta_guess_grid is None:
         floor = max(0.04 * log_k**4, params.pair_sep_floor, 1e-6)
         delta_guess_grid = _default_grid(mix_sampler, floor, GRID_STEPS)
-    chain, base = _difference_chain(mix_sampler, k, params.t, seed)
+    chain, base = _difference_chain(mix_sampler, k, PAIR_DEGREE, seed)
     m = SIGNAL_BATCH
     n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / (check_p or 0.8 * w_star)))
     tried = []
     for delta in delta_guess_grid:
         sep = max(0.01 * delta, params.pair_sep_floor)
-        cfg = _pair_config(sep, params.t, k)
+        cfg = _pair_config(sep, k)
         p_lvl = check_p if check_p is not None else 0.8 * w_star
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
         for _ in range(SIGNAL_TRIALS):
@@ -431,16 +432,16 @@ def find_signal_direction(
 
 @dataclass(frozen=True, kw_only=True)
 class ClusterParams:
-    """The pair-test degree ``t``, the separation hint, and the values
-    :func:`desk_params` derives from the mixture's ``(k, w_min, sep_hint)``.
+    """The separation hint, and the values :func:`desk_params` derives from
+    the mixture's ``(k, w_min, sep_hint)``.
 
     The derived values have no default: build them with :func:`desk_params`
     from the spec's ``k``, and vary one with ``dataclasses.replace``.  The
-    pair test averages ``st.DEFAULT_REPS`` draws at failure probability
-    ``st.DELTA``; every count and sample size is a module constant.
+    pair test has degree ``PAIR_DEGREE`` and averages ``st.DEFAULT_REPS``
+    draws at failure probability ``st.DELTA``; every count and sample size
+    is a module constant.
     """
 
-    t: int = 2  # pair-test degree
     sep_hint: float | None  # known minimum separation, if any
     vote_alpha: float  # dedup radius; the vote ball is 0.2 * vote_alpha
     pair_sep_floor: float  # lower bound on the pair-test separation
@@ -501,8 +502,8 @@ def full_cluster_bounded(
     is polylog-bounded; returns r <= k means pairwise >= s/2 apart."""
     log_k = math.log(k / w_star)
     s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
-    chain, base = _difference_chain(mix_sampler, k, params.t, seed)
-    cfg = _pair_config(max(s, params.pair_sep_floor), params.t, k)
+    chain, base = _difference_chain(mix_sampler, k, PAIR_DEGREE, seed)
+    cfg = _pair_config(max(s, params.pair_sep_floor), k)
     means, support = probe_batch_vote(
         mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, SUPPORT_FACTOR * w_star * PROBES
     )

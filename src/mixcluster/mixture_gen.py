@@ -8,15 +8,27 @@ uniforms on [-pi/2, pi/2].  point_mass is the degenerate noise-free base.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rngmod
 from .moment_pipeline import MixtureSpec
-from .poly_estimators import BASE_TAGS, LAPLACE_SCALE, UNIFORM_HALF_WIDTH, UnsupportedDistributionError
+
+BASE_TAGS = ("gaussian", "laplace", "uniform_cube", "point_mass")
+
+# Coordinate scales making each product base 1-Poincare: a two-sided
+# exponential with scale b has Poincare constant 4b^2, a centered uniform of
+# width L has (L/pi)^2.
+LAPLACE_SCALE = 0.5
+UNIFORM_HALF_WIDTH = math.pi / 2.0
 
 _PLACEMENT_RETRIES = 20_000
+
+
+class UnsupportedDistributionError(ValueError):
+    pass
 
 
 class PlacementError(RuntimeError):

@@ -23,12 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nested_projection import (
-    NestedProjection,
-    apply_kron_block,
-    identity_projection,
-    word_images,
-)
+from .nested_projection import NestedProjection, identity_projection, word_images
 
 
 class EmptySampleError(ValueError):
@@ -202,17 +197,6 @@ def estimate_moment_matrix(
     return MomentMatrixEstimate(acc / n, samples_used=n, degree=2 * s)
 
 
-def exact_moment_matrix(spec: MixtureSpec, np_prev: NestedProjection) -> np.ndarray:
-    """A_{2s} = sum_i w_i v_i v_i^T with v_i = (I kron Gamma) flat(mu_i^{x s})."""
-    s = np_prev.stage_count + 1
-    out_dim = spec.d * np_prev.out_dim
-    acc = np.zeros((out_dim, out_dim))
-    for w, mu in zip(spec.weights, spec.means):
-        v = apply_kron_block(np_prev, mu, (mu,) * (s - 1))
-        acc += w * np.outer(v, v)
-    return acc
-
-
 def top_k_subspace(m: np.ndarray, k: int, rank_tol: float = 1e-12) -> np.ndarray:
     """Row-orthonormal basis of the top-k eigenspace of a symmetric matrix.
 
@@ -275,6 +259,17 @@ def _stage_diagnostics(s: int, matrix: np.ndarray, kept: int, samples: int) -> d
     }
 
 
+def next_stage(chain: NestedProjection, s: int, matrix: np.ndarray, k: int, samples: int):
+    """Appends Pi_s, the top-k eigenspace of the degree-2s moment matrix, to
+    chain (a fixed unit row when the matrix is numerically zero).  Returns
+    the longer chain and the stage's diagnostics; ``samples`` is the number
+    of mixture samples the matrix was estimated from."""
+    pi = top_k_subspace(matrix, k)
+    if pi.shape[0] == 0:
+        pi = _fallback_stage(matrix.shape[0])
+    return NestedProjection(chain.stages + (pi,), chain.d), _stage_diagnostics(s, matrix, pi.shape[0], samples)
+
+
 def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage: int = 100_000) -> ProjectionChain:
     """Builds Pi_1 = I_d, then Pi_s from the estimated A_{2s} for s = 2..t.
 
@@ -283,28 +278,10 @@ def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage:
     """
     if t < 1:
         raise ValueError("degree t must be >= 1")
-    d = mix_sampler.d
-    chain = identity_projection(d)
+    chain = identity_projection(mix_sampler.d)
     diags = []
     for s in range(2, t + 1):
         est = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, n_per_stage)
-        pi = top_k_subspace(est.matrix, k)
-        if pi.shape[0] == 0:
-            pi = _fallback_stage(est.matrix.shape[0])
-        diags.append(_stage_diagnostics(s, est.matrix, pi.shape[0], est.samples_used))
-        chain = NestedProjection(chain.stages + (pi,), d)
+        chain, diag = next_stage(chain, s, est.matrix, k, est.samples_used)
+        diags.append(diag)
     return ProjectionChain(chain, tuple(diags), {"mode": "sampled", "t": t, "k": k, "n_per_stage": n_per_stage})
-
-
-def exact_projection_chain(spec: MixtureSpec, t: int, k: int) -> ProjectionChain:
-    """Oracle chain built from exact A_{2s} matrices (testing path)."""
-    chain = identity_projection(spec.d)
-    diags = []
-    for s in range(2, t + 1):
-        a = exact_moment_matrix(spec, chain)
-        pi = top_k_subspace(a, k)
-        if pi.shape[0] == 0:
-            pi = _fallback_stage(a.shape[0])
-        diags.append(_stage_diagnostics(s, a, pi.shape[0], 0))
-        chain = NestedProjection(chain.stages + (pi,), spec.d)
-    return ProjectionChain(chain, tuple(diags), {"mode": "exact", "t": t, "k": k})

@@ -1,9 +1,9 @@
 """Lazily applied nested projections Gamma = Pi_s (I_d kron (Pi_{s-1} (...))).
 
-Ordering convention (fixed globally, observable through the dense oracle):
-the innermost stage Pi_1 consumes the LAST tensor factor, so stage j consumes
-factor s-j+1.  With row-major flattening this makes dense_matrix() times
-flatten(v_1 x ... x v_s) equal to apply_rank1 on (v_1, ..., v_s).
+Ordering convention (fixed globally): the innermost stage Pi_1 consumes the
+LAST tensor factor, so stage j consumes factor s-j+1.  With row-major
+flattening this makes oracles.dense_matrix times flatten(v_1 x ... x v_s)
+equal to apply_rank1_batch on (v_1, ..., v_s).
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import SizeLimitError
-
 _REORTH_DRIFT = 1e-8
-_DENSE_GUARD = 10_000
 
 
 def _orthonormalize_rows(stage: np.ndarray) -> np.ndarray:
@@ -62,32 +59,15 @@ class NestedProjection:
     def out_dim(self) -> int:
         return self.stages[-1].shape[0] if self.stages else 1
 
-    def prefix(self, n_stages: int) -> "NestedProjection":
-        """The chain of the first n_stages stages.  No production code calls it:
-        it is the oracle C6 (and the estimator's unit tests) need to read a
-        chain's lower-degree stages."""
-        return NestedProjection(self.stages[:n_stages], self.d)
-
 
 def identity_projection(d: int) -> NestedProjection:
     """The single-stage chain Pi_1 = I_d."""
     return NestedProjection((np.eye(d),), d)
 
 
-def apply_rank1(np_: NestedProjection, factors) -> np.ndarray:
-    """Gamma applied to flatten(factors[0] x ... x factors[s-1])."""
-    s = np_.stage_count
-    if len(factors) != s:
-        raise ValueError(f"expected {s} factors, got {len(factors)}")
-    w = np_.stages[0] @ np.asarray(factors[-1], dtype=float)
-    for i in range(1, s):
-        u = np.asarray(factors[s - 1 - i], dtype=float)
-        w = np_.stages[i] @ np.kron(u, w)
-    return w
-
-
 def apply_rank1_batch(np_: NestedProjection, factors: np.ndarray) -> np.ndarray:
-    """Vectorized apply_rank1: factors has shape (n, s, d) -> (n, c_s)."""
+    """Gamma applied to flatten(factors[i, 0] x ... x factors[i, s-1]) for
+    every row i: factors has shape (n, s, d) -> (n, c_s)."""
     n, s, d = factors.shape
     if s != np_.stage_count or d != np_.d:
         raise ValueError("factor block shape does not match the chain")
@@ -97,16 +77,6 @@ def apply_rank1_batch(np_: NestedProjection, factors: np.ndarray) -> np.ndarray:
         x = (u[:, :, None] * w[:, None, :]).reshape(n, -1)
         w = x @ np_.stages[i].T
     return w
-
-
-def apply_kron_block(np_: NestedProjection, left_factor, tail) -> np.ndarray:
-    """(I_d kron Gamma) applied to flatten(left_factor x tail product)."""
-    left_factor = np.asarray(left_factor, dtype=float)
-    if np_.stage_count == 0 or len(tail) == 0:
-        if len(tail) != np_.stage_count:
-            raise ValueError("tail length must equal the chain's stage count")
-        return left_factor.copy()
-    return np.kron(left_factor, apply_rank1(np_, tail))
 
 
 def word_images(np_: NestedProjection, blocks: np.ndarray) -> np.ndarray:
@@ -139,16 +109,3 @@ def word_images(np_: NestedProjection, blocks: np.ndarray) -> np.ndarray:
         z = (w.reshape(-1, c_prev) @ p).reshape(n, -1, d)
         w = np.matmul(blocks, z.transpose(0, 2, 1)).reshape(n, -1, c_next)
     return w
-
-
-def dense_matrix(np_: NestedProjection) -> np.ndarray:
-    """Materialized c_s x d^s matrix; oracle for the lazy appliers."""
-    s = np_.stage_count
-    if np_.d**s > _DENSE_GUARD:
-        raise SizeLimitError(f"dense projection guard: d^s <= {_DENSE_GUARD}")
-    g = np_.stages[0]
-    eye = np.eye(np_.d)
-    for i in range(1, s):
-        g = np_.stages[i] @ np.kron(eye, g)
-    return g
-

@@ -1,8 +1,32 @@
-"""Adjusted polynomials, Hermite tensors, and the rank-1 moment estimator.
+"""Dense references for the lazy moment path.
 
-The dense evaluators here are oracles: they materialize d^t tensors and are
-guarded accordingly.  The production path only ever touches the rank-1
-expansion (r_expansion_arrays / r_poly_terms), whose term count is 2*t^t.
+The learners never write down a d^t tensor.  Every function here does, or
+enumerates the partitions such a tensor sums over, so each is guarded, and
+no learner imports this module.  Each is kept because a release criterion
+or a ``validate`` suite checks the lazy path against it:
+
+- ``Rank1Term``, ``labeled_partitions``, ``count_nonempty``,
+  ``sym_interleavings``, ``place_blocks`` and ``outer_power``: the dense
+  tensor algebra the references below are built from; C3 checks the mean
+  of R_t against ``outer_power``.
+- ``univariate_moment``, ``BaseMoments`` and ``base_moments``: the exact
+  base moment tensors D_1..D_t (C1, C2, ``validate rank1-identity`` and
+  ``hermite``).
+- ``adjusted_poly_recursive``, ``hermite_tensor`` and
+  ``hermite_univariate``: the adjusted polynomial P_t by its defining
+  recursion, and the Hermite tensor and polynomial it equals for a
+  Gaussian base (C2, ``validate hermite``).
+- ``Rank1Expansion``, ``r_poly_terms`` and ``r_poly_dense_oracle``: the
+  rank-1 expansion of R_t summed densely, and R_t from its Q_t definition
+  (C1, ``validate rank1-identity``).
+- ``prefix``, ``apply_rank1``, ``apply_kron_block`` and ``dense_matrix``: a
+  chain's first stages, the chain applied to one rank-1 tensor, and the
+  chain materialized (C5, C6).
+- ``exact_moment_matrix`` and ``exact_projection_chain``: the chain of a
+  known spec, from its exact moment matrices (C6, C7,
+  ``validate projection``).
+
+Flattening is row-major: the first tensor axis is most significant.
 """
 
 from __future__ import annotations
@@ -15,31 +39,128 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor_core import (
-    DENSE_GUARD_T,
-    Rank1Term,
-    SizeLimitError,
-    labeled_partitions,
-    count_nonempty,
-    outer_power,
-    place_blocks,
-    sym_interleavings,
-)
+from .mixture_gen import BASE_TAGS, LAPLACE_SCALE, UNIFORM_HALF_WIDTH, UnsupportedDistributionError
+from .moment_pipeline import MixtureSpec, ProjectionChain, next_stage
+from .nested_projection import NestedProjection, identity_projection
+from .sample_test import SizeLimitError, r_expansion_arrays
 
-BASE_TAGS = ("gaussian", "laplace", "uniform_cube", "point_mass")
-
-# Coordinate scales making each product base 1-Poincare: a two-sided
-# exponential with scale b has Poincare constant 4b^2, a centered uniform of
-# width L has (L/pi)^2.
-LAPLACE_SCALE = 0.5
-UNIFORM_HALF_WIDTH = math.pi / 2.0
+# Dense paths materialize d^t arrays; partition enumerators walk up to t^t or
+# Bell-number many objects.  Fail loudly instead of exhausting memory.
+DENSE_GUARD_T = 8
+PARTITION_GUARD = 12
 
 _BASE_GUARD_T = 6
 _BASE_GUARD_D = 4
 
+_DENSE_GUARD = 10_000
 
-class UnsupportedDistributionError(ValueError):
-    pass
+
+@dataclass(frozen=True)
+class Rank1Term:
+    """A signed rank-1 tensor coeff * factors[0] x ... x factors[t-1]."""
+
+    coeff: float
+    factors: tuple
+
+    def __post_init__(self):
+        if len(self.factors) == 0:
+            raise ValueError("Rank1Term requires at least one factor")
+        d = len(self.factors[0])
+        if any(len(f) != d for f in self.factors):
+            raise ValueError("all factors must share one dimension")
+
+    def dense(self) -> np.ndarray:
+        out = np.array(self.coeff, dtype=float)
+        for f in self.factors:
+            out = np.multiply.outer(out, np.asarray(f, dtype=float))
+        return out
+
+
+def labeled_partitions(t: int):
+    """All assignments of {0..t-1} into t labeled (possibly empty) slots.
+
+    Yields tuples of t frozensets, lexicographic in the slot-assignment word;
+    exactly t^t partitions.
+    """
+    if t == 0:
+        return
+    for word in itertools.product(range(t), repeat=t):
+        parts = [[] for _ in range(t)]
+        for pos, slot in enumerate(word):
+            parts[slot].append(pos)
+        yield tuple(frozenset(p) for p in parts)
+
+
+def count_nonempty(parts) -> int:
+    return sum(1 for p in parts if len(p) > 0)
+
+
+def sym_interleavings(sizes):
+    """All ways to split positions {0..sum(sizes)-1} into ordered blocks.
+
+    Block i receives sizes[i] positions (yielded sorted); the number of
+    interleavings is the multinomial coefficient of `sizes`.
+    """
+    sizes = tuple(sizes)
+    total = sum(sizes)
+    if total > PARTITION_GUARD:
+        raise SizeLimitError(f"total order larger than {PARTITION_GUARD}")
+
+    def rec(remaining, left):
+        if not left:
+            yield ()
+            return
+        for block in itertools.combinations(remaining, left[0]):
+            taken = set(block)
+            rest = tuple(p for p in remaining if p not in taken)
+            for tail in rec(rest, left[1:]):
+                yield (block,) + tail
+
+    yield from rec(tuple(range(total)), sizes)
+
+
+def place_blocks(t: int, d: int, pieces) -> np.ndarray:
+    """Dense order-t tensor product of `pieces`, each (positions, tensor).
+
+    The tensors' axes land on the given positions; positions must cover
+    {0..t-1} exactly.  Scalar pieces carry empty position tuples.
+    """
+    if t > DENSE_GUARD_T:
+        raise SizeLimitError(f"dense order {t} exceeds guard {DENSE_GUARD_T}")
+    out = np.array(1.0)
+    axes = []
+    for positions, tensor in pieces:
+        tensor = np.asarray(tensor, dtype=float)
+        if tensor.ndim != len(positions):
+            raise ValueError("piece order does not match its position count")
+        out = np.multiply.outer(out, tensor)
+        axes.extend(positions)
+    order = _axis_order(t, tuple(axes))
+    if t == 0:
+        return out
+    return np.ascontiguousarray(out.transpose(order))
+
+
+@lru_cache(maxsize=None)
+def _axis_order(t: int, axes: tuple) -> tuple:
+    """The transpose moving stacked axis i to position ``axes[i]``."""
+    if sorted(axes) != list(range(t)):
+        raise ValueError("positions must cover 0..t-1 exactly")
+    order = [0] * t
+    for i, pos in enumerate(axes):
+        order[pos] = i
+    return tuple(order)
+
+
+def outer_power(x, t: int) -> np.ndarray:
+    """Dense x^{tensor t}; order-0 power is the scalar 1."""
+    if t > DENSE_GUARD_T:
+        raise SizeLimitError(f"dense order {t} exceeds guard {DENSE_GUARD_T}")
+    out = np.array(1.0)
+    x = np.asarray(x, dtype=float)
+    for _ in range(t):
+        out = np.multiply.outer(out, x)
+    return out
 
 
 def univariate_moment(dist_tag: str, j: int) -> float:
@@ -215,28 +336,6 @@ class Rank1Expansion:
         return out
 
 
-@lru_cache(maxsize=None)
-def r_expansion_arrays(t: int):
-    """Vectorized form of the R_t expansion over one Q-block.
-
-    Returns (words, coeffs): words is a (t^t, t) int array where row w gives,
-    for each tensor position, which of the block's t samples supplies the
-    factor; coeffs are the signed rational weights (+(-1)^(c-1)/binom(t-1,c-1))
-    of the first block.  The second block uses -coeffs on samples t..2t-1.
-    """
-    if t < 1:
-        raise ValueError("degree must be >= 1")
-    if t > 8:
-        raise SizeLimitError("rank-1 expansion guard: t <= 8")
-    words = np.array(list(itertools.product(range(t), repeat=t)), dtype=np.intp)
-    words = words.reshape(-1, t)
-    coeffs = np.empty(len(words))
-    for i, w in enumerate(words):
-        c = len(set(w.tolist()))
-        coeffs[i] = float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
-    return words, coeffs
-
-
 def r_poly_terms(samples, t: int) -> Rank1Expansion:
     """The 2*t^t-term rank-1 expansion of R_t over 2t fresh samples."""
     samples = [np.asarray(z, dtype=float) for z in samples]
@@ -289,3 +388,64 @@ def r_poly_dense_oracle(samples, t: int, bm: BaseMoments) -> np.ndarray:
     if len(samples) != 2 * t:
         raise ValueError(f"R_{t} needs exactly {2 * t} samples, got {len(samples)}")
     return -_q_poly_dense(samples[:t], t, bm) + _q_poly_dense(samples[t:], t, bm)
+
+
+def prefix(np_: NestedProjection, n_stages: int) -> NestedProjection:
+    """The chain of the first n_stages stages of np_."""
+    return NestedProjection(np_.stages[:n_stages], np_.d)
+
+
+def apply_rank1(np_: NestedProjection, factors) -> np.ndarray:
+    """Gamma applied to flatten(factors[0] x ... x factors[s-1])."""
+    s = np_.stage_count
+    if len(factors) != s:
+        raise ValueError(f"expected {s} factors, got {len(factors)}")
+    w = np_.stages[0] @ np.asarray(factors[-1], dtype=float)
+    for i in range(1, s):
+        u = np.asarray(factors[s - 1 - i], dtype=float)
+        w = np_.stages[i] @ np.kron(u, w)
+    return w
+
+
+def apply_kron_block(np_: NestedProjection, left_factor, tail) -> np.ndarray:
+    """(I_d kron Gamma) applied to flatten(left_factor x tail product)."""
+    left_factor = np.asarray(left_factor, dtype=float)
+    if np_.stage_count == 0 or len(tail) == 0:
+        if len(tail) != np_.stage_count:
+            raise ValueError("tail length must equal the chain's stage count")
+        return left_factor.copy()
+    return np.kron(left_factor, apply_rank1(np_, tail))
+
+
+def dense_matrix(np_: NestedProjection) -> np.ndarray:
+    """Materialized c_s x d^s matrix; with row-major flattening, it times
+    flatten(v_1 x ... x v_s) equals apply_rank1 on (v_1, ..., v_s)."""
+    s = np_.stage_count
+    if np_.d**s > _DENSE_GUARD:
+        raise SizeLimitError(f"dense projection guard: d^s <= {_DENSE_GUARD}")
+    g = np_.stages[0]
+    eye = np.eye(np_.d)
+    for i in range(1, s):
+        g = np_.stages[i] @ np.kron(eye, g)
+    return g
+
+
+def exact_moment_matrix(spec: MixtureSpec, np_prev: NestedProjection) -> np.ndarray:
+    """A_{2s} = sum_i w_i v_i v_i^T with v_i = (I kron Gamma) flat(mu_i^{x s})."""
+    s = np_prev.stage_count + 1
+    out_dim = spec.d * np_prev.out_dim
+    acc = np.zeros((out_dim, out_dim))
+    for w, mu in zip(spec.weights, spec.means):
+        v = apply_kron_block(np_prev, mu, (mu,) * (s - 1))
+        acc += w * np.outer(v, v)
+    return acc
+
+
+def exact_projection_chain(spec: MixtureSpec, t: int, k: int) -> ProjectionChain:
+    """The chain iterative_projection builds, from exact A_{2s} matrices."""
+    chain = identity_projection(spec.d)
+    diags = []
+    for s in range(2, t + 1):
+        chain, diag = next_stage(chain, s, exact_moment_matrix(spec, chain), k, 0)
+        diags.append(diag)
+    return ProjectionChain(chain, tuple(diags), {"mode": "exact", "t": t, "k": k})

@@ -22,27 +22,29 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import nested_projection
 from .moment_pipeline import ProjectionChain
-from .poly_estimators import r_expansion_arrays
 
 DEFAULT_REPS = 64
 DELTA = 0.05  # failure probability both learners size their tests for
 DEGREE_CAP = 8
 _WORKING_SET = 1 << 21  # floats per chunk of test points
 
-FAR = "Far"
-CLOSE = "Close"
 ACCEPT = "Accept"
 REJECT = "Reject"
 
 
 class SeparationTooSmallError(ValueError):
     pass
+
+
+class SizeLimitError(ValueError):
+    """A combinatorial or dense-tensor guard was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,6 @@ class TestConfig:
             raise ValueError("reps must be >= 1")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-
-
-@dataclass(frozen=True)
-class TestVerdict:
-    label: str
-    statistic: float
-    tau: float
-    t: int
-    reps: int
-    guarantee_void: bool = False
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,28 @@ def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = 
     if t > t_max:
         return DegreeChoice(t_max, True)
     return DegreeChoice(t, False)
+
+
+@lru_cache(maxsize=None)
+def r_expansion_arrays(t: int):
+    """Vectorized form of the R_t expansion over one Q-block.
+
+    Returns (words, coeffs): words is a (t^t, t) int array where row w gives,
+    for each tensor position, which of the block's t samples supplies the
+    factor; coeffs are the signed rational weights (+(-1)^(c-1)/binom(t-1,c-1))
+    of the first block.  The second block uses -coeffs on samples t..2t-1.
+    """
+    if t < 1:
+        raise ValueError("degree must be >= 1")
+    if t > 8:
+        raise SizeLimitError("rank-1 expansion guard: t <= 8")
+    words = np.array(list(itertools.product(range(t), repeat=t)), dtype=np.intp)
+    words = words.reshape(-1, t)
+    coeffs = np.empty(len(words))
+    for i, w in enumerate(words):
+        c = len(set(w.tolist()))
+        coeffs[i] = float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
+    return words, coeffs
 
 
 @lru_cache(maxsize=None)
@@ -195,18 +209,6 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
     return out
 
 
-def test_sample(z, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> TestVerdict:
-    """Algorithmic Far/Close verdict for one sample."""
-    z = np.asarray(z, dtype=float)
-    if chain.degree != cfg.t:
-        raise ValueError(f"chain degree {chain.degree} != configured t {cfg.t}")
-    if z.shape != (chain.projection.d,):
-        raise ValueError(f"sample has shape {z.shape}, expected ({chain.projection.d},)")
-    stat = float(_statistic_batch(z[None, :], chain, cfg, base_sampler)[0])
-    label = FAR if stat >= cfg.tau else CLOSE
-    return TestVerdict(label, stat, cfg.tau, cfg.t, cfg.reps, cfg.guarantee_void)
-
-
 def test_sample_batch(zs, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Vectorized Far/Close over rows of zs; returns a boolean Far mask.
 
@@ -215,15 +217,17 @@ def test_sample_batch(zs, chain: ProjectionChain, cfg: TestConfig, base_sampler)
     chain rows; per row, sum_{k<t} c_t d^k multiply-adds and one chain row
     (see _statistic_batch)."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    if chain.degree != cfg.t:
+        raise ValueError(f"chain degree {chain.degree} != configured t {cfg.t}")
+    if zs.ndim != 2 or zs.shape[1] != chain.projection.d:
+        raise ValueError(f"samples have shape {zs.shape}, expected (n, {chain.projection.d})")
     stats = _statistic_batch(zs, chain, cfg, base_sampler)
     return stats >= cfg.tau
 
 
 def pair_test(z, z_prime, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> str:
     """Accept iff the scaled difference tests Close under the difference chain."""
-    diff = (np.asarray(z, dtype=float) - np.asarray(z_prime, dtype=float)) / math.sqrt(2.0)
-    verdict = test_sample(diff, chain, cfg, base_sampler)
-    return ACCEPT if verdict.label == CLOSE else REJECT
+    return ACCEPT if pair_test_batch(z, z_prime, chain, cfg, base_sampler)[0] else REJECT
 
 
 def pair_test_batch(z, others, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:

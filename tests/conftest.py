@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixcluster.nested_projection import NestedProjection, apply_rank1_batch
-from mixcluster.tensor_core import PARTITION_GUARD, SizeLimitError
+from mixcluster.oracles import PARTITION_GUARD, SizeLimitError
 
 
 def random_nested_projection(d, widths, rng):

@@ -23,22 +23,25 @@ from mixcluster.gaussian_cluster import (
     reduce_bounded_means,
 )
 from mixcluster.mixture_gen import GenConfig, base_sampler, build_spec, sample_stream
-from mixcluster.moment_pipeline import MixtureSpec, exact_projection_chain
-from mixcluster.nested_projection import apply_kron_block, apply_rank1, dense_matrix
-from mixcluster.poincare_cluster import learn_means
-from mixcluster.poly_estimators import (
+from mixcluster.moment_pipeline import MixtureSpec
+from mixcluster.oracles import (
     adjusted_poly_recursive,
+    apply_kron_block,
+    apply_rank1,
     base_moments,
+    dense_matrix,
+    exact_projection_chain,
     hermite_tensor,
     hermite_univariate,
-    r_expansion_arrays,
+    outer_power,
+    prefix,
     r_poly_dense_oracle,
     r_poly_terms,
 )
+from mixcluster.poincare_cluster import learn_means
 from mixcluster.sample_test import TestConfig as RunConfig
-from mixcluster.sample_test import choose_threshold
+from mixcluster.sample_test import choose_threshold, r_expansion_arrays
 from mixcluster.sample_test import test_sample_batch as far_mask
-from mixcluster.tensor_core import outer_power
 
 from conftest import random_nested_projection
 
@@ -237,7 +240,7 @@ class TestCriterion6:
             spec = MixtureSpec(weights, means, "gaussian")
             chain = exact_projection_chain(spec, 4, 3)
             for s in range(1, 5):
-                proj = chain.projection.prefix(s)
+                proj = prefix(chain.projection, s)
                 for mu in spec.means:
                     captured = float(np.linalg.norm(apply_rank1(proj, (mu,) * s)))
                     ratio = captured / np.linalg.norm(mu) ** s

@@ -196,6 +196,26 @@ class TestCluster:
         assert "requires a gaussian base" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_eval_samples_exits_2(self, tmp_path, capsys, n):
+        doc = {
+            "mixture": {"k": 2, "d": 2, "separation": 12.0, "dist_tag": "point_mass", "seed": 1},
+            "variant": "poincare",
+            "eval_samples": n,
+        }
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "eval_samples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_unserializable_report_leaves_no_file(self, tmp_path):
+        import mixcluster.cli as cli
+
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            cli._write_report(str(path), {"metrics": {"accuracy": float("nan")}})
+        assert not path.exists()
+
     def test_report_embeds_config_and_seed(self, tmp_path):
         doc = {
             "mixture": {"k": 1, "d": 2, "dist_tag": "point_mass", "seed": 1},
@@ -321,6 +341,14 @@ class TestBench:
         assert len(report["cells"]) == 4
         for i in range(4):
             assert "learn_s" in report["timings"][f"cell_{i}"]
+
+    def test_nonpositive_eval_samples_exits_2(self, tmp_path, capsys):
+        doc = self._cfg()
+        doc["eval_samples"] = 0
+        cfg = _write(tmp_path / "b.json", doc)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "eval_samples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
 
     def test_baseline_accuracy_present(self, tmp_path):
         cfg = _write(tmp_path / "b.json", self._cfg())

@@ -493,7 +493,7 @@ class TestParams:
         # a value every caller leaves at one setting belongs in a module
         # constant, and the derived values have no default to fall back on
         names = [f.name for f in dataclasses.fields(gc.ClusterParams)]
-        assert names == ["t", "sep_hint", "vote_alpha", "pair_sep_floor", "refine_delta"]
+        assert names == ["sep_hint", "vote_alpha", "pair_sep_floor", "refine_delta"]
         with pytest.raises(TypeError):
             gc.ClusterParams()
 

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from mixcluster.mixture_gen import (
+    LAPLACE_SCALE,
     BaseSampler,
     GenConfig,
     MixtureSampler,
     PlacementError,
+    UnsupportedDistributionError,
     base_sampler,
     build_spec,
     sample_stream,
 )
-from mixcluster.poly_estimators import LAPLACE_SCALE, UnsupportedDistributionError
 
 
 class TestGenConfig:

@@ -8,21 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import random_nested_projection
-from mixcluster.mixture_gen import BaseSampler, MixtureSampler
+from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import (
     EmptySampleError,
     _half_word_tables,
     MixtureSpec,
     MomentMatrixEstimate,
     estimate_moment_matrix,
-    exact_moment_matrix,
-    exact_projection_chain,
     identity_projection,
     iterative_projection,
     top_k_subspace,
 )
-from mixcluster.nested_projection import NestedProjection, apply_rank1, apply_rank1_batch
-from mixcluster.poly_estimators import BASE_TAGS
+from mixcluster.nested_projection import NestedProjection, apply_rank1_batch
+from mixcluster.oracles import apply_rank1, exact_moment_matrix, exact_projection_chain, prefix
 
 
 # Reference for estimate_moment_matrix in its direct word-gather form: every
@@ -277,7 +275,7 @@ class TestIterativeProjection:
         base = BaseSampler("point_mass", 3, 1, 5)
         chain = iterative_projection(mix, base, 3, 1, n_per_stage=40)
         for s in range(1, 4):
-            np_s = chain.projection.prefix(s)
+            np_s = prefix(chain.projection, s)
             captured = np.linalg.norm(apply_rank1(np_s, [mu] * s))
             assert abs(captured - np.linalg.norm(mu) ** s) < 1e-6 * np.linalg.norm(mu) ** s
 
@@ -290,7 +288,7 @@ class TestIterativeProjection:
             for mu in means:
                 prev = np.linalg.norm(mu)
                 for s in range(1, 4):
-                    np_s = chain.projection.prefix(s)
+                    np_s = prefix(chain.projection, s)
                     cur = np.linalg.norm(apply_rank1(np_s, [mu] * s))
                     if s > 1:
                         assert cur >= (1 - s * eps) * np.linalg.norm(mu) * prev

@@ -6,16 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import grouped_tail_images, random_nested_projection
-from mixcluster.nested_projection import (
-    NestedProjection,
-    apply_kron_block,
-    apply_rank1,
-    apply_rank1_batch,
-    dense_matrix,
-    identity_projection,
-    word_images,
-)
-from mixcluster.tensor_core import Rank1Term
+from mixcluster.nested_projection import NestedProjection, apply_rank1_batch, identity_projection, word_images
+from mixcluster.oracles import Rank1Term, apply_kron_block, apply_rank1, dense_matrix, prefix
 
 
 def _flatten_rank1(factors):
@@ -44,7 +36,7 @@ class TestConstruction:
     def test_prefix_and_widths(self, rng):
         np_ = random_nested_projection(3, (2, 2, 2), rng)
         assert np_.widths == (1, 2, 2, 2)
-        assert np_.prefix(2).stage_count == 2
+        assert prefix(np_, 2).stage_count == 2
 
 
 class TestDenseOracle:

@@ -8,16 +8,18 @@ from hypothesis import strategies as hst
 from numpy.polynomial import hermite_e
 
 from conftest import unordered_partitions
-from mixcluster.tensor_core import outer_power, place_blocks, sym_interleavings
-from mixcluster.poly_estimators import (
+from mixcluster.mixture_gen import UnsupportedDistributionError
+from mixcluster.oracles import (
     BaseMoments,
-    UnsupportedDistributionError,
     adjusted_poly_recursive,
     base_moments,
     hermite_tensor,
     hermite_univariate,
+    outer_power,
+    place_blocks,
     r_poly_dense_oracle,
     r_poly_terms,
+    sym_interleavings,
 )
 
 

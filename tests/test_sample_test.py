@@ -8,10 +8,11 @@ from hypothesis import strategies as hst
 import mixcluster.nested_projection as npj
 import mixcluster.sample_test as st
 from conftest import grouped_tail_images, random_nested_projection
-from mixcluster.mixture_gen import BaseSampler, MixtureSampler
-from mixcluster.moment_pipeline import MixtureSpec, ProjectionChain, exact_projection_chain
-from mixcluster.nested_projection import apply_rank1_batch, dense_matrix
-from mixcluster.poly_estimators import BASE_TAGS, r_expansion_arrays, r_poly_terms
+from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
+from mixcluster.moment_pipeline import MixtureSpec, ProjectionChain
+from mixcluster.nested_projection import apply_rank1_batch
+from mixcluster.oracles import dense_matrix, exact_projection_chain, prefix, r_poly_terms
+from mixcluster.sample_test import r_expansion_arrays
 
 
 # Reference for st._statistic_batch in its direct word-gather form: every one
@@ -91,7 +92,7 @@ def _reference_linearity_statistic_batch(zs: np.ndarray, chain: ProjectionChain,
     n_tails = t ** (t - 1)
     tails = words[:n_tails, 1:]  # product order: word j * n_tails + u has tail u
     weights = coeffs.reshape(t, 1, n_tails)
-    head = proj.prefix(t - 1)
+    head = prefix(proj, t - 1)
     width = head.out_dim
     # block 1 (y_{t-1}..y_{2t-2}) holds no z: one sum over the reps serves every point
     block1 = draws[:, t - 1 :, :]
@@ -176,32 +177,38 @@ class TestDegreeChoice:
             st.choose_degree(1.0, math.e**4, 1.0, 1.0)
 
 
+def _statistic(z, chain, cfg, base):
+    return float(st._statistic_batch(np.asarray(z, dtype=float)[None, :], chain, cfg, base)[0])
+
+
+def _is_far(z, chain, cfg, base):
+    return bool(st.test_sample_batch(z, chain, cfg, base)[0])
+
+
 class TestTestSample:
     def test_zero_sample_point_mass_is_close(self):
         mu = np.array([3.0, 0.0])
         spec, chain = _point_mass_chain(mu, 2)
         base = BaseSampler("point_mass", 2, 0, 1)
         cfg = st.TestConfig(2, tau=1.0, reps=4)
-        verdict = st.test_sample(np.zeros(2), chain, cfg, base)
-        assert verdict.label == st.CLOSE
-        assert verdict.statistic == pytest.approx(0.0, abs=1e-12)
+        assert not _is_far(np.zeros(2), chain, cfg, base)
+        assert _statistic(np.zeros(2), chain, cfg, base) == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_sample_point_mass_statistic_is_norm_power(self):
         mu = np.array([2.0, 1.0])
         spec, chain = _point_mass_chain(mu, 3)
         base = BaseSampler("point_mass", 2, 0, 1)
         cfg = st.TestConfig(3, tau=1.0, reps=2)
-        verdict = st.test_sample(mu, chain, cfg, base)
-        assert verdict.statistic == pytest.approx(np.linalg.norm(mu) ** 3, rel=1e-9)
-        assert verdict.label == st.FAR
+        assert _statistic(mu, chain, cfg, base) == pytest.approx(np.linalg.norm(mu) ** 3, rel=1e-9)
+        assert _is_far(mu, chain, cfg, base)
 
     def test_scale_coupling(self):
         mu = np.array([1.0, -2.0])
         spec, chain = _point_mass_chain(mu, 2)
         base = BaseSampler("point_mass", 2, 0, 1)
         cfg = st.TestConfig(2, tau=1.0, reps=2)
-        s1 = st.test_sample(mu, chain, cfg, base).statistic
-        s3 = st.test_sample(3.0 * mu, chain, cfg, base).statistic
+        s1 = _statistic(mu, chain, cfg, base)
+        s3 = _statistic(3.0 * mu, chain, cfg, base)
         assert s3 == pytest.approx(9.0 * s1, rel=1e-9)
 
     def test_monotone_in_tau(self):
@@ -210,21 +217,23 @@ class TestTestSample:
         base = BaseSampler("point_mass", 2, 0, 1)
         low = st.TestConfig(2, tau=1.0, reps=2)
         high = st.TestConfig(2, tau=1e6, reps=2)
-        assert st.test_sample(mu, chain, low, base).label == st.FAR
-        assert st.test_sample(mu, chain, high, base).label == st.CLOSE
+        assert _is_far(mu, chain, low, base)
+        assert not _is_far(mu, chain, high, base)
 
     def test_degree_mismatch_raises(self):
         spec, chain = _point_mass_chain(np.array([1.0, 0.0]), 2)
         base = BaseSampler("point_mass", 2, 0, 1)
         with pytest.raises(ValueError):
-            st.test_sample(np.zeros(2), chain, st.TestConfig(3, 1.0, reps=1), base)
+            st.test_sample_batch(np.zeros(2), chain, st.TestConfig(3, 1.0, reps=1), base)
+        with pytest.raises(ValueError):
+            st.test_sample_batch(np.zeros(3), chain, st.TestConfig(2, 1.0, reps=1), base)
 
     def test_deterministic_given_seed(self):
         spec = MixtureSpec(np.array([1.0]), np.array([[2.0, 0.0]]), "gaussian")
         chain = exact_projection_chain(spec, 2, 1)
         cfg = st.TestConfig(2, tau=1.0, reps=8)
         stats = [
-            st.test_sample(np.array([2.0, 0.0]), chain, cfg, BaseSampler("gaussian", 2, 9, 1)).statistic
+            _statistic(np.array([2.0, 0.0]), chain, cfg, BaseSampler("gaussian", 2, 9, 1))
             for _ in range(2)
         ]
         assert stats[0] == stats[1]
@@ -260,8 +269,8 @@ class TestPairTest:
         base = BaseSampler("point_mass", 2, 0, 1)
         cfg = st.TestConfig(3, tau=1.0, reps=2)
         z, zp = np.array([2.0, 1.0]), np.array([-1.0, 0.5])
-        a = st.test_sample((z - zp) / math.sqrt(2), chain, cfg, base).statistic
-        b = st.test_sample((zp - z) / math.sqrt(2), chain, cfg, base).statistic
+        a = _statistic((z - zp) / math.sqrt(2), chain, cfg, base)
+        b = _statistic((zp - z) / math.sqrt(2), chain, cfg, base)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_batch_matches_singletons(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import unordered_partitions
-from mixcluster.tensor_core import (
+from mixcluster.oracles import (
     Rank1Term,
     SizeLimitError,
     count_nonempty,
