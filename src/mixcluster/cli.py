@@ -54,9 +54,9 @@ MIXTURE_SCHEMA = {
     "d": int,
     "separation": float,
     "profile": str,
-    "ratios": list,
+    "ratios": [float],
     "weight_profile": str,
-    "weights": list,
+    "weights": [float],
     "dist_tag": str,
     "seed": int,
 }
@@ -82,8 +82,8 @@ SCHEMAS = {
     },
     "bench": {
         "mixture": MIXTURE_SCHEMA,
-        "separations": list,
-        "degrees": list,
+        "separations": [float],
+        "degrees": [int],
         "seeds_per_cell": int,
         "eval_samples": int,
         "reps": int,
@@ -100,24 +100,29 @@ REQUIRED = {
 
 
 def validate_config(cfg: dict, command: str) -> dict:
-    """Type-check against the command schema; unknown keys are errors."""
+    """Type-check against the command schema; unknown keys are errors.  A
+    schema entry ``[T]`` is a list whose every element is a ``T``."""
     schema = SCHEMAS[command]
 
-    def check(node, sub, path):
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path or 'config'} must be an object")
-        for key, value in node.items():
-            here = f"{path}.{key}" if path else key
-            if key not in sub:
-                raise ConfigError(f"unknown config key {here!r}")
-            expect = sub[key]
-            if isinstance(expect, dict):
-                check(value, expect, here)
-            elif expect is float:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ConfigError(f"{here} must be a number")
-            elif not isinstance(value, expect) or isinstance(value, bool) != (expect is bool):
-                raise ConfigError(f"{here} must be {expect.__name__}")
+    def check(value, expect, path):
+        if isinstance(expect, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path or 'config'} must be an object")
+            for key, item in value.items():
+                here = f"{path}.{key}" if path else key
+                if key not in expect:
+                    raise ConfigError(f"unknown config key {here!r}")
+                check(item, expect[key], here)
+        elif isinstance(expect, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{path} must be a list")
+            for i, item in enumerate(value):
+                check(item, expect[0], f"{path}[{i}]")
+        elif expect is float:
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{path} must be a number")
+        elif not isinstance(value, expect) or isinstance(value, bool) != (expect is bool):
+            raise ConfigError(f"{path} must be {expect.__name__}")
 
     check(cfg, schema, "")
     for key in REQUIRED[command]:
@@ -125,6 +130,8 @@ def validate_config(cfg: dict, command: str) -> dict:
             raise ConfigError(f"missing required config key {key!r}")
     if cfg.get("eval_samples", 1) < 1:
         raise ConfigError("eval_samples must be >= 1")
+    if cfg.get("n", 0) < 0:
+        raise ConfigError("n must be >= 0")
     return cfg
 
 
@@ -476,23 +483,30 @@ def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict
     spec = build_spec(gen)
     mix = MixtureSampler(spec, seed=seed)
     base = BaseSampler(spec.dist_tag, spec.d, seed, 7)
+    cell = {"separation": float(sep), "t": int(t), "seed": int(seed)}
 
     t0 = time.perf_counter()
-    # A deliberately loose weight floor: bench cells run with small probe
-    # counts, where the nominal support threshold rejects true components.
-    learned = learn_means(
-        mix,
-        base,
-        spec.k,
-        0.6 * spec.w_min,
-        sep,
-        alpha=max(2.0, 0.2 * sep),
-        t=t,
-        reps=int(cfg.get("reps", 16)),
-        n_per_stage=int(cfg.get("n_per_stage", 8_000)),
-        probes=40,
-        batch=120,
-    )
+    try:
+        # A deliberately loose weight floor: bench cells run with small probe
+        # counts, where the nominal support threshold rejects true components.
+        learned = learn_means(
+            mix,
+            base,
+            spec.k,
+            0.6 * spec.w_min,
+            sep,
+            alpha=max(2.0, 0.2 * sep),
+            t=t,
+            reps=int(cfg.get("reps", 16)),
+            n_per_stage=int(cfg.get("n_per_stage", 8_000)),
+            probes=40,
+            batch=120,
+        )
+    except Exception as err:  # learner failure: the cell reports it, the run exits 1
+        metrics = ("accuracy", "max_mean_error", "recovered_components", "baseline_accuracy")
+        cell.update(dict.fromkeys(metrics), error=f"{type(err).__name__}: {err}")
+        cell["timings"] = {"learn_s": time.perf_counter() - t0}
+        return cell
     learn_s = time.perf_counter() - t0
     xs, labels, _, errors, accuracy = evaluate(spec, learned, seed, int(cfg.get("eval_samples", 1_000)))
 
@@ -505,16 +519,14 @@ def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict
     baseline_s = time.perf_counter() - tb
     base_acc = _best_label_accuracy(kmlabels, labels, spec.k)
 
-    return {
-        "separation": float(sep),
-        "t": int(t),
-        "seed": int(seed),
-        "accuracy": accuracy,
-        "max_mean_error": _error_or_null(np.max(errors)),
-        "recovered_components": len(learned.means),
-        "baseline_accuracy": base_acc,
-        "timings": {"learn_s": learn_s, "baseline_s": baseline_s},
-    }
+    cell.update(
+        accuracy=accuracy,
+        max_mean_error=_error_or_null(np.max(errors)),
+        recovered_components=len(learned.means),
+        baseline_accuracy=base_acc,
+        timings={"learn_s": learn_s, "baseline_s": baseline_s},
+    )
+    return cell
 
 
 def _best_label_accuracy(pred: np.ndarray, truth: np.ndarray, k: int) -> float:
@@ -562,8 +574,11 @@ def cmd_bench(cfg: dict, args) -> int:
     report["timings"] = timings
     path = os.path.join(out, "bench.json")
     _write_report(path, report)
-    print(f"ran {len(cells)} cells; wrote {path}")
-    return 0
+    failed = [r for r in results if "error" in r]
+    for r in failed:
+        print(f"cell separation={r['separation']} t={r['t']} seed={r['seed']} failed: {r['error']}", file=sys.stderr)
+    print(f"ran {len(cells)} cells, {len(failed)} failed; wrote {path}")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

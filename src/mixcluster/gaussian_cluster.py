@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,22 +193,21 @@ class ReducedSampler:
     the request sizes (when the inner stream's rows do not depend on its own
     request sizes).  The rows stay i.i.d. from the scoped distribution: only
     ``keep`` has looked at them.  The budget applies per request: one
-    request may draw at most ``max_draw_factor * max(n, 64)`` inner rows;
+    request may draw at most ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows;
     past that it starves, and the rows it kept are held for the next."""
 
-    def __init__(self, inner, keep, basis=None, max_draw_factor: int = MAX_DRAW_FACTOR):
+    def __init__(self, inner, keep, basis=None):
         self.inner = inner
         self.keep = keep
         self.basis = basis
         self.d = inner.d if basis is None else basis.shape[1]
-        self.max_draw_factor = max_draw_factor
         self._surplus = np.zeros((0, self.d))
 
     def draw(self, n: int) -> np.ndarray:
         out = [self._surplus]
         got = len(self._surplus)
         drawn = 0
-        budget = self.max_draw_factor * max(n, 64)
+        budget = MAX_DRAW_FACTOR * max(n, 64)
         while got < n:
             want = max(n - got, 256)
             x = np.asarray(self.inner.draw(want), dtype=float)
@@ -221,7 +219,7 @@ class ReducedSampler:
                 self._surplus = np.concatenate(out)
                 raise StarvationError(
                     f"kept {got} of {drawn} drawn rows, wanted {n}: acceptance "
-                    f"below 1/{self.max_draw_factor}"
+                    f"below 1/{MAX_DRAW_FACTOR}"
                 )
         rows = np.concatenate(out)
         # a copy: a view would keep the whole request's block alive
@@ -229,7 +227,7 @@ class ReducedSampler:
         return rows[:n]
 
 
-def reduce_by_checker(sampler, ch: Checker, max_draw_factor: int = MAX_DRAW_FACTOR):
+def reduce_by_checker(sampler, ch: Checker):
     """The stream restricted to the samples inside the checker, emitted in
     coordinates of the checker subspace's complement; the trivial checker
     leaves the stream as it is."""
@@ -237,9 +235,7 @@ def reduce_by_checker(sampler, ch: Checker, max_draw_factor: int = MAX_DRAW_FACT
         raise ValueError("checker dimension does not match the sampler")
     if ch.a == 0:
         return sampler
-    return ReducedSampler(
-        sampler, functools.partial(checker_contains_batch, ch), complement_basis(ch), max_draw_factor
-    )
+    return ReducedSampler(sampler, functools.partial(checker_contains_batch, ch), complement_basis(ch))
 
 
 # ---------------------------------------------------------------------------
@@ -306,56 +302,15 @@ def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
     return grid
 
 
-# One (chain, base) per owner stream and key; an entry goes when its owner
-# does.  See _difference_chain for the owner and the key.
-_chains: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _difference_chain(mix_sampler, k: int, t: int, seed: int):
+def _difference_chain(rows, k: int, t: int, seed: int):
     """Projection chain and Gaussian base stream for a Gaussian mixture
     stream; the chain is built on pairwise differences so it is mean-free.
-
-    A stream that :func:`_checker_scope` made at a refined checker shares one
-    chain with every other scope of that checker.  The chain is built once,
-    with the first call's ``seed``, on the level stream restricted to the
-    checker's source scope, the widest radius any caller uses there
-    (:func:`_source_radius`); it is keyed by the level stream and the
-    checker's subspace and center.  Any other stream is its own owner and
-    gets one chain built on its own rows.  At the trivial checker that is
-    the level stream itself, which the separation test, the refinement
-    search and isolation all search, because the trivial checker leaves it
-    as it is.  Every search still draws its rows from its own scoped stream;
-    only the chain is shared.
-
-    The shared chain keeps the paper's per-scope guarantee at every scope:
-
-    - every scope used at a checker is a ball around the checker's center
-      in its subspace, of radius at most the source's, so it is a sub-ball
-      of the source scope, and its components are a subset of the source's;
-    - restricting the source to the scope only discards mass, so a
-      component's weight in the source is at least its scoped weight times
-      P(scope)/P(source): a component the chain must capture for the scope
-      is heavy in the source too;
-    - the chain's rows are the source stream's own draws, made before and
-      apart from every row a scoped search draws, so the chain is
-      independent of the rows each search tests, which is all the
-      per-scope construction needs.  The chain on the trivial checker's
-      stream rests on the same independence.
 
     The base difference (g - g')/sqrt(2) of two standard normals is again a
     standard normal, so the chain draws its base rows directly.
     """
-    owner, source = getattr(mix_sampler, "chain_source", (mix_sampler, None))
-    key = (k, t)
-    if source is not None:
-        key += (source.basis.tobytes(), source.p.tobytes(), source.r)
-    built = _chains.setdefault(owner, {})
-    if key not in built:
-        rows = mix_sampler if source is None else reduce_by_checker(owner, source)
-        base = BaseSampler("gaussian", rows.d, seed, 3)
-        chain = iterative_projection(difference_sampler(rows), base, t, k, N_PER_STAGE)
-        built[key] = (chain, base)
-    return built[key]
+    base = BaseSampler("gaussian", rows.d, seed, 3)
+    return iterative_projection(difference_sampler(rows), base, t, k, N_PER_STAGE), base
 
 
 def _pair_config(sep: float, k: int) -> st.TestConfig:
@@ -371,7 +326,7 @@ def find_signal_direction(
     delta_guess_grid=None,
     *,
     params: ClusterParams,
-    seed: int = 0,
+    chain: tuple,
     check_p: float | None = None,
     check_delta: float | None = None,
 ) -> SignalDirection:
@@ -382,13 +337,14 @@ def find_signal_direction(
     pair-test each against a fresh batch, average the accepted batches into
     two candidate means, and verify the normalized difference as a signal
     direction — by default at (0.8*w_star, 0.8*guess), or at a caller-fixed
-    level when ``check_p``/``check_delta`` are given.
+    level when ``check_p``/``check_delta`` are given.  ``chain`` is the
+    checker's ``(chain, base)`` pair (:func:`_checker_chain`).
     """
     log_k = math.log(k / w_star)
     if delta_guess_grid is None:
         floor = max(0.04 * log_k**4, params.pair_sep_floor, 1e-6)
         delta_guess_grid = _default_grid(mix_sampler, floor, GRID_STEPS)
-    chain, base = _difference_chain(mix_sampler, k, PAIR_DEGREE, seed)
+    chain, base = chain
     m = SIGNAL_BATCH
     n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / (check_p or 0.8 * w_star)))
     tried = []
@@ -479,14 +435,31 @@ def _source_radius(k: int, w_star: float, c: float) -> float:
     return max(30.0 * theta, _beta(k, w_star, c)) + GAMMA_COUNT * theta
 
 
-def _checker_scope(mix_sampler, ch: Checker, r: float, k: int, w_star: float, c: float):
-    """The stream restricted to ``ch`` at radius ``r``.  At a refined
-    checker the stream also names the checker's source scope, on which
-    :func:`_difference_chain` builds the one chain all its scopes share."""
-    reduced = reduce_by_checker(mix_sampler, ch.with_radius(r))
-    if ch.a > 0:
-        reduced.chain_source = (mix_sampler, ch.with_radius(_source_radius(k, w_star, c)))
-    return reduced
+def _checker_chain(mix_sampler, ch: Checker, k: int, w_star: float, c: float, seed: int):
+    """The ``(chain, base)`` pair every search at ``ch`` runs its pair tests
+    under, built once when the checker comes into being.  Its rows are the
+    level stream restricted to the checker's source scope, the widest radius
+    any caller uses there (:func:`_source_radius`); at the trivial checker
+    that is the level stream itself.  Every search still draws its rows from
+    its own scoped stream; only the chain is shared.
+
+    The shared chain keeps the paper's per-scope guarantee at every scope:
+
+    - every scope used at a checker is a ball around the checker's center
+      in its subspace, of radius at most the source's, so it is a sub-ball
+      of the source scope, and its components are a subset of the source's;
+    - restricting the source to the scope only discards mass, so a
+      component's weight in the source is at least its scoped weight times
+      P(scope)/P(source): a component the chain must capture for the scope
+      is heavy in the source too;
+    - the chain's rows are the source stream's own draws, made before and
+      apart from every row a scoped search draws, so the chain is
+      independent of the rows each search tests, which is all the
+      per-scope construction needs.  The chain on the trivial checker's
+      stream rests on the same independence.
+    """
+    source = reduce_by_checker(mix_sampler, ch.with_radius(_source_radius(k, w_star, c)))
+    return _difference_chain(source, k, PAIR_DEGREE, seed)
 
 
 def full_cluster_bounded(
@@ -496,13 +469,14 @@ def full_cluster_bounded(
     c: float,
     *,
     params: ClusterParams,
-    seed: int = 0,
+    chain: tuple,
 ) -> np.ndarray:
-    """Probe/batch/vote mean recovery for a mixture whose maximum separation
-    is polylog-bounded; returns r <= k means pairwise >= s/2 apart."""
+    """Probe/batch/vote mean recovery, under the checker's ``chain``, for a
+    mixture whose maximum separation is polylog-bounded; returns r <= k
+    means pairwise >= s/2 apart."""
     log_k = math.log(k / w_star)
     s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
-    chain, base = _difference_chain(mix_sampler, k, PAIR_DEGREE, seed)
+    chain, base = chain
     cfg = _pair_config(max(s, params.pair_sep_floor), k)
     means, support = probe_batch_vote(
         mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, SUPPORT_FACTOR * w_star * PROBES
@@ -530,11 +504,13 @@ def refine_checker(
     c: float,
     *,
     params: ClusterParams,
+    chain: tuple,
     seed: int = 0,
     trail: list | None = None,
 ) -> Checker:
     """Grow the checker subspace by one signal direction and recenter on a
-    well-supported sample from one side of the split."""
+    well-supported sample from one side of the split, searching under the
+    checker's ``chain``; ``seed`` orders the gammas and picks the center."""
     rng = stream(seed, 19)
     theta = _theta(k, w_star, c)
     beta = _beta(k, w_star, c)
@@ -543,12 +519,12 @@ def refine_checker(
     last_error: Exception | None = None
     for gamma in gammas:
         try:
-            reduced = _checker_scope(mix_sampler, ch, beta + float(gamma) * theta, k, w_star, c)
+            reduced = reduce_by_checker(mix_sampler, ch.with_radius(beta + float(gamma) * theta))
             # The grid search verifies at (0.8w*, 0.8*guess) with the largest
             # guess first, which forces alignment with the widest split; the
             # found direction must then also classify as a signal at the
             # refinement floor.
-            sig = find_signal_direction(reduced, k, w_star, params=params, seed=int(rng.integers(2**62)))
+            sig = find_signal_direction(reduced, k, w_star, params=params, chain=chain)
             n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / class_p))
             fresh_check = np.asarray(reduced.draw(n_check), dtype=float)
             if not is_signal_direction(fresh_check, sig.v, class_p, params.refine_delta):
@@ -608,26 +584,26 @@ def test_max_separation(
     c: float,
     *,
     params: ClusterParams,
-    seed: int = 0,
+    chain: tuple,
     trail: list | None = None,
 ) -> str:
-    """Reject iff a verified wide split survives in some truncated reduction
-    of the checker scope; Accept otherwise."""
-    rng = stream(seed, 23)
+    """Reject iff a verified wide split, searched under the checker's
+    ``chain``, survives in some truncated reduction of the checker scope;
+    Accept otherwise."""
     log_k = math.log(k / w_star)
     theta = _theta(k, w_star, c)
     delta = 0.4 * log_k**4
     verdict = st.ACCEPT
     for gamma in range(1, GAMMA_COUNT + 1):
         try:
-            reduced = _checker_scope(mix_sampler, ch, (30.0 + gamma) * theta, k, w_star, c)
+            reduced = reduce_by_checker(mix_sampler, ch.with_radius((30.0 + gamma) * theta))
             find_signal_direction(
                 reduced,
                 k,
                 w_star,
                 delta_guess_grid=[delta],
                 params=params,
-                seed=int(rng.integers(2**62)),
+                chain=chain,
                 check_p=0.4 * w_star,
                 check_delta=delta,
             )
@@ -693,15 +669,16 @@ def isolate_component(
     c: float,
     *,
     params: ClusterParams,
-    seed: int = 0,
+    chain: tuple,
     trail: list | None = None,
 ) -> ComponentTest:
-    """Fully cluster the checker scope and return the predicate for the
-    cluster that is heavy and concentrated near the checker center."""
+    """Fully cluster the checker scope under the checker's ``chain`` and
+    return the predicate for the cluster that is heavy and concentrated
+    near the checker center."""
     theta = _theta(k, w_star, c)
     log_k = math.log(k / w_star)
-    reduced = _checker_scope(mix_sampler, ch, 19.0 * theta, k, w_star, c)
-    means_r = full_cluster_bounded(reduced, k, w_star, c, params=params, seed=seed)
+    reduced = reduce_by_checker(mix_sampler, ch.with_radius(19.0 * theta))
+    means_r = full_cluster_bounded(reduced, k, w_star, c, params=params, chain=chain)
     if len(means_r) == 0:
         raise IsolateFailedError("full clustering of the checker scope found no means")
     s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
@@ -838,42 +815,44 @@ class _ProjectedSampler:
 def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParams, rng, trail, level_base: int):
     """Run the refine/test/isolate recursion on one bounded-spread group
     (already recentered and dimension-reduced); returns reduced-space means,
-    relative weights, and warnings."""
+    relative weights, and warnings.
+
+    Each checker gets its chain (:func:`_checker_chain`) once, when it comes
+    into being: the trivial checker at the start of a level, a refined one
+    after its refinement.  Every search at the checker runs under it."""
     tests = []
     warnings = []
     current = sampler
+    level_chain = None  # the trivial checker's chain on ``current``, once built
     rounds = max(1, math.ceil(math.log(k / w_min) ** (1.0 + 0.1 * c)))
     for comp_idx in range(k - 1):
         level = level_base + comp_idx
         ch = trivial_checker(current.d)
+        start = len(trail)
         try:
+            chain = level_chain = _checker_chain(current, ch, k, w_min, c, int(rng.integers(2**62)))
             for _ in range(rounds):
-                verdict = test_max_separation(
-                    current, ch, k, w_min, c, params=params, seed=int(rng.integers(2**62)), trail=trail
-                )
-                if trail:
-                    trail[-1]["level"] = level
+                verdict = test_max_separation(current, ch, k, w_min, c, params=params, chain=chain, trail=trail)
                 if verdict == st.ACCEPT:
                     break
                 try:
                     ch = refine_checker(
-                        current, ch, k, w_min, c, params=params, seed=int(rng.integers(2**62)), trail=trail
+                        current, ch, k, w_min, c, params=params, chain=chain, seed=int(rng.integers(2**62)), trail=trail
                     )
-                    if trail:
-                        trail[-1]["level"] = level
                 except RefineFailedError as err:
                     warnings.append(f"level {level}: {err}")
                     break
-            test = isolate_component(
-                current, ch, k, w_min, c, params=params, seed=int(rng.integers(2**62)), trail=trail
-            )
-            if trail:
-                trail[-1]["level"] = level
+                chain = _checker_chain(current, ch, k, w_min, c, int(rng.integers(2**62)))
+            test = isolate_component(current, ch, k, w_min, c, params=params, chain=chain, trail=trail)
         except (IsolateFailedError, StarvationError) as err:
             warnings.append(f"level {level}: {err}")
             break
+        finally:
+            for event in trail[start:]:
+                event["level"] = level
         tests.append(test)
         current = ReducedSampler(current, lambda x, test=test: ~test.accept_batch(x))
+        level_chain = None
 
     # Provisional means: one per isolated component from its own predicate,
     # plus the never-isolated remainder.  The remainder stream still carries
@@ -889,9 +868,10 @@ def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParam
             warnings.append(f"component {j}: predicate matched too few samples; using its candidate")
             provisional.append(test.approx_mean)
     try:
-        tail_means = full_cluster_bounded(
-            current, k, w_min, c, params=params, seed=int(rng.integers(2**62))
-        )
+        # a loop that stopped at a level left that level's chain on ``current``
+        if level_chain is None:
+            level_chain = _checker_chain(current, trivial_checker(current.d), k, w_min, c, int(rng.integers(2**62)))
+        tail_means = full_cluster_bounded(current, k, w_min, c, params=params, chain=level_chain)
     except StarvationError as err:
         tail_means = np.zeros((0, sampler.d))
         warnings.append(f"remainder clustering failed: {err}")

@@ -97,6 +97,12 @@ class TestGenerate:
             main(["generate", "--config", cfg, "--workers", "2", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_negative_n_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "c.json", _gen_cfg(n=-1))
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "n must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUT_ENV, str(tmp_path / "envout"))
         cfg = _write(tmp_path / "c.json", _gen_cfg(n=5))
@@ -185,6 +191,17 @@ class TestCluster:
         assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["error"].startswith("StarvationError: kept 3")
+
+    @pytest.mark.parametrize(
+        "mix, named",
+        [({"profile": "hierarchical", "ratios": ["a"]}, "ratios"), ({"weights": ["0.5", "0.5"]}, "weights")],
+    )
+    def test_non_number_list_element_exits_2(self, tmp_path, capsys, mix, named):
+        doc = {"mixture": _gen_cfg(**mix)["mixture"], "variant": "poincare"}
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"mixture.{named}[0] must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_recursive_variant_on_non_gaussian_base_exits_2(self, tmp_path, capsys):
         doc = {
@@ -349,6 +366,32 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "eval_samples must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "bench.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, want", [("separations", ["a"], "a number"), ("degrees", [2, "x"], "int"), ("degrees", [2.0], "int")]
+    )
+    def test_mistyped_list_element_exits_2(self, tmp_path, capsys, key, value, want):
+        doc = self._cfg()
+        doc[key] = value
+        cfg = _write(tmp_path / "b.json", doc)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"{key}[{len(value) - 1}] must be {want}" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_failing_cell_is_reported_with_exit_1(self, tmp_path, capsys):
+        doc = self._cfg()
+        doc["degrees"] = [0, 1]
+        cfg = _write(tmp_path / "b.json", doc)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "bench.json").read_text(), parse_constant=_reject_constant)
+        failed = [c for c in report["cells"] if c["t"] == 0]
+        assert len(failed) == 4 and len(report["cells"]) == 8
+        for cell in failed:
+            assert cell["error"] == "ValueError: degree t must be >= 1"
+            assert cell["accuracy"] is None and cell["max_mean_error"] is None
+        assert all("error" not in c and c["accuracy"] is not None for c in report["cells"] if c["t"] == 1)
+        out, err = capsys.readouterr()
+        assert "8 cells, 4 failed" in out and err.count("degree t must be >= 1") == 4
 
     def test_baseline_accuracy_present(self, tmp_path):
         cfg = _write(tmp_path / "b.json", self._cfg())

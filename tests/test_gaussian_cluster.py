@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,8 +185,8 @@ class TestReduction:
     def test_starvation_raises(self):
         xs = np.full((8, 2), 100.0)
         ch = _checker_1d(2, 0, 0.0, 1.0)
-        red = gc.reduce_by_checker(_ArraySampler(xs), ch, max_draw_factor=2)
-        with pytest.raises(gc.StarvationError):
+        red = gc.reduce_by_checker(_ArraySampler(xs), ch)
+        with mock.patch.object(gc, "MAX_DRAW_FACTOR", 2), pytest.raises(gc.StarvationError):
             red.draw(4)
 
     def test_trivial_checker_leaves_stream(self):
@@ -206,9 +207,10 @@ class TestReduction:
         def keep(x):
             return x[:, 0] <= cut
 
-        sampler = gc.ReducedSampler(inner, keep, max_draw_factor=factor)
+        sampler = gc.ReducedSampler(inner, keep)
         try:
-            out = sampler.draw(n)
+            with mock.patch.object(gc, "MAX_DRAW_FACTOR", factor):
+                out = sampler.draw(n)
         except gc.StarvationError:
             assert inner.rows <= factor * max(n, 64) + max(n, 256)
             return
@@ -299,40 +301,19 @@ class TestDifferenceChain:
         ]:
             monkeypatch.setattr(gc, name, value)
 
-    def test_one_chain_per_stream(self, monkeypatch):
-        calls = _count_chain_builds(monkeypatch)
-        stream = MixtureSampler(self.spec, seed=3)
-        ch = gc.trivial_checker(2)
-        assert gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1) == st.ACCEPT
-        with pytest.raises(gc.RefineFailedError):
-            gc.refine_checker(stream, ch, 2, 0.5, 1.0, params=self.params, seed=2)
-        assert len(calls) == 1
-
     def test_scopes_of_one_checker_share_one_chain(self, monkeypatch):
         calls = _count_chain_builds(monkeypatch)
         stream = MixtureSampler(self.spec, seed=3)
         ch = _checker_1d(2, 0, 0.0, 1.0)
+        chain = gc._checker_chain(stream, ch, 2, 0.5, 1.0, seed=0)
         # the separation test scopes to 31 and 32 theta, refinement to
         # beta + theta and isolation to 19 theta
-        assert gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1) == st.ACCEPT
+        assert gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, chain=chain) == st.ACCEPT
         with pytest.raises(gc.RefineFailedError):
-            gc.refine_checker(stream, ch, 2, 0.5, 1.0, params=self.params, seed=2)
-        test = gc.isolate_component(stream, ch, 2, 0.5, 1.0, params=self.params, seed=4)
+            gc.refine_checker(stream, ch, 2, 0.5, 1.0, params=self.params, chain=chain, seed=2)
+        test = gc.isolate_component(stream, ch, 2, 0.5, 1.0, params=self.params, chain=chain)
         assert np.linalg.norm(test.approx_mean) < 0.5
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("other", ["center", "stream"])
-    def test_distinct_checkers_build_their_own(self, monkeypatch, other):
-        calls = _count_chain_builds(monkeypatch)
-        stream = MixtureSampler(self.spec, seed=3)
-        ch = _checker_1d(2, 0, 0.0, 1.0)
-        gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1)
-        if other == "center":
-            ch = _checker_1d(2, 0, 0.5, 1.0)
-        else:
-            stream = MixtureSampler(self.spec, seed=5)
-        gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, seed=1)
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_chain_draws_its_gaussian_base_directly(self, monkeypatch, t):
@@ -351,8 +332,8 @@ class TestDifferenceChain:
 
 
 class TestRecursiveDeterminism:
-    # the hierarchical pair forces a refined checker, whose scopes share a
-    # cached chain
+    # the hierarchical pair forces a refined checker, whose scopes share one
+    # chain
     spec = build_spec(GenConfig(k=3, d=4, separation=10.0, profile="hierarchical", ratios=(10.0, 1000.0), seed=0))
     params = gc.desk_params(3, 1 / 3, sep_hint=10.0)
 
@@ -377,6 +358,18 @@ class TestRecursiveDeterminism:
             assert np.array_equal(run.means, first.means)
             assert np.array_equal(run.weights, first.weights)
             assert run.metadata["trail"] == first.metadata["trail"]
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_one_chain_build_per_checker(self, monkeypatch, seed):
+        calls = _count_chain_builds(monkeypatch)
+        learned = self._run(seed)
+        assert learned.metadata["warnings"] == []
+        trail = learned.metadata["trail"]
+        actions = [e["action"] for e in trail]
+        # each level's trivial checker, each refined checker, the remainder
+        assert len(calls) == actions.count("isolate") + actions.count("refine") + 1
+        levels = [e["level"] for e in trail if e["action"] not in ("split", "project")]
+        assert levels == sorted(levels) and levels[0] == 0
 
 
 class TestSignalDirection:
@@ -517,5 +510,6 @@ class TestTypedFailures:
         # only starvation and a missing signal count as "no split found"
         monkeypatch.setattr(gc, "GAMMA_COUNT", 1)
         params = gc.desk_params(2, 0.5, sep_hint=4.0)
+        chain = gc._checker_chain(_NormalSampler(2, 0), checker, 2, 0.5, 1.0, seed=0)
         with pytest.raises(RuntimeError, match="inner stream failed"):
-            gc.test_max_separation(_BrokenSampler(), checker, 2, 0.5, 1.0, params=params)
+            gc.test_max_separation(_BrokenSampler(), checker, 2, 0.5, 1.0, params=params, chain=chain)
