@@ -128,8 +128,14 @@ def validate_config(cfg: dict, command: str) -> dict:
     for key in REQUIRED[command]:
         if key not in cfg:
             raise ConfigError(f"missing required config key {key!r}")
-    if cfg.get("eval_samples", 1) < 1:
-        raise ConfigError("eval_samples must be >= 1")
+    for key in ("t", "reps", "n_per_stage", "seeds_per_cell", "eval_samples"):
+        if cfg.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    for key in ("sep", "sep_hint", "alpha"):
+        if cfg.get(key, 1) <= 0:
+            raise ConfigError(f"{key} must be > 0")
+    if not 0 < cfg.get("w_min", 1) <= 1:
+        raise ConfigError("w_min must be in (0, 1]")
     if cfg.get("n", 0) < 0:
         raise ConfigError("n must be >= 0")
     return cfg

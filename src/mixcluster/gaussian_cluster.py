@@ -33,7 +33,7 @@ import numpy as np
 from . import sample_test as st
 from .mixture_gen import BaseSampler
 from .moment_pipeline import iterative_projection
-from .poincare_cluster import LearnedMixture, difference_sampler, margin_matrix, probe_batch_vote
+from .poincare_cluster import DifferenceSampler, LearnedMixture, margin_matrix, probe_batch_vote
 from .rng import stream
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "ComponentTest",
     "ClusterParams",
     "desk_params",
-    "SampleSizeError",
     "NoSignalError",
     "RefineFailedError",
     "IsolateFailedError",
@@ -51,7 +50,7 @@ __all__ = [
     "checker_contains_batch",
     "complement_basis",
     "reduce_by_checker",
-    "is_signal_direction",
+    "signal_split",
     "find_signal_direction",
     "full_cluster_bounded",
     "refine_checker",
@@ -83,10 +82,6 @@ GRID_STEPS = 40  # max separation-grid length
 SIGNAL_TRIALS = 4  # anchor redraws per grid point
 REFINE_ATTEMPTS = 2  # gamma redraws inside refine_checker
 MARGIN_FACTOR = 0.3  # clustering margin as a fraction of s
-
-
-class SampleSizeError(ValueError):
-    """Too few samples for the requested statistical guarantee."""
 
 
 class NoSignalError(RuntimeError):
@@ -190,9 +185,8 @@ class ReducedSampler:
 
     Kept rows beyond a request are held back and served first on the next
     one, so the output is the inner stream's kept rows, in order, whatever
-    the request sizes (when the inner stream's rows do not depend on its own
-    request sizes).  The rows stay i.i.d. from the scoped distribution: only
-    ``keep`` has looked at them.  The budget applies per request: one
+    the request sizes.  The rows stay i.i.d. from the scoped distribution:
+    only ``keep`` has looked at them.  The budget applies per request: one
     request may draw at most ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows;
     past that it starves, and the rows it kept are held for the next."""
 
@@ -246,7 +240,6 @@ def reduce_by_checker(sampler, ch: Checker):
 @dataclass(frozen=True)
 class SignalDirection:
     v: np.ndarray  # unit vector
-    p_level: float
     delta: float
     theta: float  # split point along v
 
@@ -257,32 +250,21 @@ class SignalDirection:
             raise ValueError("signal direction is not a unit vector")
 
 
-def _signal_interval(proj: np.ndarray, p_level: float):
-    """For sorted projections, the widest interval [lo, hi] leaving mass at
-    least 0.95*p_level on both sides, or None if none exists."""
-    n = len(proj)
-    q = max(1, math.ceil(0.95 * p_level * n))
-    if q > n:
-        return None
+def signal_split(mix_sampler, v, p_level: float, delta: float) -> float | None:
+    """Verifies v as a signal direction on fresh rows of the stream.
+
+    Draws max(SIGNAL_SAMPLES, ceil(20/p_level)) rows and takes the widest
+    interval along v that leaves empirical mass >= 0.95*p_level on each
+    side.  Returns its midpoint, the split point, when the interval is at
+    least 2*delta wide, so each side's mass sits >= delta from it; None
+    otherwise."""
+    n = max(SIGNAL_SAMPLES, math.ceil(20.0 / p_level))
+    proj = np.sort(np.asarray(mix_sampler.draw(n), dtype=float) @ np.asarray(v, dtype=float))
+    q = math.ceil(0.95 * p_level * n)
     lo, hi = proj[q - 1], proj[n - q]
-    if hi <= lo:
+    if hi - lo < 2.0 * delta:
         return None
-    return lo, hi
-
-
-def is_signal_direction(samples, v, p_level: float, delta: float) -> bool:
-    """True iff some split point has empirical mass >= 0.95*p_level at
-    distance >= delta on each side along v."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    needed = math.ceil(20.0 / p_level)
-    if len(samples) < needed:
-        raise SampleSizeError(f"need at least {needed} samples, got {len(samples)}")
-    proj = np.sort(samples @ np.asarray(v, dtype=float))
-    interval = _signal_interval(proj, p_level)
-    if interval is None:
-        return False
-    lo, hi = interval
-    return bool(hi - lo >= 2.0 * delta)
+    return 0.5 * (lo + hi)
 
 
 def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
@@ -310,7 +292,7 @@ def _difference_chain(rows, k: int, t: int, seed: int):
     standard normal, so the chain draws its base rows directly.
     """
     base = BaseSampler("gaussian", rows.d, seed, 3)
-    return iterative_projection(difference_sampler(rows), base, t, k, N_PER_STAGE), base
+    return iterative_projection(DifferenceSampler(rows), base, t, k, N_PER_STAGE), base
 
 
 def _pair_config(sep: float, k: int) -> st.TestConfig:
@@ -346,7 +328,6 @@ def find_signal_direction(
         delta_guess_grid = _default_grid(mix_sampler, floor, GRID_STEPS)
     chain, base = chain
     m = SIGNAL_BATCH
-    n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / (check_p or 0.8 * w_star)))
     tried = []
     for delta in delta_guess_grid:
         sep = max(0.01 * delta, params.pair_sep_floor)
@@ -368,12 +349,9 @@ def find_signal_direction(
                 tried.append({"delta": delta, "reason": "coincident candidates"})
                 continue
             v = (mu0 - mu1) / gap
-            fresh = np.asarray(mix_sampler.draw(n_check), dtype=float)
-            proj = np.sort(fresh @ v)
-            interval = _signal_interval(proj, p_lvl)
-            if interval is not None and interval[1] - interval[0] >= 2.0 * d_lvl:
-                split = 0.5 * (interval[0] + interval[1])
-                return SignalDirection(v, p_lvl, d_lvl, split)
+            split = signal_split(mix_sampler, v, p_lvl, d_lvl)
+            if split is not None:
+                return SignalDirection(v, d_lvl, split)
             tried.append({"delta": delta, "reason": "verification failed"})
     raise NoSignalError(
         "no verified signal direction on the separation grid",
@@ -525,9 +503,7 @@ def refine_checker(
             # found direction must then also classify as a signal at the
             # refinement floor.
             sig = find_signal_direction(reduced, k, w_star, params=params, chain=chain)
-            n_check = max(SIGNAL_SAMPLES, math.ceil(20.0 / class_p))
-            fresh_check = np.asarray(reduced.draw(n_check), dtype=float)
-            if not is_signal_direction(fresh_check, sig.v, class_p, params.refine_delta):
+            if signal_split(reduced, sig.v, class_p, params.refine_delta) is None:
                 last_error = RefineFailedError(
                     "signal direction failed the refinement floor classification"
                 )
@@ -637,7 +613,6 @@ class ComponentTest:
     comp: np.ndarray  # (d, d-a) complement basis for the reduced coordinates
     means: np.ndarray  # candidate means in reduced coordinates
     target: int  # f(j): label that accepts
-    s: float  # separation scale for the margins
     margin: float  # absolute margin bound (MARGIN_FACTOR * s)
 
     @property
@@ -704,7 +679,7 @@ def isolate_component(
             best, best_count = j, count
     if best is None:
         raise IsolateFailedError("no cluster was both heavy and concentrated in the core")
-    test = ComponentTest(scope17, comp, means_r, best, s, margin)
+    test = ComponentTest(scope17, comp, means_r, best, margin)
     if trail is not None:
         trail.append(
             {

@@ -3,6 +3,11 @@
 All base distributions are mean-zero products normalized to be 1-Poincare:
 standard normal coordinates, two-sided exponentials with scale 1/2, or
 uniforms on [-pi/2, pi/2].  point_mass is the degenerate noise-free base.
+
+Every sample stream in the package, these and the ones the learners build
+on them, keeps one contract: ``draw(a)`` then ``draw(b)`` returns the rows
+of one ``draw(a + b)``, so a stream's rows never depend on how a caller
+splits its requests.
 """
 
 from __future__ import annotations

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from . import nested_projection
 from .nested_projection import NestedProjection, identity_projection, word_images
 
 
@@ -100,7 +101,6 @@ class MomentMatrixEstimate:
 class ProjectionChain:
     projection: NestedProjection
     diagnostics: tuple = ()
-    meta: dict = field(default_factory=dict)
 
     @property
     def degree(self) -> int:
@@ -174,9 +174,10 @@ def estimate_moment_matrix(
     grouping = folded.reshape(q * r, n_tails)
     signed = np.stack([lam, -lam])[None, :, :, None]
     acc = np.zeros((out_dim, out_dim))
-    # the chunk fixes the draw sizes, and the difference sampler pairs rows
-    # within one draw, so the chunk is part of which samples are used
-    chunk = max(1, min(n, 4_000_000 // max(1, (2 * s) ** s * out_dim)))
+    # floats per sample of the chunk's blocks, word images, grouped images,
+    # and folded vectors with their signed copy, both blocks
+    per_sample = 2 * (q * d + n_tails * c + q * r * c + 2 * r * out_dim)
+    chunk = max(1, nested_projection.WORKING_SET // per_sample)
     done = 0
     while done < n:
         b = min(chunk, n - done)
@@ -284,4 +285,4 @@ def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage:
         est = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, n_per_stage)
         chain, diag = next_stage(chain, s, est.matrix, k, est.samples_used)
         diags.append(diag)
-    return ProjectionChain(chain, tuple(diags), {"mode": "sampled", "t": t, "k": k, "n_per_stage": n_per_stage})
+    return ProjectionChain(chain, tuple(diags))

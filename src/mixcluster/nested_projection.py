@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _REORTH_DRIFT = 1e-8
+# floats a chunk's largest intermediates may hold, in both kernels that push
+# rows through a chain (sample_test._statistic_batch, the moment estimator)
+WORKING_SET = 1 << 21
 
 
 def _orthonormalize_rows(stage: np.ndarray) -> np.ndarray:

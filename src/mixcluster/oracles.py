@@ -448,4 +448,4 @@ def exact_projection_chain(spec: MixtureSpec, t: int, k: int) -> ProjectionChain
     for s in range(2, t + 1):
         chain, diag = next_stage(chain, s, exact_moment_matrix(spec, chain), k, 0)
         diags.append(diag)
-    return ProjectionChain(chain, tuple(diags), {"mode": "exact", "t": t, "k": k})
+    return ProjectionChain(chain, tuple(diags))

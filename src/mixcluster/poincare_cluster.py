@@ -39,8 +39,11 @@ class VoteLedger:
     accepted: tuple  # indices admitted to the output set
 
 
-class _DifferenceSampler:
-    """Stream of (z - z')/sqrt(2) over independent pairs from an inner stream."""
+class DifferenceSampler:
+    """Stream of (z - z')/sqrt(2) over independent pairs from an inner stream.
+
+    Each pair is two adjacent inner rows, so the output keeps the stream
+    contract (mixture_gen): its rows do not depend on the request sizes."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -48,11 +51,7 @@ class _DifferenceSampler:
 
     def draw(self, n: int) -> np.ndarray:
         x = np.asarray(self.inner.draw(2 * n), dtype=float)
-        return (x[:n] - x[n:]) / math.sqrt(2.0)
-
-
-def difference_sampler(mix_sampler) -> _DifferenceSampler:
-    return _DifferenceSampler(mix_sampler)
+        return (x[0::2] - x[1::2]) / math.sqrt(2.0)
 
 
 def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float) -> VoteLedger:
@@ -191,9 +190,7 @@ def learn_means(
     m = batch if batch is not None else int(round(50 * k / w_min))
     l = probes if probes is not None else int(round(20 * k / w_min))
 
-    diff_mix = difference_sampler(mix_sampler)
-    diff_base = difference_sampler(base_sampler)
-    chain = iterative_projection(diff_mix, diff_base, t, k, n_per_stage)
+    chain = iterative_projection(DifferenceSampler(mix_sampler), DifferenceSampler(base_sampler), t, k, n_per_stage)
     tau = st.choose_threshold(sep, t)
     void = not st.threshold_feasible(sep, t, k, st.DELTA, "poincare")
     cfg = st.TestConfig(t, tau, reps=reps, guarantee_void=void)

@@ -33,7 +33,6 @@ from .moment_pipeline import ProjectionChain
 DEFAULT_REPS = 64
 DELTA = 0.05  # failure probability both learners size their tests for
 DEGREE_CAP = 8
-_WORKING_SET = 1 << 21  # floats per chunk of test points
 
 ACCEPT = "Accept"
 REJECT = "Reject"
@@ -185,7 +184,7 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
         pools = pool.mean(axis=0, keepdims=True) if k == t - 1 else pool
         # chain rows in (rep, word, a) order, chunked over whole (rep, word) groups
         n_groups = len(pools) * len(coeffs)
-        chunk = max(1, _WORKING_SET // (d**k * per_row))
+        chunk = max(1, nested_projection.WORKING_SET // (d**k * per_row))
         acc = np.zeros((d**k, c))
         for start in range(0, n_groups, chunk):
             rep, word = np.divmod(np.arange(start, min(n_groups, start + chunk)), len(coeffs))
@@ -194,7 +193,7 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
             acc += np.tensordot(coeffs[word], images.reshape(len(word), d**k, c), axes=1)
         poly.append(acc / len(pools))
     # chunk over test points to bound z^(x)(t-1) and the chain row's intermediates
-    chunk = max(1, _WORKING_SET // (2 * d ** (t - 1) + per_row))
+    chunk = max(1, nested_projection.WORKING_SET // (2 * d ** (t - 1) + per_row))
     out = np.empty(n)
     for start in range(0, n, chunk):
         z = zs[start : start + chunk]

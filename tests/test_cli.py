@@ -225,6 +225,27 @@ class TestCluster:
         assert "eval_samples must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "variant, key, value, want",
+        [
+            ("poincare", "w_min", 0, "w_min must be in (0, 1]"),
+            ("poincare", "w_min", -0.5, "w_min must be in (0, 1]"),
+            ("gaussian-recursive", "w_min", 2.0, "w_min must be in (0, 1]"),
+            ("poincare", "sep", 0.0, "sep must be > 0"),
+            ("gaussian-recursive", "sep_hint", 0, "sep_hint must be > 0"),
+            ("poincare", "alpha", -1.0, "alpha must be > 0"),
+            ("poincare", "t", 0, "t must be >= 1"),
+            ("poincare", "reps", 0, "reps must be >= 1"),
+            ("poincare", "n_per_stage", 0, "n_per_stage must be >= 1"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, variant, key, value, want):
+        doc = {"mixture": {"k": 2, "d": 2, "separation": 12.0, "seed": 1}, "variant": variant, key: value}
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_unserializable_report_leaves_no_file(self, tmp_path):
         import mixcluster.cli as cli
 
@@ -365,6 +386,15 @@ class TestBench:
         cfg = _write(tmp_path / "b.json", doc)
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "eval_samples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
+    @pytest.mark.parametrize("key", ["seeds_per_cell", "reps", "n_per_stage"])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, key):
+        doc = self._cfg()
+        doc[key] = 0
+        cfg = _write(tmp_path / "b.json", doc)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "bench.json").exists()
 
     @pytest.mark.parametrize(

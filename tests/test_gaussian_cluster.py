@@ -376,19 +376,23 @@ class TestSignalDirection:
     def test_two_clusters_is_signal(self, rng):
         xs = np.concatenate([rng.standard_normal(300) - 10, rng.standard_normal(300) + 10])
         samples = np.column_stack([xs, rng.standard_normal(600)])
-        assert gc.is_signal_direction(samples, np.array([1.0, 0.0]), 0.4, 5.0)
+        split = gc.signal_split(_ArraySampler(samples), np.array([1.0, 0.0]), 0.4, 5.0)
+        assert split is not None and abs(split) < 5.0
 
     def test_single_cluster_is_not(self, rng):
         samples = rng.standard_normal((600, 2))
-        assert not gc.is_signal_direction(samples, np.array([1.0, 0.0]), 0.4, 5.0)
+        assert gc.signal_split(_ArraySampler(samples), np.array([1.0, 0.0]), 0.4, 5.0) is None
 
-    def test_too_few_samples_raises(self, rng):
-        with pytest.raises(gc.SampleSizeError):
-            gc.is_signal_direction(rng.standard_normal((10, 2)), np.array([1.0, 0.0]), 0.4, 1.0)
+    def test_draws_at_least_twenty_per_mass_level(self):
+        sampler = _NormalSampler(2, 0)
+        gc.signal_split(sampler, np.array([1.0, 0.0]), 0.004, 1.0)
+        assert sampler.rows == 5_000
+        gc.signal_split(sampler, np.array([1.0, 0.0]), 0.4, 1.0)
+        assert sampler.rows == 5_000 + gc.SIGNAL_SAMPLES
 
     def test_direction_must_be_unit(self):
         with pytest.raises(ValueError):
-            gc.SignalDirection(np.array([2.0, 0.0]), 0.4, 1.0, 0.0)
+            gc.SignalDirection(np.array([2.0, 0.0]), 1.0, 0.0)
 
 
 class TestBoundedMeansSplit:

@@ -1,9 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from mixcluster import gaussian_cluster as gc
 from mixcluster.mixture_gen import (
+    BASE_TAGS,
     LAPLACE_SCALE,
     BaseSampler,
     GenConfig,
@@ -14,6 +19,8 @@ from mixcluster.mixture_gen import (
     build_spec,
     sample_stream,
 )
+from mixcluster.moment_pipeline import MixtureSpec
+from mixcluster.poincare_cluster import DifferenceSampler
 
 
 class TestGenConfig:
@@ -154,3 +161,36 @@ class TestMixtureSamplerInterface:
         a = MixtureSampler(spec, seed=5).draw(20)
         b, _ = MixtureSampler(spec, seed=5).draw_labeled(20)
         assert np.array_equal(a, b)
+
+
+_SPEC = MixtureSpec(np.full(2, 0.5), np.array([[2.0, 0.0, 1.0], [-2.0, 1.0, 0.0]]))
+_CHECKER = gc.Checker(np.array([[1.0], [1.0], [0.0]]) / math.sqrt(2.0), np.array([1.5]), 1.5)
+_AXES = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, -0.8]])
+# name -> (a fresh stream, whether its rows pass through BLAS)
+_STREAMS = {
+    **{f"base-{tag}": (functools.partial(BaseSampler, tag, 3, 5, 1), False) for tag in BASE_TAGS},
+    "mixture": (lambda: MixtureSampler(_SPEC, 5), False),
+    "difference": (lambda: DifferenceSampler(MixtureSampler(_SPEC, 5)), False),
+    "reduced": (
+        lambda: gc.ReducedSampler(MixtureSampler(_SPEC, 5), functools.partial(gc.checker_contains_batch, _CHECKER)),
+        False,
+    ),
+    "reduced-basis": (lambda: gc.reduce_by_checker(MixtureSampler(_SPEC, 5), _CHECKER), True),
+    "projected": (lambda: gc._ProjectedSampler(MixtureSampler(_SPEC, 5), _AXES, np.array([0.5, -1.0, 2.0])), True),
+}
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("name", sorted(_STREAMS))
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=hst.lists(hst.integers(0, 150), min_size=1, max_size=6))
+    def test_any_split_gives_the_rows_of_one_draw(self, name, sizes):
+        make, blas = _STREAMS[name]
+        split = make()
+        got = np.concatenate([split.draw(n) for n in sizes])
+        want = make().draw(sum(sizes))
+        assert got.shape == want.shape
+        if blas:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        else:
+            assert np.array_equal(got, want)

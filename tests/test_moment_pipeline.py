@@ -19,8 +19,10 @@ from mixcluster.moment_pipeline import (
     iterative_projection,
     top_k_subspace,
 )
+import mixcluster.nested_projection as npj
 from mixcluster.nested_projection import NestedProjection, apply_rank1_batch
 from mixcluster.oracles import apply_rank1, exact_moment_matrix, exact_projection_chain, prefix
+from mixcluster.poincare_cluster import DifferenceSampler
 
 
 # Reference for estimate_moment_matrix in its direct word-gather form: every
@@ -244,27 +246,23 @@ class TestFoldedTables:
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-class _CountingSampler:
-    def __init__(self, inner):
-        self.inner = inner
-        self.sizes = []
-
-    def draw(self, n):
-        self.sizes.append(n)
-        return self.inner.draw(n)
-
-
-class TestDrawSchedule:
-    def test_deg3_shape_chunks(self, rng):
-        # the chunk decides which samples the estimator uses, so its draw
-        # sizes at the poincare-deg3 shape (d = 6, c = 4, s = 3) are pinned
-        d, c, s, n = 6, 4, 3, 20_000
-        spec = MixtureSpec(np.array([1.0]), np.zeros((1, d)), "point_mass")
-        mix = _CountingSampler(MixtureSampler(spec, seed=0))
-        base = _CountingSampler(BaseSampler("point_mass", d, 0, 5))
-        estimate_moment_matrix(mix, base, s, random_nested_projection(d, (d, c), rng), n)
-        assert mix.sizes == [771] * 25 + [725]
-        assert base.sizes == [11 * b for b in mix.sizes]
+class TestWorkingSet:
+    @pytest.mark.parametrize("tag", ["gaussian", "laplace"])
+    def test_chunk_does_not_change_the_estimate(self, monkeypatch, rng, tag):
+        # every stream's rows are independent of the request sizes, so the
+        # working set only decides how the sum is chunked: 42 and 677 samples
+        # per chunk at the poincare-deg3 shape (d = 6, c = 4, s = 3)
+        d, c, s, n = 6, 4, 3, 2_000
+        spec = MixtureSpec(np.full(2, 0.5), np.array([[3.0] + [0.0] * (d - 1), [0.0] * d]), tag)
+        chain = random_nested_projection(d, (d, c), rng)
+        estimates = []
+        for working_set in (1 << 17, 1 << 21):
+            monkeypatch.setattr(npj, "WORKING_SET", working_set)
+            mix = DifferenceSampler(MixtureSampler(spec, seed=4))
+            base = DifferenceSampler(BaseSampler(tag, d, 4, 7))
+            estimates.append(estimate_moment_matrix(mix, base, s, chain, n).matrix)
+        a, b = estimates
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 class TestIterativeProjection:

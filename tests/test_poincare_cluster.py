@@ -9,10 +9,10 @@ from mixcluster.cli import match_means
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster.moment_pipeline import MixtureSpec
 from mixcluster.poincare_cluster import (
+    DifferenceSampler,
     LearnedMixture,
     assign_batch,
     default_band,
-    difference_sampler,
     learn_means,
     majority_vote,
     write_assignments_csv,
@@ -26,12 +26,12 @@ def _spec(weights, means, tag="gaussian"):
 class TestDifferenceSampler:
     def test_point_mass_single_component_all_zero(self):
         spec = _spec([1.0], [[1.0, 2.0]], "point_mass")
-        diff = difference_sampler(MixtureSampler(spec, seed=0))
+        diff = DifferenceSampler(MixtureSampler(spec, seed=0))
         assert np.allclose(diff.draw(50), 0.0)
 
     def test_gaussian_difference_covariance_identity(self):
         spec = _spec([1.0], [[3.0, -1.0]], "gaussian")
-        diff = difference_sampler(MixtureSampler(spec, seed=1))
+        diff = DifferenceSampler(MixtureSampler(spec, seed=1))
         draws = diff.draw(60_000)
         cov = draws.T @ draws / len(draws)
         assert np.max(np.abs(cov - np.eye(2))) < 0.05

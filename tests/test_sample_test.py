@@ -57,9 +57,6 @@ def _reference_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.T
 # Second reference, the statistic by linearity with shared draws: block 0 of
 # every test point goes through the (t-1)-stage prefix chain once per rep, its
 # tails grouped by first factor, and block 1 once per call.
-_WORKING_SET = st._WORKING_SET
-
-
 def _reference_linearity_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.TestConfig, base_sampler) -> np.ndarray:
     """Averaged projected R_t statistics for a batch of test points.
 
@@ -102,7 +99,7 @@ def _reference_linearity_statistic_batch(zs: np.ndarray, chain: ProjectionChain,
     # chunk over test points (all reps of a point in one chunk) to bound
     # the gathered tails and the prefix chain's widest intermediate
     per_point = reps * n_tails * d * max(t - 1, *head.widths)
-    chunk = max(1, _WORKING_SET // per_point)
+    chunk = max(1, npj.WORKING_SET // per_point)
     out = np.empty(n)
     for start in range(0, n, chunk):
         end = min(n, start + chunk)
