@@ -131,9 +131,12 @@ def validate_config(cfg: dict, command: str) -> dict:
     for key in ("t", "reps", "n_per_stage", "seeds_per_cell", "eval_samples"):
         if cfg.get(key, 1) < 1:
             raise ConfigError(f"{key} must be >= 1")
-    for key in ("sep", "sep_hint", "alpha"):
+    for key in ("sep", "sep_hint", "alpha", "c"):
         if cfg.get(key, 1) <= 0:
             raise ConfigError(f"{key} must be > 0")
+    # each becomes a cell's mixture separation; checked here so that no cell runs
+    if any(sep <= 0 for sep in cfg.get("separations", ())):
+        raise ConfigError("separations must be > 0")
     if not 0 < cfg.get("w_min", 1) <= 1:
         raise ConfigError("w_min must be in (0, 1]")
     if cfg.get("n", 0) < 0:

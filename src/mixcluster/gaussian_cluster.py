@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nested_projection
 from . import sample_test as st
 from .mixture_gen import BaseSampler
 from .moment_pipeline import iterative_projection
@@ -42,6 +43,8 @@ __all__ = [
     "ComponentTest",
     "ClusterParams",
     "desk_params",
+    "GroupScales",
+    "group_scales",
     "NoSignalError",
     "RefineFailedError",
     "IsolateFailedError",
@@ -271,8 +274,7 @@ def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
     """Multiplicative grid from the empirical spread of a pilot batch down to
     ``floor``."""
     pilot = np.asarray(mix_sampler.draw(256), dtype=float)
-    diffs = pilot[:, None, :] - pilot[None, :, :]
-    start = float(np.linalg.norm(diffs, axis=2).max())
+    start = max(float(dists.max()) for _, dists in _distance_blocks(pilot))
     if start <= floor:
         return [floor]
     grid = []
@@ -295,19 +297,11 @@ def _difference_chain(rows, k: int, t: int, seed: int):
     return iterative_projection(DifferenceSampler(rows), base, t, k, N_PER_STAGE), base
 
 
-def _pair_config(sep: float, k: int) -> st.TestConfig:
-    tau = st.choose_threshold(sep, PAIR_DEGREE)
-    void = not st.threshold_feasible(sep, PAIR_DEGREE, k, st.DELTA, "gaussian")
-    return st.TestConfig(PAIR_DEGREE, tau, guarantee_void=void)
-
-
 def find_signal_direction(
     mix_sampler,
-    k: int,
-    w_star: float,
+    scales: GroupScales,
     delta_guess_grid=None,
     *,
-    params: ClusterParams,
     chain: tuple,
     check_p: float | None = None,
     check_delta: float | None = None,
@@ -322,17 +316,14 @@ def find_signal_direction(
     level when ``check_p``/``check_delta`` are given.  ``chain`` is the
     checker's ``(chain, base)`` pair (:func:`_checker_chain`).
     """
-    log_k = math.log(k / w_star)
     if delta_guess_grid is None:
-        floor = max(0.04 * log_k**4, params.pair_sep_floor, 1e-6)
-        delta_guess_grid = _default_grid(mix_sampler, floor, GRID_STEPS)
+        delta_guess_grid = _default_grid(mix_sampler, scales.grid_floor, GRID_STEPS)
     chain, base = chain
     m = SIGNAL_BATCH
     tried = []
     for delta in delta_guess_grid:
-        sep = max(0.01 * delta, params.pair_sep_floor)
-        cfg = _pair_config(sep, k)
-        p_lvl = check_p if check_p is not None else 0.8 * w_star
+        cfg = scales.pair_config(max(0.01 * delta, scales.params.pair_sep_floor))
+        p_lvl = check_p if check_p is not None else 0.8 * scales.w_star
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
         for _ in range(SIGNAL_TRIALS):
             anchors = np.asarray(mix_sampler.draw(2), dtype=float)
@@ -396,28 +387,73 @@ def desk_params(k: int, w_min: float, sep_hint: float | None = None) -> ClusterP
     )
 
 
-def _theta(k: int, w_star: float, c: float) -> float:
-    return math.log(k / w_star) ** ((1.0 + c) / 2.0)
+@dataclass(frozen=True)
+class GroupScales:
+    """The scales every search in one bounded-spread group runs at, derived
+    once by :func:`group_scales` from the group's ``(k, w_min, c)`` and the
+    mixture's ``params``.
+
+    ``log_k`` is ln(k/w*) for the group's own ``k``; the ``params`` come from
+    the whole mixture's (:func:`desk_params`).  The spacing ``s`` and
+    ``params.pair_sep_floor`` default differently without a ``sep_hint``,
+    ln^(0.5+c) and ln(k/w) respectively, and each keeps its own default.
+    """
+
+    k: int
+    w_star: float
+    params: ClusterParams
+    log_k: float  # ln(k/w*)
+    theta: float  # ln^((1+c)/2): the unit of every scope radius
+    beta: float  # ln^((1+1.1c)/2): refinement's base radius
+    s: float  # cluster spacing: sep_hint, else ln^(0.5+c)
+    grid_floor: float  # lowest guess of the signal search's separation grid
+    split_delta: float  # signal floor of the separation test, 0.4 ln^4
+    rounds: int  # test/refine rounds per level
+
+    def pair_config(self, sep: float) -> st.TestConfig:
+        """The pair test for separation ``sep`` among the group's k."""
+        tau = st.choose_threshold(sep, PAIR_DEGREE)
+        void = not st.threshold_feasible(sep, PAIR_DEGREE, self.k, st.DELTA, "gaussian")
+        return st.TestConfig(PAIR_DEGREE, tau, guarantee_void=void)
+
+    def separation_radius(self, gamma) -> float:
+        """The separation test's scope at ``gamma``: (30 + gamma) theta."""
+        return (30.0 + gamma) * self.theta
+
+    def refine_radius(self, gamma) -> float:
+        """Refinement's scope at ``gamma``: beta + gamma theta."""
+        return self.beta + float(gamma) * self.theta
+
+    @property
+    def source_radius(self) -> float:
+        """The widest radius any search scopes a checker to: both searches'
+        last gamma.  Isolation's 19 theta lies inside it."""
+        return max(self.separation_radius(GAMMA_COUNT), self.refine_radius(GAMMA_COUNT))
 
 
-def _beta(k: int, w_star: float, c: float) -> float:
-    return math.log(k / w_star) ** ((1.0 + 1.1 * c) / 2.0)
+def group_scales(k: int, w_min: float, c: float, params: ClusterParams) -> GroupScales:
+    """The scales of a group of ``k`` components of weight at least
+    ``w_min``, for trade-off constant ``c``."""
+    log_k = math.log(k / w_min)
+    return GroupScales(
+        k=k,
+        w_star=w_min,
+        params=params,
+        log_k=log_k,
+        theta=log_k ** ((1.0 + c) / 2.0),
+        beta=log_k ** ((1.0 + 1.1 * c) / 2.0),
+        s=params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c),
+        grid_floor=max(0.04 * log_k**4, params.pair_sep_floor, 1e-6),
+        split_delta=0.4 * log_k**4,
+        rounds=max(1, math.ceil(log_k ** (1.0 + 0.1 * c))),
+    )
 
 
-def _source_radius(k: int, w_star: float, c: float) -> float:
-    """The widest radius any caller scopes a refined checker to: the
-    separation test's last gamma, (30 + GAMMA_COUNT) theta, or refinement's
-    beta + GAMMA_COUNT theta if beta exceeds 30 theta.  Isolation's
-    19 theta lies inside both."""
-    theta = _theta(k, w_star, c)
-    return max(30.0 * theta, _beta(k, w_star, c)) + GAMMA_COUNT * theta
-
-
-def _checker_chain(mix_sampler, ch: Checker, k: int, w_star: float, c: float, seed: int):
+def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int):
     """The ``(chain, base)`` pair every search at ``ch`` runs its pair tests
     under, built once when the checker comes into being.  Its rows are the
     level stream restricted to the checker's source scope, the widest radius
-    any caller uses there (:func:`_source_radius`); at the trivial checker
+    any search uses there (``scales.source_radius``); at the trivial checker
     that is the level stream itself.  Every search still draws its rows from
     its own scoped stream; only the chain is shared.
 
@@ -436,28 +472,19 @@ def _checker_chain(mix_sampler, ch: Checker, k: int, w_star: float, c: float, se
       per-scope construction needs.  The chain on the trivial checker's
       stream rests on the same independence.
     """
-    source = reduce_by_checker(mix_sampler, ch.with_radius(_source_radius(k, w_star, c)))
-    return _difference_chain(source, k, PAIR_DEGREE, seed)
+    source = reduce_by_checker(mix_sampler, ch.with_radius(scales.source_radius))
+    return _difference_chain(source, scales.k, PAIR_DEGREE, seed)
 
 
-def full_cluster_bounded(
-    mix_sampler,
-    k: int,
-    w_star: float,
-    c: float,
-    *,
-    params: ClusterParams,
-    chain: tuple,
-) -> np.ndarray:
+def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> np.ndarray:
     """Probe/batch/vote mean recovery, under the checker's ``chain``, for a
     mixture whose maximum separation is polylog-bounded; returns r <= k
     means pairwise >= s/2 apart."""
-    log_k = math.log(k / w_star)
-    s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
+    s, params = scales.s, scales.params
     chain, base = chain
-    cfg = _pair_config(max(s, params.pair_sep_floor), k)
+    cfg = scales.pair_config(max(s, params.pair_sep_floor))
     means, support = probe_batch_vote(
-        mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, SUPPORT_FACTOR * w_star * PROBES
+        mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, SUPPORT_FACTOR * scales.w_star * PROBES
     )
     # Strongest-supported first.  Dedup guarantees the spacing only up to the
     # candidate error, so enforce the pairwise floor explicitly.
@@ -477,11 +504,8 @@ def full_cluster_bounded(
 def refine_checker(
     mix_sampler,
     ch: Checker,
-    k: int,
-    w_star: float,
-    c: float,
+    scales: GroupScales,
     *,
-    params: ClusterParams,
     chain: tuple,
     seed: int = 0,
     trail: list | None = None,
@@ -490,20 +514,19 @@ def refine_checker(
     well-supported sample from one side of the split, searching under the
     checker's ``chain``; ``seed`` orders the gammas and picks the center."""
     rng = stream(seed, 19)
-    theta = _theta(k, w_star, c)
-    beta = _beta(k, w_star, c)
+    theta, w_star = scales.theta, scales.w_star
     class_p = 0.4 * w_star
     gammas = rng.permutation(np.arange(1, GAMMA_COUNT + 1))[:REFINE_ATTEMPTS]
     last_error: Exception | None = None
     for gamma in gammas:
         try:
-            reduced = reduce_by_checker(mix_sampler, ch.with_radius(beta + float(gamma) * theta))
+            reduced = reduce_by_checker(mix_sampler, ch.with_radius(scales.refine_radius(gamma)))
             # The grid search verifies at (0.8w*, 0.8*guess) with the largest
             # guess first, which forces alignment with the widest split; the
             # found direction must then also classify as a signal at the
             # refinement floor.
-            sig = find_signal_direction(reduced, k, w_star, params=params, chain=chain)
-            if signal_split(reduced, sig.v, class_p, params.refine_delta) is None:
+            sig = find_signal_direction(reduced, scales, chain=chain)
+            if signal_split(reduced, sig.v, class_p, scales.params.refine_delta) is None:
                 last_error = RefineFailedError(
                     "signal direction failed the refinement floor classification"
                 )
@@ -518,12 +541,12 @@ def refine_checker(
         # QR may flip signs; realign the last column with the signal direction.
         if new_basis[:, -1] @ v_full < 0:
             new_basis[:, -1] = -new_basis[:, -1]
-        keep_ch = ch.with_radius(beta + float(gamma + 2) * theta)
+        keep_ch = ch.with_radius(scales.refine_radius(gamma + 2))
         in_keep = functools.partial(checker_contains_batch, keep_ch)
         kept = ReducedSampler(mix_sampler, in_keep).draw(REFINE_SAMPLES)
-        proj = kept @ new_basis
-        dists = np.linalg.norm(proj[:, None, :] - proj[None, :, :], axis=2)
-        frac = (dists <= theta).mean(axis=1)
+        frac = np.concatenate(
+            [(dists <= theta).mean(axis=1) for _, dists in _distance_blocks(kept @ new_basis)]
+        )
         good = frac >= 0.9 * w_star
         svals = kept @ v_full
         lo_good = np.flatnonzero(good & (svals <= sig.theta - sig.delta))
@@ -555,32 +578,25 @@ def refine_checker(
 def test_max_separation(
     mix_sampler,
     ch: Checker,
-    k: int,
-    w_star: float,
-    c: float,
+    scales: GroupScales,
     *,
-    params: ClusterParams,
     chain: tuple,
     trail: list | None = None,
 ) -> str:
     """Reject iff a verified wide split, searched under the checker's
     ``chain``, survives in some truncated reduction of the checker scope;
     Accept otherwise."""
-    log_k = math.log(k / w_star)
-    theta = _theta(k, w_star, c)
-    delta = 0.4 * log_k**4
+    delta = scales.split_delta
     verdict = st.ACCEPT
     for gamma in range(1, GAMMA_COUNT + 1):
         try:
-            reduced = reduce_by_checker(mix_sampler, ch.with_radius((30.0 + gamma) * theta))
+            reduced = reduce_by_checker(mix_sampler, ch.with_radius(scales.separation_radius(gamma)))
             find_signal_direction(
                 reduced,
-                k,
-                w_star,
+                scales,
                 delta_guess_grid=[delta],
-                params=params,
                 chain=chain,
-                check_p=0.4 * w_star,
+                check_p=0.4 * scales.w_star,
                 check_delta=delta,
             )
             verdict = st.REJECT
@@ -639,29 +655,24 @@ class ComponentTest:
 def isolate_component(
     mix_sampler,
     ch: Checker,
-    k: int,
-    w_star: float,
-    c: float,
+    scales: GroupScales,
     *,
-    params: ClusterParams,
     chain: tuple,
     trail: list | None = None,
 ) -> ComponentTest:
     """Fully cluster the checker scope under the checker's ``chain`` and
     return the predicate for the cluster that is heavy and concentrated
     near the checker center."""
-    theta = _theta(k, w_star, c)
-    log_k = math.log(k / w_star)
+    theta = scales.theta
     reduced = reduce_by_checker(mix_sampler, ch.with_radius(19.0 * theta))
-    means_r = full_cluster_bounded(reduced, k, w_star, c, params=params, chain=chain)
+    means_r = full_cluster_bounded(reduced, scales, chain=chain)
     if len(means_r) == 0:
         raise IsolateFailedError("full clustering of the checker scope found no means")
-    s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
     scope17 = ch.with_radius(17.0 * theta) if ch.a > 0 else ch
     comp = complement_basis(ch)
     in_scope = functools.partial(checker_contains_batch, scope17)
     fresh = ReducedSampler(mix_sampler, in_scope).draw(ISOLATE_SAMPLES)
-    margin = MARGIN_FACTOR * s
+    margin = MARGIN_FACTOR * scales.s
     margins = margin_matrix(fresh @ comp, means_r)
     labels = np.argmin(margins, axis=1)
     ok = margins[np.arange(len(fresh)), labels] <= margin
@@ -675,7 +686,7 @@ def isolate_component(
             continue
         weight = count / len(fresh)
         core_frac = float(in_core[members].mean())
-        if weight >= 0.5 * w_star and core_frac >= 0.5 and count > best_count:
+        if weight >= 0.5 * scales.w_star and core_frac >= 0.5 and count > best_count:
             best, best_count = j, count
     if best is None:
         raise IsolateFailedError("no cluster was both heavy and concentrated in the core")
@@ -704,17 +715,27 @@ class SampleGroup:
     offset: np.ndarray  # the group mean
 
 
-def _far_pair(pts: np.ndarray, threshold: float):
-    """Any index pair at distance >= threshold, or None (chunked scan)."""
-    n = len(pts)
-    # no pair is farther apart than the bounding box's diagonal; the slack
-    # leaves pairs within rounding of the threshold to the scan
-    if n == 0 or np.linalg.norm(np.ptp(pts, axis=0)) * (1.0 + 1e-9) < threshold:
-        return None
-    step = max(1, int(4e7 // max(n * pts.shape[1], 1)))
+def _distance_blocks(pts: np.ndarray):
+    """The rows of the pairwise distance matrix of ``pts`` in blocks, as
+    ``(first row, block)`` pairs.  A block's differences, their squares and
+    its distances hold at most ``nested_projection.WORKING_SET`` floats
+    (one row if a row alone exceeds it); every row carries all its
+    distances."""
+    n, d = pts.shape
+    step = max(1, nested_projection.WORKING_SET // max(n * (2 * d + 1), 1))
     for start in range(0, n, step):
         block = pts[start : start + step]
-        dists = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
+        yield start, np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
+
+
+def _far_pair(pts: np.ndarray, threshold: float):
+    """The lexicographically first index pair at distance >= threshold, or
+    None."""
+    # no pair is farther apart than the bounding box's diagonal; the slack
+    # leaves pairs within rounding of the threshold to the scan
+    if len(pts) == 0 or np.linalg.norm(np.ptp(pts, axis=0)) * (1.0 + 1e-9) < threshold:
+        return None
+    for start, dists in _distance_blocks(pts):
         hit = np.argwhere(dists >= threshold)
         if len(hit):
             i, j = hit[0]
@@ -787,7 +808,7 @@ class _ProjectedSampler:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParams, rng, trail, level_base: int):
+def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
     """Run the refine/test/isolate recursion on one bounded-spread group
     (already recentered and dimension-reduced); returns reduced-space means,
     relative weights, and warnings.
@@ -799,26 +820,23 @@ def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParam
     warnings = []
     current = sampler
     level_chain = None  # the trivial checker's chain on ``current``, once built
-    rounds = max(1, math.ceil(math.log(k / w_min) ** (1.0 + 0.1 * c)))
-    for comp_idx in range(k - 1):
+    for comp_idx in range(scales.k - 1):
         level = level_base + comp_idx
         ch = trivial_checker(current.d)
         start = len(trail)
         try:
-            chain = level_chain = _checker_chain(current, ch, k, w_min, c, int(rng.integers(2**62)))
-            for _ in range(rounds):
-                verdict = test_max_separation(current, ch, k, w_min, c, params=params, chain=chain, trail=trail)
+            chain = level_chain = _checker_chain(current, ch, scales, int(rng.integers(2**62)))
+            for _ in range(scales.rounds):
+                verdict = test_max_separation(current, ch, scales, chain=chain, trail=trail)
                 if verdict == st.ACCEPT:
                     break
                 try:
-                    ch = refine_checker(
-                        current, ch, k, w_min, c, params=params, chain=chain, seed=int(rng.integers(2**62)), trail=trail
-                    )
+                    ch = refine_checker(current, ch, scales, chain=chain, seed=int(rng.integers(2**62)), trail=trail)
                 except RefineFailedError as err:
                     warnings.append(f"level {level}: {err}")
                     break
-                chain = _checker_chain(current, ch, k, w_min, c, int(rng.integers(2**62)))
-            test = isolate_component(current, ch, k, w_min, c, params=params, chain=chain, trail=trail)
+                chain = _checker_chain(current, ch, scales, int(rng.integers(2**62)))
+            test = isolate_component(current, ch, scales, chain=chain, trail=trail)
         except (IsolateFailedError, StarvationError) as err:
             warnings.append(f"level {level}: {err}")
             break
@@ -845,8 +863,8 @@ def _cluster_group(sampler, k: int, w_min: float, c: float, params: ClusterParam
     try:
         # a loop that stopped at a level left that level's chain on ``current``
         if level_chain is None:
-            level_chain = _checker_chain(current, trivial_checker(current.d), k, w_min, c, int(rng.integers(2**62)))
-        tail_means = full_cluster_bounded(current, k, w_min, c, params=params, chain=level_chain)
+            level_chain = _checker_chain(current, trivial_checker(current.d), scales, int(rng.integers(2**62)))
+        tail_means = full_cluster_bounded(current, scales, chain=level_chain)
     except StarvationError as err:
         tail_means = np.zeros((0, sampler.d))
         warnings.append(f"remainder clustering failed: {err}")
@@ -942,8 +960,9 @@ def recursive_cluster(
             weights_g = np.array([1.0])
             warn_g = []
         else:
+            # params come from the whole mixture's k, the scales from k_g
             means_g, weights_g, warn_g = _cluster_group(
-                reduced, k_g, w_min, c, params, rng, trail, level_base
+                reduced, group_scales(k_g, w_min, c, params), rng, trail, level_base
             )
         warnings.extend(warn_g)
         level_base += max(k_g - 1, 1)

@@ -55,6 +55,11 @@ class GenConfig:
     def __post_init__(self):
         if self.k < 1 or self.d < 1:
             raise ValueError("k and d must be >= 1")
+        # not x > 0 also rejects NaN
+        if not self.separation > 0:
+            raise ValueError("separation must be > 0")
+        if not all(r > 0 for r in self.ratios):
+            raise ValueError("ratios must be > 0")
         if self.profile not in ("uniform", "hierarchical"):
             raise ValueError(f"unknown separation profile {self.profile!r}")
         if self.profile == "hierarchical" and len(self.ratios) < 1:

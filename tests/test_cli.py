@@ -91,6 +91,13 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error: unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mix", [{"separation": -3.0}, {"profile": "hierarchical", "ratios": [10.0, 0]}])
+    def test_nonpositive_separation_or_ratio_exits_2(self, tmp_path, capsys, mix):
+        cfg = _write(tmp_path / "c.json", _gen_cfg(**mix))
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_workers_is_a_usage_error(self, tmp_path):
         cfg = _write(tmp_path / "c.json", _gen_cfg())
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +210,13 @@ class TestCluster:
         assert f"mixture.{named}[0] must be a number" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_nonpositive_separation_exits_2(self, tmp_path, capsys):
+        doc = {"mixture": _gen_cfg(separation=-3.0)["mixture"], "variant": "poincare"}
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "separation must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_recursive_variant_on_non_gaussian_base_exits_2(self, tmp_path, capsys):
         doc = {
             "mixture": {"k": 2, "d": 2, "separation": 10.0, "dist_tag": "laplace", "seed": 1},
@@ -234,6 +248,8 @@ class TestCluster:
             ("poincare", "sep", 0.0, "sep must be > 0"),
             ("gaussian-recursive", "sep_hint", 0, "sep_hint must be > 0"),
             ("poincare", "alpha", -1.0, "alpha must be > 0"),
+            ("poincare", "c", 0, "c must be > 0"),
+            ("gaussian-recursive", "c", -3.0, "c must be > 0"),
             ("poincare", "t", 0, "t must be >= 1"),
             ("poincare", "reps", 0, "reps must be >= 1"),
             ("poincare", "n_per_stage", 0, "n_per_stage must be >= 1"),
@@ -395,6 +411,21 @@ class TestBench:
         cfg = _write(tmp_path / "b.json", doc)
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
+    @pytest.mark.parametrize("separations", [[0.0], [12.0, -3.0]])
+    def test_nonpositive_separation_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, separations):
+        import mixcluster.cli as cli
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_bench_cell", no_cell)
+        doc = self._cfg()
+        doc["separations"] = separations
+        cfg = _write(tmp_path / "b.json", doc)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "separations must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "bench.json").exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,8 @@ from scipy.linalg import null_space
 from scipy.stats import chi2, ncx2, norm
 
 import mixcluster.gaussian_cluster as gc
+from mixcluster import nested_projection as npj
+from mixcluster.cli import match_means
 from mixcluster.moment_pipeline import MixtureSpec
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster import sample_test as st
@@ -292,7 +295,7 @@ def _count_chain_builds(monkeypatch) -> list:
 class TestDifferenceChain:
     # one Gaussian has no split, so the separation test walks every gamma
     spec = _spec([1.0], [[0.0, 0.0]])
-    params = gc.desk_params(2, 0.5, sep_hint=4.0)
+    scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
 
     @pytest.fixture(autouse=True)
     def _small_searches(self, monkeypatch):
@@ -303,17 +306,29 @@ class TestDifferenceChain:
 
     def test_scopes_of_one_checker_share_one_chain(self, monkeypatch):
         calls = _count_chain_builds(monkeypatch)
+        radii = []
+        reduce = gc.reduce_by_checker
+
+        def recording(sampler, ch):
+            radii.append(ch.r)
+            return reduce(sampler, ch)
+
+        monkeypatch.setattr(gc, "reduce_by_checker", recording)
         stream = MixtureSampler(self.spec, seed=3)
         ch = _checker_1d(2, 0, 0.0, 1.0)
-        chain = gc._checker_chain(stream, ch, 2, 0.5, 1.0, seed=0)
+        chain = gc._checker_chain(stream, ch, self.scales, seed=0)
         # the separation test scopes to 31 and 32 theta, refinement to
-        # beta + theta and isolation to 19 theta
-        assert gc.test_max_separation(stream, ch, 2, 0.5, 1.0, params=self.params, chain=chain) == st.ACCEPT
+        # beta + gamma theta (seed 2 draws gamma 2) and isolation to 19 theta
+        assert gc.test_max_separation(stream, ch, self.scales, chain=chain) == st.ACCEPT
         with pytest.raises(gc.RefineFailedError):
-            gc.refine_checker(stream, ch, 2, 0.5, 1.0, params=self.params, chain=chain, seed=2)
-        test = gc.isolate_component(stream, ch, 2, 0.5, 1.0, params=self.params, chain=chain)
+            gc.refine_checker(stream, ch, self.scales, chain=chain, seed=2)
+        test = gc.isolate_component(stream, ch, self.scales, chain=chain)
         assert np.linalg.norm(test.approx_mean) < 0.5
         assert len(calls) == 1
+        # the chain's source scope is the widest a search at the checker uses
+        theta = self.scales.theta
+        assert radii[0] == self.scales.source_radius == max(radii)
+        assert radii[1:] == [31 * theta, 32 * theta, self.scales.beta + 2 * theta, 19 * theta]
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_chain_draws_its_gaussian_base_directly(self, monkeypatch, t):
@@ -359,6 +374,18 @@ class TestRecursiveDeterminism:
             assert np.array_equal(run.weights, first.weights)
             assert run.metadata["trail"] == first.metadata["trail"]
 
+    def test_same_result_under_a_tiny_working_set(self, monkeypatch):
+        # every pairwise scan of this module then runs one row at a time; the
+        # estimators chunk their sums by the same constant, and a sum's
+        # rounding depends on its chunks, so only this module sees the change
+        first = self._run(3)
+        monkeypatch.setattr(gc, "nested_projection", SimpleNamespace(WORKING_SET=1))
+        again = self._run(3)
+        assert any(e["action"] == "refine" for e in again.metadata["trail"])
+        assert np.array_equal(again.means, first.means)
+        assert np.array_equal(again.weights, first.weights)
+        assert again.metadata["trail"] == first.metadata["trail"]
+
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_one_chain_build_per_checker(self, monkeypatch, seed):
         calls = _count_chain_builds(monkeypatch)
@@ -370,6 +397,29 @@ class TestRecursiveDeterminism:
         assert len(calls) == actions.count("isolate") + actions.count("refine") + 1
         levels = [e["level"] for e in trail if e["action"] not in ("split", "project")]
         assert levels == sorted(levels) and levels[0] == 0
+
+
+class TestMultiGroupRecursion:
+    # two pairs of means 10 apart, the pairs 1e11 apart: the gap split gives
+    # two groups, each clustered at its own k_g = 2 under the mixture's params
+    spec = build_spec(GenConfig(k=4, d=4, separation=10, profile="hierarchical", ratios=(10.0, 1e11), seed=0))
+    params = gc.desk_params(4, 0.25, sep_hint=10.0)
+
+    def _run(self, seed):
+        stream = MixtureSampler(self.spec, seed=seed)
+        return gc.recursive_cluster(stream, 4, 0.25, 1.0, 2.0, params=self.params, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_group_recovers_its_means(self, seed):
+        learned = self._run(seed)
+        assert learned.metadata["groups"] == 2
+        assert learned.metadata["warnings"] == []
+        _, errors = match_means(learned.means, self.spec.means)
+        assert len(learned.means) == 4 and np.all(errors <= 0.3)
+        again = self._run(seed)
+        assert np.array_equal(again.means, learned.means)
+        assert np.array_equal(again.weights, learned.weights)
+        assert again.metadata["trail"] == learned.metadata["trail"]
 
 
 class TestSignalDirection:
@@ -422,17 +472,10 @@ class TestBoundedMeansSplit:
 
 
 def _far_pair_scan(pts, threshold):
-    """The chunked all-pairs scan without the bounding-box shortcut."""
-    n = len(pts)
-    step = max(1, int(4e7 // max(n * pts.shape[1], 1)))
-    for start in range(0, n, step):
-        block = pts[start : start + step]
-        dists = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
-        hit = np.argwhere(dists >= threshold)
-        if len(hit):
-            i, j = hit[0]
-            return start + int(i), int(j)
-    return None
+    """The all-pairs scan in one block, without the bounding-box shortcut."""
+    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    hit = np.argwhere(dists >= threshold)
+    return (int(hit[0][0]), int(hit[0][1])) if len(hit) else None
 
 
 class TestFarPairShortcut:
@@ -443,9 +486,10 @@ class TestFarPairShortcut:
         scale=hst.sampled_from([1e-3, 1.0, 1e3, 1e9]),
         anchor=hst.sampled_from(["diameter", "diagonal"]),
         factor=hst.sampled_from([0.5, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 2.0]),
+        working_set=hst.sampled_from([1, 50, npj.WORKING_SET]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_full_scan(self, seed, n, d, scale, anchor, factor):
+    def test_matches_full_scan(self, seed, n, d, scale, anchor, factor, working_set):
         r = np.random.default_rng(seed)
         pts = r.standard_normal((n, d)) * scale
         if anchor == "diameter":
@@ -453,7 +497,8 @@ class TestFarPairShortcut:
         else:
             ref = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
         threshold = ref * factor if ref > 0 else factor
-        assert gc._far_pair(pts, threshold) == _far_pair_scan(pts, threshold)
+        with mock.patch.object(npj, "WORKING_SET", working_set):
+            assert gc._far_pair(pts, threshold) == _far_pair_scan(pts, threshold)
 
 
 class TestDimensionReduction:
@@ -513,7 +558,7 @@ class TestTypedFailures:
     def test_separation_test_propagates_stream_errors(self, monkeypatch, checker):
         # only starvation and a missing signal count as "no split found"
         monkeypatch.setattr(gc, "GAMMA_COUNT", 1)
-        params = gc.desk_params(2, 0.5, sep_hint=4.0)
-        chain = gc._checker_chain(_NormalSampler(2, 0), checker, 2, 0.5, 1.0, seed=0)
+        scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+        chain = gc._checker_chain(_NormalSampler(2, 0), checker, scales, seed=0)
         with pytest.raises(RuntimeError, match="inner stream failed"):
-            gc.test_max_separation(_BrokenSampler(), checker, 2, 0.5, 1.0, params=params, chain=chain)
+            gc.test_max_separation(_BrokenSampler(), checker, scales, chain=chain)

@@ -38,6 +38,15 @@ class TestGenConfig:
         with pytest.raises(ValueError):
             GenConfig(k=2, d=2, profile="hierarchical", ratios=())
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"separation": -3.0}, {"separation": 0.0}, {"separation": float("nan")},
+         {"profile": "hierarchical", "ratios": (10.0, 0.0)}, {"profile": "hierarchical", "ratios": (-1.0,)}],
+    )
+    def test_rejects_nonpositive_separation_or_ratio(self, kwargs):
+        with pytest.raises(ValueError, match="must be > 0"):
+            GenConfig(k=2, d=2, **kwargs)
+
     def test_explicit_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             GenConfig(k=2, d=2, weight_profile="explicit", weights=(0.5, 0.2))
