@@ -178,6 +178,17 @@ def _gen_config(mix_cfg: dict, seed_override: int | None) -> GenConfig:
         raise ConfigError(str(err)) from err
 
 
+def _spec_config(mix_cfg: dict, seed_override: int | None) -> GenConfig:
+    """The mixture block of a run that builds its spec from the block as
+    given.  A hierarchical profile places its means by ``ratios`` alone, so
+    a ``separation`` next to it would be ignored: it exits 2 instead, after
+    the generator's own range checks."""
+    gen = _gen_config(mix_cfg, seed_override)
+    if gen.profile == "hierarchical" and "separation" in mix_cfg:
+        raise ConfigError("config key 'mixture.separation' is not read by profile 'hierarchical'")
+    return gen
+
+
 def _out_dir(args) -> str:
     out = args.out or os.environ.get(OUT_ENV) or "."
     os.makedirs(out, exist_ok=True)
@@ -251,7 +262,7 @@ def evaluate(spec, learned: LearnedMixture, seed: int, n: int):
 
 def cmd_generate(cfg: dict, args) -> int:
     out = _out_dir(args)
-    gen = _gen_config(cfg["mixture"], args.seed)
+    gen = _spec_config(cfg["mixture"], args.seed)
     spec = build_spec(gen)
     n = int(cfg["n"])
     sampler = MixtureSampler(spec, seed=gen.seed)
@@ -316,7 +327,7 @@ def _run_gaussian(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
 
 def cmd_cluster(cfg: dict, args) -> int:
     out = _out_dir(args)
-    gen = _gen_config(cfg["mixture"], None)
+    gen = _spec_config(cfg["mixture"], None)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", gen.seed))
     spec = build_spec(gen)
     variant = cfg["variant"]
@@ -549,6 +560,8 @@ def _best_label_accuracy(pred: np.ndarray, truth: np.ndarray, k: int) -> float:
 
 
 def cmd_bench(cfg: dict, args) -> int:
+    if "separation" in cfg["mixture"]:
+        raise ConfigError("config key 'mixture.separation' is not read by bench: each cell takes one of separations")
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     separations = [float(s) for s in cfg["separations"]]

@@ -53,6 +53,7 @@ __all__ = [
     "checker_contains_batch",
     "complement_basis",
     "reduce_by_checker",
+    "split_rows",
     "signal_split",
     "find_signal_direction",
     "full_cluster_bounded",
@@ -69,7 +70,7 @@ _ORTHO_TOL = 1e-10
 PAIR_DEGREE = 2  # pair-test degree t
 GRID_RATIO = 1.1  # separation-guess grid ratio
 SIGNAL_BATCH = 96  # batch size per anchor
-SIGNAL_SAMPLES = 1_500  # fresh samples for signal verification
+SIGNAL_SAMPLES = 1_500  # least rows of a signal verification pool
 REFINE_SAMPLES = 1_500  # kept-sample pool for choosing the new center
 ISOLATE_SAMPLES = 3_000  # samples clustered when isolating
 MEAN_SAMPLES = 20_000  # samples for final mean/weight estimates
@@ -253,21 +254,32 @@ class SignalDirection:
             raise ValueError("signal direction is not a unit vector")
 
 
-def signal_split(mix_sampler, v, p_level: float, delta: float) -> float | None:
-    """Verifies v as a signal direction on fresh rows of the stream.
+def _verification_rows(p_level: float) -> int:
+    """Rows one signal verification reads at mass level ``p_level``: at
+    least SIGNAL_SAMPLES, and at least 20 per unit of 1/p_level."""
+    return max(SIGNAL_SAMPLES, math.ceil(20.0 / p_level))
 
-    Draws max(SIGNAL_SAMPLES, ceil(20/p_level)) rows and takes the widest
-    interval along v that leaves empirical mass >= 0.95*p_level on each
-    side.  Returns its midpoint, the split point, when the interval is at
-    least 2*delta wide, so each side's mass sits >= delta from it; None
-    otherwise."""
-    n = max(SIGNAL_SAMPLES, math.ceil(20.0 / p_level))
-    proj = np.sort(np.asarray(mix_sampler.draw(n), dtype=float) @ np.asarray(v, dtype=float))
+
+def split_rows(rows, v, p_level: float, delta: float) -> float | None:
+    """Verifies v as a signal direction on the given rows.
+
+    Takes the widest interval along v that leaves empirical mass
+    >= 0.95*p_level on each side.  Returns its midpoint, the split point,
+    when the interval is at least 2*delta wide, so each side's mass sits
+    >= delta from it; None otherwise."""
+    proj = np.sort(np.asarray(rows, dtype=float) @ np.asarray(v, dtype=float))
+    n = len(proj)
     q = math.ceil(0.95 * p_level * n)
     lo, hi = proj[q - 1], proj[n - q]
     if hi - lo < 2.0 * delta:
         return None
     return 0.5 * (lo + hi)
+
+
+def signal_split(mix_sampler, v, p_level: float, delta: float) -> float | None:
+    """:func:`split_rows` on ``_verification_rows(p_level)`` fresh rows of the
+    stream."""
+    return split_rows(mix_sampler.draw(_verification_rows(p_level)), v, p_level, delta)
 
 
 def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
@@ -315,15 +327,31 @@ def find_signal_direction(
     direction — by default at (0.8*w_star, 0.8*guess), or at a caller-fixed
     level when ``check_p``/``check_delta`` are given.  ``chain`` is the
     checker's ``(chain, base)`` pair (:func:`_checker_chain`).
+
+    Every candidate the call tests is verified on one pool of
+    ``_verification_rows(p_level)`` rows, drawn at the call's first
+    verification; the mass level is fixed within a call, so one pool serves
+    every test.  This is sound for the reason common random numbers are in
+    the Far/Close test: a candidate v is a function of its own trial's
+    anchors and batch (and of the chain, built earlier) only, and those rows
+    are drawn apart from the pool, so the pool is independent of every v it
+    verifies.  Each test therefore keeps its own error probability, and the
+    union bound over the at most ``len(grid) * SIGNAL_TRIALS`` tests of a
+    call, which needs no independence between the tests, is the one a fresh
+    draw per test gives.  What stays fresh: the anchors and batch of every
+    trial, and any later check of the returned direction (refinement's
+    classification in :func:`refine_checker`), because the returned v was
+    chosen by its success on the pool.
     """
     if delta_guess_grid is None:
         delta_guess_grid = _default_grid(mix_sampler, scales.grid_floor, GRID_STEPS)
     chain, base = chain
     m = SIGNAL_BATCH
+    p_lvl = check_p if check_p is not None else 0.8 * scales.w_star
+    pool = None  # the call's verification rows, drawn at its first verification
     tried = []
     for delta in delta_guess_grid:
         cfg = scales.pair_config(max(0.01 * delta, scales.params.pair_sep_floor))
-        p_lvl = check_p if check_p is not None else 0.8 * scales.w_star
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
         for _ in range(SIGNAL_TRIALS):
             anchors = np.asarray(mix_sampler.draw(2), dtype=float)
@@ -340,7 +368,9 @@ def find_signal_direction(
                 tried.append({"delta": delta, "reason": "coincident candidates"})
                 continue
             v = (mu0 - mu1) / gap
-            split = signal_split(mix_sampler, v, p_lvl, d_lvl)
+            if pool is None:
+                pool = mix_sampler.draw(_verification_rows(p_lvl))
+            split = split_rows(pool, v, p_lvl, d_lvl)
             if split is not None:
                 return SignalDirection(v, d_lvl, split)
             tried.append({"delta": delta, "reason": "verification failed"})

@@ -18,6 +18,20 @@ def random_nested_projection(d, widths, rng):
     return NestedProjection(tuple(stages), d)
 
 
+class RowCounter:
+    """Passes draws through to a stream and counts the rows it returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d = inner.d
+        self.rows = 0
+
+    def draw(self, n):
+        out = self.inner.draw(n)
+        self.rows += len(out)
+        return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

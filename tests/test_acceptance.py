@@ -43,7 +43,7 @@ from mixcluster.sample_test import TestConfig as RunConfig
 from mixcluster.sample_test import choose_threshold, r_expansion_arrays
 from mixcluster.sample_test import test_sample_batch as far_mask
 
-from conftest import random_nested_projection
+from conftest import RowCounter, random_nested_projection
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -309,20 +309,6 @@ class TestCriterion8:
         _verdict("C8", all_ok, "; ".join(summary))
 
 
-class _RowCounter:
-    """Passes draws through to a stream and counts the rows it returns."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.d = inner.d
-        self.rows = 0
-
-    def draw(self, n):
-        out = self.inner.draw(n)
-        self.rows += len(out)
-        return out
-
-
 class TestCriterion9:
     def test_c09_recursive_gaussian_end_to_end(self):
         spec = build_spec(
@@ -341,14 +327,16 @@ class TestCriterion9:
         worst_time = 0.0
         recursed_all = True
         rows = []
+        worst_error = 0.0
         for seed in range(20):
             start = time.perf_counter()
-            mix = _RowCounter(sample_stream(spec, seed))
+            mix = RowCounter(sample_stream(spec, seed))
             learned = recursive_cluster(mix, 4, 0.25, 1.0, 2.0, params=params, seed=seed)
             elapsed = time.perf_counter() - start
             rows.append(mix.rows)
             worst_time = max(worst_time, elapsed)
             _, errors = match_means(learned.means, spec.means)
+            worst_error = max(worst_error, float(np.max(errors)))
             recursed = any(
                 e["action"] == "isolate" and e.get("level", -1) >= 1
                 for e in learned.metadata["trail"]
@@ -362,7 +350,8 @@ class TestCriterion9:
             ok,
             f"recursive clustering {wins}/20 seeds, slowest {worst_time:.1f}s, "
             f"recursion levels {'observed' if recursed_all else 'missing on some seeds'}, "
-            f"mixture rows per seed mean {np.mean(rows):,.0f} max {max(rows):,}",
+            f"mixture rows per seed mean {np.mean(rows):,.0f} max {max(rows):,}, "
+            f"worst mean error {worst_error:.3f}",
         )
 
 

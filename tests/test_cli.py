@@ -98,6 +98,16 @@ class TestGenerate:
         assert "must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
 
+    def test_separation_with_hierarchical_profile_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "c.json", _gen_cfg(profile="hierarchical", ratios=[10.0, 1000.0]))
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'mixture.separation' is not read by profile 'hierarchical'" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+        mix = _gen_cfg(profile="hierarchical", ratios=[10.0, 1000.0])
+        del mix["mixture"]["separation"]
+        cfg = _write(tmp_path / "c.json", mix)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+
     def test_workers_is_a_usage_error(self, tmp_path):
         cfg = _write(tmp_path / "c.json", _gen_cfg())
         with pytest.raises(SystemExit) as exc:
@@ -215,6 +225,14 @@ class TestCluster:
         cfg = _write(tmp_path / "c.json", doc)
         assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "separation must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("variant", ["poincare", "gaussian-recursive"])
+    def test_separation_with_hierarchical_profile_exits_2(self, tmp_path, capsys, variant):
+        doc = {"mixture": _gen_cfg(profile="hierarchical", ratios=[10.0])["mixture"], "variant": variant}
+        cfg = _write(tmp_path / "c.json", doc)
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'mixture.separation' is not read by profile 'hierarchical'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_recursive_variant_on_non_gaussian_base_exits_2(self, tmp_path, capsys):
@@ -426,6 +444,20 @@ class TestBench:
         cfg = _write(tmp_path / "b.json", doc)
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "separations must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_mixture_separation_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        import mixcluster.cli as cli
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_bench_cell", no_cell)
+        doc = self._cfg()
+        doc["mixture"]["separation"] = 8.0
+        cfg = _write(tmp_path / "b.json", doc)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'mixture.separation' is not read by bench" in capsys.readouterr().err
         assert not (tmp_path / "bench.json").exists()
 
     @pytest.mark.parametrize(

@@ -19,6 +19,8 @@ from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build
 from mixcluster import sample_test as st
 from mixcluster.poincare_cluster import assign_batch, learn_means
 
+from conftest import RowCounter
+
 
 def _spec(weights, means, tag="gaussian"):
     return MixtureSpec(np.asarray(weights, float), np.asarray(means, float), tag)
@@ -440,9 +442,40 @@ class TestSignalDirection:
         gc.signal_split(sampler, np.array([1.0, 0.0]), 0.4, 1.0)
         assert sampler.rows == 5_000 + gc.SIGNAL_SAMPLES
 
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        p_level=hst.floats(0.001, 0.5),
+        delta=hst.floats(0.0, 4.0),
+        spread=hst.floats(0.0, 20.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_rows_is_signal_split_on_the_same_rows(self, seed, p_level, delta, spread):
+        r = np.random.default_rng(seed)
+        n = gc._verification_rows(p_level)
+        rows = r.standard_normal((n, 3))
+        rows[: n // 3, 0] += spread
+        v = r.standard_normal(3)
+        v /= np.linalg.norm(v)
+        want = gc.signal_split(_ArraySampler(rows), v, p_level, delta)
+        assert gc.split_rows(rows, v, p_level, delta) == want
+
     def test_direction_must_be_unit(self):
         with pytest.raises(ValueError):
             gc.SignalDirection(np.array([2.0, 0.0]), 1.0, 0.0)
+
+    def test_one_verification_pool_per_search(self, monkeypatch):
+        monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
+        spec = _spec([1.0], [[0.0, 0.0]])
+        scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+        chain = gc._difference_chain(MixtureSampler(spec, seed=5), 2, gc.PAIR_DEGREE, seed=0)
+        stream = RowCounter(MixtureSampler(spec, seed=3))
+        # one Gaussian has no split, so every trial reaches a failing verification
+        with pytest.raises(gc.NoSignalError) as err:
+            gc.find_signal_direction(stream, scales, [4.0], chain=chain)
+        attempts = err.value.diagnostics["attempts"]
+        assert [a["reason"] for a in attempts] == ["verification failed"] * gc.SIGNAL_TRIALS
+        search = gc.SIGNAL_TRIALS * (2 + 2 * gc.SIGNAL_BATCH)
+        assert stream.rows == search + gc._verification_rows(0.8 * scales.w_star)
 
 
 class TestBoundedMeansSplit:
