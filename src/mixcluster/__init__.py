@@ -11,7 +11,7 @@ against live in oracles, which no learner imports.
 
 from .gaussian_cluster import ClusterParams, desk_params, recursive_cluster
 from .mixture_gen import GenConfig, MixtureSampler, base_sampler, build_spec, sample_stream
-from .moment_pipeline import MixtureSpec, ProjectionChain, iterative_projection
+from .moment_pipeline import MixtureSpec, iterative_projection
 from .nested_projection import NestedProjection
 from .poincare_cluster import LearnedMixture, learn_means
 from .sample_test import TestConfig, choose_threshold, pair_test
@@ -23,7 +23,6 @@ __all__ = [
     "MixtureSampler",
     "MixtureSpec",
     "NestedProjection",
-    "ProjectionChain",
     "TestConfig",
     "base_sampler",
     "build_spec",

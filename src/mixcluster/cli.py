@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -121,6 +122,9 @@ def validate_config(cfg: dict, command: str) -> dict:
         elif expect is float:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{path} must be a number")
+            # json.load accepts NaN and Infinity, which no config value may be
+            if not math.isfinite(value):
+                raise ConfigError(f"{path} must be a finite number")
         elif not isinstance(value, expect) or isinstance(value, bool) != (expect is bool):
             raise ConfigError(f"{path} must be {expect.__name__}")
 
@@ -458,7 +462,7 @@ def _suite_projection(rng: np.random.Generator) -> dict:
         weights = np.full(k, 1.0 / k)
         spec = MixtureSpec(weights, means, "gaussian")
         chain = exact_projection_chain(spec, 3, k)
-        gamma = dense_matrix(chain.projection)
+        gamma = dense_matrix(chain)
         gram = gamma @ gamma.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(len(gram))))))
     return {"max_row_orthonormality_error": worst, "tolerance": 1e-10, "passed": worst <= 1e-10}
@@ -562,6 +566,10 @@ def _best_label_accuracy(pred: np.ndarray, truth: np.ndarray, k: int) -> float:
 def cmd_bench(cfg: dict, args) -> int:
     if "separation" in cfg["mixture"]:
         raise ConfigError("config key 'mixture.separation' is not read by bench: each cell takes one of separations")
+    # a hierarchical profile places its means by ratios alone, so every cell
+    # would run one mixture under its own separation label
+    if cfg["mixture"].get("profile") == "hierarchical":
+        raise ConfigError("bench sweeps separations, which profile 'hierarchical' does not read")
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     separations = [float(s) for s in cfg["separations"]]

@@ -442,9 +442,7 @@ class GroupScales:
 
     def pair_config(self, sep: float) -> st.TestConfig:
         """The pair test for separation ``sep`` among the group's k."""
-        tau = st.choose_threshold(sep, PAIR_DEGREE)
-        void = not st.threshold_feasible(sep, PAIR_DEGREE, self.k, st.DELTA, "gaussian")
-        return st.TestConfig(PAIR_DEGREE, tau, guarantee_void=void)
+        return st.TestConfig(PAIR_DEGREE, st.choose_threshold(sep, PAIR_DEGREE))
 
     def separation_radius(self, gamma) -> float:
         """The separation test's scope at ``gamma``: (30 + gamma) theta."""

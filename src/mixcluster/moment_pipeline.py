@@ -84,29 +84,6 @@ class MixtureSpec:
         }
 
 
-@dataclass(frozen=True)
-class MomentMatrixEstimate:
-    matrix: np.ndarray
-    samples_used: int
-    degree: int  # 2s
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if not np.all(np.isfinite(m)):
-            raise NumericError("moment matrix estimate has non-finite entries")
-        object.__setattr__(self, "matrix", (m + m.T) / 2.0)
-
-
-@dataclass(frozen=True)
-class ProjectionChain:
-    projection: NestedProjection
-    diagnostics: tuple = ()
-
-    @property
-    def degree(self) -> int:
-        return self.projection.stage_count
-
-
 @lru_cache(maxsize=None)
 def _half_word_tables(s: int):
     """Folded grouping tables for the degree-2s estimator.
@@ -148,8 +125,8 @@ def _half_word_tables(s: int):
 
 def estimate_moment_matrix(
     mix_sampler, base_sampler, s: int, np_prev: NestedProjection, n: int
-) -> MomentMatrixEstimate:
-    """Monte-Carlo estimate of A_{2s} from n mixture samples.
+) -> np.ndarray:
+    """Monte-Carlo estimate of A_{2s} from n mixture samples, symmetrised.
 
     Each sample draws 4s-1 fresh base samples and splits (z_i, x_1..x_{4s-1})
     into two blocks of 2s.  The rank-1 expansion of R_{2s} over a block pairs
@@ -194,8 +171,10 @@ def estimate_moment_matrix(
         v = v.reshape(2 * b, r, out_dim)
         acc += v.reshape(-1, out_dim).T @ (v.reshape(b, 2, r, out_dim) * signed).reshape(-1, out_dim)
         done += b
-    acc = acc.reshape(c, d, c, d).transpose(1, 0, 3, 2).reshape(out_dim, out_dim)
-    return MomentMatrixEstimate(acc / n, samples_used=n, degree=2 * s)
+    acc = acc.reshape(c, d, c, d).transpose(1, 0, 3, 2).reshape(out_dim, out_dim) / n
+    if not np.all(np.isfinite(acc)):
+        raise NumericError("moment matrix estimate has non-finite entries")
+    return (acc + acc.T) / 2.0
 
 
 def top_k_subspace(m: np.ndarray, k: int, rank_tol: float = 1e-12) -> np.ndarray:
@@ -247,31 +226,16 @@ def _fallback_stage(m: int) -> np.ndarray:
     return np.eye(1, m)
 
 
-def _stage_diagnostics(s: int, matrix: np.ndarray, kept: int, samples: int) -> dict:
-    vals = np.sort(np.abs(np.linalg.eigvalsh((matrix + matrix.T) / 2.0)))[::-1]
-    top = vals[: kept + 1]
-    gap = float(top[kept - 1] - top[kept]) if len(top) > kept else float(top[-1])
-    return {
-        "stage": s,
-        "samples": samples,
-        "kept": kept,
-        "top_eigenvalues": [float(v) for v in vals[: kept + 1]],
-        "spectral_gap": gap,
-    }
-
-
-def next_stage(chain: NestedProjection, s: int, matrix: np.ndarray, k: int, samples: int):
+def next_stage(chain: NestedProjection, matrix: np.ndarray, k: int) -> NestedProjection:
     """Appends Pi_s, the top-k eigenspace of the degree-2s moment matrix, to
-    chain (a fixed unit row when the matrix is numerically zero).  Returns
-    the longer chain and the stage's diagnostics; ``samples`` is the number
-    of mixture samples the matrix was estimated from."""
+    chain (a fixed unit row when the matrix is numerically zero)."""
     pi = top_k_subspace(matrix, k)
     if pi.shape[0] == 0:
         pi = _fallback_stage(matrix.shape[0])
-    return NestedProjection(chain.stages + (pi,), chain.d), _stage_diagnostics(s, matrix, pi.shape[0], samples)
+    return NestedProjection(chain.stages + (pi,), chain.d)
 
 
-def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage: int = 100_000) -> ProjectionChain:
+def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage: int = 100_000) -> NestedProjection:
     """Builds Pi_1 = I_d, then Pi_s from the estimated A_{2s} for s = 2..t.
 
     Stage sample sets are disjoint by construction: the samplers are streams
@@ -280,9 +244,7 @@ def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage:
     if t < 1:
         raise ValueError("degree t must be >= 1")
     chain = identity_projection(mix_sampler.d)
-    diags = []
     for s in range(2, t + 1):
-        est = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, n_per_stage)
-        chain, diag = next_stage(chain, s, est.matrix, k, est.samples_used)
-        diags.append(diag)
-    return ProjectionChain(chain, tuple(diags))
+        matrix = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, n_per_stage)
+        chain = next_stage(chain, matrix, k)
+    return chain

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mixture_gen import BASE_TAGS, LAPLACE_SCALE, UNIFORM_HALF_WIDTH, UnsupportedDistributionError
-from .moment_pipeline import MixtureSpec, ProjectionChain, next_stage
+from .moment_pipeline import MixtureSpec, next_stage
 from .nested_projection import NestedProjection, identity_projection
 from .sample_test import SizeLimitError, r_expansion_arrays
 
@@ -441,11 +441,9 @@ def exact_moment_matrix(spec: MixtureSpec, np_prev: NestedProjection) -> np.ndar
     return acc
 
 
-def exact_projection_chain(spec: MixtureSpec, t: int, k: int) -> ProjectionChain:
+def exact_projection_chain(spec: MixtureSpec, t: int, k: int) -> NestedProjection:
     """The chain iterative_projection builds, from exact A_{2s} matrices."""
     chain = identity_projection(spec.d)
-    diags = []
-    for s in range(2, t + 1):
-        chain, diag = next_stage(chain, s, exact_moment_matrix(spec, chain), k, 0)
-        diags.append(diag)
-    return ProjectionChain(chain, tuple(diags))
+    for _ in range(2, t + 1):
+        chain = next_stage(chain, exact_moment_matrix(spec, chain), k)
+    return chain

@@ -193,7 +193,7 @@ def learn_means(
     chain = iterative_projection(DifferenceSampler(mix_sampler), DifferenceSampler(base_sampler), t, k, n_per_stage)
     tau = st.choose_threshold(sep, t)
     void = not st.threshold_feasible(sep, t, k, st.DELTA, "poincare")
-    cfg = st.TestConfig(t, tau, reps=reps, guarantee_void=void)
+    cfg = st.TestConfig(t, tau, reps=reps)
 
     means, support = probe_batch_vote(
         mix_sampler, base_sampler, chain, cfg, l, m, alpha, 0.9 * w_min * l

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nested_projection
-from .moment_pipeline import ProjectionChain
+from .nested_projection import NestedProjection
 
 DEFAULT_REPS = 64
 DELTA = 0.05  # failure probability both learners size their tests for
@@ -51,7 +51,6 @@ class TestConfig:
     t: int
     tau: float
     reps: int = DEFAULT_REPS
-    guarantee_void: bool = False  # set when the feasibility gate fails
 
     def __post_init__(self):
         if self.reps < 1:
@@ -147,7 +146,7 @@ def _polynomial_tables(t: int, d: int):
     return tuple(tables)
 
 
-def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
+def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Averaged projected R_t statistics for a batch of test points.
 
     zs has shape (n, d); returns the n statistics ||A_i||.  One call draws
@@ -167,15 +166,14 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
     Gamma(z^(x)t).  t = 1 is ||Pi_1(z - mean_r y_r)||.
     """
     t = cfg.t
-    proj = chain.projection
     n, d = zs.shape
     reps = cfg.reps
     draws = np.asarray(base_sampler.draw(reps * (2 * t - 1)), dtype=float)
     draws = draws.reshape(reps, 2 * t - 1, d)
     if t == 1:
-        return np.linalg.norm((zs - draws[:, 0, :].mean(axis=0)) @ proj.stages[-1].T, axis=1)
-    c = proj.out_dim
-    per_row = d * max(t, *proj.widths)  # floats of a chain row's widest intermediate
+        return np.linalg.norm((zs - draws[:, 0, :].mean(axis=0)) @ chain.stages[-1].T, axis=1)
+    c = chain.out_dim
+    per_row = d * max(t, *chain.widths)  # floats of a chain row's widest intermediate
     pool = np.concatenate([np.broadcast_to(np.eye(d), (reps, d, d)), draws], axis=1)
     poly = []
     for k, (index, coeffs) in enumerate(_polynomial_tables(t, d)):
@@ -189,7 +187,7 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
         for start in range(0, n_groups, chunk):
             rep, word = np.divmod(np.arange(start, min(n_groups, start + chunk)), len(coeffs))
             factors = pools[rep[:, None, None], index[word]].reshape(-1, t, d)
-            images = nested_projection.apply_rank1_batch(proj, factors)
+            images = nested_projection.apply_rank1_batch(chain, factors)
             acc += np.tensordot(coeffs[word], images.reshape(len(word), d**k, c), axes=1)
         poly.append(acc / len(pools))
     # chunk over test points to bound z^(x)(t-1) and the chain row's intermediates
@@ -198,7 +196,7 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
     for start in range(0, n, chunk):
         z = zs[start : start + chunk]
         m = len(z)
-        a = nested_projection.apply_rank1_batch(proj, np.broadcast_to(z[:, None, :], (m, t, d))) + poly[0]
+        a = nested_projection.apply_rank1_batch(chain, np.broadcast_to(z[:, None, :], (m, t, d))) + poly[0]
         power = z
         for k in range(1, t):
             a += power @ poly[k]
@@ -208,7 +206,7 @@ def _statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: TestConfig, ba
     return out
 
 
-def test_sample_batch(zs, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
+def test_sample_batch(zs, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Vectorized Far/Close over rows of zs; returns a boolean Far mask.
 
     The rows share one set of reps * (2t-1) base draws.  Per call the
@@ -216,20 +214,20 @@ def test_sample_batch(zs, chain: ProjectionChain, cfg: TestConfig, base_sampler)
     chain rows; per row, sum_{k<t} c_t d^k multiply-adds and one chain row
     (see _statistic_batch)."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    if chain.degree != cfg.t:
-        raise ValueError(f"chain degree {chain.degree} != configured t {cfg.t}")
-    if zs.ndim != 2 or zs.shape[1] != chain.projection.d:
-        raise ValueError(f"samples have shape {zs.shape}, expected (n, {chain.projection.d})")
+    if chain.stage_count != cfg.t:
+        raise ValueError(f"chain degree {chain.stage_count} != configured t {cfg.t}")
+    if zs.ndim != 2 or zs.shape[1] != chain.d:
+        raise ValueError(f"samples have shape {zs.shape}, expected (n, {chain.d})")
     stats = _statistic_batch(zs, chain, cfg, base_sampler)
     return stats >= cfg.tau
 
 
-def pair_test(z, z_prime, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> str:
+def pair_test(z, z_prime, chain: NestedProjection, cfg: TestConfig, base_sampler) -> str:
     """Accept iff the scaled difference tests Close under the difference chain."""
     return ACCEPT if pair_test_batch(z, z_prime, chain, cfg, base_sampler)[0] else REJECT
 
 
-def pair_test_batch(z, others, chain: ProjectionChain, cfg: TestConfig, base_sampler) -> np.ndarray:
+def pair_test_batch(z, others, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Accept mask of pair tests between one probe and many other samples.
 
     The call's pair tests share one set of reps * (2t-1) base draws.  The

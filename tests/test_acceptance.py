@@ -240,7 +240,7 @@ class TestCriterion6:
             spec = MixtureSpec(weights, means, "gaussian")
             chain = exact_projection_chain(spec, 4, 3)
             for s in range(1, 5):
-                proj = prefix(chain.projection, s)
+                proj = prefix(chain, s)
                 for mu in spec.means:
                     captured = float(np.linalg.norm(apply_rank1(proj, (mu,) * s)))
                     ratio = captured / np.linalg.norm(mu) ** s

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,58 @@ class TestConfigValidation:
     def test_override_without_equals_rejected(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["justakey"])
+
+
+def _cluster_cfg(**keys):
+    doc = {
+        "mixture": {"k": 2, "d": 2, "separation": 12.0, "dist_tag": "point_mass", "seed": 1},
+        "variant": "poincare",
+        "sep": 12.0,
+        "w_min": 0.4,
+        "eval_samples": 50,
+    }
+    doc.update(keys)
+    return doc
+
+
+class TestNonFiniteNumbers:
+    # json.load reads NaN, Infinity and -Infinity; each must exit 2 with no output
+    @pytest.mark.parametrize(
+        "command, doc, overrides, named",
+        [
+            ("generate", _gen_cfg(separation=math.inf), [], "mixture.separation"),
+            ("cluster", _cluster_cfg(sep=math.nan), [], "sep"),
+            ("cluster", _cluster_cfg(alpha=math.nan), [], "alpha"),
+            ("cluster", _cluster_cfg(), ["c=-Infinity"], "c"),
+            (
+                "bench",
+                {"mixture": {"k": 2, "d": 2, "dist_tag": "point_mass"}, "separations": [8.0, math.nan]},
+                [],
+                "separations[1]",
+            ),
+        ],
+    )
+    def test_exits_2_with_no_output(self, tmp_path, monkeypatch, capsys, command, doc, overrides, named):
+        import mixcluster.cli as cli
+        from mixcluster.poincare_cluster import LearnedMixture
+
+        def fake_learner(mix, *args, **kwargs):
+            return LearnedMixture(np.array(mix.spec.means), np.array(mix.spec.weights))
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "learn_means", fake_learner)
+        monkeypatch.setattr(cli, "_bench_cell", no_cell)
+        cfg = _write(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--config", cfg, "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert f"{named} must be a finite number" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestGenerate:
@@ -458,6 +511,20 @@ class TestBench:
         cfg = _write(tmp_path / "b.json", doc)
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "'mixture.separation' is not read by bench" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_hierarchical_profile_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        import mixcluster.cli as cli
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_bench_cell", no_cell)
+        doc = self._cfg()
+        doc["mixture"].update(profile="hierarchical", ratios=[10.0])
+        cfg = _write(tmp_path / "b.json", doc)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "profile 'hierarchical'" in capsys.readouterr().err
         assert not (tmp_path / "bench.json").exists()
 
     @pytest.mark.parametrize(

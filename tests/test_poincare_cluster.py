@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import mixcluster.sample_test as st
 from mixcluster.cli import match_means
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster.moment_pipeline import MixtureSpec
@@ -180,6 +181,17 @@ class TestLearnMeans:
                 learn_means(mix, base, 1, 1.0, 12.0, 2.0, 0.5, t=1, reps=4, n_per_stage=1_000)
             )
         assert np.array_equal(np.asarray(results[0].means), np.asarray(results[1].means))
+
+    @pytest.mark.parametrize("sep", [12.0, 5_000.0])
+    def test_guarantee_void_is_the_feasibility_gate(self, sep):
+        # at t = 1 and k = 2 the threshold 0.2 sep clears 20 k / DELTA from sep = 4,000 on
+        spec = _spec([0.5, 0.5], [[0.0, 0.0], [sep, 0.0]], "point_mass")
+        mix = MixtureSampler(spec, seed=2)
+        base = BaseSampler("point_mass", 2, 2, 7)
+        learned = learn_means(mix, base, 2, 0.4, sep, 2.0, 0.5, t=1, reps=2, n_per_stage=200)
+        want = not st.threshold_feasible(sep, 1, 2, st.DELTA, "poincare")
+        assert want == (sep < 4_000.0)
+        assert learned.metadata["guarantee_void"] is want
 
 
 class TestExports:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ import mixcluster.nested_projection as npj
 import mixcluster.sample_test as st
 from conftest import grouped_tail_images, random_nested_projection
 from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
-from mixcluster.moment_pipeline import MixtureSpec, ProjectionChain
-from mixcluster.nested_projection import apply_rank1_batch
+from mixcluster.moment_pipeline import MixtureSpec
+from mixcluster.nested_projection import NestedProjection, apply_rank1_batch
 from mixcluster.oracles import dense_matrix, exact_projection_chain, prefix, r_poly_terms
 from mixcluster.sample_test import r_expansion_arrays
 
@@ -18,14 +19,13 @@ from mixcluster.sample_test import r_expansion_arrays
 # Reference for st._statistic_batch in its direct word-gather form: every one
 # of the t^t words of every (test point, rep) row goes through the full chain,
 # and the reps are averaged last.
-def _reference_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.TestConfig, base_sampler) -> np.ndarray:
+def _reference_statistic_batch(zs: np.ndarray, np_: NestedProjection, cfg: st.TestConfig, base_sampler) -> np.ndarray:
     """Averaged projected R_t statistics for a batch of test points.
 
     zs has shape (n, d); returns the n statistics ||A_i||.  Each test point
     gets cfg.reps independent blocks of 2t-1 fresh base draws.
     """
     t = cfg.t
-    np_ = chain.projection
     n, d = zs.shape
     words, coeffs = r_expansion_arrays(t)
     n_words = len(words)
@@ -57,7 +57,7 @@ def _reference_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.T
 # Second reference, the statistic by linearity with shared draws: block 0 of
 # every test point goes through the (t-1)-stage prefix chain once per rep, its
 # tails grouped by first factor, and block 1 once per call.
-def _reference_linearity_statistic_batch(zs: np.ndarray, chain: ProjectionChain, cfg: st.TestConfig, base_sampler) -> np.ndarray:
+def _reference_linearity_statistic_batch(zs: np.ndarray, proj: NestedProjection, cfg: st.TestConfig, base_sampler) -> np.ndarray:
     """Averaged projected R_t statistics for a batch of test points.
 
     zs has shape (n, d); returns the n statistics ||A_i||.  One call draws
@@ -77,7 +77,6 @@ def _reference_linearity_statistic_batch(zs: np.ndarray, chain: ProjectionChain,
     application.
     """
     t = cfg.t
-    proj = chain.projection
     n, d = zs.shape
     reps = cfg.reps
     draws = np.asarray(base_sampler.draw(reps * (2 * t - 1)), dtype=float)
@@ -145,6 +144,12 @@ class _CountingSampler:
 def _point_mass_chain(mu, t):
     spec = MixtureSpec(np.array([1.0]), np.array([mu]), "point_mass")
     return spec, exact_projection_chain(spec, t, 1)
+
+
+class TestTestConfig:
+    def test_fields_are_the_values_callers_vary(self):
+        # a value no code reads has no field
+        assert [f.name for f in dataclasses.fields(st.TestConfig)] == ["t", "tau", "reps"]
 
 
 class TestThresholdPolicy:
@@ -287,7 +292,7 @@ def _random_chain(d, t, rng):
     for _ in range(t):
         c_prev = int(rng.integers(1, min(d * c_prev, 5) + 1))
         widths.append(c_prev)
-    return ProjectionChain(random_nested_projection(d, widths, rng))
+    return random_nested_projection(d, widths, rng)
 
 
 class TestStatisticByLinearity:
@@ -333,7 +338,7 @@ class TestStatisticByLinearity:
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
         got = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, 11, 3))
         draws = BaseSampler(tag, d, 11, 3).draw(reps * (2 * t - 1)).reshape(reps, 2 * t - 1, d)
-        gamma = dense_matrix(chain.projection)
+        gamma = dense_matrix(chain)
         want = [
             np.linalg.norm(
                 np.mean(
