@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -24,8 +25,8 @@ from scipy.optimize import linear_sum_assignment
 
 from . import __version__
 from . import gaussian_cluster as gc
-from .mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
-from .moment_pipeline import MixtureSpec
+from .mixture_gen import BaseSampler, GenConfig, MixtureSampler, PlacementError, build_spec
+from .moment_pipeline import MAX_DEGREE, MixtureSpec
 from .oracles import (
     adjusted_poly_recursive,
     base_moments,
@@ -40,9 +41,6 @@ from .poincare_cluster import LearnedMixture, default_band, learn_means, write_a
 
 OUT_ENV = "MIXCLUSTER_OUT"
 
-VALIDATE_SUITES = ("rank1-identity", "hermite", "projection")
-
-
 class ConfigError(ValueError):
     pass
 
@@ -50,102 +48,203 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config schema
 
+@dataclass(frozen=True)
+class Key:
+    """A config value's type and the interval it must lie in: [lo, hi], or
+    (lo, hi] with lo_open; a bound left None is not checked."""
+
+    type: type
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+
+    def holds(self, value) -> bool:
+        above = self.lo is None or value > self.lo or (value == self.lo and not self.lo_open)
+        return above and (self.hi is None or value <= self.hi)
+
+    def interval(self) -> str:
+        if self.hi is None:
+            return f"{'>' if self.lo_open else '>='} {self.lo}"
+        return f"in {'(' if self.lo_open else '['}{self.lo}, {self.hi}]"
+
+
+COUNT = Key(int, 1)
+SEED = Key(int, 0)
+POSITIVE = Key(float, 0, lo_open=True)
+DEGREE = Key(int, 1, MAX_DEGREE)
+
 MIXTURE_SCHEMA = {
-    "k": int,
-    "d": int,
-    "separation": float,
-    "profile": str,
-    "ratios": [float],
-    "weight_profile": str,
-    "weights": [float],
-    "dist_tag": str,
-    "seed": int,
+    "k": COUNT,
+    "d": COUNT,
+    "separation": POSITIVE,
+    "profile": Key(str),
+    "ratios": [POSITIVE],
+    "weight_profile": Key(str),
+    "weights": [Key(float, 0)],
+    "dist_tag": Key(str),
+    "seed": SEED,
 }
 
 SCHEMAS = {
     "generate": {
         "mixture": MIXTURE_SCHEMA,
-        "n": int,
+        "n": Key(int, 0),
     },
     "cluster": {
         "mixture": MIXTURE_SCHEMA,
-        "variant": str,  # "poincare" | "gaussian-recursive"
-        "w_min": float,
-        "c": float,
-        "alpha": float,
-        "sep": float,
-        "sep_hint": float,
-        "t": int,
-        "reps": int,
-        "n_per_stage": int,
-        "eval_samples": int,
-        "seed": int,
+        "variant": Key(str),  # "poincare" | "gaussian-recursive"
+        "w_min": Key(float, 0, 1, lo_open=True),
+        "c": POSITIVE,
+        "alpha": POSITIVE,
+        "sep": POSITIVE,
+        "sep_hint": POSITIVE,
+        "t": DEGREE,
+        "reps": COUNT,
+        "n_per_stage": COUNT,
+        "eval_samples": COUNT,
+        "seed": SEED,
     },
     "bench": {
         "mixture": MIXTURE_SCHEMA,
-        "separations": [float],
-        "degrees": [int],
-        "seeds_per_cell": int,
-        "eval_samples": int,
-        "reps": int,
-        "n_per_stage": int,
-        "seed": int,
+        "separations": [POSITIVE],
+        "degrees": [DEGREE],
+        "seeds_per_cell": COUNT,
+        "eval_samples": COUNT,
+        "reps": COUNT,
+        "n_per_stage": COUNT,
+        "seed": SEED,
     },
+    "validate": {"suite": Key(str)},
 }
 
+MIXTURE = ("mixture", "mixture.k", "mixture.d")  # dotted paths, each after the one it extends
 REQUIRED = {
-    "generate": ("mixture", "n"),
-    "cluster": ("mixture", "variant"),
-    "bench": ("mixture", "separations"),
+    "generate": (*MIXTURE, "n"),
+    "cluster": (*MIXTURE, "variant"),
+    "bench": (*MIXTURE, "separations"),
+    "validate": ("suite",),
+}
+
+# each learner's own default trade-off constant c, also used for the band
+DEFAULT_C = {"poincare": 0.5, "gaussian-recursive": 1.0}
+# the cluster keys only one variant reads; the other rejects them
+VARIANT_KEYS = {"poincare": ("sep", "t", "reps", "n_per_stage"), "gaussian-recursive": ("sep_hint",)}
+# the mixture key each profile leaves unread, which a config may not set
+UNREAD_BY = {
+    "profile": {"uniform": "ratios", "hierarchical": "separation"},
+    "weight_profile": {"uniform": "weights", "dirichlet": "weights"},
 }
 
 
-def validate_config(cfg: dict, command: str) -> dict:
-    """Type-check against the command schema; unknown keys are errors.  A
-    schema entry ``[T]`` is a list whose every element is a ``T``."""
-    schema = SCHEMAS[command]
+@dataclass(frozen=True)
+class Run:
+    """A valid config with its master seed and what its command runs on."""
 
-    def check(value, expect, path):
-        if isinstance(expect, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path or 'config'} must be an object")
-            for key, item in value.items():
-                here = f"{path}.{key}" if path else key
-                if key not in expect:
-                    raise ConfigError(f"unknown config key {here!r}")
-                check(item, expect[key], here)
-        elif isinstance(expect, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{path} must be a list")
-            for i, item in enumerate(value):
-                check(item, expect[0], f"{path}[{i}]")
-        elif expect is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{path} must be a number")
-            # json.load accepts NaN and Infinity, which no config value may be
-            if not math.isfinite(value):
-                raise ConfigError(f"{path} must be a finite number")
-        elif not isinstance(value, expect) or isinstance(value, bool) != (expect is bool):
-            raise ConfigError(f"{path} must be {expect.__name__}")
+    cfg: dict
+    seed: int
+    spec: MixtureSpec | None = None  # generate, cluster
+    w_min: float | None = None  # cluster
+    grid: dict | None = None  # bench: the sweep, its defaults filled in
+    cells: tuple = ()  # bench: (separation, t, seed, spec) per cell
 
-    check(cfg, schema, "")
-    for key in REQUIRED[command]:
-        if key not in cfg:
-            raise ConfigError(f"missing required config key {key!r}")
-    for key in ("t", "reps", "n_per_stage", "seeds_per_cell", "eval_samples"):
-        if cfg.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    for key in ("sep", "sep_hint", "alpha", "c"):
-        if cfg.get(key, 1) <= 0:
-            raise ConfigError(f"{key} must be > 0")
-    # each becomes a cell's mixture separation; checked here so that no cell runs
-    if any(sep <= 0 for sep in cfg.get("separations", ())):
-        raise ConfigError("separations must be > 0")
-    if not 0 < cfg.get("w_min", 1) <= 1:
-        raise ConfigError("w_min must be in (0, 1]")
-    if cfg.get("n", 0) < 0:
-        raise ConfigError("n must be >= 0")
-    return cfg
+
+def _check(value, expect, path: str) -> None:
+    """Type- and range-check value against a schema entry: a dict of entries
+    (unknown keys are errors), ``[entry]`` for a list of entry, or a Key."""
+    if isinstance(expect, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config'} must be an object")
+        for key, item in value.items():
+            here = f"{path}.{key}" if path else key
+            if key not in expect:
+                raise ConfigError(f"unknown config key {here!r}")
+            _check(item, expect[key], here)
+    elif isinstance(expect, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        for i, item in enumerate(value):
+            _check(item, expect[0], f"{path}[{i}]")
+    elif expect.type is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{path} must be a number")
+        # json.load accepts NaN and Infinity, which no config value may be
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be a finite number")
+    elif not isinstance(value, expect.type) or isinstance(value, bool):
+        raise ConfigError(f"{path} must be {expect.type.__name__}")
+    if isinstance(expect, Key) and not expect.holds(value):
+        raise ConfigError(f"{path} must be {expect.interval()}")
+
+
+def _mixture(mix: dict, **overrides):
+    """(GenConfig, spec) of a mixture block, its lists as tuples; the
+    generator's errors, an unplaceable mixture included, are config errors."""
+    kwargs = {key: tuple(v) if isinstance(v, list) else v for key, v in {**mix, **overrides}.items()}
+    try:
+        gen = GenConfig(**kwargs)
+        return gen, build_spec(gen)
+    except (ValueError, PlacementError) as err:
+        raise ConfigError(str(err)) from err
+
+
+def validate_config(cfg: dict, command: str, seed: int | None = None) -> Run:
+    """The one check of a command's config and ``--seed``, made before it
+    creates its output directory or draws a sample: each value against the
+    table, the rules beside it, and every mixture spec the run builds."""
+    _check(cfg, SCHEMAS[command], "")
+    for path in REQUIRED[command]:
+        head, _, key = path.rpartition(".")
+        if key not in (cfg[head] if head else cfg):
+            raise ConfigError(f"missing required config key {path!r}")
+    if seed is not None and seed < 0:
+        raise ConfigError("--seed must be >= 0")
+    if command == "validate":
+        if cfg["suite"] not in VALIDATE_SUITES:
+            raise ConfigError(f"unknown suite {cfg['suite']!r}; choose from {', '.join(VALIDATE_SUITES)}")
+        return Run(cfg, 0 if seed is None else seed)
+    mix = cfg["mixture"]
+    if command == "bench":
+        if "separation" in mix:
+            raise ConfigError("config key 'mixture.separation' is not read by bench: each cell takes one of separations")
+        if mix.get("profile") == "hierarchical":
+            raise ConfigError("bench sweeps separations, which profile 'hierarchical' does not read")
+    for selector, unread in UNREAD_BY.items():
+        choice = mix.get(selector, getattr(GenConfig, selector))  # GenConfig's default
+        if unread.get(choice) in mix:
+            raise ConfigError(f"config key 'mixture.{unread[choice]}' is not read by {selector} {choice!r}")
+
+    if command == "generate":
+        gen, spec = _mixture(mix, **({} if seed is None else {"seed": seed}))
+        return Run(cfg, gen.seed, spec)
+    if command == "cluster":
+        variant = cfg["variant"]
+        if variant not in DEFAULT_C:
+            raise ConfigError(f"unknown variant {variant!r}")
+        ignored = [key for other, keys in VARIANT_KEYS.items() if other != variant for key in keys if key in cfg]
+        if ignored:
+            raise ConfigError(f"config key {ignored[0]!r} is not read by variant {variant!r}")
+        gen, spec = _mixture(mix)
+        if variant == "gaussian-recursive" and spec.dist_tag != "gaussian":
+            raise ConfigError("the recursive variant requires a gaussian base distribution")
+        if variant == "poincare" and "sep" not in cfg and spec.k == 1:
+            raise ConfigError("sep defaults to the least distance between mixture means, which k = 1 lacks: set sep")
+        # the learner and the assignment band share one w_min
+        w_min = float(cfg.get("w_min", spec.w_min))
+        if w_min == 0:
+            raise ConfigError("w_min defaults to the smallest mixture weight, which is 0: set w_min in (0, 1]")
+        return Run(cfg, seed if seed is not None else cfg.get("seed", gen.seed), spec, w_min)
+
+    seed = seed if seed is not None else cfg.get("seed", 0)
+    grid = {"separations": [float(sep) for sep in cfg["separations"]], "degrees": cfg.get("degrees", [2]),
+            "seeds_per_cell": cfg.get("seeds_per_cell", 3)}
+    cells = []
+    for i, sep in enumerate(grid["separations"]):
+        for j in range(grid["seeds_per_cell"]):
+            _, spec = _mixture(mix, separation=sep, seed=seed + 1000 * i + j)
+            if spec.w_min == 0:
+                raise ConfigError("bench runs at 0.6 times the smallest mixture weight, which is 0")
+            cells += [(sep, t, seed + 1000 * i + j, spec) for t in grid["degrees"]]
+    return Run(cfg, seed, grid=grid, cells=tuple(cells))
 
 
 def apply_overrides(cfg: dict, overrides) -> dict:
@@ -161,36 +260,11 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         node = cfg
         parts = path.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override path {path!r} crosses a non-object key")
+            node = node.setdefault(part, {}) if isinstance(node, dict) else node
+        if not isinstance(node, dict):
+            raise ConfigError(f"override path {path!r} crosses a non-object key")
         node[parts[-1]] = value
     return cfg
-
-
-def _gen_config(mix_cfg: dict, seed_override: int | None) -> GenConfig:
-    kwargs = dict(mix_cfg)
-    if "ratios" in kwargs:
-        kwargs["ratios"] = tuple(kwargs["ratios"])
-    if "weights" in kwargs:
-        kwargs["weights"] = tuple(kwargs["weights"])
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        return GenConfig(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
-
-
-def _spec_config(mix_cfg: dict, seed_override: int | None) -> GenConfig:
-    """The mixture block of a run that builds its spec from the block as
-    given.  A hierarchical profile places its means by ``ratios`` alone, so
-    a ``separation`` next to it would be ignored: it exits 2 instead, after
-    the generator's own range checks."""
-    gen = _gen_config(mix_cfg, seed_override)
-    if gen.profile == "hierarchical" and "separation" in mix_cfg:
-        raise ConfigError("config key 'mixture.separation' is not read by profile 'hierarchical'")
-    return gen
 
 
 def _out_dir(args) -> str:
@@ -199,9 +273,16 @@ def _out_dir(args) -> str:
     return out
 
 
+def _numpy_value(obj):
+    """json.dumps' fallback: a numpy array or scalar as the Python value it holds."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_report(path: str, report: dict) -> None:
     # serialize first, so a report that cannot be written leaves no partial file
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_numpy_value)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -264,13 +345,11 @@ def evaluate(spec, learned: LearnedMixture, seed: int, n: int):
 # ---------------------------------------------------------------------------
 # generate
 
-def cmd_generate(cfg: dict, args) -> int:
+def cmd_generate(run: Run, args) -> int:
     out = _out_dir(args)
-    gen = _spec_config(cfg["mixture"], args.seed)
-    spec = build_spec(gen)
-    n = int(cfg["n"])
-    sampler = MixtureSampler(spec, seed=gen.seed)
-    xs, labels = sampler.draw_labeled(n)
+    cfg, spec = run.cfg, run.spec
+    n = cfg["n"]
+    xs, labels = MixtureSampler(spec, seed=run.seed).draw_labeled(n)
 
     samples_path = os.path.join(out, "samples.csv")
     with open(samples_path, "w", encoding="utf-8") as fh:
@@ -281,7 +360,7 @@ def cmd_generate(cfg: dict, args) -> int:
             fh.write(f"{i},{coords},{int(labels[i])}\n")
 
     spec_path = os.path.join(out, "spec.json")
-    doc = {"config": cfg, "seed": gen.seed, "spec": spec.to_dict()}
+    doc = {"config": cfg, "seed": run.seed, "spec": spec.to_dict()}
     _write_report(spec_path, doc)
     print(f"wrote {samples_path} ({n} rows) and {spec_path}")
     return 0
@@ -290,61 +369,25 @@ def cmd_generate(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 # cluster
 
-# each learner's own default trade-off constant c, also used for the band
-DEFAULT_C = {"poincare": 0.5, "gaussian-recursive": 1.0}
-# the cluster keys only one variant reads; the other rejects them
-VARIANT_KEYS = {"poincare": ("sep", "t", "reps", "n_per_stage"), "gaussian-recursive": ("sep_hint",)}
-
-
-def _run_poincare(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
+def _learn(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
+    """The cluster variant's learner on the spec's mixture stream."""
     mix = MixtureSampler(spec, seed=seed)
+    alpha = float(cfg.get("alpha", 2.0))
+    c = float(cfg.get("c", DEFAULT_C[cfg["variant"]]))
+    if cfg["variant"] == "gaussian-recursive":
+        params = gc.desk_params(spec.k, w_min, sep_hint=cfg.get("sep_hint"))
+        return gc.recursive_cluster(mix, spec.k, w_min, c, alpha, params=params, seed=seed)
     base = BaseSampler(spec.dist_tag, spec.d, seed, 7)
     sep = float(cfg.get("sep", spec.min_separation()))
     # learn_means's own defaults apply to the keys the config leaves out
-    overrides = {key: int(cfg[key]) for key in ("reps", "n_per_stage") if key in cfg}
-    return learn_means(
-        mix,
-        base,
-        spec.k,
-        w_min,
-        sep,
-        float(cfg.get("alpha", 2.0)),
-        float(cfg.get("c", DEFAULT_C["poincare"])),
-        t=cfg.get("t"),
-        **overrides,
-    )
+    overrides = {key: cfg[key] for key in ("t", "reps", "n_per_stage") if key in cfg}
+    return learn_means(mix, base, spec.k, w_min, sep, alpha, c, **overrides)
 
 
-def _run_gaussian(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
-    mix = MixtureSampler(spec, seed=seed)
-    params = gc.desk_params(spec.k, w_min, sep_hint=cfg.get("sep_hint"))
-    return gc.recursive_cluster(
-        mix,
-        spec.k,
-        w_min,
-        float(cfg.get("c", DEFAULT_C["gaussian-recursive"])),
-        float(cfg.get("alpha", 2.0)),
-        params=params,
-        seed=seed,
-    )
-
-
-def cmd_cluster(cfg: dict, args) -> int:
+def cmd_cluster(run: Run, args) -> int:
     out = _out_dir(args)
-    gen = _spec_config(cfg["mixture"], None)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", gen.seed))
-    spec = build_spec(gen)
+    cfg, seed, spec, w_min = run.cfg, run.seed, run.spec, run.w_min
     variant = cfg["variant"]
-    if variant not in DEFAULT_C:
-        raise ConfigError(f"unknown variant {variant!r}")
-    ignored = [key for other, keys in VARIANT_KEYS.items() if other != variant for key in keys if key in cfg]
-    if ignored:
-        raise ConfigError(f"config key {ignored[0]!r} is not read by variant {variant!r}")
-    if variant == "gaussian-recursive" and spec.dist_tag != "gaussian":
-        raise ConfigError("the recursive variant requires a gaussian base distribution")
-    # the learner and the assignment band share one w_min
-    w_min = float(cfg.get("w_min", spec.w_min))
-
     report = _base_report("cluster", cfg, seed)
     report["variant"] = variant
     # keys the config leaves out that the run fills in from the ground-truth spec
@@ -353,10 +396,7 @@ def cmd_cluster(cfg: dict, args) -> int:
     report_path = os.path.join(out, "report.json")
     t0 = time.perf_counter()
     try:
-        if variant == "poincare":
-            learned = _run_poincare(spec, cfg, seed, w_min)
-        else:
-            learned = _run_gaussian(spec, cfg, seed, w_min)
+        learned = _learn(spec, cfg, seed, w_min)
     except Exception as err:  # pipeline failure: report it, exit 1
         report["error"] = f"{type(err).__name__}: {err}"
         report["timings"] = {"cluster_s": time.perf_counter() - t0}
@@ -379,7 +419,7 @@ def cmd_cluster(cfg: dict, args) -> int:
         "weight_errors": weight_errors,
         "accuracy": accuracy,
     }
-    report["learner_metadata"] = _jsonable(learned.metadata)
+    report["learner_metadata"] = learned.metadata
     report["timings"] = {"cluster_s": cluster_s}
     _write_report(report_path, report)
 
@@ -397,20 +437,6 @@ def cmd_cluster(cfg: dict, args) -> int:
     )
     # a true component left unmatched is a failed run, even with a report
     return 0 if np.all(perm >= 0) else 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +494,17 @@ def _suite_projection(rng: np.random.Generator) -> dict:
     return {"max_row_orthonormality_error": worst, "tolerance": 1e-10, "passed": worst <= 1e-10}
 
 
-def cmd_validate(args) -> int:
-    if args.suite not in VALIDATE_SUITES:
-        print(
-            f"unknown suite {args.suite!r}; choose from {', '.join(VALIDATE_SUITES)}",
-            file=sys.stderr,
-        )
-        return 2
+VALIDATE_SUITES = {"rank1-identity": _suite_rank1, "hermite": _suite_hermite, "projection": _suite_projection}
+
+
+def cmd_validate(run: Run, args) -> int:
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(run.seed)
     t0 = time.perf_counter()
-    if args.suite == "rank1-identity":
-        result = _suite_rank1(rng)
-    elif args.suite == "hermite":
-        result = _suite_hermite(rng)
-    else:
-        result = _suite_projection(rng)
+    result = VALIDATE_SUITES[args.suite](rng)
     elapsed = time.perf_counter() - t0
 
-    report = _base_report("validate", {"suite": args.suite}, seed)
+    report = _base_report("validate", run.cfg, run.seed)
     report["result"] = result
     report["timings"] = {"suite_s": elapsed}
     path = os.path.join(out, f"validate_{args.suite}.json")
@@ -499,15 +516,10 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict:
-    gen_kwargs = dict(mix_cfg)
-    gen_kwargs["separation"] = sep
-    gen_kwargs["seed"] = seed
-    gen = _gen_config(gen_kwargs, None)
-    spec = build_spec(gen)
+def _bench_cell(sep: float, t: int, seed: int, spec: MixtureSpec, cfg: dict) -> dict:
     mix = MixtureSampler(spec, seed=seed)
     base = BaseSampler(spec.dist_tag, spec.d, seed, 7)
-    cell = {"separation": float(sep), "t": int(t), "seed": int(seed)}
+    cell = {"separation": sep, "t": t, "seed": seed}
 
     t0 = time.perf_counter()
     try:
@@ -521,8 +533,8 @@ def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict
             sep,
             alpha=max(2.0, 0.2 * sep),
             t=t,
-            reps=int(cfg.get("reps", 16)),
-            n_per_stage=int(cfg.get("n_per_stage", 8_000)),
+            reps=cfg.get("reps", 16),
+            n_per_stage=cfg.get("n_per_stage", 8_000),
             probes=40,
             batch=120,
         )
@@ -532,7 +544,7 @@ def _bench_cell(mix_cfg: dict, sep: float, t: int, seed: int, cfg: dict) -> dict
         cell["timings"] = {"learn_s": time.perf_counter() - t0}
         return cell
     learn_s = time.perf_counter() - t0
-    xs, labels, _, errors, accuracy = evaluate(spec, learned, seed, int(cfg.get("eval_samples", 1_000)))
+    xs, labels, _, errors, accuracy = evaluate(spec, learned, seed, cfg.get("eval_samples", 1_000))
 
     # PCA + k-means baseline for context.
     centered = xs - xs.mean(axis=0)
@@ -563,43 +575,20 @@ def _best_label_accuracy(pred: np.ndarray, truth: np.ndarray, k: int) -> float:
     return float(conf[rows, cols].sum() / len(truth))
 
 
-def cmd_bench(cfg: dict, args) -> int:
-    if "separation" in cfg["mixture"]:
-        raise ConfigError("config key 'mixture.separation' is not read by bench: each cell takes one of separations")
-    # a hierarchical profile places its means by ratios alone, so every cell
-    # would run one mixture under its own separation label
-    if cfg["mixture"].get("profile") == "hierarchical":
-        raise ConfigError("bench sweeps separations, which profile 'hierarchical' does not read")
+def cmd_bench(run: Run, args) -> int:
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    separations = [float(s) for s in cfg["separations"]]
-    degrees = [int(t) for t in cfg.get("degrees", [2])]
-    per_cell = int(cfg.get("seeds_per_cell", 3))
-    cells = [
-        (sep, t, seed + 1000 * i + j)
-        for i, sep in enumerate(separations)
-        for t in degrees
-        for j in range(per_cell)
-    ]
-
+    cfg, cells = run.cfg, run.cells
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        results = list(
-            pool.map(lambda c: _bench_cell(cfg["mixture"], c[0], c[1], c[2], cfg), cells)
-        )
+        results = list(pool.map(lambda cell: _bench_cell(*cell, cfg), cells))
     total_s = time.perf_counter() - t0
     results.sort(key=lambda r: (r["separation"], r["t"], r["seed"]))
 
     timings = {"total_s": total_s}
     for i, r in enumerate(results):
         timings[f"cell_{i}"] = r.pop("timings")
-    report = _base_report("bench", cfg, seed)
-    report["grid"] = {
-        "separations": separations,
-        "degrees": degrees,
-        "seeds_per_cell": per_cell,
-        "cells": len(cells),
-    }
+    report = _base_report("bench", cfg, run.seed)
+    report["grid"] = {**run.grid, "cells": len(cells)}
     report["cells"] = results
     report["timings"] = timings
     path = os.path.join(out, "bench.json")
@@ -652,19 +641,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            return cmd_validate(args)
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        cfg = apply_overrides(cfg, getattr(args, "overrides", None))
-        cfg = validate_config(cfg, args.command)
-        if args.command == "generate":
-            return cmd_generate(cfg, args)
-        if args.command == "cluster":
-            return cmd_cluster(cfg, args)
-        return cmd_bench(cfg, args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as err:
+            cfg = {"suite": args.suite}
+        else:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+            cfg = apply_overrides(cfg, args.overrides)
+        run = validate_config(cfg, args.command, args.seed)
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    commands = {"generate": cmd_generate, "cluster": cmd_cluster, "validate": cmd_validate, "bench": cmd_bench}
+    return commands[args.command](run, args)
 
 
 if __name__ == "__main__":

@@ -68,8 +68,8 @@ class GenConfig:
             raise ValueError(f"unknown weight profile {self.weight_profile!r}")
         if self.weight_profile == "explicit":
             w = np.array(self.weights, dtype=float)
-            if len(w) != self.k or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("explicit weights must have length k and sum to 1")
+            if len(w) != self.k or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+                raise ValueError("explicit weights must have length k, be >= 0 and sum to 1")
         if self.dist_tag not in BASE_TAGS:
             raise UnsupportedDistributionError(f"unknown base distribution {self.dist_tag!r}")
 

@@ -35,6 +35,10 @@ class NumericError(ValueError):
     pass
 
 
+class SizeLimitError(ValueError):
+    """A combinatorial or dense-tensor guard was exceeded."""
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """Ground-truth mixture: weights, means, and the base distribution tag."""
@@ -84,6 +88,16 @@ class MixtureSpec:
         }
 
 
+def _half_word_floats(s: int) -> int:
+    """Floats in _half_word_tables(s)' table: 2s x sum_{1<=i<=s} C(2s, i) x (2s)^(s-1)."""
+    t = 2 * s
+    return t * sum(math.comb(t, i) for i in range(1, s + 1)) * t ** (s - 1)
+
+
+# The largest degree a learner or the CLI accepts: its half-word table fits a chunk's working set.
+MAX_DEGREE = next(s for s in itertools.count(1) if _half_word_floats(s + 1) > nested_projection.WORKING_SET)
+
+
 @lru_cache(maxsize=None)
 def _half_word_tables(s: int):
     """Folded grouping tables for the degree-2s estimator.
@@ -98,6 +112,8 @@ def _half_word_tables(s: int):
     returned are (folded, lam): folded[j, m, u] = sum_a weights[j, a, u] Q[a, m],
     of shape (2s, r, (2s)^(s-1)), and the r eigenvalues lam.
     """
+    if s > MAX_DEGREE:
+        raise SizeLimitError(f"degree {s} exceeds MAX_DEGREE = {MAX_DEGREE}")
     t = 2 * s
     words = itertools.product(range(t), repeat=s)
     subsets = []
@@ -239,10 +255,12 @@ def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage:
     """Builds Pi_1 = I_d, then Pi_s from the estimated A_{2s} for s = 2..t.
 
     Stage sample sets are disjoint by construction: the samplers are streams
-    and every stage draws fresh.
+    and every stage draws fresh.  A t past MAX_DEGREE raises before any draw.
     """
     if t < 1:
         raise ValueError("degree t must be >= 1")
+    if t > MAX_DEGREE:
+        raise SizeLimitError(f"degree {t} exceeds MAX_DEGREE = {MAX_DEGREE}")
     chain = identity_projection(mix_sampler.d)
     for s in range(2, t + 1):
         matrix = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, n_per_stage)

@@ -40,9 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 from .mixture_gen import BASE_TAGS, LAPLACE_SCALE, UNIFORM_HALF_WIDTH, UnsupportedDistributionError
-from .moment_pipeline import MixtureSpec, next_stage
+from .moment_pipeline import MixtureSpec, SizeLimitError, next_stage
 from .nested_projection import NestedProjection, identity_projection
-from .sample_test import SizeLimitError, r_expansion_arrays
+from .sample_test import r_expansion_arrays
 
 # Dense paths materialize d^t arrays; partition enumerators walk up to t^t or
 # Bell-number many objects.  Fail loudly instead of exhausting memory.

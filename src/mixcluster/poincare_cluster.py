@@ -192,7 +192,7 @@ def learn_means(
 
     chain = iterative_projection(DifferenceSampler(mix_sampler), DifferenceSampler(base_sampler), t, k, n_per_stage)
     tau = st.choose_threshold(sep, t)
-    void = not st.threshold_feasible(sep, t, k, st.DELTA, "poincare")
+    void = not st.threshold_feasible(sep, t, k, st.DELTA)
     cfg = st.TestConfig(t, tau, reps=reps)
 
     means, support = probe_batch_vote(

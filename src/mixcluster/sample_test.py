@@ -28,11 +28,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import nested_projection
+from .moment_pipeline import MAX_DEGREE, SizeLimitError
 from .nested_projection import NestedProjection
 
 DEFAULT_REPS = 64
 DELTA = 0.05  # failure probability both learners size their tests for
-DEGREE_CAP = 8
 
 ACCEPT = "Accept"
 REJECT = "Reject"
@@ -40,10 +40,6 @@ REJECT = "Reject"
 
 class SeparationTooSmallError(ValueError):
     pass
-
-
-class SizeLimitError(ValueError):
-    """A combinatorial or dense-tensor guard was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -72,15 +68,13 @@ def choose_threshold(sep: float, t: int) -> float:
     return (0.2 * sep) ** t
 
 
-def threshold_feasible(sep: float, t: int, k: int, delta: float, variant: str = "gaussian") -> bool:
-    """Gate predicate: the threshold clears the Close-side noise floor."""
-    tau = choose_threshold(sep, t)
-    if variant == "gaussian":
-        return tau >= (2 * t) ** (t / 2) * k / delta
-    return tau >= (20 * t) ** t * k / delta
+def threshold_feasible(sep: float, t: int, k: int, delta: float) -> bool:
+    """Gate predicate: the threshold clears the Close-side noise floor of a
+    1-Poincare base."""
+    return choose_threshold(sep, t) >= (20 * t) ** t * k / delta
 
 
-def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = DEGREE_CAP) -> DegreeChoice:
+def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = MAX_DEGREE) -> DegreeChoice:
     """Smallest t with (sep / ln K)^t >= K^10, K = k/(w* delta), capped at t_max."""
     big_k = k / (w_star * delta)
     log_k = math.log(big_k)
@@ -106,8 +100,8 @@ def r_expansion_arrays(t: int):
     """
     if t < 1:
         raise ValueError("degree must be >= 1")
-    if t > 8:
-        raise SizeLimitError("rank-1 expansion guard: t <= 8")
+    if t > MAX_DEGREE:
+        raise SizeLimitError(f"degree {t} exceeds MAX_DEGREE = {MAX_DEGREE}")
     words = np.array(list(itertools.product(range(t), repeat=t)), dtype=np.intp)
     words = words.reshape(-1, t)
     coeffs = np.empty(len(words))

@@ -1,0 +1,74 @@
+"""Pools that fail when the chain of nested projections stops working.
+
+C8 and C9 pass with the estimated chain swapped for identity stages, so
+neither sees the paper's main tool.  These two pools run the same learner
+calls and checks closer to each learner's separation limit, where the
+unprojected statistic no longer separates the components: with every
+estimated stage replaced by an identity, the recursive pool passes 6 of 20
+seeds and the Poincare pool 0 of 20.  Each test prints one C-line verdict with its worst mean error and mean
+mixture rows per seed.
+"""
+
+import time
+
+import numpy as np
+
+from conftest import RowCounter
+from mixcluster.cli import match_means
+from mixcluster.gaussian_cluster import desk_params, recursive_cluster
+from mixcluster.mixture_gen import GenConfig, base_sampler, build_spec, sample_stream
+from mixcluster.poincare_cluster import learn_means
+
+
+def _verdict(tag: str, ok: bool, detail: str) -> None:
+    print(f"[{tag}] {'PASS' if ok else 'FAIL'}: {detail}")
+    assert ok, f"{tag} failed: {detail}"
+
+
+def test_recursive_pool_at_inner_separation_7():
+    # C9's spec and call with the inner ratio and sep_hint at 7 instead of 10
+    spec = build_spec(
+        GenConfig(k=4, d=16, profile="hierarchical", ratios=(7.0, 1000.0), dist_tag="gaussian", seed=0)
+    )
+    params = desk_params(4, 0.25, sep_hint=7.0)
+    wins, rows, worst_error, worst_time = 0, [], 0.0, 0.0
+    for seed in range(20):
+        start = time.perf_counter()
+        mix = RowCounter(sample_stream(spec, seed))
+        learned = recursive_cluster(mix, 4, 0.25, 1.0, 2.0, params=params, seed=seed)
+        elapsed = time.perf_counter() - start
+        rows.append(mix.rows)
+        worst_time = max(worst_time, elapsed)
+        _, errors = match_means(learned.means, spec.means)
+        worst_error = max(worst_error, float(np.max(errors)))
+        recursed = any(e["action"] == "isolate" and e.get("level", -1) >= 1 for e in learned.metadata["trail"])
+        if np.all(errors <= 0.3) and recursed and elapsed < 60.0:
+            wins += 1
+    _verdict(
+        "C9-sep7",
+        wins >= 18,
+        f"recursive clustering {wins}/20 seeds, slowest {worst_time:.1f}s, "
+        f"mixture rows per seed mean {np.mean(rows):,.0f}, worst mean error {worst_error:.3f}",
+    )
+
+
+def test_poincare_pool_at_separation_10():
+    # C8's Gaussian call with the mixture's separation and sep at 10 instead of 12
+    spec = build_spec(GenConfig(k=3, d=3, separation=10.0, dist_tag="gaussian", seed=7))
+    wins, rows, worst_error = 0, [], 0.0
+    for seed in range(20):
+        mix = RowCounter(sample_stream(spec, seed))
+        learned = learn_means(
+            mix, base_sampler("gaussian", 3, seed, 1), 3, 0.25, 10.0, 2.0, 0.5, reps=32, n_per_stage=15_000
+        )
+        rows.append(mix.rows)
+        perm, errors = match_means(learned.means, spec.means)
+        worst_error = max(worst_error, float(np.max(errors)))
+        if np.all(errors <= 0.25) and np.all(np.abs(learned.weights[perm] - spec.weights) <= 0.05):
+            wins += 1
+    _verdict(
+        "C8-sep10",
+        wins >= 18,
+        f"poincare learner {wins}/20 seeds, mixture rows per seed mean {np.mean(rows):,.0f}, "
+        f"worst mean error {worst_error:.3f}",
+    )

@@ -48,6 +48,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             apply_overrides({}, ["justakey"])
 
+    def test_override_on_a_non_object_config_rejected(self):
+        with pytest.raises(ConfigError, match="crosses a non-object key"):
+            apply_overrides([1], ["k=3"])
+
 
 def _cluster_cfg(**keys):
     doc = {
@@ -137,6 +141,11 @@ class TestGenerate:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 2
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        assert main(["generate", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mix", [{"weight_profile": "zipf"}, {"dist_tag": "cauchy"}])
     def test_unknown_weight_profile_or_base_exits_2(self, tmp_path, capsys, mix):
@@ -321,7 +330,8 @@ class TestCluster:
             ("poincare", "alpha", -1.0, "alpha must be > 0"),
             ("poincare", "c", 0, "c must be > 0"),
             ("gaussian-recursive", "c", -3.0, "c must be > 0"),
-            ("poincare", "t", 0, "t must be >= 1"),
+            ("poincare", "t", 0, "t must be in [1, 4]"),
+            ("poincare", "t", 5, "t must be in [1, 4]"),
             ("poincare", "reps", 0, "reps must be >= 1"),
             ("poincare", "n_per_stage", 0, "n_per_stage must be >= 1"),
         ],
@@ -496,7 +506,8 @@ class TestBench:
         doc["separations"] = separations
         cfg = _write(tmp_path / "b.json", doc)
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "separations must be > 0" in capsys.readouterr().err
+        bad = next(i for i, sep in enumerate(separations) if sep <= 0)
+        assert f"separations[{bad}] must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "bench.json").exists()
 
     def test_mixture_separation_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
@@ -538,20 +549,30 @@ class TestBench:
         assert f"{key}[{len(value) - 1}] must be {want}" in capsys.readouterr().err
         assert not (tmp_path / "bench.json").exists()
 
-    def test_failing_cell_is_reported_with_exit_1(self, tmp_path, capsys):
+    def test_failing_cell_is_reported_with_exit_1(self, tmp_path, capsys, monkeypatch):
+        import mixcluster.cli as cli
+
+        real_learner = cli.learn_means
+
+        def learner_failing_at_t2(*args, t, **kwargs):
+            if t == 2:
+                raise cli.gc.StarvationError("kept 3 of 70000 drawn rows")
+            return real_learner(*args, t=t, **kwargs)
+
+        monkeypatch.setattr(cli, "learn_means", learner_failing_at_t2)
         doc = self._cfg()
-        doc["degrees"] = [0, 1]
+        doc["degrees"] = [2, 1]
         cfg = _write(tmp_path / "b.json", doc)
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "bench.json").read_text(), parse_constant=_reject_constant)
-        failed = [c for c in report["cells"] if c["t"] == 0]
+        failed = [c for c in report["cells"] if c["t"] == 2]
         assert len(failed) == 4 and len(report["cells"]) == 8
         for cell in failed:
-            assert cell["error"] == "ValueError: degree t must be >= 1"
+            assert cell["error"] == "StarvationError: kept 3 of 70000 drawn rows"
             assert cell["accuracy"] is None and cell["max_mean_error"] is None
         assert all("error" not in c and c["accuracy"] is not None for c in report["cells"] if c["t"] == 1)
         out, err = capsys.readouterr()
-        assert "8 cells, 4 failed" in out and err.count("degree t must be >= 1") == 4
+        assert "8 cells, 4 failed" in out and err.count("kept 3 of 70000") == 4
 
     def test_baseline_accuracy_present(self, tmp_path):
         cfg = _write(tmp_path / "b.json", self._cfg())

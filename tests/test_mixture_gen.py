@@ -51,6 +51,10 @@ class TestGenConfig:
         with pytest.raises(ValueError):
             GenConfig(k=2, d=2, weight_profile="explicit", weights=(0.5, 0.2))
 
+    def test_explicit_weights_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            GenConfig(k=2, d=2, weight_profile="explicit", weights=(1.5, -0.5))
+
 
 class TestBuildSpec:
     def test_k1_mean_at_origin(self):

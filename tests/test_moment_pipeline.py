@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import random_nested_projection
+from conftest import RowCounter, random_nested_projection
 from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import (
+    MAX_DEGREE,
     EmptySampleError,
+    _half_word_floats,
     _half_word_tables,
     MixtureSpec,
     NumericError,
+    SizeLimitError,
     estimate_moment_matrix,
     identity_projection,
     iterative_projection,
@@ -257,6 +261,25 @@ class TestFoldedTables:
         want = np.einsum("jau,ab,kbv->jukv", weights, coeffs, weights)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_float_count_is_the_grouping_table(self, s):
+        _, indicator, _ = _reference_half_word_tables(s)
+        assert _half_word_floats(s) == indicator.size
+
+    def test_max_degree_is_the_largest_table_that_fits(self):
+        assert _half_word_floats(MAX_DEGREE) <= npj.WORKING_SET < _half_word_floats(MAX_DEGREE + 1)
+        assert (MAX_DEGREE, _half_word_floats(4), _half_word_floats(5)) == (4, 663_552, 63_700_000)
+
+    def test_past_max_degree_raises_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                _half_word_tables(MAX_DEGREE + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestWorkingSet:
     @pytest.mark.parametrize("tag", ["gaussian", "laplace"])
@@ -311,6 +334,13 @@ class TestIterativeProjection:
         for stage in chain.stages:
             gram = stage @ stage.T
             assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-10
+
+    def test_past_max_degree_raises_before_any_draw(self):
+        spec = _spec([1.0], [[1.0, 0.0]])
+        mix = RowCounter(MixtureSampler(spec, seed=1))
+        with pytest.raises(SizeLimitError):
+            iterative_projection(mix, BaseSampler("gaussian", 2, 1, 5), MAX_DEGREE + 1, 1, n_per_stage=40)
+        assert mix.rows == 0
 
     def test_stage_count_matches_request(self):
         spec = _spec([1.0], [[1.0, 0.0]])

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixcluster.sample_test as st
+from conftest import RowCounter
 from mixcluster.cli import match_means
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
-from mixcluster.moment_pipeline import MixtureSpec
+from mixcluster.moment_pipeline import MAX_DEGREE, MixtureSpec, SizeLimitError
 from mixcluster.poincare_cluster import (
     DifferenceSampler,
     LearnedMixture,
@@ -182,6 +183,13 @@ class TestLearnMeans:
             )
         assert np.array_equal(np.asarray(results[0].means), np.asarray(results[1].means))
 
+    def test_degree_past_max_raises_before_any_draw(self):
+        spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])
+        mix = RowCounter(MixtureSampler(spec, seed=2))
+        with pytest.raises(SizeLimitError):
+            learn_means(mix, BaseSampler("gaussian", 2, 2, 7), 2, 0.4, 12.0, 2.0, t=MAX_DEGREE + 1)
+        assert mix.rows == 0
+
     @pytest.mark.parametrize("sep", [12.0, 5_000.0])
     def test_guarantee_void_is_the_feasibility_gate(self, sep):
         # at t = 1 and k = 2 the threshold 0.2 sep clears 20 k / DELTA from sep = 4,000 on
@@ -189,7 +197,7 @@ class TestLearnMeans:
         mix = MixtureSampler(spec, seed=2)
         base = BaseSampler("point_mass", 2, 2, 7)
         learned = learn_means(mix, base, 2, 0.4, sep, 2.0, 0.5, t=1, reps=2, n_per_stage=200)
-        want = not st.threshold_feasible(sep, 1, 2, st.DELTA, "poincare")
+        want = not st.threshold_feasible(sep, 1, 2, st.DELTA)
         assert want == (sep < 4_000.0)
         assert learned.metadata["guarantee_void"] is want
 

@@ -10,7 +10,7 @@ import mixcluster.nested_projection as npj
 import mixcluster.sample_test as st
 from conftest import grouped_tail_images, random_nested_projection
 from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
-from mixcluster.moment_pipeline import MixtureSpec
+from mixcluster.moment_pipeline import MAX_DEGREE, MixtureSpec
 from mixcluster.nested_projection import NestedProjection, apply_rank1_batch
 from mixcluster.oracles import dense_matrix, exact_projection_chain, prefix, r_poly_terms
 from mixcluster.sample_test import r_expansion_arrays
@@ -157,11 +157,6 @@ class TestThresholdPolicy:
         assert st.choose_threshold(10.0, 2) == pytest.approx(4.0)
         assert st.choose_threshold(5.0, 1) == pytest.approx(1.0)
 
-    def test_feasibility_gate_is_the_inequality(self):
-        for sep, t, k, delta in [(10.0, 2, 3, 0.05), (60.0, 3, 4, 0.05), (300.0, 2, 2, 0.1)]:
-            want = (0.2 * sep) ** t >= (2 * t) ** (t / 2) * k / delta
-            assert st.threshold_feasible(sep, t, k, delta, "gaussian") == want
-
 
 class TestDegreeChoice:
     def test_absurd_separation_gives_degree_one(self):
@@ -172,7 +167,7 @@ class TestDegreeChoice:
     def test_moderate_separation_caps(self):
         K = math.exp(10.0)  # k/(w* delta) = e^10, sep = 2 ln K
         choice = st.choose_degree(20.0, K, 1.0, 1.0)
-        assert choice.t == 8 and choice.capped
+        assert choice.t == MAX_DEGREE and choice.capped
 
     def test_too_small_separation_raises(self):
         with pytest.raises(st.SeparationTooSmallError):
