@@ -546,14 +546,18 @@ def _bench_cell(sep: float, t: int, seed: int, spec: MixtureSpec, cfg: dict) -> 
     learn_s = time.perf_counter() - t0
     xs, labels, _, errors, accuracy = evaluate(spec, learned, seed, cfg.get("eval_samples", 1_000))
 
-    # PCA + k-means baseline for context.
-    centered = xs - xs.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    proj = centered @ vt[: spec.k].T
-    tb = time.perf_counter()
-    _, kmlabels = kmeans2(proj, spec.k, minit="++", seed=seed)
-    baseline_s = time.perf_counter() - tb
-    base_acc = _best_label_accuracy(kmlabels, labels, spec.k)
+    # PCA + k-means baseline for context; a batch with fewer than k distinct
+    # rows (a point_mass base, or eval_samples below k) has no k-clustering
+    # to fit, so the cell reports no baseline.
+    base_acc, baseline_s = None, 0.0
+    if len(np.unique(xs, axis=0)) >= spec.k:
+        centered = xs - xs.mean(axis=0)
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        proj = centered @ vt[: spec.k].T
+        tb = time.perf_counter()
+        _, kmlabels = kmeans2(proj, spec.k, minit="++", seed=seed)
+        baseline_s = time.perf_counter() - tb
+        base_acc = _best_label_accuracy(kmlabels, labels, spec.k)
 
     cell.update(
         accuracy=accuracy,

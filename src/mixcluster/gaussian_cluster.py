@@ -77,7 +77,11 @@ MEAN_SAMPLES = 20_000  # samples for final mean/weight estimates
 PILOT_SAMPLES = 4_000  # samples for the bounded-spread split
 COV_SAMPLES = 60_000  # samples for the covariance-based projection
 MAX_DRAW_FACTOR = 500  # rejection-sampling budget multiplier
-N_PER_STAGE = 15_000  # samples per projection stage
+# Difference rows per chain stage (each reads two scoped rows).  The
+# smallest of 2,500, 5,000, 7,500 and 10,000 that keeps C9 at 20/20, C9's call
+# at separation 7 at >= 19/20 and at separation 6 at >= 10/20 on seeds 0-19
+# (scripts/recursive_pools.py); 2,500 drops separation 6 to 8/20.
+N_PER_STAGE = 5_000
 PROBES = 48  # vote probes l
 BATCH = 120  # batch size m per probe
 SUPPORT_FACTOR = 0.5  # vote support threshold factor (x w* x l)

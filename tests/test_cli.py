@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -579,3 +580,15 @@ class TestBench:
         main(["bench", "--config", cfg, "--out", str(tmp_path)])
         report = json.loads((tmp_path / "bench.json").read_text())
         assert all(0.0 <= c["baseline_accuracy"] <= 1.0 for c in report["cells"])
+
+    def test_no_baseline_on_fewer_distinct_rows_than_k(self, tmp_path):
+        # one evaluation row holds no 2-clustering, so the k-means fit is skipped
+        doc = self._cfg()
+        doc["eval_samples"] = 1
+        cfg = _write(tmp_path / "b.json", doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bench.json").read_text())
+        assert all(c["baseline_accuracy"] is None for c in report["cells"])
+        assert [str(w.message) for w in caught] == []

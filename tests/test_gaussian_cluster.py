@@ -347,6 +347,13 @@ class TestDifferenceChain:
         # a stage at degree 2s draws 4s - 1 base rows per mixture row
         assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, t + 1))
 
+    def test_chain_draws_two_scope_rows_per_stage_sample(self):
+        # a pair-test chain estimates one stage, of N_PER_STAGE difference
+        # rows, and each difference reads two rows of the scope stream
+        scope = RowCounter(MixtureSampler(self.spec, seed=3))
+        gc._difference_chain(scope, 2, gc.PAIR_DEGREE, seed=0)
+        assert scope.rows == 2 * gc.N_PER_STAGE
+
 
 class TestRecursiveDeterminism:
     # the hierarchical pair forces a refined checker, whose scopes share one

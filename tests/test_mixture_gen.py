@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from mixcluster import gaussian_cluster as gc
+from mixcluster import mixture_gen
 from mixcluster.mixture_gen import (
     BASE_TAGS,
     LAPLACE_SCALE,
@@ -85,6 +87,46 @@ class TestBuildSpec:
     def test_dirichlet_weights_normalized(self):
         spec = build_spec(GenConfig(k=4, d=6, weight_profile="dirichlet", seed=3))
         assert np.asarray(spec.weights).sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GenConfig(k=3, d=3, separation=12.0, seed=7),  # C8
+            GenConfig(k=4, d=16, profile="hierarchical", ratios=(10.0, 1000.0), seed=0),  # C9
+            GenConfig(k=4, d=16, profile="hierarchical", ratios=(7.0, 1000.0), seed=0),  # C9-sep7
+            GenConfig(k=4, d=8, profile="hierarchical", ratios=(10.0, 500.0), weight_profile="dirichlet", seed=2),
+            GenConfig(k=4, d=2, seed=0),  # unplaceable: both raise
+        ]
+        + [GenConfig(k=4, d=6, separation=12.0, seed=s) for s in range(20)]  # poincare-deg3
+        + [GenConfig(k=k, d=d, seed=s) for k, d in [(2, 3), (3, 3), (4, 3), (3, 6), (4, 6), (4, 16), (6, 16)] for s in range(3)]
+        + [GenConfig(k=3, d=2, seed=s) for s in range(3)],
+    )
+    def test_placement_equals_the_per_pair_loop(self, monkeypatch, cfg):
+        try:
+            spec = build_spec(cfg)
+        except PlacementError:
+            spec = None
+        monkeypatch.setattr(mixture_gen, "_place_points", _place_points_loop)
+        if spec is None:
+            with pytest.raises(PlacementError):
+                build_spec(cfg)
+            return
+        ref = build_spec(cfg)
+        assert np.array_equal(spec.means, ref.means) and np.array_equal(spec.weights, ref.weights)
+
+
+def _place_points_loop(n, d, sep, rng):
+    """Reference placement: every retry checks its pair distances in a loop."""
+    if n == 1:
+        return np.zeros((1, d))
+    for _ in range(20_000):
+        pts = rng.standard_normal((n, d))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        dists = [np.linalg.norm(pts[i] - pts[j]) for i, j in itertools.combinations(range(n), 2)]
+        lo, hi = min(dists), max(dists)
+        if lo >= 1e-9 and hi / lo <= 1.2:
+            return pts * (sep / lo)
+    raise PlacementError(f"could not place {n} points at ratio <= 1.2 in d={d}")
 
 
 class TestStreams:
