@@ -15,13 +15,16 @@ at 6 it sits on the learner's separation cliff, too slow for a tier-1 gate.
 
 Prints one JSON line per pool: passes, mean and max mixture rows per seed
 (counted at the root stream, so rejected rows count), the worst mean error
-over the seeds that recovered every mean (null when none did), and the mean
-seconds per seed.
+over the seeds that recovered every mean (null when none did), the mean
+seconds per seed, and a SHA-256 digest of every seed's learned means and
+weights: two checkouts learn the same bits on a pool when their digests
+agree, so checking bit-identity is one comparison of the ``sha256`` fields.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -59,12 +62,15 @@ def run_pool(sep: float) -> dict:
     )
     params = desk_params(4, 0.25, sep_hint=sep)
     passes, rows, worst, seconds = 0, [], None, []
+    digest = hashlib.sha256()
     for seed in range(SEEDS):
         start = time.perf_counter()
         mix = RowCounter(sample_stream(spec, seed))
         learned = recursive_cluster(mix, 4, 0.25, 1.0, 2.0, params=params, seed=seed)
         seconds.append(time.perf_counter() - start)
         rows.append(mix.rows)
+        digest.update(np.ascontiguousarray(learned.means, dtype=float).tobytes())
+        digest.update(np.ascontiguousarray(learned.weights, dtype=float).tobytes())
         errors = match_means(learned.means, spec.means)[1]
         if np.all(np.isfinite(errors)):
             worst = max(worst or 0.0, float(np.max(errors)))
@@ -78,6 +84,7 @@ def run_pool(sep: float) -> dict:
         "max_rows_per_seed": int(max(rows)),
         "worst_mean_error": None if worst is None else round(worst, 4),
         "mean_s_per_seed": round(float(np.mean(seconds)), 3),
+        "sha256": digest.hexdigest(),
     }
 
 

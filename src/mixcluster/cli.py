@@ -204,8 +204,9 @@ def validate_config(cfg: dict, command: str, seed: int | None = None) -> Run:
         return Run(cfg, 0 if seed is None else seed)
     mix = cfg["mixture"]
     if command == "bench":
-        if "separation" in mix:
-            raise ConfigError("config key 'mixture.separation' is not read by bench: each cell takes one of separations")
+        for key, source in (("separation", "one of separations"), ("seed", "its own seed")):
+            if key in mix:
+                raise ConfigError(f"config key 'mixture.{key}' is not read by bench: each cell takes {source}")
         if mix.get("profile") == "hierarchical":
             raise ConfigError("bench sweeps separations, which profile 'hierarchical' does not read")
     for selector, unread in UNREAD_BY.items():

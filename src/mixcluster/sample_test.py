@@ -10,9 +10,9 @@ become dependent, and each call gets fresh draws.
 
 With the draws fixed, the average is a degree-t polynomial in z,
 sum_{k<t} C_k z^(x)k + Gamma(z^(x)t).  Its coefficients are set up once per
-call, in at most reps * ((d+t-1)^t - d^t + t^t) chain rows; each test
-point then costs sum_{k<t} c_t d^k multiply-adds and one chain row,
-whatever reps is.
+call from reps * ((d+t-1)^t + t^t) word images (nested_projection.word_images,
+the moment estimator's routine); each test point then costs
+sum_{k<t} c_t d^k multiply-adds and one chain row, whatever reps is.
 Threshold and degree policies follow the separation-driven forms; the
 averaging count is a knob since the in-theory count is astronomically large.
 """
@@ -111,35 +111,6 @@ def r_expansion_arrays(t: int):
     return words, coeffs
 
 
-@lru_cache(maxsize=None)
-def _polynomial_tables(t: int, d: int):
-    """Set-up tables of the statistic as a polynomial in the test point.
-
-    The 2 t^t words of R_t run over the slots [z, y_0..y_{2t-2}]: block 0 as
-    r_expansion_arrays gives it, block 1 shifted by t with -coeffs.  They are
-    grouped by k, the number of positions that hold z; the all-z word (k = t)
-    has coefficient 1 and is left out.  Each group k < t gets
-    (index, coeffs): index[w, a, i] picks position i's factor of word w with
-    e_{a_1}, .., e_{a_k} at its z positions, for every row-major multi-index
-    a over [d]^k, out of the pool [e_0..e_{d-1}, y_0..y_{2t-2}].
-    """
-    words, coeffs = r_expansion_arrays(t)
-    words = np.concatenate([words, words + t])
-    coeffs = np.concatenate([coeffs, -coeffs])
-    z_count = (words == 0).sum(axis=1)
-    assert coeffs[z_count == t].tolist() == [1.0]
-    tables = []
-    for k in range(t):
-        group = words[z_count == k]
-        is_z = group == 0
-        rank = np.cumsum(is_z, axis=1) - 1  # which z of its word a position holds
-        digits = np.array(list(itertools.product(range(d), repeat=k)), dtype=np.intp)
-        picks = (is_z[:, :, None] & (rank[:, :, None] == np.arange(k))).astype(np.intp)
-        index = np.where(is_z, 0, d + group - 1)[:, None, :] + np.einsum("ak,wik->wai", digits, picks)
-        tables.append((index, coeffs[z_count == k]))
-    return tuple(tables)
-
-
 def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
     """Averaged projected R_t statistics for a batch of test points.
 
@@ -149,42 +120,42 @@ def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, b
     of its own point, as the test needs, but not of the other tests'.
 
     With the draws fixed, A(z) = sum_{k<t} C_k z^(x)k + Gamma(z^(x)t) is a
-    degree-t polynomial in z.  Gamma is linear, so C_k (c_t, d^k) is the
-    reps-mean of the coefficient-weighted images of the words with z at k
-    positions, with the standard basis of R^d put at those positions; C_0
-    holds block 1 and the z-free words of block 0.  The t(t-1) words with
-    one y factor are linear in the draws and take their mean instead.  Per
-    call this costs reps * (2t-1) draws and
-    reps * ((d+t-1)^t - d^t + t^t) - (reps-1) * t(t-1) * d^(t-1) chain rows;
-    per test point, sum_{k<t} c_t d^k multiply-adds and one chain row for
-    Gamma(z^(x)t).  t = 1 is ||Pi_1(z - mean_r y_r)||.
+    degree-t polynomial in z.  Gamma is linear, so C_k (d^k, c_t) is the
+    reps-mean of the coefficient-weighted images of the block-0 words with z
+    at k slots, with the standard basis of R^d put at those slots: one slice
+    each of the word images over the pool [e_0..e_{d-1}, y_0..y_{t-2}].
+    Block 1 holds no z and goes into C_0.  The all-z word has coefficient 1
+    and is Gamma(z^(x)t).  Per call this costs reps * (2t-1) draws and
+    reps * ((d+t-1)^t + t^t) word images; per test point,
+    sum_{k<t} c_t d^k multiply-adds and one chain row.
     """
     t = cfg.t
     n, d = zs.shape
     reps = cfg.reps
+    c = chain.out_dim
+    q = d + t - 1
     draws = np.asarray(base_sampler.draw(reps * (2 * t - 1)), dtype=float)
     draws = draws.reshape(reps, 2 * t - 1, d)
-    if t == 1:
-        return np.linalg.norm((zs - draws[:, 0, :].mean(axis=0)) @ chain.stages[-1].T, axis=1)
-    c = chain.out_dim
-    per_row = d * max(t, *chain.widths)  # floats of a chain row's widest intermediate
-    pool = np.concatenate([np.broadcast_to(np.eye(d), (reps, d, d)), draws], axis=1)
-    poly = []
-    for k, (index, coeffs) in enumerate(_polynomial_tables(t, d)):
-        # a word with one y factor (k = t-1) is linear in the draws, so the
-        # mean of its images over the reps is the image of the mean draws
-        pools = pool.mean(axis=0, keepdims=True) if k == t - 1 else pool
-        # chain rows in (rep, word, a) order, chunked over whole (rep, word) groups
-        n_groups = len(pools) * len(coeffs)
-        chunk = max(1, nested_projection.WORKING_SET // (d**k * per_row))
-        acc = np.zeros((d**k, c))
-        for start in range(0, n_groups, chunk):
-            rep, word = np.divmod(np.arange(start, min(n_groups, start + chunk)), len(coeffs))
-            factors = pools[rep[:, None, None], index[word]].reshape(-1, t, d)
-            images = nested_projection.apply_rank1_batch(chain, factors)
-            acc += np.tensordot(coeffs[word], images.reshape(len(word), d**k, c), axes=1)
-        poly.append(acc / len(pools))
+    # a rep of either block holds at most 2 q^t c floats in word_images' widest stage
+    chunk = max(1, nested_projection.WORKING_SET // (4 * q**t * max(chain.widths)))
+    pool_sum = np.zeros((q**t, c))
+    block1_sum = np.zeros((t**t, c))
+    for start in range(0, reps, chunk):
+        y = draws[start : start + chunk]
+        pool = np.concatenate([np.broadcast_to(np.eye(d), (len(y), d, d)), y[:, : t - 1]], axis=1)
+        pool_sum += nested_projection.word_images(chain, pool).sum(axis=0)
+        block1_sum += nested_projection.word_images(chain, y[:, t - 1 :]).sum(axis=0)
+    images = (pool_sum / reps).reshape((q,) * t + (c,))
+    words, coeffs = r_expansion_arrays(t)
+    poly = [np.zeros((d**k, c)) for k in range(t)]
+    poly[0] -= coeffs @ block1_sum / reps
+    for word, coeff in zip(words, coeffs):
+        k = int(np.count_nonzero(word == 0))
+        if k < t:
+            at = tuple(slice(d) if j == 0 else d + j - 1 for j in word)
+            poly[k] += coeff * images[at].reshape(d**k, c)
     # chunk over test points to bound z^(x)(t-1) and the chain row's intermediates
+    per_row = d * max(t, *chain.widths)  # floats of a chain row's widest intermediate
     chunk = max(1, nested_projection.WORKING_SET // (2 * d ** (t - 1) + per_row))
     out = np.empty(n)
     for start in range(0, n, chunk):
@@ -204,9 +175,9 @@ def test_sample_batch(zs, chain: NestedProjection, cfg: TestConfig, base_sampler
     """Vectorized Far/Close over rows of zs; returns a boolean Far mask.
 
     The rows share one set of reps * (2t-1) base draws.  Per call the
-    statistic's coefficients cost at most reps * ((d+t-1)^t - d^t + t^t)
-    chain rows; per row, sum_{k<t} c_t d^k multiply-adds and one chain row
-    (see _statistic_batch)."""
+    statistic's coefficients cost reps * ((d+t-1)^t + t^t) word images; per
+    row, sum_{k<t} c_t d^k multiply-adds and one chain row (see
+    _statistic_batch)."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     if chain.stage_count != cfg.t:
         raise ValueError(f"chain degree {chain.stage_count} != configured t {cfg.t}")
@@ -225,9 +196,9 @@ def pair_test_batch(z, others, chain: NestedProjection, cfg: TestConfig, base_sa
     """Accept mask of pair tests between one probe and many other samples.
 
     The call's pair tests share one set of reps * (2t-1) base draws.  The
-    statistic's coefficients cost at most reps * ((d+t-1)^t - d^t + t^t)
-    chain rows per call; each pair then costs sum_{k<t} c_t d^k
-    multiply-adds and one chain row (see _statistic_batch)."""
+    statistic's coefficients cost reps * ((d+t-1)^t + t^t) word images per
+    call; each pair then costs sum_{k<t} c_t d^k multiply-adds and one chain
+    row (see _statistic_batch)."""
     z = np.asarray(z, dtype=float)
     others = np.atleast_2d(np.asarray(others, dtype=float))
     diffs = (z[None, :] - others) / math.sqrt(2.0)

@@ -483,7 +483,7 @@ class TestCriterion11:
         bench_cfg.write_text(
             json.dumps(
                 {
-                    "mixture": {"k": 2, "d": 2, "dist_tag": "point_mass", "seed": 2},
+                    "mixture": {"k": 2, "d": 2, "dist_tag": "point_mass"},
                     "separations": [8.0],
                     "degrees": [1],
                     "seeds_per_cell": 2,

@@ -460,7 +460,7 @@ class TestValidate:
 class TestBench:
     def _cfg(self):
         return {
-            "mixture": {"k": 2, "d": 2, "dist_tag": "point_mass", "seed": 2},
+            "mixture": {"k": 2, "d": 2, "dist_tag": "point_mass"},
             "separations": [8.0, 16.0],
             "degrees": [1],
             "seeds_per_cell": 2,
@@ -523,6 +523,20 @@ class TestBench:
         cfg = _write(tmp_path / "b.json", doc)
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "'mixture.separation' is not read by bench" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_mixture_seed_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        import mixcluster.cli as cli
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_bench_cell", no_cell)
+        doc = self._cfg()
+        doc["mixture"]["seed"] = 2
+        cfg = _write(tmp_path / "b.json", doc)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'mixture.seed' is not read by bench" in capsys.readouterr().err
         assert not (tmp_path / "bench.json").exists()
 
     def test_hierarchical_profile_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):

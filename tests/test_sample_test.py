@@ -11,7 +11,7 @@ import mixcluster.sample_test as st
 from conftest import grouped_tail_images, random_nested_projection
 from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import MAX_DEGREE, MixtureSpec
-from mixcluster.nested_projection import NestedProjection, apply_rank1_batch
+from mixcluster.nested_projection import NestedProjection, apply_rank1_batch, word_images
 from mixcluster.oracles import dense_matrix, exact_projection_chain, prefix, r_poly_terms
 from mixcluster.sample_test import r_expansion_arrays
 
@@ -382,7 +382,8 @@ class TestSharedDraws:
             rows.clear()
             st.pair_test_batch(z, others[:m], chain, cfg, BaseSampler("gaussian", d, 3, 1))
             counts.append(sum(rows))
-        assert counts[1] - counts[0] == n
+        # the set-up goes through word_images, so the chain rows are Gamma(z^(x)t) alone
+        assert counts == [n, 2 * n]
 
     @given(
         t=hst.integers(1, 4),
@@ -404,3 +405,33 @@ class TestSharedDraws:
         for i in range(n):
             single = st._statistic_batch(zs[i : i + 1], chain, cfg, BaseSampler(tag, d, seed, 5))
             np.testing.assert_allclose(batch[i : i + 1], single, rtol=1e-12, atol=1e-12 * size)
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("t, d, k, reps", [(2, 3, 3, 32), (3, 3, 3, 8), (3, 6, 4, 16)])
+    def test_chunks_do_not_change_the_statistic(self, monkeypatch, t, d, k, reps):
+        # 256 floats hold less than one rep of the set-up at each shape, so
+        # every word_images call takes one rep, and a few points per chain
+        # call; the last shape is poincare-deg3's
+        rng = np.random.default_rng(100 * t + d)
+        chain = random_nested_projection(d, [k] * t, rng)
+        zs = 3.0 * rng.standard_normal((50, d))
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        want = st._statistic_batch(zs, chain, cfg, BaseSampler("laplace", d, 5, 1))
+        blocks, points = [], []
+
+        def images(np_, pool):
+            blocks.append(len(pool))
+            return word_images(np_, pool)
+
+        def rank1(np_, factors):
+            points.append(len(factors))
+            return apply_rank1_batch(np_, factors)
+
+        monkeypatch.setattr(npj, "WORKING_SET", 256)
+        monkeypatch.setattr(npj, "word_images", images)
+        monkeypatch.setattr(npj, "apply_rank1_batch", rank1)
+        got = st._statistic_batch(zs, chain, cfg, BaseSampler("laplace", d, 5, 1))
+        assert blocks == [1] * (2 * reps)
+        assert len(points) > 1 and sum(points) == len(zs)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
