@@ -6,11 +6,13 @@ pair two half-words over the sample slots.  Terms are grouped by the slot
 sets their halves touch, which collapses the (2s)^{2s} labeled partitions
 into one vector per slot set and a small coefficient matrix between them.
 That matrix is rank-deficient, so its eigenvectors are folded into the
-grouping and the quadratic form runs over its r nonzero eigenvalues, not
-over the slot sets.  Within a slot set the half-words are grouped again by
-their first factor, so Gamma is applied to each of the (2s)^(s-1) distinct
-tails once per block, and all tails of a chunk go through each chain stage
-in one gemm and one row-batched matmul (nested_projection.word_images).
+grouping, split by the sign of their eigenvalue with sqrt|eigenvalue|
+folded in: the quadratic form becomes a difference of two sums of squares,
+and the signs live in which half a folded row belongs to, not in a
+multiply.  Within a slot set the half-words are grouped again by their
+first factor, so Gamma is applied to each of the (2s)^(s-1) distinct tails
+once per block, and all tails of a chunk go through each chain stage in
+one gemm and one row-batched matmul (nested_projection.word_images).
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ MAX_DEGREE = next(s for s in itertools.count(1) if _half_word_floats(s + 1) > ne
 
 @lru_cache(maxsize=None)
 def _half_word_tables(s: int):
-    """Folded grouping tables for the degree-2s estimator.
+    """Folded grouping tables for the degree-2s estimator, split by sign.
 
     A half-word is a word of s sample slots from [2s]; in product order,
     half-word j * (2s)^(s-1) + u has first slot j and tail u.  Let
@@ -108,9 +110,11 @@ def _half_word_tables(s: int):
     0 otherwise, and C[a, b] the signed weight of any labeled partition
     whose two halves cover slot sets a and b.  C is rank-deficient (rank 5
     of 10 slot sets at s = 2, 19 of 41 at s = 3), so with C = Q diag(lam) Q^T
-    over its eigenvalues above 1e-9 of the largest magnitude, the tables
-    returned are (folded, lam): folded[j, m, u] = sum_a weights[j, a, u] Q[a, m],
-    of shape (2s, r, (2s)^(s-1)), and the r eigenvalues lam.
+    over its eigenvalues above 1e-9 of the largest magnitude, C restricted
+    to the half-words is F+^T F+ - F-^T F- for the tables returned,
+    (positive, negative): F[j, m, u] = sqrt|lam_m| sum_a weights[j, a, u] Q[a, m]
+    over the r+ positive and the r- negative eigenvalues, of shapes
+    (2s, r+-, (2s)^(s-1)); (r+, r-) is (1, 0), (3, 2) and (10, 9) at s = 1, 2, 3.
     """
     if s > MAX_DEGREE:
         raise SizeLimitError(f"degree {s} exceeds MAX_DEGREE = {MAX_DEGREE}")
@@ -134,9 +138,11 @@ def _half_word_tables(s: int):
             c = len(sa | sb)
             coeffs[a, b] = float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
     lam, vecs = np.linalg.eigh(coeffs)
-    keep = np.abs(lam) > 1e-9 * np.abs(lam).max()
-    folded = np.einsum("jau,am->jmu", weights, vecs[:, keep])
-    return folded, lam[keep]
+    tol = 1e-9 * np.abs(lam).max()
+    return tuple(
+        np.einsum("jau,am->jmu", weights, vecs[:, half] * np.sqrt(np.abs(lam[half])))
+        for half in (lam > tol, lam < -tol)
+    )
 
 
 def estimate_moment_matrix(
@@ -146,14 +152,18 @@ def estimate_moment_matrix(
 
     Each sample draws 4s-1 fresh base samples and splits (z_i, x_1..x_{4s-1})
     into two blocks of 2s.  The rank-1 expansion of R_{2s} over a block pairs
-    two half-words, and the pairs sum to the quadratic form
-    sum_m lam_m v_m^T v_m over the r folded rows
-    v_m = sum_j b_j x sum_u folded[j, m, u] Gamma(tail u) (_half_word_tables).
+    two half-words, and the pairs sum to sum_m v_m^T v_m over the r+ positive
+    folded rows minus the same sum over the r- negative ones, with
+    v_m = sum_j b_j x sum_u F[j, m, u] Gamma(tail u) (_half_word_tables).
     Each block pushes all its (2s)^(s-1) tails through Gamma at once
-    (word_images), and adds the form, block 1 with the opposite sign, to a
-    symmetric (d c_{s-1}) x (d c_{s-1}) average.  Per chunk that costs one
-    gemm and one row-batched matmul per chain stage, one grouping matmul,
-    and an accumulation over r rows per block instead of one per slot set.
+    (word_images); block 1 enters with the opposite sign.  A chunk's rows
+    are block-major, so the folded vectors of each (block, sign) pair form
+    one contiguous (b r+-, d c_{s-1}) slab V, and the symmetric average
+    gathers V0+^T V0+ - V1+^T V1+ - V0-^T V0- + V1-^T V1- as four V^T V
+    products.  Per chunk that costs one gemm and one row-batched matmul per
+    chain stage, one grouping matmul, one folding matmul per sign and the
+    four products; the grouped images and the folded vectors go into one
+    workspace made once per call.
     """
     if n < 1:
         raise EmptySampleError("estimate_moment_matrix needs n >= 1")
@@ -162,30 +172,48 @@ def estimate_moment_matrix(
     d = np_prev.d
     c = np_prev.out_dim
     out_dim = d * c
-    folded, lam = _half_word_tables(s)
-    q, r, n_tails = folded.shape
-    grouping = folded.reshape(q * r, n_tails)
-    signed = np.stack([lam, -lam])[None, :, :, None]
-    acc = np.zeros((out_dim, out_dim))
-    # floats per sample of the chunk's blocks, word images, grouped images,
-    # and folded vectors with their signed copy, both blocks
+    halves = _half_word_tables(s)
+    q, _, n_tails = halves[0].shape
+    ranks = [h.shape[1] for h in halves]
+    r = sum(ranks)
+    # rows in (sign, j, m) order, so each sign's grouped images are one range of axis 1
+    grouping = np.concatenate([h.reshape(-1, n_tails) for h in halves])
+    # floats per sample of the chunk's blocks, word images, grouped images
+    # and folded vectors, both blocks, plus 2 r out_dim of headroom.  The
+    # headroom is kept so that the chunk, and with it the draw schedule,
+    # stays fixed: on rejection-sampled streams the request sizes decide how
+    # many root rows are drawn.
     per_sample = 2 * (q * d + n_tails * c + q * r * c + 2 * r * out_dim)
     chunk = max(1, nested_projection.WORKING_SET // per_sample)
+    # one workspace for the call: a chunk's grouped images, then one sign's
+    # folded vectors at a time
+    rows = 2 * min(chunk, n)
+    work = np.empty(rows * (q * r * c + max(ranks) * out_dim))
+    grouped_buf = work[: rows * q * r * c].reshape(rows, q * r, c)
+    folded_buf = work[rows * q * r * c :]
+    acc = np.zeros((out_dim, out_dim))
     done = 0
     while done < n:
         b = min(chunk, n - done)
         z = np.asarray(mix_sampler.draw(b), dtype=float)
-        x = np.asarray(base_sampler.draw(b * (4 * s - 1)), dtype=float)
-        # rows alternate block 0 (z, x_1..x_{2s-1}) and block 1 (x_{2s}..x_{4s-1})
-        blocks = np.concatenate([z[:, None, :], x.reshape(b, 4 * s - 1, d)], axis=1)
-        blocks = blocks.reshape(2 * b, 2 * s, d)
-        grouped = np.matmul(grouping, word_images(np_prev, blocks))
-        # v[i, m] = sum_j grouped[i, j, m] x b_j: v_m with its factors in
-        # (Gamma, d) order, which spares a transposed copy; acc is put back
-        # in (d, Gamma) order once, after the loop
-        v = np.matmul(grouped.reshape(2 * b, q, r * c).transpose(0, 2, 1), blocks)
-        v = v.reshape(2 * b, r, out_dim)
-        acc += v.reshape(-1, out_dim).T @ (v.reshape(b, 2, r, out_dim) * signed).reshape(-1, out_dim)
+        x = np.asarray(base_sampler.draw(b * (4 * s - 1)), dtype=float).reshape(b, 4 * s - 1, d)
+        # block-major rows: [0, b) hold block 0 (z, x_1..x_{2s-1}), [b, 2b) block 1 (x_{2s}..x_{4s-1})
+        block0 = np.concatenate([z[:, None, :], x[:, : 2 * s - 1]], axis=1)
+        blocks = np.concatenate([block0, x[:, 2 * s - 1 :]])
+        grouped = np.matmul(grouping, word_images(np_prev, blocks), out=grouped_buf[: 2 * b])
+        start = 0
+        for rank, sign in zip(ranks, (1.0, -1.0)):
+            # v[i, m] = sum_j grouped[i, j, m] x b_j: v_m with its factors in
+            # (Gamma, d) order, which spares a transposed copy; acc is put
+            # back in (d, Gamma) order once, after the loop
+            g = grouped[:, start : start + q * rank].reshape(2 * b, q, rank * c).transpose(0, 2, 1)
+            v = folded_buf[: 2 * b * rank * out_dim]
+            np.matmul(g, blocks, out=v.reshape(2 * b, rank * c, d))
+            v = v.reshape(2 * b * rank, out_dim)
+            v0, v1 = v[: b * rank], v[b * rank :]
+            acc += sign * (v0.T @ v0)
+            acc -= sign * (v1.T @ v1)
+            start += q * rank
         done += b
     acc = acc.reshape(c, d, c, d).transpose(1, 0, 3, 2).reshape(out_dim, out_dim) / n
     if not np.all(np.isfinite(acc)):

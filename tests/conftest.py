@@ -19,14 +19,17 @@ def random_nested_projection(d, widths, rng):
 
 
 class RowCounter:
-    """Passes draws through to a stream and counts the rows it returns."""
+    """Passes draws through to a stream, counts the rows it returns and
+    records each request size."""
 
     def __init__(self, inner):
         self.inner = inner
         self.d = inner.d
         self.rows = 0
+        self.requests = []
 
     def draw(self, n):
+        self.requests.append(n)
         out = self.inner.draw(n)
         self.rows += len(out)
         return out

@@ -2,10 +2,11 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from conftest import RowCounter, random_nested_projection
@@ -114,6 +115,23 @@ def _reference_estimate_moment_matrix(
 
 def _spec(weights, means, tag="gaussian"):
     return MixtureSpec(np.asarray(weights, float), np.asarray(means, float), tag)
+
+
+def _reference_case(s, tag, d, seed):
+    """A random chain of s - 1 stages over R^d and a mixture spec for it."""
+    rng = np.random.default_rng(seed)
+    widths = []
+    for _ in range(s - 1):
+        widths.append(int(rng.integers(1, min(d * (widths[-1] if widths else 1), 4) + 1)))
+    np_prev = random_nested_projection(d, tuple(widths), rng)
+    k = int(rng.integers(1, 4))
+    spec = MixtureSpec(np.full(k, 1.0 / k), 3.0 * rng.standard_normal((k, d)), tag)
+    return np_prev, spec
+
+
+def _assert_matches_reference(got, want):
+    # entries that cancel to near zero are held to the matrix's scale
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestExactMomentMatrix:
@@ -232,32 +250,61 @@ class TestEstimatorByGrouping:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_word_gather_reference(self, s, tag, d, n, seed):
-        rng = np.random.default_rng(seed)
-        widths = []
-        for _ in range(s - 1):
-            widths.append(int(rng.integers(1, min(d * (widths[-1] if widths else 1), 4) + 1)))
-        np_prev = random_nested_projection(d, tuple(widths), rng)
-        k = int(rng.integers(1, 4))
-        spec = MixtureSpec(np.full(k, 1.0 / k), 3.0 * rng.standard_normal((k, d)), tag)
+        np_prev, spec = _reference_case(s, tag, d, seed)
         got = estimate_moment_matrix(
             MixtureSampler(spec, seed), BaseSampler(tag, d, seed, 5), s, np_prev, n
         )
         want = _reference_estimate_moment_matrix(
             MixtureSampler(spec, seed), BaseSampler(tag, d, seed, 5), s, np_prev, n
         )
-        # entries that cancel to near zero are held to the matrix's scale
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        _assert_matches_reference(got, want)
+
+    @given(
+        s=hst.integers(1, 3),
+        tag=hst.sampled_from(BASE_TAGS),
+        d=hst.integers(1, 4),
+        chunk=hst.integers(2, 8),
+        full=hst.integers(1, 4),
+        rest=hst.integers(1, 7),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(s=1, tag="gaussian", d=3, chunk=5, full=2, rest=3, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_across_chunks(self, s, tag, d, chunk, full, rest, seed):
+        # a working set of `chunk` samples makes the call span full + 1
+        # chunks, the last one partial; at s = 1 the negative half is empty
+        rest = 1 + (rest - 1) % (chunk - 1)
+        n = full * chunk + rest
+        np_prev, spec = _reference_case(s, tag, d, seed)
+        folded = _half_word_tables(s)
+        q, _, n_tails = folded[0].shape
+        r = sum(f.shape[1] for f in folded)
+        c, out_dim = np_prev.out_dim, d * np_prev.out_dim
+        # the estimator's floats per sample
+        per_sample = 2 * (q * d + n_tails * c + q * r * c + 2 * r * out_dim)
+        mix = RowCounter(MixtureSampler(spec, seed))
+        with mock.patch.object(npj, "WORKING_SET", chunk * per_sample):
+            got = estimate_moment_matrix(mix, BaseSampler(tag, d, seed, 5), s, np_prev, n)
+        assert mix.requests == [chunk] * full + [rest]
+        want = _reference_estimate_moment_matrix(
+            MixtureSampler(spec, seed), BaseSampler(tag, d, seed, 5), s, np_prev, n
+        )
+        _assert_matches_reference(got, want)
 
 
 class TestFoldedTables:
     @pytest.mark.parametrize("s, rank", [(1, 1), (2, 5), (3, 19)])
     def test_fold_reproduces_coefficients(self, s, rank):
-        folded, lam = _half_word_tables(s)
+        # F+^T F+ - F-^T F- over each (j, u), (k, v) pair of half-words is
+        # their entry of weights^T C weights; rank r splits as (r+, r-)
+        split = {1: (1, 0), 2: (3, 2), 3: (10, 9)}[s]
+        positive, negative = _half_word_tables(s)
         _, indicator, coeffs = _reference_half_word_tables(s)
         q = 2 * s
         weights = indicator.reshape(q, q ** (s - 1), -1).transpose(0, 2, 1)
-        assert len(lam) == rank and folded.shape == (q, rank, q ** (s - 1))
-        got = np.einsum("m,jmu,kmv->jukv", lam, folded, folded)
+        assert (positive.shape[1], negative.shape[1]) == split and sum(split) == rank
+        assert positive.shape[::2] == negative.shape[::2] == (q, q ** (s - 1))
+        got = np.einsum("jmu,kmv->jukv", positive, positive) - np.einsum("jmu,kmv->jukv", negative, negative)
         want = np.einsum("jau,ab,kbv->jukv", weights, coeffs, weights)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -298,6 +345,44 @@ class TestWorkingSet:
             estimates.append(estimate_moment_matrix(mix, base, s, chain, n))
         a, b = estimates
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+    # The draw schedule is pinned: the chunk decides the request sizes, and
+    # on rejection-sampled streams (gaussian_cluster.ReducedSampler) the
+    # request sizes decide how many root rows are drawn, so a chunk change
+    # moves samples_drawn even where the estimate does not move.
+    @pytest.mark.parametrize(
+        "d, widths, s, n, mixture_requests",
+        [
+            (6, (6, 4), 3, 20_000, [677] * 29 + [367]),  # poincare-deg3's second stage
+            (4, (), 2, 5_000, [3855, 1145]),  # a C9 chain stage on a level stream
+        ],
+    )
+    def test_draw_schedule_is_pinned(self, rng, d, widths, s, n, mixture_requests):
+        spec = _spec([0.5, 0.5], [[3.0] + [0.0] * (d - 1), [0.0] * d])
+        chain = random_nested_projection(d, widths, rng) if widths else identity_projection(d)
+        mix = RowCounter(MixtureSampler(spec, seed=1))
+        base = RowCounter(BaseSampler("gaussian", d, 1, 7))
+        estimate_moment_matrix(mix, base, s, chain, n)
+        assert mix.requests == mixture_requests
+        assert base.requests == [(4 * s - 1) * b for b in mixture_requests]
+
+    @pytest.mark.parametrize("widths, s", [((), 2), ((6, 4), 3)])
+    def test_peak_memory_at_the_deg3_stages(self, rng, widths, s):
+        # one estimate at each poincare-deg3 stage shape (d = 6, c = 6 then
+        # 4, n = 20,000) stays under 8 WORKING_SET bytes (16 MiB)
+        d = 6
+        spec = _spec([0.5, 0.5], [[3.0] + [0.0] * (d - 1), [0.0] * d])
+        chain = random_nested_projection(d, widths, rng) if widths else identity_projection(d)
+        mix = DifferenceSampler(MixtureSampler(spec, seed=2))
+        base = DifferenceSampler(BaseSampler("gaussian", d, 2, 7))
+        _half_word_tables(s)  # built and cached outside the measured call
+        tracemalloc.start()
+        try:
+            estimate_moment_matrix(mix, base, s, chain, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * npj.WORKING_SET
 
 
 class TestIterativeProjection:
