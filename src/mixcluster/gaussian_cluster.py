@@ -80,7 +80,7 @@ MAX_DRAW_FACTOR = 500  # rejection-sampling budget multiplier
 # Difference rows per chain stage (each reads two scoped rows).  The
 # smallest of 2,500, 5,000, 7,500 and 10,000 that keeps C9 at 20/20, C9's call
 # at separation 7 at >= 19/20 and at separation 6 at >= 10/20 on seeds 0-19
-# (scripts/recursive_pools.py); 2,500 drops separation 6 to 8/20.
+# (scripts/pools.py); 2,500 drops separation 6 to 8/20.
 N_PER_STAGE = 5_000
 PROBES = 48  # vote probes l
 BATCH = 120  # batch size m per probe
@@ -326,7 +326,8 @@ def find_signal_direction(
     well-separated halves.
 
     For each separation guess on a descending x1.1 grid: draw two anchors,
-    pair-test each against a fresh batch, average the accepted batches into
+    pair-test each against a fresh batch (both anchors in one
+    ``st.pair_test_batch`` call), average the accepted batches into
     two candidate means, and verify the normalized difference as a signal
     direction — by default at (0.8*w_star, 0.8*guess), or at a caller-fixed
     level when ``check_p``/``check_delta`` are given.  ``chain`` is the
@@ -360,8 +361,8 @@ def find_signal_direction(
         for _ in range(SIGNAL_TRIALS):
             anchors = np.asarray(mix_sampler.draw(2), dtype=float)
             batch = np.asarray(mix_sampler.draw(2 * m), dtype=float)
-            acc0 = st.pair_test_batch(anchors[0], batch[:m], chain, cfg, base)
-            acc1 = st.pair_test_batch(anchors[1], batch[m:], chain, cfg, base)
+            accept = st.pair_test_batch(anchors, batch, chain, cfg, base)
+            acc0, acc1 = accept[:m], accept[m:]
             if not (acc0.any() and acc1.any()):
                 tried.append({"delta": delta, "reason": "empty batch"})
                 continue

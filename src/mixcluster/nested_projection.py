@@ -14,7 +14,8 @@ import numpy as np
 
 _REORTH_DRIFT = 1e-8
 # floats a chunk's largest intermediates may hold, in both kernels that push
-# rows through a chain (sample_test._statistic_batch, the moment estimator)
+# rows through a chain (the moment estimator; sample_test._statistic_batch's
+# passes take an eighth of it)
 WORKING_SET = 1 << 21
 
 

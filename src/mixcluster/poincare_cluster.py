@@ -58,18 +58,17 @@ def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float
     """Sequentially admit candidates with enough 0.2*alpha-ball support that
     are at least alpha away from everything admitted so far."""
     valid = ~np.isnan(candidates[:, 0])
+    points = candidates[valid]
+    # dists[i, j] = ||points[j] - points[i]||, one pairwise matrix over the valid candidates
+    dists = np.linalg.norm(points[None, :, :] - points[:, None, :], axis=2)
     support = np.zeros(len(candidates), dtype=int)
-    accepted = []
-    for i in range(len(candidates)):
-        if not valid[i]:
-            continue
-        dists = np.linalg.norm(candidates[valid] - candidates[i], axis=1)
-        support[i] = int(np.sum(dists <= 0.2 * alpha))
-        if support[i] < support_threshold:
-            continue
-        if any(np.linalg.norm(candidates[j] - candidates[i]) < alpha for j in accepted):
-            continue
-        accepted.append(i)
+    support[valid] = np.count_nonzero(dists <= 0.2 * alpha, axis=1)
+    index = np.flatnonzero(valid)
+    admitted = []  # rows of points
+    for row, i in enumerate(index):
+        if support[i] >= support_threshold and not np.any(dists[row, admitted] < alpha):
+            admitted.append(row)
+    accepted = index[admitted].tolist()
     return VoteLedger(candidates, support, tuple(accepted))
 
 
@@ -132,14 +131,24 @@ def probe_batch_vote(
     come from disjoint probe batches, so this cuts the variance by the
     support count without changing what gets admitted.  Returns the means in
     admission order and their support counts.
+
+    The mixture requests stay one probe row, then its batch, probe by probe;
+    a merged request would move how many root rows a rejection-sampled
+    stream draws.  One :func:`st.pair_test_batch` call then tests every
+    probe: one base request of probes * reps * (2t-1) rows, and per probe
+    reps * ((d+t-1)^t + t^t) word images for the statistic's coefficients.
     """
-    candidates = np.full((probes, mix_sampler.d), np.nan)
+    d = mix_sampler.d
+    points = np.empty((probes, d))
+    batches = np.empty((probes, batch, d))
     for i in range(probes):
-        probe = np.asarray(mix_sampler.draw(1), dtype=float)[0]
-        others = np.asarray(mix_sampler.draw(batch), dtype=float)
-        accept = st.pair_test_batch(probe, others, chain, cfg, base_sampler)
-        if accept.any():
-            candidates[i] = others[accept].mean(axis=0)
+        points[i] = np.asarray(mix_sampler.draw(1), dtype=float)[0]
+        batches[i] = np.asarray(mix_sampler.draw(batch), dtype=float)
+    accept = st.pair_test_batch(points, batches.reshape(-1, d), chain, cfg, base_sampler).reshape(probes, batch)
+    candidates = np.full((probes, d), np.nan)
+    for i in range(probes):
+        if accept[i].any():
+            candidates[i] = batches[i][accept[i]].mean(axis=0)
     ledger = majority_vote(candidates, alpha, support_threshold)
     valid = candidates[~np.isnan(candidates[:, 0])]
     means = np.zeros((len(ledger.accepted), mix_sampler.d))

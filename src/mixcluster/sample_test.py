@@ -1,18 +1,21 @@
 """The Far/Close sample test on projected rank-1 moment statistics.
 
 A sample z is tested by averaging Gamma flat(R_t(z, y_0..y_{2t-2})) over
-base draws and thresholding the norm of the average.  The tests of one call
-share one set of draws (common random numbers): one call draws
-reps * (2t-1) base rows, whatever its number of test points.  Each test's
-draws stay independent of its own point and keep their distribution, so
-each test's error probability is unchanged; only the tests within one call
-become dependent, and each call gets fresh draws.
+base draws and thresholding the norm of the average.  A probe's tests share
+one set of draws (common random numbers): a probe draws reps * (2t-1) base
+rows, whatever its number of test points.  Each test's draws stay
+independent of its own point and keep their distribution, so each test's
+error probability is unchanged; only the tests within one probe become
+dependent, and each probe gets fresh draws.  One call tests P probes in one
+pass over a leading probe axis, with one base request of P * reps * (2t-1)
+rows that hands probe p the rows P one-probe calls in a row would read.
 
 With the draws fixed, the average is a degree-t polynomial in z,
 sum_{k<t} C_k z^(x)k + Gamma(z^(x)t).  Its coefficients are set up once per
-call from reps * ((d+t-1)^t + t^t) word images (nested_projection.word_images,
-the moment estimator's routine); each test point then costs
-sum_{k<t} c_t d^k multiply-adds and one chain row, whatever reps is.
+probe from reps * ((d+t-1)^t + t^t) word images (nested_projection.word_images,
+the moment estimator's routine), all of a pass's probes in one word_images
+call; each test point then costs sum_{k<t} c_t d^k multiply-adds and one
+chain row, whatever reps is.
 Threshold and degree policies follow the separation-driven forms; the
 averaging count is a knob since the in-theory count is astronomically large.
 """
@@ -111,13 +114,27 @@ def r_expansion_arrays(t: int):
     return words, coeffs
 
 
-def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
-    """Averaged projected R_t statistics for a batch of test points.
+def _probe_floats(n: int, chain: NestedProjection, reps: int) -> int:
+    """Floats one probe of n test points holds in a pass's largest
+    intermediates: per rep, the last images, their product with Pi_l and
+    the new images at word_images' widest stage; per point, z^(x)(t-1)
+    twice and a chain row's widest intermediate."""
+    d, t, widths = chain.d, chain.stage_count, chain.widths
+    q = d + t - 1
+    per_rep = max(q ** (l - 1) * (widths[l - 1] + d * widths[l]) + q**l * widths[l] for l in range(1, t + 1))
+    return reps * per_rep + n * (2 * d ** (t - 1) + d * max(t, *widths))
 
-    zs has shape (n, d); returns the n statistics ||A_i||.  One call draws
-    cfg.reps blocks of 2t-1 base rows once, and every test point in the call
-    shares them (common random numbers): each test's draws are independent
-    of its own point, as the test needs, but not of the other tests'.
+
+def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
+    """Averaged projected R_t statistics for P probes' test points.
+
+    zs has shape (P, n, d); returns the (P, n) statistics ||A_pi||.  The
+    call draws P * cfg.reps blocks of 2t-1 base rows in one request, and
+    probe p reads the p-th run of cfg.reps blocks: the rows P one-probe
+    calls in a row would read from a plain stream.  Every test point of a
+    probe shares its probe's draws (common random numbers): each test's
+    draws are independent of its own point, as the test needs, but not of
+    the other tests' in its probe.
 
     With the draws fixed, A(z) = sum_{k<t} C_k z^(x)k + Gamma(z^(x)t) is a
     degree-t polynomial in z.  Gamma is linear, so C_k (d^k, c_t) is the
@@ -125,66 +142,72 @@ def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, b
     at k slots, with the standard basis of R^d put at those slots: one slice
     each of the word images over the pool [e_0..e_{d-1}, y_0..y_{t-2}].
     Block 1 holds no z and goes into C_0.  The all-z word has coefficient 1
-    and is Gamma(z^(x)t).  Per call this costs reps * (2t-1) draws and
+    and is Gamma(z^(x)t).  Per probe this costs reps * (2t-1) draws and
     reps * ((d+t-1)^t + t^t) word images; per test point,
     sum_{k<t} c_t d^k multiply-adds and one chain row.
+
+    The probes run in passes of whole probes, at least one, whose largest
+    intermediates hold at most WORKING_SET / 8 floats (_probe_floats): the
+    probe vote holds its batches and their differences beside the pass, and
+    a pass must stay well under the chain build's WORKING_SET so that the
+    vote never sets the process's peak memory.  Each pass makes two
+    word_images calls, one chain pass over all its points and one batched
+    matmul per polynomial term.
     """
     t = cfg.t
-    n, d = zs.shape
+    probes, n, d = zs.shape
     reps = cfg.reps
     c = chain.out_dim
     q = d + t - 1
-    draws = np.asarray(base_sampler.draw(reps * (2 * t - 1)), dtype=float)
-    draws = draws.reshape(reps, 2 * t - 1, d)
-    # a rep of either block holds at most 2 q^t c floats in word_images' widest stage
-    chunk = max(1, nested_projection.WORKING_SET // (4 * q**t * max(chain.widths)))
-    pool_sum = np.zeros((q**t, c))
-    block1_sum = np.zeros((t**t, c))
-    for start in range(0, reps, chunk):
-        y = draws[start : start + chunk]
-        pool = np.concatenate([np.broadcast_to(np.eye(d), (len(y), d, d)), y[:, : t - 1]], axis=1)
-        pool_sum += nested_projection.word_images(chain, pool).sum(axis=0)
-        block1_sum += nested_projection.word_images(chain, y[:, t - 1 :]).sum(axis=0)
-    images = (pool_sum / reps).reshape((q,) * t + (c,))
+    draws = np.asarray(base_sampler.draw(probes * reps * (2 * t - 1)), dtype=float)
+    draws = draws.reshape(probes, reps, 2 * t - 1, d)
     words, coeffs = r_expansion_arrays(t)
-    poly = [np.zeros((d**k, c)) for k in range(t)]
-    poly[0] -= coeffs @ block1_sum / reps
-    for word, coeff in zip(words, coeffs):
-        k = int(np.count_nonzero(word == 0))
-        if k < t:
-            at = tuple(slice(d) if j == 0 else d + j - 1 for j in word)
-            poly[k] += coeff * images[at].reshape(d**k, c)
-    # chunk over test points to bound z^(x)(t-1) and the chain row's intermediates
-    per_row = d * max(t, *chain.widths)  # floats of a chain row's widest intermediate
-    chunk = max(1, nested_projection.WORKING_SET // (2 * d ** (t - 1) + per_row))
-    out = np.empty(n)
-    for start in range(0, n, chunk):
-        z = zs[start : start + chunk]
-        m = len(z)
-        a = nested_projection.apply_rank1_batch(chain, np.broadcast_to(z[:, None, :], (m, t, d))) + poly[0]
+    chunk = max(1, nested_projection.WORKING_SET // (8 * _probe_floats(n, chain, reps)))
+    eye = np.eye(d)
+    out = np.empty((probes, n))
+    for start in range(0, probes, chunk):
+        y = draws[start : start + chunk]
+        p = len(y)
+        y = y.reshape(p * reps, 2 * t - 1, d)
+        pool = np.concatenate([np.broadcast_to(eye, (p * reps, d, d)), y[:, : t - 1]], axis=1)
+        images = nested_projection.word_images(chain, pool).reshape(p, reps, q**t, c).sum(axis=1)
+        images = (images / reps).reshape((p,) + (q,) * t + (c,))
+        block1 = nested_projection.word_images(chain, y[:, t - 1 :]).reshape(p, reps, t**t, c).sum(axis=1)
+        poly = [np.zeros((p, d**k, c)) for k in range(t)]
+        poly[0] -= (coeffs @ block1 / reps)[:, None, :]
+        for word, coeff in zip(words, coeffs):
+            k = int(np.count_nonzero(word == 0))
+            if k < t:
+                at = tuple(slice(d) if j == 0 else d + j - 1 for j in word)
+                poly[k] += coeff * images[(slice(None),) + at].reshape(p, d**k, c)
+        z = zs[start : start + p]
+        flat = z.reshape(p * n, d)
+        a = nested_projection.apply_rank1_batch(chain, np.broadcast_to(flat[:, None, :], (p * n, t, d)))
+        a = a.reshape(p, n, c) + poly[0]
         power = z
         for k in range(1, t):
             a += power @ poly[k]
             if k < t - 1:
-                power = (power[:, :, None] * z[:, None, :]).reshape(m, -1)
-        out[start : start + m] = np.linalg.norm(a, axis=1)
+                power = (power[..., None] * z[:, :, None, :]).reshape(p, n, -1)
+        out[start : start + p] = np.linalg.norm(a, axis=2)
     return out
 
 
 def test_sample_batch(zs, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
-    """Vectorized Far/Close over rows of zs; returns a boolean Far mask.
+    """Vectorized Far/Close; returns a boolean Far mask of zs's leading shape.
 
-    The rows share one set of reps * (2t-1) base draws.  Per call the
-    statistic's coefficients cost reps * ((d+t-1)^t + t^t) word images; per
-    row, sum_{k<t} c_t d^k multiply-adds and one chain row (see
-    _statistic_batch)."""
+    zs holds one probe's points, shape (d,) or (n, d), which share one set
+    of reps * (2t-1) base draws, or P probes' points, shape (P, n, d), each
+    probe with its own set.  Per probe the statistic's coefficients cost
+    reps * ((d+t-1)^t + t^t) word images; per point, sum_{k<t} c_t d^k
+    multiply-adds and one chain row (see _statistic_batch)."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     if chain.stage_count != cfg.t:
         raise ValueError(f"chain degree {chain.stage_count} != configured t {cfg.t}")
-    if zs.ndim != 2 or zs.shape[1] != chain.d:
-        raise ValueError(f"samples have shape {zs.shape}, expected (n, {chain.d})")
-    stats = _statistic_batch(zs, chain, cfg, base_sampler)
-    return stats >= cfg.tau
+    if zs.ndim > 3 or zs.shape[-1] != chain.d:
+        raise ValueError(f"samples have shape {zs.shape}, expected (n, {chain.d}) or (P, n, {chain.d})")
+    stats = _statistic_batch(zs.reshape((-1,) + zs.shape[-2:]), chain, cfg, base_sampler)
+    return stats.reshape(zs.shape[:-1]) >= cfg.tau
 
 
 def pair_test(z, z_prime, chain: NestedProjection, cfg: TestConfig, base_sampler) -> str:
@@ -193,13 +216,17 @@ def pair_test(z, z_prime, chain: NestedProjection, cfg: TestConfig, base_sampler
 
 
 def pair_test_batch(z, others, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
-    """Accept mask of pair tests between one probe and many other samples.
+    """Accept mask of pair tests between P probes and their batches.
 
-    The call's pair tests share one set of reps * (2t-1) base draws.  The
-    statistic's coefficients cost reps * ((d+t-1)^t + t^t) word images per
-    call; each pair then costs sum_{k<t} c_t d^k multiply-adds and one chain
-    row (see _statistic_batch)."""
-    z = np.asarray(z, dtype=float)
+    z is one probe, shape (d,), or P probes, shape (P, d); others holds P * m
+    rows, probe p's m rows contiguous, and the mask has one entry per row.
+    One call tests all P probes in one Far/Close pass and draws
+    P * reps * (2t-1) base rows in one request, probe p reading the p-th
+    run: the rows P one-probe calls in a row would read.  A probe's pair
+    tests share its draws.  Per probe the statistic's coefficients cost
+    reps * ((d+t-1)^t + t^t) word images; each pair then costs
+    sum_{k<t} c_t d^k multiply-adds and one chain row (see _statistic_batch)."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
     others = np.atleast_2d(np.asarray(others, dtype=float))
-    diffs = (z[None, :] - others) / math.sqrt(2.0)
-    return ~test_sample_batch(diffs, chain, cfg, base_sampler)
+    diffs = (z[:, None, :] - others.reshape(len(z), -1, others.shape[1])) / math.sqrt(2.0)
+    return ~test_sample_batch(diffs, chain, cfg, base_sampler).reshape(-1)

@@ -20,16 +20,22 @@ def random_nested_projection(d, widths, rng):
 
 class RowCounter:
     """Passes draws through to a stream, counts the rows it returns and
-    records each request size."""
+    records each request size.  Counters given one shared ``log`` list also
+    append ``(name, n)`` to it, so a test can read the order of requests
+    across streams."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, name=None, log=None):
         self.inner = inner
         self.d = inner.d
         self.rows = 0
         self.requests = []
+        self.name = name
+        self.log = log
 
     def draw(self, n):
         self.requests.append(n)
+        if self.log is not None:
+            self.log.append((self.name, n))
         out = self.inner.draw(n)
         self.rows += len(out)
         return out

@@ -485,6 +485,27 @@ class TestSignalDirection:
         assert stream.rows == search + gc._verification_rows(0.8 * scales.w_star)
 
 
+    def test_draw_schedule_of_one_trial_is_pinned(self, monkeypatch):
+        # one trial: two anchors, then their batches, then one base request
+        # for both anchors' pair tests, then the call's verification pool
+        monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
+        monkeypatch.setattr(gc, "SIGNAL_TRIALS", 1)
+        spec = _spec([1.0], [[0.0, 0.0]])
+        scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+        chain, base = gc._difference_chain(MixtureSampler(spec, seed=5), 2, gc.PAIR_DEGREE, seed=0)
+        log = []
+        stream = RowCounter(MixtureSampler(spec, seed=3), "mix", log)
+        base = RowCounter(base, "base", log)
+        with pytest.raises(gc.NoSignalError):
+            gc.find_signal_direction(stream, scales, [4.0], chain=(chain, base))
+        m = gc.SIGNAL_BATCH
+        assert log == [
+            ("mix", 2),
+            ("mix", 2 * m),
+            ("base", 2 * st.DEFAULT_REPS * (2 * gc.PAIR_DEGREE - 1)),
+            ("mix", gc._verification_rows(0.8 * scales.w_star)),
+        ]
+
 class TestBoundedMeansSplit:
     def test_no_split_below_threshold(self, rng):
         samples = rng.standard_normal((500, 3)) * 10

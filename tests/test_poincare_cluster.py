@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixcluster.sample_test as st
-from conftest import RowCounter
+from conftest import RowCounter, random_nested_projection
 from mixcluster.cli import match_means
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster.moment_pipeline import MAX_DEGREE, MixtureSpec, SizeLimitError
@@ -17,12 +17,31 @@ from mixcluster.poincare_cluster import (
     default_band,
     learn_means,
     majority_vote,
+    probe_batch_vote,
     write_assignments_csv,
 )
 
 
 def _spec(weights, means, tag="gaussian"):
     return MixtureSpec(np.asarray(weights, float), np.asarray(means, float), tag)
+
+
+class TestProbeBatchVote:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_draw_schedule_is_pinned(self, t):
+        # the mixture requests stay one probe row, then its batch, probe by
+        # probe; then one base request serves every probe's pair tests
+        d, probes, batch, reps = 2, 5, 7, 3
+        spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])
+        chain = random_nested_projection(d, [2] * t, np.random.default_rng(t))
+        log = []
+        mix = RowCounter(MixtureSampler(spec, seed=2), "mix", log)
+        base = RowCounter(BaseSampler("gaussian", d, 2, 7), "base", log)
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        probe_batch_vote(mix, base, chain, cfg, probes, batch, 2.0, 1.0)
+        assert mix.requests == [1, batch] * probes
+        assert base.rows == probes * reps * (2 * t - 1)
+        assert log == [("mix", 1), ("mix", batch)] * probes + [("base", probes * reps * (2 * t - 1))]
 
 
 class TestDifferenceSampler:
@@ -40,7 +59,45 @@ class TestDifferenceSampler:
         assert np.max(np.abs(draws.mean(axis=0))) < 0.05
 
 
+# Reference for majority_vote in its loop form: one norm per candidate for
+# its support, then the same sequential admission.
+def _reference_majority_vote(candidates, alpha, support_threshold):
+    valid = ~np.isnan(candidates[:, 0])
+    support = np.zeros(len(candidates), dtype=int)
+    accepted = []
+    for i in range(len(candidates)):
+        if not valid[i]:
+            continue
+        dists = np.linalg.norm(candidates[valid] - candidates[i], axis=1)
+        support[i] = int(np.sum(dists <= 0.2 * alpha))
+        if support[i] < support_threshold:
+            continue
+        if any(np.linalg.norm(candidates[j] - candidates[i]) < alpha for j in accepted):
+            continue
+        accepted.append(i)
+    return support, tuple(accepted)
+
+
 class TestMajorityVote:
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 40),
+        d=hst.integers(1, 4),
+        clusters=hst.integers(1, 4),
+        failed=hst.floats(0.0, 0.5),
+        threshold=hst.floats(0.0, 12.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_reference(self, seed, n, d, clusters, failed, threshold):
+        rng = np.random.default_rng(seed)
+        centers = 6.0 * rng.standard_normal((clusters, d))
+        cands = centers[rng.integers(0, clusters, n)] + 0.3 * rng.standard_normal((n, d))
+        cands[rng.random(n) < failed] = np.nan
+        ledger = majority_vote(cands, 2.0, threshold)
+        support, accepted = _reference_majority_vote(cands, 2.0, threshold)
+        np.testing.assert_array_equal(ledger.support, support)
+        assert ledger.accepted == accepted
+
     def test_supported_candidate_admitted(self):
         cands = np.vstack([np.zeros((10, 2)) + 0.01 * np.arange(10)[:, None], [[50.0, 0.0]]])
         ledger = majority_vote(cands, alpha=2.0, support_threshold=5.0)

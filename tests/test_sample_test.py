@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as hst
 
 import mixcluster.nested_projection as npj
 import mixcluster.sample_test as st
-from conftest import grouped_tail_images, random_nested_projection
+from conftest import RowCounter, grouped_tail_images, random_nested_projection
 from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import MAX_DEGREE, MixtureSpec
 from mixcluster.nested_projection import NestedProjection, apply_rank1_batch, word_images
@@ -175,7 +176,7 @@ class TestDegreeChoice:
 
 
 def _statistic(z, chain, cfg, base):
-    return float(st._statistic_batch(np.asarray(z, dtype=float)[None, :], chain, cfg, base)[0])
+    return float(st._statistic_batch(np.asarray(z, dtype=float)[None, None, :], chain, cfg, base)[0, 0])
 
 
 def _is_far(z, chain, cfg, base):
@@ -313,7 +314,7 @@ class TestStatisticByLinearity:
         # Far-sized points sit ten times further out than Close-sized ones
         zs = (20.0 if far else 2.0) * rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        got = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
+        got = st._statistic_batch(zs[None], chain, cfg, BaseSampler(tag, d, seed, 5))[0]
         gathered = _reference_statistic_batch(zs, chain, cfg, _TiledSampler(BaseSampler(tag, d, seed, 5), n))
         linear = _reference_linearity_statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
         # relative to the size of the rank-1 terms, so that a statistic that
@@ -331,7 +332,7 @@ class TestStatisticByLinearity:
         chain = _random_chain(d, t, rng)
         zs = rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        got = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, 11, 3))
+        got = st._statistic_batch(zs[None], chain, cfg, BaseSampler(tag, d, 11, 3))[0]
         draws = BaseSampler(tag, d, 11, 3).draw(reps * (2 * t - 1)).reshape(reps, 2 * t - 1, d)
         gamma = dense_matrix(chain)
         want = [
@@ -399,23 +400,24 @@ class TestSharedDraws:
         chain = _random_chain(d, t, rng)
         zs = 2.0 * rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        batch = st._statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
+        batch = st._statistic_batch(zs[None], chain, cfg, BaseSampler(tag, d, seed, 5))[0]
         draws = BaseSampler(tag, d, seed, 5).draw(reps * (2 * t - 1))
         size = max(np.abs(zs).max(), np.abs(draws).max(), 1.0) ** t
         for i in range(n):
-            single = st._statistic_batch(zs[i : i + 1], chain, cfg, BaseSampler(tag, d, seed, 5))
+            single = st._statistic_batch(zs[None, i : i + 1], chain, cfg, BaseSampler(tag, d, seed, 5))[0]
             np.testing.assert_allclose(batch[i : i + 1], single, rtol=1e-12, atol=1e-12 * size)
 
 
 class TestWorkingSet:
     @pytest.mark.parametrize("t, d, k, reps", [(2, 3, 3, 32), (3, 3, 3, 8), (3, 6, 4, 16)])
     def test_chunks_do_not_change_the_statistic(self, monkeypatch, t, d, k, reps):
-        # 256 floats hold less than one rep of the set-up at each shape, so
-        # every word_images call takes one rep, and a few points per chain
-        # call; the last shape is poincare-deg3's
+        # 256 floats hold less than one probe at each shape, so every pass
+        # takes one probe: two word_images calls over its reps and one chain
+        # call over its points; the last shape is poincare-deg3's
         rng = np.random.default_rng(100 * t + d)
         chain = random_nested_projection(d, [k] * t, rng)
-        zs = 3.0 * rng.standard_normal((50, d))
+        probes, n = 5, 10
+        zs = 3.0 * rng.standard_normal((probes, n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
         want = st._statistic_batch(zs, chain, cfg, BaseSampler("laplace", d, 5, 1))
         blocks, points = [], []
@@ -432,6 +434,101 @@ class TestWorkingSet:
         monkeypatch.setattr(npj, "word_images", images)
         monkeypatch.setattr(npj, "apply_rank1_batch", rank1)
         got = st._statistic_batch(zs, chain, cfg, BaseSampler("laplace", d, 5, 1))
-        assert blocks == [1] * (2 * reps)
-        assert len(points) > 1 and sum(points) == len(zs)
+        assert blocks == [reps] * (2 * probes)
+        assert points == [n] * probes
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "probes, n, d, widths, reps",
+        [
+            (240, 600, 3, [3, 3], 32),  # poincare-c8's vote
+            (60, 120, 6, [6, 4, 4], 16),  # poincare-deg3's vote
+        ],
+    )
+    def test_peak_memory_at_the_vote_shapes(self, probes, n, d, widths, reps):
+        # one call over every probe of a vote stays under 2 WORKING_SET bytes
+        # (4 MiB); the points and the chain are built outside the measured call
+        rng = np.random.default_rng(len(widths))
+        chain = random_nested_projection(d, widths, rng)
+        zs = rng.standard_normal((probes, n, d))
+        cfg = st.TestConfig(len(widths), tau=1.0, reps=reps)
+        r_expansion_arrays(cfg.t)
+        tracemalloc.start()
+        try:
+            st._statistic_batch(zs, chain, cfg, BaseSampler("gaussian", d, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * npj.WORKING_SET
+
+
+def _chunk_sizes(probes: int) -> list:
+    """Pass sizes that split the probes into 2-4 passes, the last partial."""
+    return [s for s in range(2, probes) if probes % s and -(-probes // s) <= 4]
+
+
+class TestProbeAxis:
+    @given(
+        t=hst.integers(1, 3),
+        probes=hst.integers(1, 6),
+        tag=hst.sampled_from(BASE_TAGS),
+        d=hst.integers(1, 4),
+        m=hst.integers(1, 5),
+        reps=hst.integers(1, 6),
+        pick=hst.integers(0, 2),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_probe_calls(self, t, probes, tag, d, m, reps, pick, seed):
+        rng = np.random.default_rng(seed)
+        chain = _random_chain(d, t, rng)
+        z = 2.0 * rng.standard_normal((probes, d))
+        others = z.repeat(m, axis=0) + rng.standard_normal((probes * m, d))
+        diffs = (z[:, None, :] - others.reshape(probes, m, d)) / math.sqrt(2.0)
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        base = BaseSampler(tag, d, seed, 5)
+        singles = np.array([st._statistic_batch(diffs[p : p + 1], chain, cfg, base)[0] for p in range(probes)])
+        # a threshold between the statistics, so that the masks are mixed
+        cfg = dataclasses.replace(cfg, tau=float(np.median(singles)) * (1.0 + 1e-6) + 1e-300)
+        base = BaseSampler(tag, d, seed, 5)
+        single_masks = [st.pair_test_batch(z[p], others[p * m : (p + 1) * m], chain, cfg, base) for p in range(probes)]
+        sizes = _chunk_sizes(probes)
+        passes = []
+        if sizes:
+            # shrink WORKING_SET so that the probes split into 2-4 passes, the last partial
+            size = sizes[pick % len(sizes)]
+            working_set = 8 * size * st._probe_floats(m, chain, reps)
+            passes = [size] * (probes // size) + [probes % size]
+        else:
+            working_set = npj.WORKING_SET
+        pools = []
+
+        def images(np_, pool):
+            pools.append(len(pool))
+            return word_images(np_, pool)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(npj, "WORKING_SET", working_set)
+            mp.setattr(npj, "word_images", images)
+            got = st._statistic_batch(diffs, chain, cfg, BaseSampler(tag, d, seed, 5))
+            mask = st.pair_test_batch(z, others, chain, cfg, BaseSampler(tag, d, seed, 5))
+        if passes:
+            assert pools[::2][: len(passes)] == [reps * p for p in passes]
+        draws = BaseSampler(tag, d, seed, 5).draw(probes * reps * (2 * t - 1))
+        size = max(np.abs(diffs).max(), np.abs(draws).max(), 1.0) ** t
+        np.testing.assert_allclose(got, singles, rtol=1e-12, atol=1e-12 * size)
+        assert mask.shape == (probes * m,)
+        np.testing.assert_array_equal(mask, np.concatenate(single_masks))
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_one_base_request_per_call(self, t):
+        rng = np.random.default_rng(t)
+        d, probes, m, reps = 3, 4, 6, 5
+        chain = _random_chain(d, t, rng)
+        base = RowCounter(BaseSampler("gaussian", d, 3, 1))
+        mask = st.pair_test_batch(
+            rng.standard_normal((probes, d)), rng.standard_normal((probes * m, d)), chain,
+            st.TestConfig(t, tau=1.0, reps=reps), base,
+        )
+        assert mask.shape == (probes * m,)
+        assert base.requests == [probes * reps * (2 * t - 1)]
