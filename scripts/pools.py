@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 scripts/pools.py [--pools c8-gaussian c8-laplace deg3 c9-sep10 c9-sep7 c9-sep6]
+    python3 scripts/pools.py [--pools c8-gaussian c8-laplace deg3 c9-sep10 c9-sep7 c9-sep6] [--expect FILE]
 
 Each pool runs one learner call on learner seeds 0-19:
 
@@ -28,6 +28,9 @@ over the seeds that recovered every mean (null when none did), the mean
 seconds per seed, and a SHA-256 digest of every seed's learned means and
 weights: two checkouts learn the same bits on a pool when their digests
 agree, so checking bit-identity is one comparison of the ``sha256`` fields.
+``--expect FILE`` makes that comparison: FILE is an earlier run's output,
+every pool whose digest differs from its line there (or has no line) is
+named on stderr, and the exit status is 1 if any does.
 """
 
 from __future__ import annotations
@@ -147,10 +150,21 @@ def run_pool(name: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pools", nargs="+", choices=list(POOLS), default=list(POOLS))
+    parser.add_argument("--expect", type=Path, metavar="FILE", help="an earlier run's output to compare digests with")
     args = parser.parse_args(argv)
+    expected = None
+    if args.expect is not None:
+        lines = args.expect.read_text(encoding="utf-8").splitlines()
+        expected = {row["pool"]: row["sha256"] for row in map(json.loads, filter(str.strip, lines))}
+    differ = []
     for name in args.pools:
-        print(json.dumps(run_pool(name)), flush=True)
-    return 0
+        result = run_pool(name)
+        print(json.dumps(result), flush=True)
+        if expected is not None and result["sha256"] != expected.get(name):
+            differ.append(f"{name}: sha256 {result['sha256']}, {args.expect} has {expected.get(name, 'no line')}")
+    for line in differ:
+        print(line, file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ import numpy as np
 from . import nested_projection
 from . import sample_test as st
 from .mixture_gen import BaseSampler
-from .moment_pipeline import iterative_projection
+from .moment_pipeline import iterative_projection, lead_positive
 from .poincare_cluster import DifferenceSampler, LearnedMixture, margin_matrix, probe_batch_vote
 from .rng import stream
 
@@ -54,7 +54,6 @@ __all__ = [
     "complement_basis",
     "reduce_by_checker",
     "split_rows",
-    "signal_split",
     "find_signal_direction",
     "full_cluster_bounded",
     "refine_checker",
@@ -129,8 +128,6 @@ class Checker:
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
-        if basis.size == 0:
-            basis = basis.reshape(basis.shape[0] if basis.ndim == 2 else 0, 0)
         p = np.asarray(self.p, dtype=float).reshape(-1)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "p", p)
@@ -178,12 +175,8 @@ def complement_basis(ch: Checker) -> np.ndarray:
     if ch.a == 0:
         return np.eye(ch.d)
     # Checker holds its columns orthonormal, so the rank is exactly a.
-    comp = np.linalg.svd(ch.basis.T)[2][ch.a :].T
-    for j in range(comp.shape[1]):
-        lead = np.argmax(np.abs(comp[:, j]))
-        if comp[lead, j] < 0:
-            comp[:, j] = -comp[:, j]
-    return comp
+    comp = np.linalg.svd(ch.basis.T)[2][ch.a :]
+    return lead_positive(comp).T
 
 
 class ReducedSampler:
@@ -278,12 +271,6 @@ def split_rows(rows, v, p_level: float, delta: float) -> float | None:
     if hi - lo < 2.0 * delta:
         return None
     return 0.5 * (lo + hi)
-
-
-def signal_split(mix_sampler, v, p_level: float, delta: float) -> float | None:
-    """:func:`split_rows` on ``_verification_rows(p_level)`` fresh rows of the
-    stream."""
-    return split_rows(mix_sampler.draw(_verification_rows(p_level)), v, p_level, delta)
 
 
 def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
@@ -428,8 +415,8 @@ class GroupScales:
     once by :func:`group_scales` from the group's ``(k, w_min, c)`` and the
     mixture's ``params``.
 
-    ``log_k`` is ln(k/w*) for the group's own ``k``; the ``params`` come from
-    the whole mixture's (:func:`desk_params`).  The spacing ``s`` and
+    ``ln`` below is ln(k/w*) for the group's own ``k``; the ``params`` come
+    from the whole mixture's (:func:`desk_params`).  The spacing ``s`` and
     ``params.pair_sep_floor`` default differently without a ``sep_hint``,
     ln^(0.5+c) and ln(k/w) respectively, and each keeps its own default.
     """
@@ -437,7 +424,6 @@ class GroupScales:
     k: int
     w_star: float
     params: ClusterParams
-    log_k: float  # ln(k/w*)
     theta: float  # ln^((1+c)/2): the unit of every scope radius
     beta: float  # ln^((1+1.1c)/2): refinement's base radius
     s: float  # cluster spacing: sep_hint, else ln^(0.5+c)
@@ -472,7 +458,6 @@ def group_scales(k: int, w_min: float, c: float, params: ClusterParams) -> Group
         k=k,
         w_star=w_min,
         params=params,
-        log_k=log_k,
         theta=log_k ** ((1.0 + c) / 2.0),
         beta=log_k ** ((1.0 + 1.1 * c) / 2.0),
         s=params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c),
@@ -540,7 +525,7 @@ def refine_checker(
     scales: GroupScales,
     *,
     chain: tuple,
-    seed: int = 0,
+    seed: int,
     trail: list | None = None,
 ) -> Checker:
     """Grow the checker subspace by one signal direction and recenter on a
@@ -559,7 +544,8 @@ def refine_checker(
             # found direction must then also classify as a signal at the
             # refinement floor.
             sig = find_signal_direction(reduced, scales, chain=chain)
-            if signal_split(reduced, sig.v, class_p, scales.params.refine_delta) is None:
+            rows = reduced.draw(_verification_rows(class_p))
+            if split_rows(rows, sig.v, class_p, scales.params.refine_delta) is None:
                 last_error = RefineFailedError(
                     "signal direction failed the refinement floor classification"
                 )
@@ -615,12 +601,12 @@ def test_max_separation(
     *,
     chain: tuple,
     trail: list | None = None,
-) -> str:
-    """Reject iff a verified wide split, searched under the checker's
-    ``chain``, survives in some truncated reduction of the checker scope;
-    Accept otherwise."""
+) -> bool:
+    """False (reject) iff a verified wide split, searched under the
+    checker's ``chain``, survives in some truncated reduction of the checker
+    scope; True (accept) otherwise."""
     delta = scales.split_delta
-    verdict = st.ACCEPT
+    accept = True
     for gamma in range(1, GAMMA_COUNT + 1):
         try:
             reduced = reduce_by_checker(mix_sampler, ch.with_radius(scales.separation_radius(gamma)))
@@ -632,19 +618,19 @@ def test_max_separation(
                 check_p=0.4 * scales.w_star,
                 check_delta=delta,
             )
-            verdict = st.REJECT
+            accept = False
             break
         except (NoSignalError, StarvationError):
             continue
     if trail is not None:
         trail.append(
             {
-                "action": "accept" if verdict == st.ACCEPT else "reject",
+                "action": "accept" if accept else "reject",
                 "checker_dim": ch.a,
                 "radius": ch.r if math.isfinite(ch.r) else None,
             }
         )
-    return verdict
+    return accept
 
 
 # ---------------------------------------------------------------------------
@@ -816,12 +802,7 @@ def dimension_basis(cov_diff: np.ndarray, k: int) -> np.ndarray:
     k = min(k, d)
     values, vectors = np.linalg.eigh(0.5 * (cov_diff + cov_diff.T))
     order = np.argsort(-values)[:k]
-    basis = vectors[:, order].T
-    for j in range(len(basis)):
-        lead = np.argmax(np.abs(basis[j]))
-        if basis[j, lead] < 0:
-            basis[j] = -basis[j]
-    return basis
+    return lead_positive(vectors[:, order].T)
 
 
 class _ProjectedSampler:
@@ -860,8 +841,7 @@ def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
         try:
             chain = level_chain = _checker_chain(current, ch, scales, int(rng.integers(2**62)))
             for _ in range(scales.rounds):
-                verdict = test_max_separation(current, ch, scales, chain=chain, trail=trail)
-                if verdict == st.ACCEPT:
+                if test_max_separation(current, ch, scales, chain=chain, trail=trail):
                     break
                 try:
                     ch = refine_checker(current, ch, scales, chain=chain, seed=int(rng.integers(2**62)), trail=trail)

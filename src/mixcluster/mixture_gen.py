@@ -102,20 +102,12 @@ def _place_points(n: int, d: int, sep: float, rng: np.random.Generator) -> np.nd
     raise PlacementError(f"could not place {n} points at ratio <= 1.2 in d={d}")
 
 
-def _split_counts(k: int) -> tuple:
-    return (k - k // 2, k // 2)
-
-
 def _hierarchical_means(k: int, d: int, ratios, rng: np.random.Generator) -> np.ndarray:
-    if k == 1 or not ratios:
-        return _place_points(k, d, ratios[0] if ratios else 1.0, rng)
-    if len(ratios) == 1:
+    if k == 1 or len(ratios) == 1:
         return _place_points(k, d, ratios[0], rng)
-    top = ratios[-1]
-    sizes = _split_counts(k)
-    centers = _place_points(2, d, top, rng)
+    centers = _place_points(2, d, ratios[-1], rng)
     groups = []
-    for size, center in zip(sizes, centers):
+    for size, center in zip((k - k // 2, k // 2), centers):
         groups.append(center + _hierarchical_means(size, d, ratios[:-1], rng))
     return np.concatenate(groups, axis=0)
 

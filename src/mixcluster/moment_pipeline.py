@@ -221,53 +221,48 @@ def estimate_moment_matrix(
     return (acc + acc.T) / 2.0
 
 
-def top_k_subspace(m: np.ndarray, k: int, rank_tol: float = 1e-12) -> np.ndarray:
+def lead_positive(rows: np.ndarray) -> np.ndarray:
+    """Flips, in place, each row of ``rows`` whose largest-magnitude entry
+    (the first of tied ones) is negative; returns ``rows``.  The one sign
+    convention of every basis the learners build."""
+    lead = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    rows[lead < 0] *= -1.0
+    return rows
+
+
+RANK_TOL = 1e-12  # top_k_subspace's relative tolerance: |eigenvalues| within it tie, below it drop
+
+
+def top_k_subspace(m: np.ndarray, k: int) -> np.ndarray:
     """Row-orthonormal basis of the top-k eigenspace of a symmetric matrix.
 
-    Deterministic: eigenvectors are sign-normalized (largest-magnitude entry
-    positive), ordered by decreasing |eigenvalue| with near-ties (1e-12
-    relative) broken lexicographically.  Rows whose |eigenvalue| falls below
-    rank_tol * ||m|| are dropped, so fewer than k rows may return.
+    Deterministic: eigenvectors are sign-normalized (:func:`lead_positive`),
+    ordered by decreasing |eigenvalue| with near-ties (RANK_TOL relative)
+    broken lexicographically.  Rows whose |eigenvalue| falls below
+    RANK_TOL * ||m|| are dropped, so fewer than k rows may return.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise NumericError("matrix has non-finite entries")
     vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+    # a zero matrix keeps no row: every |eigenvalue| is 0, not above 0
     scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    if scale == 0.0:
-        return np.zeros((0, m.shape[0]))
-    entries = []
-    for i in range(len(vals)):
-        v = vecs[:, i].copy()
-        j = int(np.argmax(np.abs(v)))
-        if v[j] < 0:
-            v = -v
-        entries.append((abs(float(vals[i])), v))
+    entries = [(abs(float(val)), v) for val, v in zip(vals, lead_positive(vecs.T))]
     entries.sort(key=lambda e: -e[0])
     # stable lexicographic break inside near-tied |eigenvalue| groups
     ordered = []
     i = 0
     while i < len(entries):
         j = i
-        while j + 1 < len(entries) and entries[i][0] - entries[j + 1][0] <= rank_tol * scale:
+        while j + 1 < len(entries) and entries[i][0] - entries[j + 1][0] <= RANK_TOL * scale:
             j += 1
         group = sorted(entries[i : j + 1], key=lambda e: tuple(e[1]))
         ordered.extend(group)
         i = j + 1
-    rows = [v for a, v in ordered[:k] if a > rank_tol * scale]
+    rows = [v for a, v in ordered[:k] if a > RANK_TOL * scale]
     if not rows:
         return np.zeros((0, m.shape[0]))
     return np.array(rows)
-
-
-def _fallback_stage(m: int) -> np.ndarray:
-    """Single fixed unit row used when a stage matrix is numerically zero.
-
-    A zero moment matrix carries no directional signal (e.g. all component
-    means coincide), so any fixed one-dimensional stage keeps the chain
-    well-formed without affecting which means survive downstream.
-    """
-    return np.eye(1, m)
 
 
 def next_stage(chain: NestedProjection, matrix: np.ndarray, k: int) -> NestedProjection:
@@ -275,11 +270,14 @@ def next_stage(chain: NestedProjection, matrix: np.ndarray, k: int) -> NestedPro
     chain (a fixed unit row when the matrix is numerically zero)."""
     pi = top_k_subspace(matrix, k)
     if pi.shape[0] == 0:
-        pi = _fallback_stage(matrix.shape[0])
+        # A zero moment matrix carries no directional signal (e.g. all
+        # component means coincide), so any fixed one-dimensional stage keeps
+        # the chain well-formed without affecting which means survive.
+        pi = np.eye(1, matrix.shape[0])
     return NestedProjection(chain.stages + (pi,), chain.d)
 
 
-def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage: int = 100_000) -> NestedProjection:
+def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage: int) -> NestedProjection:
     """Builds Pi_1 = I_d, then Pi_s from the estimated A_{2s} for s = 2..t.
 
     Stage sample sets are disjoint by construction: the samplers are streams

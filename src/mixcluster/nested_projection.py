@@ -12,19 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_REORTH_DRIFT = 1e-8
+_ORTHO_TOL = 1e-8  # largest |Pi Pi^T - I| entry a stage may carry
 # floats a chunk's largest intermediates may hold, in both kernels that push
 # rows through a chain (the moment estimator; sample_test._statistic_batch's
 # passes take an eighth of it)
 WORKING_SET = 1 << 21
-
-
-def _orthonormalize_rows(stage: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(stage.T)
-    # keep the original row orientation as closely as possible
-    signs = np.sign(np.einsum("ij,ji->i", q.T, stage.T))
-    signs[signs == 0] = 1.0
-    return (q * signs).T
 
 
 @dataclass(frozen=True)
@@ -35,21 +27,18 @@ class NestedProjection:
     d: int
 
     def __post_init__(self):
-        stages = []
+        stages = tuple(np.asarray(stage, dtype=float) for stage in self.stages)
         width = 1
-        for j, stage in enumerate(self.stages, start=1):
-            stage = np.asarray(stage, dtype=float)
+        for j, stage in enumerate(stages, start=1):
             if stage.ndim != 2 or stage.shape[1] != self.d * width:
                 raise ValueError(
                     f"stage {j} must have shape (c_{j}, {self.d * width}), got {stage.shape}"
                 )
-            gram = stage @ stage.T
-            drift = np.max(np.abs(gram - np.eye(stage.shape[0])))
-            if drift > _REORTH_DRIFT:
-                stage = _orthonormalize_rows(stage)
-            stages.append(stage)
+            drift = np.max(np.abs(stage @ stage.T - np.eye(stage.shape[0])))
+            if drift > _ORTHO_TOL:
+                raise ValueError(f"stage {j} rows are not orthonormal: |Pi Pi^T - I| reaches {drift:.2e}")
             width = stage.shape[0]
-        object.__setattr__(self, "stages", tuple(stages))
+        object.__setattr__(self, "stages", stages)
 
     @property
     def stage_count(self) -> int:

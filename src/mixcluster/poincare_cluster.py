@@ -32,13 +32,6 @@ class LearnedMixture:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class VoteLedger:
-    candidates: np.ndarray  # (l, d) candidate means (NaN rows for failed probes)
-    support: np.ndarray  # count of candidates within the 0.2*alpha ball
-    accepted: tuple  # indices admitted to the output set
-
-
 class DifferenceSampler:
     """Stream of (z - z')/sqrt(2) over independent pairs from an inner stream.
 
@@ -54,22 +47,24 @@ class DifferenceSampler:
         return (x[0::2] - x[1::2]) / math.sqrt(2.0)
 
 
-def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float) -> VoteLedger:
-    """Sequentially admit candidates with enough 0.2*alpha-ball support that
-    are at least alpha away from everything admitted so far."""
-    valid = ~np.isnan(candidates[:, 0])
-    points = candidates[valid]
+def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float):
+    """Sequentially admit candidates (l, d; a NaN row per failed probe) with
+    enough 0.2*alpha-ball support that are at least alpha away from
+    everything admitted so far.  Returns their means and support counts in
+    admission order.  A mean averages the valid candidates in its ball:
+    they come from disjoint probe batches, so this cuts the variance by the
+    support count without changing what gets admitted."""
+    points = candidates[~np.isnan(candidates[:, 0])]
     # dists[i, j] = ||points[j] - points[i]||, one pairwise matrix over the valid candidates
     dists = np.linalg.norm(points[None, :, :] - points[:, None, :], axis=2)
-    support = np.zeros(len(candidates), dtype=int)
-    support[valid] = np.count_nonzero(dists <= 0.2 * alpha, axis=1)
-    index = np.flatnonzero(valid)
-    admitted = []  # rows of points
-    for row, i in enumerate(index):
-        if support[i] >= support_threshold and not np.any(dists[row, admitted] < alpha):
+    ball = dists <= 0.2 * alpha
+    support = np.count_nonzero(ball, axis=1)
+    admitted = []
+    for row in range(len(points)):
+        if support[row] >= support_threshold and not np.any(dists[row, admitted] < alpha):
             admitted.append(row)
-    accepted = index[admitted].tolist()
-    return VoteLedger(candidates, support, tuple(accepted))
+    means = np.array([points[ball[row]].mean(axis=0) for row in admitted]).reshape(len(admitted), candidates.shape[1])
+    return means, support[admitted]
 
 
 def margin_matrix(xs, means) -> np.ndarray:
@@ -126,11 +121,8 @@ def probe_batch_vote(
 
     Each probe is pair-tested against a fresh batch, the accepted rows
     average into one candidate (NaN when none is accepted), and
-    :func:`majority_vote` admits candidates.  Each admitted candidate is then
-    refined by averaging the candidates in its 0.2*alpha ball: candidates
-    come from disjoint probe batches, so this cuts the variance by the
-    support count without changing what gets admitted.  Returns the means in
-    admission order and their support counts.
+    :func:`majority_vote` admits candidates.  Returns the vote's ball means
+    in admission order and their support counts.
 
     The mixture requests stay one probe row, then its batch, probe by probe;
     a merged request would move how many root rows a rejection-sampled
@@ -149,12 +141,7 @@ def probe_batch_vote(
     for i in range(probes):
         if accept[i].any():
             candidates[i] = batches[i][accept[i]].mean(axis=0)
-    ledger = majority_vote(candidates, alpha, support_threshold)
-    valid = candidates[~np.isnan(candidates[:, 0])]
-    means = np.zeros((len(ledger.accepted), mix_sampler.d))
-    for row, i in enumerate(ledger.accepted):
-        means[row] = valid[np.linalg.norm(valid - candidates[i], axis=1) <= 0.2 * alpha].mean(axis=0)
-    return means, ledger.support[list(ledger.accepted)]
+    return majority_vote(candidates, alpha, support_threshold)
 
 
 def default_band(k: int, w_min: float, c: float) -> float:
@@ -199,10 +186,10 @@ def learn_means(
     m = batch if batch is not None else int(round(50 * k / w_min))
     l = probes if probes is not None else int(round(20 * k / w_min))
 
-    chain = iterative_projection(DifferenceSampler(mix_sampler), DifferenceSampler(base_sampler), t, k, n_per_stage)
     tau = st.choose_threshold(sep, t)
     void = not st.threshold_feasible(sep, t, k, st.DELTA)
     cfg = st.TestConfig(t, tau, reps=reps)
+    chain = iterative_projection(DifferenceSampler(mix_sampler), DifferenceSampler(base_sampler), t, k, n_per_stage)
 
     means, support = probe_batch_vote(
         mix_sampler, base_sampler, chain, cfg, l, m, alpha, 0.9 * w_min * l

@@ -37,9 +37,6 @@ from .nested_projection import NestedProjection
 DEFAULT_REPS = 64
 DELTA = 0.05  # failure probability both learners size their tests for
 
-ACCEPT = "Accept"
-REJECT = "Reject"
-
 
 class SeparationTooSmallError(ValueError):
     pass
@@ -54,7 +51,8 @@ class TestConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.tau <= 0:
+        # not x > 0 also rejects NaN
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
 
 
@@ -66,7 +64,7 @@ class DegreeChoice:
 
 def choose_threshold(sep: float, t: int) -> float:
     """tau = (0.2 * sep)^t."""
-    if sep <= 0:
+    if not sep > 0:
         raise ValueError("separation must be positive")
     return (0.2 * sep) ** t
 
@@ -81,7 +79,7 @@ def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = 
     """Smallest t with (sep / ln K)^t >= K^10, K = k/(w* delta), capped at t_max."""
     big_k = k / (w_star * delta)
     log_k = math.log(big_k)
-    if sep <= log_k:
+    if not sep > log_k:
         raise SeparationTooSmallError(
             f"separation {sep:.3g} must exceed ln(k/(w* delta)) = {log_k:.3g}"
         )
@@ -210,9 +208,9 @@ def test_sample_batch(zs, chain: NestedProjection, cfg: TestConfig, base_sampler
     return stats.reshape(zs.shape[:-1]) >= cfg.tau
 
 
-def pair_test(z, z_prime, chain: NestedProjection, cfg: TestConfig, base_sampler) -> str:
-    """Accept iff the scaled difference tests Close under the difference chain."""
-    return ACCEPT if pair_test_batch(z, z_prime, chain, cfg, base_sampler)[0] else REJECT
+def pair_test(z, z_prime, chain: NestedProjection, cfg: TestConfig, base_sampler) -> bool:
+    """True (accept) iff the scaled difference tests Close under the difference chain."""
+    return bool(pair_test_batch(z, z_prime, chain, cfg, base_sampler)[0])
 
 
 def pair_test_batch(z, others, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:

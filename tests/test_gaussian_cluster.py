@@ -321,7 +321,7 @@ class TestDifferenceChain:
         chain = gc._checker_chain(stream, ch, self.scales, seed=0)
         # the separation test scopes to 31 and 32 theta, refinement to
         # beta + gamma theta (seed 2 draws gamma 2) and isolation to 19 theta
-        assert gc.test_max_separation(stream, ch, self.scales, chain=chain) == st.ACCEPT
+        assert gc.test_max_separation(stream, ch, self.scales, chain=chain) is True
         with pytest.raises(gc.RefineFailedError):
             gc.refine_checker(stream, ch, self.scales, chain=chain, seed=2)
         test = gc.isolate_component(stream, ch, self.scales, chain=chain)
@@ -435,36 +435,16 @@ class TestSignalDirection:
     def test_two_clusters_is_signal(self, rng):
         xs = np.concatenate([rng.standard_normal(300) - 10, rng.standard_normal(300) + 10])
         samples = np.column_stack([xs, rng.standard_normal(600)])
-        split = gc.signal_split(_ArraySampler(samples), np.array([1.0, 0.0]), 0.4, 5.0)
+        split = gc.split_rows(samples, np.array([1.0, 0.0]), 0.4, 5.0)
         assert split is not None and abs(split) < 5.0
 
     def test_single_cluster_is_not(self, rng):
         samples = rng.standard_normal((600, 2))
-        assert gc.signal_split(_ArraySampler(samples), np.array([1.0, 0.0]), 0.4, 5.0) is None
+        assert gc.split_rows(samples, np.array([1.0, 0.0]), 0.4, 5.0) is None
 
     def test_draws_at_least_twenty_per_mass_level(self):
-        sampler = _NormalSampler(2, 0)
-        gc.signal_split(sampler, np.array([1.0, 0.0]), 0.004, 1.0)
-        assert sampler.rows == 5_000
-        gc.signal_split(sampler, np.array([1.0, 0.0]), 0.4, 1.0)
-        assert sampler.rows == 5_000 + gc.SIGNAL_SAMPLES
-
-    @given(
-        seed=hst.integers(0, 2**32 - 1),
-        p_level=hst.floats(0.001, 0.5),
-        delta=hst.floats(0.0, 4.0),
-        spread=hst.floats(0.0, 20.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_split_rows_is_signal_split_on_the_same_rows(self, seed, p_level, delta, spread):
-        r = np.random.default_rng(seed)
-        n = gc._verification_rows(p_level)
-        rows = r.standard_normal((n, 3))
-        rows[: n // 3, 0] += spread
-        v = r.standard_normal(3)
-        v /= np.linalg.norm(v)
-        want = gc.signal_split(_ArraySampler(rows), v, p_level, delta)
-        assert gc.split_rows(rows, v, p_level, delta) == want
+        assert gc._verification_rows(0.004) == 5_000
+        assert gc._verification_rows(0.4) == gc.SIGNAL_SAMPLES
 
     def test_direction_must_be_unit(self):
         with pytest.raises(ValueError):

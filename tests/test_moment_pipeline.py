@@ -22,6 +22,7 @@ from mixcluster.moment_pipeline import (
     estimate_moment_matrix,
     identity_projection,
     iterative_projection,
+    lead_positive,
     top_k_subspace,
 )
 import mixcluster.nested_projection as npj
@@ -153,6 +154,38 @@ class TestExactMomentMatrix:
         means = rng.standard_normal((3, 4))
         m = exact_moment_matrix(_spec(np.full(3, 1 / 3), means), identity_projection(4))
         assert np.linalg.matrix_rank(m, tol=1e-10) <= 3
+
+
+# The per-vector loop that complement_basis, dimension_basis and
+# top_k_subspace each carried before lead_positive, kept as its reference.
+def _lead_positive_loop(rows):
+    rows = rows.copy()
+    for j in range(len(rows)):
+        lead = np.argmax(np.abs(rows[j]))
+        if rows[j, lead] < 0:
+            rows[j] = -rows[j]
+    return rows
+
+
+class TestLeadPositive:
+    # integer entries make tied magnitudes, zero rows and signed zeros common
+    @given(
+        n=hst.integers(0, 6),
+        m=hst.integers(1, 6),
+        data=hst.data(),
+        transposed=hst.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_reference(self, n, m, data, transposed):
+        entries = data.draw(hst.lists(hst.integers(-3, 3), min_size=n * m, max_size=n * m))
+        rows = np.array(entries, dtype=float).reshape(n, m)
+        want = _lead_positive_loop(rows)
+        # a transposed view is flipped in place too, as complement_basis's is
+        owner = rows.T.copy().T if transposed else rows.copy()
+        got = lead_positive(owner)
+        assert got is owner
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestTopKSubspace:

@@ -27,11 +27,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NestedProjection((np.eye(3), np.eye(5)), 3)
 
-    def test_reorthonormalization_on_drift(self, rng):
-        raw = rng.standard_normal((2, 3))
-        np_ = NestedProjection((raw,), 3)
-        gram = np_.stages[0] @ np_.stages[0].T
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-10
+    def test_drifted_stage_raises(self, rng):
+        q = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+        inner = NestedProjection((q,), 3)
+        for drift in (1e-7, 1e-3):
+            with pytest.raises(ValueError, match="stage 1 rows are not orthonormal"):
+                NestedProjection((q * (1.0 + drift),), 3)
+            with pytest.raises(ValueError, match="stage 2 rows are not orthonormal"):
+                NestedProjection(inner.stages + (np.eye(2, 6) * (1.0 + drift),), 3)
 
     def test_prefix_and_widths(self, rng):
         np_ = random_nested_projection(3, (2, 2, 2), rng)

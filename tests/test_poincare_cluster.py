@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -60,7 +61,9 @@ class TestDifferenceSampler:
 
 
 # Reference for majority_vote in its loop form: one norm per candidate for
-# its support, then the same sequential admission.
+# its support, then the same sequential admission, then each admitted
+# candidate's mean over the valid candidates in its 0.2*alpha ball (the
+# second pass probe_batch_vote once made after the vote).
 def _reference_majority_vote(candidates, alpha, support_threshold):
     valid = ~np.isnan(candidates[:, 0])
     support = np.zeros(len(candidates), dtype=int)
@@ -75,7 +78,11 @@ def _reference_majority_vote(candidates, alpha, support_threshold):
         if any(np.linalg.norm(candidates[j] - candidates[i]) < alpha for j in accepted):
             continue
         accepted.append(i)
-    return support, tuple(accepted)
+    points = candidates[valid]
+    means = np.zeros((len(accepted), candidates.shape[1]))
+    for row, i in enumerate(accepted):
+        means[row] = points[np.linalg.norm(points - candidates[i], axis=1) <= 0.2 * alpha].mean(axis=0)
+    return means, support[accepted]
 
 
 class TestMajorityVote:
@@ -93,31 +100,32 @@ class TestMajorityVote:
         centers = 6.0 * rng.standard_normal((clusters, d))
         cands = centers[rng.integers(0, clusters, n)] + 0.3 * rng.standard_normal((n, d))
         cands[rng.random(n) < failed] = np.nan
-        ledger = majority_vote(cands, 2.0, threshold)
-        support, accepted = _reference_majority_vote(cands, 2.0, threshold)
-        np.testing.assert_array_equal(ledger.support, support)
-        assert ledger.accepted == accepted
+        means, support = majority_vote(cands, 2.0, threshold)
+        want_means, want_support = _reference_majority_vote(cands, 2.0, threshold)
+        assert means.shape == (len(want_support), d)
+        assert np.array_equal(means, want_means)
+        np.testing.assert_array_equal(support, want_support)
 
     def test_supported_candidate_admitted(self):
         cands = np.vstack([np.zeros((10, 2)) + 0.01 * np.arange(10)[:, None], [[50.0, 0.0]]])
-        ledger = majority_vote(cands, alpha=2.0, support_threshold=5.0)
-        accepted = np.asarray(ledger.candidates)[list(ledger.accepted)]
-        assert any(np.linalg.norm(a) < 1.0 for a in accepted)
+        means, support = majority_vote(cands, alpha=2.0, support_threshold=5.0)
+        assert any(np.linalg.norm(a) < 1.0 for a in means)
         # the singleton far candidate lacks support
-        assert all(np.linalg.norm(a - [50.0, 0.0]) > 1.0 for a in accepted)
+        assert all(np.linalg.norm(a - [50.0, 0.0]) > 1.0 for a in means)
 
     def test_accepted_pairwise_separated(self):
         cands = np.vstack([np.zeros((8, 2)), np.full((8, 2), 10.0)])
-        ledger = majority_vote(cands, alpha=2.0, support_threshold=4.0)
-        accepted = np.asarray(ledger.candidates)[list(ledger.accepted)]
-        for i in range(len(accepted)):
-            for j in range(i + 1, len(accepted)):
-                assert np.linalg.norm(accepted[i] - accepted[j]) >= 2.0
+        means, _ = majority_vote(cands, alpha=2.0, support_threshold=4.0)
+        assert len(means) == 2
+        for i in range(len(means)):
+            for j in range(i + 1, len(means)):
+                assert np.linalg.norm(means[i] - means[j]) >= 2.0
 
     def test_nan_candidates_skipped(self):
         cands = np.vstack([np.full((3, 2), np.nan), np.zeros((6, 2))])
-        ledger = majority_vote(cands, alpha=1.0, support_threshold=4.0)
-        assert len(ledger.accepted) == 1
+        means, support = majority_vote(cands, alpha=1.0, support_threshold=4.0)
+        assert np.array_equal(means, np.zeros((1, 2)))
+        assert support.tolist() == [6]
 
     @given(seed=hst.integers(0, 2**32 - 1), failed=hst.integers(1, 12))
     @settings(max_examples=100, deadline=None)
@@ -128,10 +136,8 @@ class TestMajorityVote:
         padded = np.insert(cands, g.integers(0, len(cands) + 1, failed), np.nan, axis=0)
         plain = majority_vote(cands, alpha=1.0, support_threshold=4.0)
         with_nan = majority_vote(padded, alpha=1.0, support_threshold=4.0)
-        assert np.array_equal(cands[list(plain.accepted)], padded[list(with_nan.accepted)])
-        assert np.array_equal(
-            plain.support[list(plain.accepted)], with_nan.support[list(with_nan.accepted)]
-        )
+        assert np.array_equal(plain[0], with_nan[0])
+        assert np.array_equal(plain[1], with_nan[1])
 
 
 # The row-by-row classifier that assign_batch replaced, kept as its reference.
@@ -245,6 +251,16 @@ class TestLearnMeans:
         mix = RowCounter(MixtureSampler(spec, seed=2))
         with pytest.raises(SizeLimitError):
             learn_means(mix, BaseSampler("gaussian", 2, 2, 7), 2, 0.4, 12.0, 2.0, t=MAX_DEGREE + 1)
+        assert mix.rows == 0
+
+    @pytest.mark.parametrize("t, error", [(None, st.SeparationTooSmallError), (2, ValueError)])
+    def test_nan_separation_raises_before_any_draw(self, t, error):
+        # on C8's spec a NaN separation once got past every threshold check
+        # and learned 1 mean of 3 with tau NaN and no warning
+        spec = build_spec(GenConfig(k=3, d=3, separation=12.0, seed=7))
+        mix = RowCounter(MixtureSampler(spec, seed=0))
+        with pytest.raises(error, match="separation"):
+            learn_means(mix, BaseSampler("gaussian", 3, 0, 1), 3, 0.25, math.nan, 2.0, 0.5, t=t, reps=32, n_per_stage=15_000)
         assert mix.rows == 0
 
     @pytest.mark.parametrize("sep", [12.0, 5_000.0])

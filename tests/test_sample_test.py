@@ -152,11 +152,21 @@ class TestTestConfig:
         # a value no code reads has no field
         assert [f.name for f in dataclasses.fields(st.TestConfig)] == ["t", "tau", "reps"]
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_non_positive_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            st.TestConfig(2, tau)
+
 
 class TestThresholdPolicy:
     def test_examples(self):
         assert st.choose_threshold(10.0, 2) == pytest.approx(4.0)
         assert st.choose_threshold(5.0, 1) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("sep", [0.0, -1.0, math.nan])
+    def test_non_positive_separation_rejected(self, sep):
+        with pytest.raises(ValueError, match="separation must be positive"):
+            st.choose_threshold(sep, 2)
 
 
 class TestDegreeChoice:
@@ -173,6 +183,10 @@ class TestDegreeChoice:
     def test_too_small_separation_raises(self):
         with pytest.raises(st.SeparationTooSmallError):
             st.choose_degree(1.0, math.e**4, 1.0, 1.0)
+
+    def test_nan_separation_raises(self):
+        with pytest.raises(st.SeparationTooSmallError):
+            st.choose_degree(math.nan, 3, 0.25, st.DELTA)
 
 
 def _statistic(z, chain, cfg, base):
@@ -243,7 +257,7 @@ class TestPairTest:
         base = BaseSampler("point_mass", 2, 0, 1)
         cfg = st.TestConfig(2, tau=0.5, reps=2)
         z = np.array([4.0, 4.0])
-        assert st.pair_test(z, z, chain, cfg, base) == st.ACCEPT
+        assert st.pair_test(z, z, chain, cfg, base) is True
 
     def test_point_mass_cross_component_rejects(self):
         # noise-free difference chain over components at 0 and mu
@@ -257,8 +271,8 @@ class TestPairTest:
         base = BaseSampler("point_mass", 2, 0, 1)
         tau = st.choose_threshold(np.linalg.norm(mu), 2)
         cfg = st.TestConfig(2, tau=tau, reps=2)
-        assert st.pair_test(mu, np.zeros(2), chain, cfg, base) == st.REJECT
-        assert st.pair_test(mu, mu, chain, cfg, base) == st.ACCEPT
+        assert st.pair_test(mu, np.zeros(2), chain, cfg, base) is False
+        assert st.pair_test(mu, mu, chain, cfg, base) is True
 
     def test_symmetry_of_sign_invariant_statistic(self):
         # with a noise-free base the statistic is ||Gamma flat(diff^(x)t)||,
@@ -278,7 +292,7 @@ class TestPairTest:
         z = np.array([3.0, 0.0])
         others = np.array([[3.0, 0.0], [0.0, 0.0], [3.0, 0.1]])
         mask = st.pair_test_batch(z, others, chain, cfg, base)
-        singles = [st.pair_test(z, o, chain, cfg, base) == st.ACCEPT for o in others]
+        singles = [st.pair_test(z, o, chain, cfg, base) for o in others]
         assert list(mask) == singles
 
 
