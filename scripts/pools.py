@@ -30,7 +30,11 @@ weights: two checkouts learn the same bits on a pool when their digests
 agree, so checking bit-identity is one comparison of the ``sha256`` fields.
 ``--expect FILE`` makes that comparison: FILE is an earlier run's output,
 every pool whose digest differs from its line there (or has no line) is
-named on stderr, and the exit status is 1 if any does.
+named on stderr, and the exit status is 1 if any does.  The committed
+FILE is ``scripts/pools_expected.jsonl``, the six pools' output at the last
+change that moved learned bits, run with ``OPENBLAS_NUM_THREADS=1``:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/pools.py --expect scripts/pools_expected.jsonl
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ re-runs can be compared byte-for-byte after dropping it.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -27,6 +29,7 @@ from . import __version__
 from . import gaussian_cluster as gc
 from .mixture_gen import BaseSampler, GenConfig, MixtureSampler, PlacementError, build_spec
 from .moment_pipeline import MAX_DEGREE, MixtureSpec
+from .nested_projection import apply_rank1_batch, word_images
 from .oracles import (
     adjusted_poly_recursive,
     base_moments,
@@ -37,7 +40,7 @@ from .oracles import (
     r_poly_dense_oracle,
     r_poly_terms,
 )
-from .poincare_cluster import LearnedMixture, default_band, learn_means, write_assignments_csv
+from .poincare_cluster import LearnedMixture, default_band, learn_means, nearest, write_assignments_csv
 
 OUT_ENV = "MIXCLUSTER_OUT"
 
@@ -338,8 +341,7 @@ def evaluate(spec, learned: LearnedMixture, seed: int, n: int):
     perm, errors = match_means(est, spec.means)
     accuracy = 0.0
     if len(est):
-        assigned = np.argmin(np.linalg.norm(xs[:, None, :] - est[None, :, :], axis=2), axis=1)
-        accuracy = float(np.mean(assigned == perm[labels]))
+        accuracy = float(np.mean(nearest(xs, est) == perm[labels]))
     return xs, labels, perm, errors, accuracy
 
 
@@ -482,17 +484,30 @@ def _suite_hermite(rng: np.random.Generator) -> dict:
 
 
 def _suite_projection(rng: np.random.Generator) -> dict:
-    worst = 0.0
+    """The lazy kernels against the dense Gamma of the same exact chain:
+    apply_rank1_batch on random rank-1 tensors and word_images on every word
+    over random vectors; and the dense Gamma's rows orthonormal."""
+    worst = worst_gram = 0.0
     for trial in range(5):
         k, d = 3, 4
         means = rng.standard_normal((k, d)) * 3.0
-        weights = np.full(k, 1.0 / k)
-        spec = MixtureSpec(weights, means, "gaussian")
+        spec = MixtureSpec(np.full(k, 1.0 / k), means, "gaussian")
         chain = exact_projection_chain(spec, 3, k)
         gamma = dense_matrix(chain)
-        gram = gamma @ gamma.T
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(len(gram))))))
-    return {"max_row_orthonormality_error": worst, "tolerance": 1e-10, "passed": worst <= 1e-10}
+        worst_gram = max(worst_gram, float(np.max(np.abs(gamma @ gamma.T - np.eye(len(gamma))))))
+        factors = rng.standard_normal((8, chain.stage_count, d))
+        dense = np.array([functools.reduce(np.kron, row) for row in factors]) @ gamma.T
+        worst = max(worst, float(np.max(np.abs(apply_rank1_batch(chain, factors) - dense))))
+        blocks = rng.standard_normal((4, 3, d))
+        words = list(itertools.product(range(3), repeat=chain.stage_count))
+        dense = np.array([[functools.reduce(np.kron, row[list(w)]) for w in words] for row in blocks]) @ gamma.T
+        worst = max(worst, float(np.max(np.abs(word_images(chain, blocks) - dense))))
+    return {
+        "max_deviation": worst,
+        "max_row_orthonormality_error": worst_gram,
+        "tolerance": 1e-10,
+        "passed": worst <= 1e-10 and worst_gram <= 1e-10,
+    }
 
 
 VALIDATE_SUITES = {"rank1-identity": _suite_rank1, "hermite": _suite_hermite, "projection": _suite_projection}
@@ -584,7 +599,7 @@ def cmd_bench(run: Run, args) -> int:
     out = _out_dir(args)
     cfg, cells = run.cfg, run.cells
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(lambda cell: _bench_cell(*cell, cfg), cells))
     total_s = time.perf_counter() - t0
     results.sort(key=lambda r: (r["separation"], r["t"], r["seed"]))
@@ -607,6 +622,14 @@ def cmd_bench(run: Run, args) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+def _worker_count(text: str) -> int:
+    """--workers as argparse reads it: an int >= 1, else a usage error."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -637,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_val, needs_config=False)
     p_bench = sub.add_parser("bench", help="sweep separation x degree with a k-means baseline")
     common(p_bench)
-    p_bench.add_argument("--workers", type=int, default=1, help="worker pool cap")
+    p_bench.add_argument("--workers", type=_worker_count, default=1, help="worker pool cap, >= 1")
     return parser
 
 

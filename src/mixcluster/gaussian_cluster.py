@@ -34,7 +34,7 @@ from . import nested_projection
 from . import sample_test as st
 from .mixture_gen import BaseSampler
 from .moment_pipeline import iterative_projection, lead_positive
-from .poincare_cluster import DifferenceSampler, LearnedMixture, margin_matrix, probe_batch_vote
+from .poincare_cluster import DifferenceSampler, LearnedMixture, margin_matrix, nearest, probe_batch_vote
 from .rng import stream
 
 __all__ = [
@@ -273,31 +273,20 @@ def split_rows(rows, v, p_level: float, delta: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def _default_grid(mix_sampler, floor: float, max_steps: int) -> list:
-    """Multiplicative grid from the empirical spread of a pilot batch down to
-    ``floor``."""
+def _default_grid(mix_sampler, floor: float) -> list:
+    """Multiplicative grid, at most GRID_STEPS guesses long, from the
+    empirical spread of a pilot batch down to ``floor``."""
     pilot = np.asarray(mix_sampler.draw(256), dtype=float)
     start = max(float(dists.max()) for _, dists in _distance_blocks(pilot))
     if start <= floor:
         return [floor]
     grid = []
     val = start
-    while val > floor and len(grid) < max_steps:
+    while val > floor and len(grid) < GRID_STEPS:
         grid.append(val)
         val /= GRID_RATIO
     grid.append(floor)
     return grid
-
-
-def _difference_chain(rows, k: int, t: int, seed: int):
-    """Projection chain and Gaussian base stream for a Gaussian mixture
-    stream; the chain is built on pairwise differences so it is mean-free.
-
-    The base difference (g - g')/sqrt(2) of two standard normals is again a
-    standard normal, so the chain draws its base rows directly.
-    """
-    base = BaseSampler("gaussian", rows.d, seed, 3)
-    return iterative_projection(DifferenceSampler(rows), base, t, k, N_PER_STAGE), base
 
 
 def find_signal_direction(
@@ -336,14 +325,14 @@ def find_signal_direction(
     chosen by its success on the pool.
     """
     if delta_guess_grid is None:
-        delta_guess_grid = _default_grid(mix_sampler, scales.grid_floor, GRID_STEPS)
+        delta_guess_grid = _default_grid(mix_sampler, scales.grid_floor)
     chain, base = chain
     m = SIGNAL_BATCH
     p_lvl = check_p if check_p is not None else 0.8 * scales.w_star
     pool = None  # the call's verification rows, drawn at its first verification
     tried = []
     for delta in delta_guess_grid:
-        cfg = scales.pair_config(max(0.01 * delta, scales.params.pair_sep_floor))
+        cfg = pair_config(max(0.01 * delta, scales.params.pair_sep_floor))
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
         for _ in range(SIGNAL_TRIALS):
             anchors = np.asarray(mix_sampler.draw(2), dtype=float)
@@ -431,10 +420,6 @@ class GroupScales:
     split_delta: float  # signal floor of the separation test, 0.4 ln^4
     rounds: int  # test/refine rounds per level
 
-    def pair_config(self, sep: float) -> st.TestConfig:
-        """The pair test for separation ``sep`` among the group's k."""
-        return st.TestConfig(PAIR_DEGREE, st.choose_threshold(sep, PAIR_DEGREE))
-
     def separation_radius(self, gamma) -> float:
         """The separation test's scope at ``gamma``: (30 + gamma) theta."""
         return (30.0 + gamma) * self.theta
@@ -448,6 +433,12 @@ class GroupScales:
         """The widest radius any search scopes a checker to: both searches'
         last gamma.  Isolation's 19 theta lies inside it."""
         return max(self.separation_radius(GAMMA_COUNT), self.refine_radius(GAMMA_COUNT))
+
+
+def pair_config(sep: float) -> st.TestConfig:
+    """The pair test at separation ``sep``: degree PAIR_DEGREE, threshold
+    (0.2 sep)^PAIR_DEGREE."""
+    return st.TestConfig(PAIR_DEGREE, st.choose_threshold(sep, PAIR_DEGREE))
 
 
 def group_scales(k: int, w_min: float, c: float, params: ClusterParams) -> GroupScales:
@@ -489,9 +480,14 @@ def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int):
       independent of the rows each search tests, which is all the
       per-scope construction needs.  The chain on the trivial checker's
       stream rests on the same independence.
+
+    The chain is built on pairwise differences, so it is mean-free.  The
+    base difference (g - g')/sqrt(2) of two standard normals is again a
+    standard normal, so the chain draws its base rows directly.
     """
     source = reduce_by_checker(mix_sampler, ch.with_radius(scales.source_radius))
-    return _difference_chain(source, scales.k, PAIR_DEGREE, seed)
+    base = BaseSampler("gaussian", source.d, seed, 3)
+    return iterative_projection(DifferenceSampler(source), base, PAIR_DEGREE, scales.k, N_PER_STAGE), base
 
 
 def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> np.ndarray:
@@ -500,7 +496,7 @@ def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> n
     means pairwise >= s/2 apart."""
     s, params = scales.s, scales.params
     chain, base = chain
-    cfg = scales.pair_config(max(s, params.pair_sep_floor))
+    cfg = pair_config(max(s, params.pair_sep_floor))
     means, support = probe_batch_vote(
         mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, SUPPORT_FACTOR * scales.w_star * PROBES
     )
@@ -526,7 +522,7 @@ def refine_checker(
     *,
     chain: tuple,
     seed: int,
-    trail: list | None = None,
+    trail: list,
 ) -> Checker:
     """Grow the checker subspace by one signal direction and recenter on a
     well-supported sample from one side of the split, searching under the
@@ -580,16 +576,8 @@ def refine_checker(
         pick_hi = kept[int(rng.choice(hi_good))]
         chosen = pick_lo if rng.integers(2) == 0 else pick_hi
         refined = Checker(new_basis, chosen @ new_basis, 10.0 * theta)
-        if trail is not None:
-            trail.append(
-                {
-                    "action": "refine",
-                    "checker_dim": refined.a,
-                    "radius": refined.r,
-                    "gamma": int(gamma),
-                    "signal_delta": sig.delta,
-                }
-            )
+        trail.append({"action": "refine", "checker_dim": refined.a, "radius": refined.r,
+                      "gamma": int(gamma), "signal_delta": sig.delta})
         return refined
     raise RefineFailedError(f"refinement exhausted gamma attempts: {last_error}")
 
@@ -600,7 +588,7 @@ def test_max_separation(
     scales: GroupScales,
     *,
     chain: tuple,
-    trail: list | None = None,
+    trail: list,
 ) -> bool:
     """False (reject) iff a verified wide split, searched under the
     checker's ``chain``, survives in some truncated reduction of the checker
@@ -622,14 +610,8 @@ def test_max_separation(
             break
         except (NoSignalError, StarvationError):
             continue
-    if trail is not None:
-        trail.append(
-            {
-                "action": "accept" if accept else "reject",
-                "checker_dim": ch.a,
-                "radius": ch.r if math.isfinite(ch.r) else None,
-            }
-        )
+    radius = ch.r if math.isfinite(ch.r) else None
+    trail.append({"action": "accept" if accept else "reject", "checker_dim": ch.a, "radius": radius})
     return accept
 
 
@@ -640,9 +622,8 @@ def test_max_separation(
 
 @dataclass(frozen=True)
 class ComponentTest:
-    """Accept/reject predicate isolating one component: membership in the
-    checker, closest cluster label equal to the target, and a bounded
-    worst-direction margin."""
+    """Accept/reject predicate isolating one component: a row is accepted
+    when its label (:meth:`labels`) is the target."""
 
     checker: Checker  # containment gate (radius 17*theta)
     comp: np.ndarray  # (d, d-a) complement basis for the reduced coordinates
@@ -659,16 +640,22 @@ class ComponentTest:
             lifted = lifted + self.checker.basis @ self.checker.p
         return lifted
 
-    def accept_batch(self, xs) -> np.ndarray:
+    def labels(self, xs) -> np.ndarray:
+        """Each row's closest candidate by worst-direction margin (the lowest
+        on ties), or -1 for a row outside the checker or beyond the margin
+        bound."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        mask = checker_contains_batch(self.checker, xs)
-        if mask.any():
-            margins = margin_matrix(xs[mask] @ self.comp, self.means)
-            hit = (np.argmin(margins, axis=1) == self.target) & (
-                margins[:, self.target] <= self.margin
-            )
-            mask[np.flatnonzero(mask)] = hit
-        return mask
+        out = np.full(len(xs), -1)
+        inside = np.flatnonzero(checker_contains_batch(self.checker, xs))
+        if len(inside):
+            margins = margin_matrix(xs[inside] @ self.comp, self.means)
+            closest = np.argmin(margins, axis=1)
+            ok = margins[np.arange(len(inside)), closest] <= self.margin
+            out[inside[ok]] = closest[ok]
+        return out
+
+    def accept_batch(self, xs) -> np.ndarray:
+        return self.labels(xs) == self.target
 
 
 def isolate_component(
@@ -677,7 +664,7 @@ def isolate_component(
     scales: GroupScales,
     *,
     chain: tuple,
-    trail: list | None = None,
+    trail: list,
 ) -> ComponentTest:
     """Fully cluster the checker scope under the checker's ``chain`` and
     return the predicate for the cluster that is heavy and concentrated
@@ -688,18 +675,15 @@ def isolate_component(
     if len(means_r) == 0:
         raise IsolateFailedError("full clustering of the checker scope found no means")
     scope17 = ch.with_radius(17.0 * theta) if ch.a > 0 else ch
-    comp = complement_basis(ch)
+    test = ComponentTest(scope17, complement_basis(ch), means_r, -1, MARGIN_FACTOR * scales.s)  # no target yet
     in_scope = functools.partial(checker_contains_batch, scope17)
     fresh = ReducedSampler(mix_sampler, in_scope).draw(ISOLATE_SAMPLES)
-    margin = MARGIN_FACTOR * scales.s
-    margins = margin_matrix(fresh @ comp, means_r)
-    labels = np.argmin(margins, axis=1)
-    ok = margins[np.arange(len(fresh)), labels] <= margin
+    labels = test.labels(fresh)
     in_core = checker_contains_batch(ch.with_radius(11.0 * theta), fresh)
     best = None
     best_count = -1
     for j in range(len(means_r)):
-        members = (labels == j) & ok
+        members = labels == j
         count = int(members.sum())
         if count == 0:
             continue
@@ -709,18 +693,9 @@ def isolate_component(
             best, best_count = j, count
     if best is None:
         raise IsolateFailedError("no cluster was both heavy and concentrated in the core")
-    test = ComponentTest(scope17, comp, means_r, best, margin)
-    if trail is not None:
-        trail.append(
-            {
-                "action": "isolate",
-                "checker_dim": ch.a,
-                "radius": scope17.r if math.isfinite(scope17.r) else None,
-                "clusters": len(means_r),
-                "target": best,
-            }
-        )
-    return test
+    radius = scope17.r if math.isfinite(scope17.r) else None
+    trail.append({"action": "isolate", "checker_dim": ch.a, "radius": radius, "clusters": len(means_r), "target": best})
+    return dataclasses.replace(test, target=best)
 
 
 # ---------------------------------------------------------------------------
@@ -894,8 +869,7 @@ def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
 
     # Final pass: nearest provisional mean wins, which reassigns the tail
     # samples the predicates rejected back to their own components.
-    dists = np.linalg.norm(batch[:, None, :] - provisional[None, :, :], axis=2)
-    labels = np.argmin(dists, axis=1)
+    labels = nearest(batch, provisional)
     means = []
     weights = []
     for j in range(len(provisional)):
@@ -950,12 +924,7 @@ def recursive_cluster(
         else:
             # The groups are separated by huge empty gaps, so nearest-center
             # assignment is exact up to exponentially rare errors.
-            group_sampler = ReducedSampler(
-                mix_sampler,
-                lambda x, g=g: np.argmin(
-                    np.linalg.norm(x[:, None, :] - offsets[None, :, :], axis=2), axis=1
-                ) == g,
-            )
+            group_sampler = ReducedSampler(mix_sampler, lambda x, g=g: nearest(x, offsets) == g)
             k_g = max(1, int(round(k * shares[g])))
 
         if group_sampler.d > k_g:

@@ -100,6 +100,12 @@ def _half_word_floats(s: int) -> int:
 MAX_DEGREE = next(s for s in itertools.count(1) if _half_word_floats(s + 1) > nested_projection.WORKING_SET)
 
 
+def partition_coeff(t: int, c: int) -> float:
+    """(-1)^(c-1) / binom(t-1, c-1): the weight, in the rank-1 expansion of
+    R_t, of a word of t positions over c distinct samples."""
+    return float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
+
+
 @lru_cache(maxsize=None)
 def _half_word_tables(s: int):
     """Folded grouping tables for the degree-2s estimator, split by sign.
@@ -135,8 +141,7 @@ def _half_word_tables(s: int):
     coeffs = np.empty((nsub, nsub))
     for a, sa in enumerate(subsets):
         for b, sb in enumerate(subsets):
-            c = len(sa | sb)
-            coeffs[a, b] = float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
+            coeffs[a, b] = partition_coeff(t, len(sa | sb))
     lam, vecs = np.linalg.eigh(coeffs)
     tol = 1e-9 * np.abs(lam).max()
     return tuple(
@@ -230,16 +235,16 @@ def lead_positive(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-RANK_TOL = 1e-12  # top_k_subspace's relative tolerance: |eigenvalues| within it tie, below it drop
+RANK_TOL = 1e-12  # top_k_subspace's relative tolerance: rows whose |eigenvalue| falls below it drop
 
 
 def top_k_subspace(m: np.ndarray, k: int) -> np.ndarray:
     """Row-orthonormal basis of the top-k eigenspace of a symmetric matrix.
 
-    Deterministic: eigenvectors are sign-normalized (:func:`lead_positive`),
-    ordered by decreasing |eigenvalue| with near-ties (RANK_TOL relative)
-    broken lexicographically.  Rows whose |eigenvalue| falls below
-    RANK_TOL * ||m|| are dropped, so fewer than k rows may return.
+    Deterministic: eigenvectors are sign-normalized (:func:`lead_positive`)
+    and ordered by decreasing |eigenvalue|, exact ties in eigh's order.
+    Rows whose |eigenvalue| falls below RANK_TOL * ||m|| are dropped, so
+    fewer than k rows may return.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -247,22 +252,8 @@ def top_k_subspace(m: np.ndarray, k: int) -> np.ndarray:
     vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
     # a zero matrix keeps no row: every |eigenvalue| is 0, not above 0
     scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    entries = [(abs(float(val)), v) for val, v in zip(vals, lead_positive(vecs.T))]
-    entries.sort(key=lambda e: -e[0])
-    # stable lexicographic break inside near-tied |eigenvalue| groups
-    ordered = []
-    i = 0
-    while i < len(entries):
-        j = i
-        while j + 1 < len(entries) and entries[i][0] - entries[j + 1][0] <= RANK_TOL * scale:
-            j += 1
-        group = sorted(entries[i : j + 1], key=lambda e: tuple(e[1]))
-        ordered.extend(group)
-        i = j + 1
-    rows = [v for a, v in ordered[:k] if a > RANK_TOL * scale]
-    if not rows:
-        return np.zeros((0, m.shape[0]))
-    return np.array(rows)
+    order = np.argsort(-np.abs(vals), kind="stable")[:k]
+    return lead_positive(vecs.T[order[np.abs(vals[order]) > RANK_TOL * scale]])
 
 
 def next_stage(chain: NestedProjection, matrix: np.ndarray, k: int) -> NestedProjection:

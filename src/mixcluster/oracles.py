@@ -194,41 +194,9 @@ class BaseMoments:
         return self.moments[j - 1]
 
 
-def _pair_partitions(t: int):
-    """Perfect matchings of {0..t-1} (empty stream when t is odd)."""
-    if t % 2 == 1:
-        return
-    if t == 0:
-        yield ()
-        return
-    elems = list(range(t))
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        a = remaining[0]
-        for idx in range(1, len(remaining)):
-            b = remaining[idx]
-            rest = remaining[1:idx] + remaining[idx + 1 :]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
-
-    yield from rec(elems)
-
-
-def _gaussian_moment_tensor(j: int, d: int) -> np.ndarray:
-    """E[z^{tensor j}] for z ~ N(0, I_d) as a sum over pair partitions."""
-    out = np.zeros((d,) * j) if j > 0 else np.array(1.0)
-    eye = np.eye(d)
-    for matching in _pair_partitions(j):
-        out = out + place_blocks(j, d, [(pair, eye) for pair in matching])
-    return out
-
-
 def _product_moment_tensor(dist_tag: str, j: int, d: int) -> np.ndarray:
-    """E[z^{tensor j}] for a product base: entries are products of univariate
-    moments of the per-coordinate multiplicities."""
+    """E[z^{tensor j}] for a product base, which every base is: entries are
+    products of univariate moments of the per-coordinate multiplicities."""
     out = np.zeros((d,) * j)
     for idx in itertools.product(range(d), repeat=j):
         counts = {}
@@ -244,15 +212,7 @@ def base_moments(dist_tag: str, t: int, d: int) -> BaseMoments:
         raise UnsupportedDistributionError(f"unknown base distribution {dist_tag!r}")
     if t > _BASE_GUARD_T or d > _BASE_GUARD_D:
         raise SizeLimitError(f"base_moments guard: t <= {_BASE_GUARD_T}, d <= {_BASE_GUARD_D}")
-    tensors = []
-    for j in range(1, t + 1):
-        if dist_tag == "gaussian":
-            tensors.append(_gaussian_moment_tensor(j, d))
-        elif dist_tag == "point_mass":
-            tensors.append(np.zeros((d,) * j))
-        else:
-            tensors.append(_product_moment_tensor(dist_tag, j, d))
-    return BaseMoments(dist_tag, d, tuple(tensors))
+    return BaseMoments(dist_tag, d, tuple(_product_moment_tensor(dist_tag, j, d) for j in range(1, t + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,8 @@ Works on the difference mixture: a chain is built for (z - z')/sqrt(2), pair
 tests decide same-component membership, accepted batches are averaged into
 candidate means, and majority voting dedups the candidates.  Weights come
 from assigning a fresh batch to the voted means by worst-direction margins.
-The recursive Gaussian learner reuses the probe/batch/vote routine and the
-margin classifier.
+The recursive Gaussian learner reuses the probe/batch/vote routine, the
+margin classifier and nearest-center assignment.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ class LearnedMixture:
     means: np.ndarray  # (r, d)
     weights: np.ndarray
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def k(self) -> int:
-        return len(self.weights)
 
 
 class DifferenceSampler:
@@ -86,6 +82,12 @@ def margin_matrix(xs, means) -> np.ndarray:
     proj_x = xs @ dirs.T  # (n, D)
     proj_m = means @ dirs.T  # (r, D)
     return np.max(np.abs(proj_x[:, None, :] - proj_m[None, :, :]), axis=2)
+
+
+def nearest(xs, centers) -> np.ndarray:
+    """Index of each row's nearest center in Euclidean distance (the lowest
+    on ties)."""
+    return np.argmin(np.linalg.norm(xs[:, None, :] - centers[None, :, :], axis=2), axis=1)
 
 
 def assign_batch(xs, means, band: float):

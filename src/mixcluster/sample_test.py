@@ -25,13 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import nested_projection
-from .moment_pipeline import MAX_DEGREE, SizeLimitError
+from .moment_pipeline import MAX_DEGREE, SizeLimitError, partition_coeff
 from .nested_projection import NestedProjection
 
 DEFAULT_REPS = 64
@@ -97,7 +96,7 @@ def r_expansion_arrays(t: int):
     Returns (words, coeffs): words is a (t^t, t) int array where row w gives,
     for each tensor position, which of the block's t samples supplies the
     factor; coeffs are the signed rational weights (+(-1)^(c-1)/binom(t-1,c-1))
-    of the first block.  The second block uses -coeffs on samples t..2t-1.
+    of the first block (:func:`partition_coeff`).  The second block uses -coeffs on samples t..2t-1.
     """
     if t < 1:
         raise ValueError("degree must be >= 1")
@@ -105,10 +104,7 @@ def r_expansion_arrays(t: int):
         raise SizeLimitError(f"degree {t} exceeds MAX_DEGREE = {MAX_DEGREE}")
     words = np.array(list(itertools.product(range(t), repeat=t)), dtype=np.intp)
     words = words.reshape(-1, t)
-    coeffs = np.empty(len(words))
-    for i, w in enumerate(words):
-        c = len(set(w.tolist()))
-        coeffs[i] = float(Fraction((-1) ** (c - 1), math.comb(t - 1, c - 1)))
+    coeffs = np.array([partition_coeff(t, len(set(w.tolist()))) for w in words])
     return words, coeffs
 
 

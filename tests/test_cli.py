@@ -455,6 +455,18 @@ class TestValidate:
         assert main(["validate", "projection", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "validate_projection.json").read_text())
         assert report["result"]["passed"] is True
+        assert report["result"]["max_deviation"] <= 1e-10
+
+    @pytest.mark.parametrize("kernel", ["apply_rank1_batch", "word_images"])
+    def test_projection_suite_fails_on_a_perturbed_kernel(self, tmp_path, monkeypatch, kernel):
+        import mixcluster.cli as cli
+
+        real = getattr(cli, kernel)
+        monkeypatch.setattr(cli, kernel, lambda *args: real(*args) + 1e-8)
+        assert main(["validate", "projection", "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "validate_projection.json").read_text())
+        assert report["result"]["passed"] is False
+        assert report["result"]["max_deviation"] > 1e-10
 
 
 class TestBench:
@@ -477,6 +489,16 @@ class TestBench:
         assert len(report["cells"]) == 4
         for i in range(4):
             assert "learn_s" in report["timings"][f"cell_{i}"]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
+        cfg = _write(tmp_path / "b.json", self._cfg())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", cfg, "--out", str(out), "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_eval_samples_exits_2(self, tmp_path, capsys):
         doc = self._cfg()

@@ -17,7 +17,7 @@ from mixcluster.cli import match_means
 from mixcluster.moment_pipeline import MixtureSpec
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster import sample_test as st
-from mixcluster.poincare_cluster import assign_batch, learn_means
+from mixcluster.poincare_cluster import assign_batch, learn_means, margin_matrix
 
 from conftest import RowCounter
 
@@ -36,6 +36,24 @@ def checker_contains(ch: gc.Checker, x) -> bool:
     if ch.a == 0:
         return True
     return bool(np.linalg.norm(x @ ch.basis - ch.p) <= ch.r)
+
+
+def two_step_rule(test: gc.ComponentTest, xs):
+    """(labels, accept) by the rule isolate_component and accept_batch each
+    wrote out before ComponentTest.labels: on the rows inside the checker,
+    the margin argmin first, then the margin bound; -1 labels every other
+    row."""
+    inside = gc.checker_contains_batch(test.checker, xs)
+    labels = np.full(len(xs), -1)
+    accept = inside.copy()
+    if inside.any():
+        at = np.flatnonzero(inside)
+        margins = margin_matrix(xs[inside] @ test.comp, test.means)
+        closest = np.argmin(margins, axis=1)
+        ok = margins[np.arange(len(at)), closest] <= test.margin
+        labels[at] = np.where(ok, closest, -1)
+        accept[at] = (closest == test.target) & (margins[:, test.target] <= test.margin)
+    return labels, accept
 
 
 @dataclass(frozen=True)
@@ -321,10 +339,10 @@ class TestDifferenceChain:
         chain = gc._checker_chain(stream, ch, self.scales, seed=0)
         # the separation test scopes to 31 and 32 theta, refinement to
         # beta + gamma theta (seed 2 draws gamma 2) and isolation to 19 theta
-        assert gc.test_max_separation(stream, ch, self.scales, chain=chain) is True
+        assert gc.test_max_separation(stream, ch, self.scales, chain=chain, trail=[]) is True
         with pytest.raises(gc.RefineFailedError):
-            gc.refine_checker(stream, ch, self.scales, chain=chain, seed=2)
-        test = gc.isolate_component(stream, ch, self.scales, chain=chain)
+            gc.refine_checker(stream, ch, self.scales, chain=chain, seed=2, trail=[])
+        test = gc.isolate_component(stream, ch, self.scales, chain=chain, trail=[])
         assert np.linalg.norm(test.approx_mean) < 0.5
         assert len(calls) == 1
         # the chain's source scope is the widest a search at the checker uses
@@ -332,8 +350,7 @@ class TestDifferenceChain:
         assert radii[0] == self.scales.source_radius == max(radii)
         assert radii[1:] == [31 * theta, 32 * theta, self.scales.beta + 2 * theta, 19 * theta]
 
-    @pytest.mark.parametrize("t", [2, 3])
-    def test_chain_draws_its_gaussian_base_directly(self, monkeypatch, t):
+    def test_chain_draws_its_gaussian_base_directly(self, monkeypatch):
         rows = []
 
         class CountingBase(BaseSampler):
@@ -343,15 +360,15 @@ class TestDifferenceChain:
 
         monkeypatch.setattr(gc, "BaseSampler", CountingBase)
         monkeypatch.setattr(gc, "N_PER_STAGE", 500)
-        gc._difference_chain(MixtureSampler(self.spec, seed=3), 2, t, seed=0)
+        gc._checker_chain(MixtureSampler(self.spec, seed=3), gc.trivial_checker(2), self.scales, seed=0)
         # a stage at degree 2s draws 4s - 1 base rows per mixture row
-        assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, t + 1))
+        assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, gc.PAIR_DEGREE + 1))
 
     def test_chain_draws_two_scope_rows_per_stage_sample(self):
         # a pair-test chain estimates one stage, of N_PER_STAGE difference
         # rows, and each difference reads two rows of the scope stream
         scope = RowCounter(MixtureSampler(self.spec, seed=3))
-        gc._difference_chain(scope, 2, gc.PAIR_DEGREE, seed=0)
+        gc._checker_chain(scope, gc.trivial_checker(2), self.scales, seed=0)
         assert scope.rows == 2 * gc.N_PER_STAGE
 
 
@@ -454,7 +471,7 @@ class TestSignalDirection:
         monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
         spec = _spec([1.0], [[0.0, 0.0]])
         scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
-        chain = gc._difference_chain(MixtureSampler(spec, seed=5), 2, gc.PAIR_DEGREE, seed=0)
+        chain = gc._checker_chain(MixtureSampler(spec, seed=5), gc.trivial_checker(2), scales, seed=0)
         stream = RowCounter(MixtureSampler(spec, seed=3))
         # one Gaussian has no split, so every trial reaches a failing verification
         with pytest.raises(gc.NoSignalError) as err:
@@ -472,7 +489,7 @@ class TestSignalDirection:
         monkeypatch.setattr(gc, "SIGNAL_TRIALS", 1)
         spec = _spec([1.0], [[0.0, 0.0]])
         scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
-        chain, base = gc._difference_chain(MixtureSampler(spec, seed=5), 2, gc.PAIR_DEGREE, seed=0)
+        chain, base = gc._checker_chain(MixtureSampler(spec, seed=5), gc.trivial_checker(2), scales, seed=0)
         log = []
         stream = RowCounter(MixtureSampler(spec, seed=3), "mix", log)
         base = RowCounter(base, "base", log)
@@ -594,6 +611,44 @@ class TestClusterWithMeans:
         assert flags[0]
 
 
+class TestComponentLabels:
+    # small integer coordinates make tied margins, coincident means and rows
+    # exactly on the margin bound common
+    @given(data=hst.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_step_rule(self, data):
+        d = data.draw(hst.integers(1, 3))
+        a = data.draw(hst.integers(0, min(1, d - 1)))
+        r = data.draw(hst.integers(1, 4))
+        n = data.draw(hst.integers(1, 12))
+
+        def ints(size):
+            return np.array(data.draw(hst.lists(hst.integers(-3, 3), min_size=size, max_size=size)), dtype=float)
+
+        radius = data.draw(hst.sampled_from([0.5, 1.0, 2.0]))
+        ch = gc.trivial_checker(d) if a == 0 else _checker_1d(d, 0, float(ints(1)[0]), radius)
+        test = gc.ComponentTest(
+            ch,
+            gc.complement_basis(ch),
+            ints(r * (d - a)).reshape(r, d - a),
+            data.draw(hst.integers(0, r - 1)),
+            data.draw(hst.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        )
+        xs = ints(n * d).reshape(n, d)
+        labels, accept = two_step_rule(test, xs)
+        assert np.array_equal(test.labels(xs), labels)
+        assert np.array_equal(test.accept_batch(xs), accept)
+
+    def test_ties_outside_rows_and_the_margin_bound(self):
+        # means 0 and 1 coincide, so every margin ties between them
+        ch = _checker_1d(2, 0, 0.0, 1.0)
+        test = gc.ComponentTest(ch, gc.complement_basis(ch), np.array([[0.0], [0.0], [4.0]]), 1, 1.0)
+        xs = np.array([[0.0, 0.5], [5.0, 0.0], [0.0, 3.0], [0.0, 4.0], [0.0, 1.0]])
+        assert test.labels(xs).tolist() == [0, -1, 2, 2, 0]
+        assert test.accept_batch(xs).tolist() == [False] * 5
+        assert two_step_rule(test, xs)[0].tolist() == [0, -1, 2, 2, 0]
+
+
 class TestTypedFailures:
     @pytest.mark.parametrize("checker", [gc.trivial_checker(2), _checker_1d(2, 0, 0.0, 1.0)])
     def test_separation_test_propagates_stream_errors(self, monkeypatch, checker):
@@ -602,4 +657,4 @@ class TestTypedFailures:
         scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
         chain = gc._checker_chain(_NormalSampler(2, 0), checker, scales, seed=0)
         with pytest.raises(RuntimeError, match="inner stream failed"):
-            gc.test_max_separation(_BrokenSampler(), checker, scales, chain=chain)
+            gc.test_max_separation(_BrokenSampler(), checker, scales, chain=chain, trail=[])

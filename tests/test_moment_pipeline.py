@@ -207,6 +207,22 @@ class TestTopKSubspace:
         b = top_k_subspace(m.copy(), 3)
         assert np.array_equal(a, b)
 
+    # integer entries make repeated and opposite-signed eigenvalues common
+    @given(n=hst.integers(1, 6), k=hst.integers(1, 6), data=hst.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_in_non_increasing_abs_eigenvalue_order(self, n, k, data):
+        entries = data.draw(hst.lists(hst.integers(-3, 3), min_size=n * n, max_size=n * n))
+        m = np.array(entries, dtype=float).reshape(n, n)
+        m = m + m.T
+        rows = top_k_subspace(m, k)
+        assert np.allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
+        # each row is an eigenvector, so its Rayleigh quotient is its eigenvalue
+        gains = np.abs(np.einsum("ij,jk,ik->i", rows, m, rows))
+        tol = 1e-9 * max(1.0, float(np.abs(m).max()))
+        assert np.all(np.diff(gains) <= tol)
+        top = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1][: len(rows)]
+        assert np.allclose(gains, top, atol=tol)
+
     def test_capture_bound(self, rng):
         m = rng.standard_normal((20, 20))
         m = m + m.T
