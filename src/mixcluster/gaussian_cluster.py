@@ -76,10 +76,11 @@ MEAN_SAMPLES = 20_000  # samples for final mean/weight estimates
 PILOT_SAMPLES = 4_000  # samples for the bounded-spread split
 COV_SAMPLES = 60_000  # samples for the covariance-based projection
 MAX_DRAW_FACTOR = 500  # rejection-sampling budget multiplier
+REJECTION_BLOCK = 512  # inner rows per rejection-sampler read
 # Difference rows per chain stage (each reads two scoped rows).  The
-# smallest of 2,500, 5,000, 7,500 and 10,000 that keeps C9 at 20/20, C9's call
-# at separation 7 at >= 19/20 and at separation 6 at >= 10/20 on seeds 0-19
-# (scripts/pools.py); 2,500 drops separation 6 to 8/20.
+# smallest of 2,500, 5,000, 7,500 and 10,000 that kept C9 at 20/20, C9's call
+# at separation 7 at >= 19/20 and at separation 6 at >= 10/20 (9/20 on today's
+# draws) on seeds 0-19 (scripts/pools.py); 2,500 dropped separation 6 to 8/20.
 N_PER_STAGE = 5_000
 PROBES = 48  # vote probes l
 BATCH = 120  # batch size m per probe
@@ -184,12 +185,14 @@ class ReducedSampler:
     (a row block -> bool mask) is true and, given a ``basis`` (d, d') of
     columns, emits their coordinates in it.
 
-    Kept rows beyond a request are held back and served first on the next
-    one, so the output is the inner stream's kept rows, in order, whatever
-    the request sizes.  The rows stay i.i.d. from the scoped distribution:
-    only ``keep`` has looked at them.  The budget applies per request: one
-    request may draw at most ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows;
-    past that it starves, and the rows it kept are held for the next."""
+    The inner stream is read in blocks of ``REJECTION_BLOCK`` rows, each
+    block's kept rows projected together, and kept rows beyond a request are
+    held back and served first on the next one.  So the rows returned, to
+    the bit, and the inner rows taken depend only on the total requested.
+    The rows stay i.i.d. from the scoped distribution: only ``keep`` has
+    looked at them.  The budget applies per request: once one request has
+    drawn more than ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows it starves,
+    and the rows it kept are held for the next."""
 
     def __init__(self, inner, keep, basis=None):
         self.inner = inner
@@ -204,9 +207,8 @@ class ReducedSampler:
         drawn = 0
         budget = MAX_DRAW_FACTOR * max(n, 64)
         while got < n:
-            want = max(n - got, 256)
-            x = np.asarray(self.inner.draw(want), dtype=float)
-            drawn += want
+            x = np.asarray(self.inner.draw(REJECTION_BLOCK), dtype=float)
+            drawn += REJECTION_BLOCK
             kept = x[self.keep(x)]
             got += len(kept)
             out.append(kept if self.basis is None else kept @ self.basis)
@@ -301,9 +303,9 @@ def find_signal_direction(
     """Search for a direction along which the mixture splits into two heavy,
     well-separated halves.
 
-    For each separation guess on a descending x1.1 grid: draw two anchors,
-    pair-test each against a fresh batch (both anchors in one
-    ``st.pair_test_batch`` call), average the accepted batches into
+    For each separation guess on a descending x1.1 grid: draw two anchors
+    and a fresh batch for each in one request, pair-test both anchors in one
+    ``st.pair_test_batch`` call, average the accepted batches into
     two candidate means, and verify the normalized difference as a signal
     direction — by default at (0.8*w_star, 0.8*guess), or at a caller-fixed
     level when ``check_p``/``check_delta`` are given.  ``chain`` is the
@@ -335,8 +337,8 @@ def find_signal_direction(
         cfg = pair_config(max(0.01 * delta, scales.params.pair_sep_floor))
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
         for _ in range(SIGNAL_TRIALS):
-            anchors = np.asarray(mix_sampler.draw(2), dtype=float)
-            batch = np.asarray(mix_sampler.draw(2 * m), dtype=float)
+            rows = np.asarray(mix_sampler.draw(2 + 2 * m), dtype=float)
+            anchors, batch = rows[:2], rows[2:]
             accept = st.pair_test_batch(anchors, batch, chain, cfg, base)
             acc0, acc1 = accept[:m], accept[m:]
             if not (acc0.any() and acc1.any()):

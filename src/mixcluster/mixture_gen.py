@@ -6,8 +6,10 @@ uniforms on [-pi/2, pi/2].  point_mass is the degenerate noise-free base.
 
 Every sample stream in the package, these and the ones the learners build
 on them, keeps one contract: ``draw(a)`` then ``draw(b)`` returns the rows
-of one ``draw(a + b)``, so a stream's rows never depend on how a caller
-splits its requests.
+of one ``draw(a + b)`` and takes the same rows from the stream it reads, so
+neither a stream's rows nor its root's depend on how a caller splits its
+requests.  The rejection sampler (gaussian_cluster.ReducedSampler) keeps it
+by reading its inner stream in blocks of a fixed size.
 """
 
 from __future__ import annotations

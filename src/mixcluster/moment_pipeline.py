@@ -184,10 +184,9 @@ def estimate_moment_matrix(
     # rows in (sign, j, m) order, so each sign's grouped images are one range of axis 1
     grouping = np.concatenate([h.reshape(-1, n_tails) for h in halves])
     # floats per sample of the chunk's blocks, word images, grouped images
-    # and folded vectors, both blocks, plus 2 r out_dim of headroom.  The
-    # headroom is kept so that the chunk, and with it the draw schedule,
-    # stays fixed: on rejection-sampled streams the request sizes decide how
-    # many root rows are drawn.
+    # and folded vectors, both blocks, plus 2 r out_dim of headroom that
+    # bounds the peak memory.  The chunk also fixes the summation order, so
+    # changing it can move the estimate's last bits.
     per_sample = 2 * (q * d + n_tails * c + q * r * c + 2 * r * out_dim)
     chunk = max(1, nested_projection.WORKING_SET // per_sample)
     # one workspace for the call: a chunk's grouped images, then one sign's

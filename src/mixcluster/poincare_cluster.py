@@ -94,19 +94,16 @@ def assign_batch(xs, means, band: float):
     """Index of the mean consistent with each row of xs along all inter-mean
     directions.
 
-    Returns (indices, ambiguous): ambiguous is set where zero or several
-    means satisfy every margin; the minimax margin (lowest index on ties)
-    then decides.
+    Returns (indices, ambiguous): each row goes to its minimax margin
+    (lowest index on ties), which is the one mean satisfying every margin
+    when there is one; ambiguous is set where zero or several means do.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     means = np.atleast_2d(np.asarray(means, dtype=float))
     if len(means) == 0:
         raise ValueError("no means to assign to")
     margins = margin_matrix(xs, means)
-    qualifying = margins <= band
-    counts = qualifying.sum(axis=1)
-    idx = np.where(counts == 1, np.argmax(qualifying, axis=1), np.argmin(margins, axis=1))
-    return idx, counts != 1
+    return np.argmin(margins, axis=1), np.count_nonzero(margins <= band, axis=1) != 1
 
 
 def probe_batch_vote(
@@ -126,18 +123,14 @@ def probe_batch_vote(
     :func:`majority_vote` admits candidates.  Returns the vote's ball means
     in admission order and their support counts.
 
-    The mixture requests stay one probe row, then its batch, probe by probe;
-    a merged request would move how many root rows a rejection-sampled
-    stream draws.  One :func:`st.pair_test_batch` call then tests every
-    probe: one base request of probes * reps * (2t-1) rows, and per probe
+    One mixture request holds every probe's row followed by its batch, probe
+    by probe.  One :func:`st.pair_test_batch` call then tests every probe:
+    one base request of probes * reps * (2t-1) rows, and per probe
     reps * ((d+t-1)^t + t^t) word images for the statistic's coefficients.
     """
     d = mix_sampler.d
-    points = np.empty((probes, d))
-    batches = np.empty((probes, batch, d))
-    for i in range(probes):
-        points[i] = np.asarray(mix_sampler.draw(1), dtype=float)[0]
-        batches[i] = np.asarray(mix_sampler.draw(batch), dtype=float)
+    rows = np.asarray(mix_sampler.draw(probes * (batch + 1)), dtype=float).reshape(probes, batch + 1, d)
+    points, batches = rows[:, 0], rows[:, 1:]
     accept = st.pair_test_batch(points, batches.reshape(-1, d), chain, cfg, base_sampler).reshape(probes, batch)
     candidates = np.full((probes, d), np.nan)
     for i in range(probes):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy.linalg import null_space
 from scipy.stats import chi2, ncx2, norm
@@ -235,7 +235,8 @@ class TestReduction:
             with mock.patch.object(gc, "MAX_DRAW_FACTOR", factor):
                 out = sampler.draw(n)
         except gc.StarvationError:
-            assert inner.rows <= factor * max(n, 64) + max(n, 256)
+            # the block that crosses the budget is the last one drawn
+            assert inner.rows <= factor * max(n, 64) + gc.REJECTION_BLOCK
             return
         assert out.shape == (n, 2) and keep(out).all()
 
@@ -245,6 +246,8 @@ class TestReduction:
         rate=hst.sampled_from([0.02, 0.3, 1.0]),
         nested=hst.booleans(),
     )
+    @example(seed=3, sizes=[1, 120] * 48, rate=0.3, nested=False)
+    @example(seed=3, sizes=[1, 120] * 48, rate=0.3, nested=True)
     @settings(max_examples=120, deadline=None)
     def test_output_is_the_kept_rows_whatever_the_request_sizes(self, seed, sizes, rate, nested):
         cut = norm.ppf(rate)
@@ -259,18 +262,26 @@ class TestReduction:
         def keep_outer(y):
             return y[:, 1] >= -1.0
 
+        def reduced(root):
+            sampler = gc.ReducedSampler(root, keep_inner, basis)
+            return gc.ReducedSampler(sampler, keep_outer) if nested else sampler
+
         inner = _NormalSampler(3, seed)
-        sampler = gc.ReducedSampler(inner, keep_inner, basis)
-        if nested:
-            sampler = gc.ReducedSampler(sampler, keep_outer)
+        sampler = reduced(inner)
         out = np.concatenate([sampler.draw(n) for n in sizes])
+        # the root is read in whole blocks, and each block's kept rows are
+        # projected together
         ref = _NormalSampler(3, seed).draw(inner.rows)
-        want = ref[keep_inner(ref)] @ basis
+        blocks = np.split(ref, range(gc.REJECTION_BLOCK, len(ref), gc.REJECTION_BLOCK))
+        want = np.concatenate([block[keep_inner(block)] @ basis for block in blocks])
         if nested:
             want = want[keep_outer(want)]
         assert len(out) == sum(sizes) <= len(want)
-        # the projection of a smaller row block may round differently
-        np.testing.assert_allclose(out, want[: len(out)], rtol=0, atol=1e-12)
+        assert np.array_equal(out, want[: len(out)])
+        # one request for the total takes the same root rows
+        root = _NormalSampler(3, seed)
+        reduced(root).draw(sum(sizes))
+        assert root.rows == inner.rows
 
     def test_oracle_weights_trivial_checker(self):
         spec = _spec([0.3, 0.7], [[0.0, 0.0], [5.0, 0.0]])
@@ -483,8 +494,9 @@ class TestSignalDirection:
 
 
     def test_draw_schedule_of_one_trial_is_pinned(self, monkeypatch):
-        # one trial: two anchors, then their batches, then one base request
-        # for both anchors' pair tests, then the call's verification pool
+        # one trial: one request for two anchors and their batches, then one
+        # base request for both anchors' pair tests, then the call's
+        # verification pool
         monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
         monkeypatch.setattr(gc, "SIGNAL_TRIALS", 1)
         spec = _spec([1.0], [[0.0, 0.0]])
@@ -497,8 +509,7 @@ class TestSignalDirection:
             gc.find_signal_direction(stream, scales, [4.0], chain=(chain, base))
         m = gc.SIGNAL_BATCH
         assert log == [
-            ("mix", 2),
-            ("mix", 2 * m),
+            ("mix", 2 + 2 * m),
             ("base", 2 * st.DEFAULT_REPS * (2 * gc.PAIR_DEGREE - 1)),
             ("mix", gc._verification_rows(0.8 * scales.w_star)),
         ]

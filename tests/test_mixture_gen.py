@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from conftest import RowCounter
 from mixcluster import gaussian_cluster as gc
 from mixcluster import mixture_gen
 from mixcluster.mixture_gen import (
@@ -221,17 +222,22 @@ class TestMixtureSamplerInterface:
 _SPEC = MixtureSpec(np.full(2, 0.5), np.array([[2.0, 0.0, 1.0], [-2.0, 1.0, 0.0]]))
 _CHECKER = gc.Checker(np.array([[1.0], [1.0], [0.0]]) / math.sqrt(2.0), np.array([1.5]), 1.5)
 _AXES = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, -0.8]])
-# name -> (a fresh stream, whether its rows pass through BLAS)
+
+
+def _root():
+    return RowCounter(MixtureSampler(_SPEC, 5))
+
+
+# name -> (a fresh stream, whether its rows pass through BLAS in blocks of
+# the caller's request sizes); a stream over another reads it through a
+# RowCounter, its ``inner``
 _STREAMS = {
     **{f"base-{tag}": (functools.partial(BaseSampler, tag, 3, 5, 1), False) for tag in BASE_TAGS},
     "mixture": (lambda: MixtureSampler(_SPEC, 5), False),
-    "difference": (lambda: DifferenceSampler(MixtureSampler(_SPEC, 5)), False),
-    "reduced": (
-        lambda: gc.ReducedSampler(MixtureSampler(_SPEC, 5), functools.partial(gc.checker_contains_batch, _CHECKER)),
-        False,
-    ),
-    "reduced-basis": (lambda: gc.reduce_by_checker(MixtureSampler(_SPEC, 5), _CHECKER), True),
-    "projected": (lambda: gc._ProjectedSampler(MixtureSampler(_SPEC, 5), _AXES, np.array([0.5, -1.0, 2.0])), True),
+    "difference": (lambda: DifferenceSampler(_root()), False),
+    "reduced": (lambda: gc.ReducedSampler(_root(), functools.partial(gc.checker_contains_batch, _CHECKER)), False),
+    "reduced-basis": (lambda: gc.reduce_by_checker(_root(), _CHECKER), False),
+    "projected": (lambda: gc._ProjectedSampler(_root(), _AXES, np.array([0.5, -1.0, 2.0])), True),
 }
 
 
@@ -239,13 +245,17 @@ class TestStreamContract:
     @pytest.mark.parametrize("name", sorted(_STREAMS))
     @settings(max_examples=25, deadline=None)
     @given(sizes=hst.lists(hst.integers(0, 150), min_size=1, max_size=6))
+    @example(sizes=[1, 120] * 48)
     def test_any_split_gives_the_rows_of_one_draw(self, name, sizes):
         make, blas = _STREAMS[name]
-        split = make()
+        split, one = make(), make()
         got = np.concatenate([split.draw(n) for n in sizes])
-        want = make().draw(sum(sizes))
+        want = one.draw(sum(sizes))
         assert got.shape == want.shape
         if blas:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         else:
             assert np.array_equal(got, want)
+        # and it has taken the same rows from the stream it reads
+        if hasattr(split, "inner"):
+            assert split.inner.rows == one.inner.rows

@@ -395,10 +395,9 @@ class TestWorkingSet:
         a, b = estimates
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
-    # The draw schedule is pinned: the chunk decides the request sizes, and
-    # on rejection-sampled streams (gaussian_cluster.ReducedSampler) the
-    # request sizes decide how many root rows are drawn, so a chunk change
-    # moves samples_drawn even where the estimate does not move.
+    # The draw schedule is pinned: the chunk decides the request sizes, the
+    # peak memory and the summation order, so a chunk change can move the
+    # estimate's last bits even though every stream's rows stay the same.
     @pytest.mark.parametrize(
         "d, widths, s, n, mixture_requests",
         [

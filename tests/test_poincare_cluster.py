@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import mixcluster.gaussian_cluster as gc
 import mixcluster.sample_test as st
 from conftest import RowCounter, random_nested_projection
 from mixcluster.cli import match_means
@@ -27,11 +28,28 @@ def _spec(weights, means, tag="gaussian"):
     return MixtureSpec(np.asarray(weights, float), np.asarray(means, float), tag)
 
 
+# probe_batch_vote's earlier loop, the reference for its merged request:
+# one probe row, then its batch, probe by probe
+def _interleaved_probe_batch_vote(mix, base, chain, cfg, probes, batch, alpha, support_threshold):
+    d = mix.d
+    points = np.empty((probes, d))
+    batches = np.empty((probes, batch, d))
+    for i in range(probes):
+        points[i] = np.asarray(mix.draw(1), dtype=float)[0]
+        batches[i] = np.asarray(mix.draw(batch), dtype=float)
+    accept = st.pair_test_batch(points, batches.reshape(-1, d), chain, cfg, base).reshape(probes, batch)
+    candidates = np.full((probes, d), np.nan)
+    for i in range(probes):
+        if accept[i].any():
+            candidates[i] = batches[i][accept[i]].mean(axis=0)
+    return majority_vote(candidates, alpha, support_threshold)
+
+
 class TestProbeBatchVote:
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_draw_schedule_is_pinned(self, t):
-        # the mixture requests stay one probe row, then its batch, probe by
-        # probe; then one base request serves every probe's pair tests
+        # one mixture request holds every probe row and its batch; then one
+        # base request serves every probe's pair tests
         d, probes, batch, reps = 2, 5, 7, 3
         spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])
         chain = random_nested_projection(d, [2] * t, np.random.default_rng(t))
@@ -40,9 +58,30 @@ class TestProbeBatchVote:
         base = RowCounter(BaseSampler("gaussian", d, 2, 7), "base", log)
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
         probe_batch_vote(mix, base, chain, cfg, probes, batch, 2.0, 1.0)
-        assert mix.requests == [1, batch] * probes
+        assert mix.requests == [probes * (batch + 1)]
         assert base.rows == probes * reps * (2 * t - 1)
-        assert log == [("mix", 1), ("mix", batch)] * probes + [("base", probes * reps * (2 * t - 1))]
+        assert log == [("mix", probes * (batch + 1)), ("base", probes * reps * (2 * t - 1))]
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_merged_request_learns_what_the_interleaved_loop_did(self, t):
+        # on a rejection-sampled stream the one request returns the rows the
+        # probe-by-probe requests did and leaves the root at the same row
+        d, probes, batch = 3, 12, 40
+        spec = _spec([0.5, 0.5], [[0.0, 0.0, 0.0], [6.0, 2.0, 0.0]])
+        checker = gc.Checker(np.array([[0.0], [0.0], [1.0]]), np.array([0.0]), 1.0)
+        chain = random_nested_projection(d - 1, [2] * t, np.random.default_rng(t))
+        cfg = st.TestConfig(t, tau=1.0, reps=3)
+        results = []
+        for vote in (probe_batch_vote, _interleaved_probe_batch_vote):
+            root = RowCounter(MixtureSampler(spec, seed=4))
+            stream = gc.reduce_by_checker(root, checker)
+            means, support = vote(stream, BaseSampler("gaussian", d - 1, 4, 7), chain, cfg, probes, batch, 2.0, 1.0)
+            results.append((means, support, root.rows))
+        (means, support, rows), (ref_means, ref_support, ref_rows) = results
+        assert len(means) > 0
+        assert np.array_equal(means, ref_means)
+        assert np.array_equal(support, ref_support)
+        assert rows == ref_rows
 
 
 class TestDifferenceSampler:
