@@ -165,16 +165,12 @@ def checker_contains_batch(ch: Checker, xs) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != ch.d:
         raise ValueError(f"points have width {xs.shape[1]}, expected {ch.d}")
-    if ch.a == 0:
-        return np.ones(len(xs), dtype=bool)
     return np.linalg.norm(xs @ ch.basis - ch.p, axis=1) <= ch.r
 
 
 def complement_basis(ch: Checker) -> np.ndarray:
     """Deterministic orthonormal basis of the checker subspace's complement,
     as (d, d-a) columns with the largest-magnitude entry made positive."""
-    if ch.a == 0:
-        return np.eye(ch.d)
     # Checker holds its columns orthonormal, so the rank is exactly a.
     comp = np.linalg.svd(ch.basis.T)[2][ch.a :]
     return lead_positive(comp).T
@@ -182,8 +178,9 @@ def complement_basis(ch: Checker) -> np.ndarray:
 
 class ReducedSampler:
     """Rejection-samples an inner stream: keeps the rows for which ``keep``
-    (a row block -> bool mask) is true and, given a ``basis`` (d, d') of
-    columns, emits their coordinates in it.
+    (a row block -> bool mask) is true, or every row when ``keep`` is None,
+    subtracts ``offset`` (d,) from them when one is given and, given a
+    ``basis`` (d, d') of columns, emits their coordinates in it.
 
     The inner stream is read in blocks of ``REJECTION_BLOCK`` rows, each
     block's kept rows projected together, and kept rows beyond a request are
@@ -194,10 +191,11 @@ class ReducedSampler:
     drawn more than ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows it starves,
     and the rows it kept are held for the next."""
 
-    def __init__(self, inner, keep, basis=None):
+    def __init__(self, inner, keep, basis=None, offset=None):
         self.inner = inner
         self.keep = keep
         self.basis = basis
+        self.offset = offset
         self.d = inner.d if basis is None else basis.shape[1]
         self._surplus = np.zeros((0, self.d))
 
@@ -209,7 +207,9 @@ class ReducedSampler:
         while got < n:
             x = np.asarray(self.inner.draw(REJECTION_BLOCK), dtype=float)
             drawn += REJECTION_BLOCK
-            kept = x[self.keep(x)]
+            kept = x if self.keep is None else x[self.keep(x)]
+            if self.offset is not None:
+                kept = kept - self.offset
             got += len(kept)
             out.append(kept if self.basis is None else kept @ self.basis)
             if drawn > budget:
@@ -280,8 +280,6 @@ def _default_grid(mix_sampler, floor: float) -> list:
     empirical spread of a pilot batch down to ``floor``."""
     pilot = np.asarray(mix_sampler.draw(256), dtype=float)
     start = max(float(dists.max()) for _, dists in _distance_blocks(pilot))
-    if start <= floor:
-        return [floor]
     grid = []
     val = start
     while val > floor and len(grid) < GRID_STEPS:
@@ -637,10 +635,7 @@ class ComponentTest:
     def approx_mean(self) -> np.ndarray:
         """The target candidate lifted back to the ambient space (the checker
         coordinates are filled from the checker center)."""
-        lifted = self.comp @ self.means[self.target]
-        if self.checker.a > 0:
-            lifted = lifted + self.checker.basis @ self.checker.p
-        return lifted
+        return self.comp @ self.means[self.target] + self.checker.basis @ self.checker.p
 
     def labels(self, xs) -> np.ndarray:
         """Each row's closest candidate by worst-direction margin (the lowest
@@ -780,18 +775,6 @@ def dimension_basis(cov_diff: np.ndarray, k: int) -> np.ndarray:
     values, vectors = np.linalg.eigh(0.5 * (cov_diff + cov_diff.T))
     order = np.argsort(-values)[:k]
     return lead_positive(vectors[:, order].T)
-
-
-class _ProjectedSampler:
-    def __init__(self, inner, basis: np.ndarray, offset: np.ndarray):
-        self.inner = inner
-        self.basis = basis  # (k, d) rows
-        self.offset = offset
-        self.d = basis.shape[0]
-
-    def draw(self, n: int) -> np.ndarray:
-        x = np.asarray(self.inner.draw(n), dtype=float)
-        return (x - self.offset) @ self.basis.T
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +919,7 @@ def recursive_cluster(
             trail.append({"action": "project", "level": -1, "checker_dim": 0, "radius": None, "dims": int(basis.shape[0])})
         else:
             basis = np.eye(group_sampler.d)
-        reduced = _ProjectedSampler(group_sampler, basis, offsets[g])
+        reduced = ReducedSampler(group_sampler, None, basis.T, offsets[g])
 
         if k_g == 1:
             batch = np.asarray(reduced.draw(MEAN_SAMPLES), dtype=float)

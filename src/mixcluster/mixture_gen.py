@@ -8,8 +8,9 @@ Every sample stream in the package, these and the ones the learners build
 on them, keeps one contract: ``draw(a)`` then ``draw(b)`` returns the rows
 of one ``draw(a + b)`` and takes the same rows from the stream it reads, so
 neither a stream's rows nor its root's depend on how a caller splits its
-requests.  The rejection sampler (gaussian_cluster.ReducedSampler) keeps it
-by reading its inner stream in blocks of a fixed size.
+requests, to the bit.  The rejection sampler
+(gaussian_cluster.ReducedSampler), which also recentres and projects, keeps
+it by reading its inner stream in blocks of a fixed size.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class GenConfig:
             raise ValueError(f"unknown weight profile {self.weight_profile!r}")
         if self.weight_profile == "explicit":
             w = np.array(self.weights, dtype=float)
-            if len(w) != self.k or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("explicit weights must have length k, be >= 0 and sum to 1")
+            if len(w) != self.k or not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+                raise ValueError("explicit weights must have length k, be finite, be >= 0 and sum to 1")
         if self.dist_tag not in BASE_TAGS:
             raise UnsupportedDistributionError(f"unknown base distribution {self.dist_tag!r}")
 

@@ -54,8 +54,8 @@ class MixtureSpec:
         m = np.atleast_2d(np.asarray(self.means, dtype=float))
         if w.ndim != 1 or len(w) != m.shape[0]:
             raise ValueError("weights and means must have matching component counts")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
         if not np.all(np.isfinite(m)):
             raise ValueError("means must be finite")
         object.__setattr__(self, "weights", w)
