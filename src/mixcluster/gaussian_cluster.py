@@ -34,35 +34,8 @@ from . import nested_projection
 from . import sample_test as st
 from .mixture_gen import BaseSampler
 from .moment_pipeline import iterative_projection, lead_positive
-from .poincare_cluster import DifferenceSampler, LearnedMixture, margin_matrix, nearest, probe_batch_vote
+from .poincare_cluster import DifferenceSampler, LearnedMixture, margin_matrix, nearest, probe_batch_vote, probe_candidates
 from .rng import stream
-
-__all__ = [
-    "Checker",
-    "SignalDirection",
-    "ComponentTest",
-    "ClusterParams",
-    "desk_params",
-    "GroupScales",
-    "group_scales",
-    "NoSignalError",
-    "RefineFailedError",
-    "IsolateFailedError",
-    "StarvationError",
-    "trivial_checker",
-    "checker_contains_batch",
-    "complement_basis",
-    "reduce_by_checker",
-    "split_rows",
-    "find_signal_direction",
-    "full_cluster_bounded",
-    "refine_checker",
-    "test_max_separation",
-    "isolate_component",
-    "recursive_cluster",
-    "reduce_bounded_means",
-    "dimension_basis",
-]
 
 _ORTHO_TOL = 1e-10
 
@@ -240,19 +213,6 @@ def reduce_by_checker(sampler, ch: Checker):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignalDirection:
-    v: np.ndarray  # unit vector
-    delta: float
-    theta: float  # split point along v
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).reshape(-1)
-        object.__setattr__(self, "v", v)
-        if abs(np.linalg.norm(v) - 1.0) > _ORTHO_TOL:
-            raise ValueError("signal direction is not a unit vector")
-
-
 def _verification_rows(p_level: float) -> int:
     """Rows one signal verification reads at mass level ``p_level``: at
     least SIGNAL_SAMPLES, and at least 20 per unit of 1/p_level."""
@@ -297,14 +257,15 @@ def find_signal_direction(
     chain: tuple,
     check_p: float | None = None,
     check_delta: float | None = None,
-) -> SignalDirection:
+) -> tuple:
     """Search for a direction along which the mixture splits into two heavy,
-    well-separated halves.
+    well-separated halves; returns ``(v, delta, split)``: the unit direction,
+    the signal floor it was verified at and the split point along it.
 
     For each separation guess on a descending x1.1 grid: draw two anchors
-    and a fresh batch for each in one request, pair-test both anchors in one
-    ``st.pair_test_batch`` call, average the accepted batches into
-    two candidate means, and verify the normalized difference as a signal
+    and a fresh batch for each in one request, average each anchor's
+    accepted batch rows into a candidate mean (:func:`probe_candidates`, the
+    vote's probe step), and verify the normalized difference as a signal
     direction — by default at (0.8*w_star, 0.8*guess), or at a caller-fixed
     level when ``check_p``/``check_delta`` are given.  ``chain`` is the
     checker's ``(chain, base)`` pair (:func:`_checker_chain`).
@@ -336,14 +297,10 @@ def find_signal_direction(
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
         for _ in range(SIGNAL_TRIALS):
             rows = np.asarray(mix_sampler.draw(2 + 2 * m), dtype=float)
-            anchors, batch = rows[:2], rows[2:]
-            accept = st.pair_test_batch(anchors, batch, chain, cfg, base)
-            acc0, acc1 = accept[:m], accept[m:]
-            if not (acc0.any() and acc1.any()):
+            mu0, mu1 = probe_candidates(rows[:2], rows[2:].reshape(2, m, -1), chain, cfg, base)
+            if np.isnan(mu0[0]) or np.isnan(mu1[0]):
                 tried.append({"delta": delta, "reason": "empty batch"})
                 continue
-            mu0 = batch[:m][acc0].mean(axis=0)
-            mu1 = batch[m:][acc1].mean(axis=0)
             gap = np.linalg.norm(mu0 - mu1)
             if gap < 1e-12:
                 tried.append({"delta": delta, "reason": "coincident candidates"})
@@ -353,7 +310,7 @@ def find_signal_direction(
                 pool = mix_sampler.draw(_verification_rows(p_lvl))
             split = split_rows(pool, v, p_lvl, d_lvl)
             if split is not None:
-                return SignalDirection(v, d_lvl, split)
+                return v, d_lvl, split
             tried.append({"delta": delta, "reason": "verification failed"})
     raise NoSignalError(
         "no verified signal direction on the separation grid",
@@ -539,9 +496,9 @@ def refine_checker(
             # guess first, which forces alignment with the widest split; the
             # found direction must then also classify as a signal at the
             # refinement floor.
-            sig = find_signal_direction(reduced, scales, chain=chain)
+            v, delta, split = find_signal_direction(reduced, scales, chain=chain)
             rows = reduced.draw(_verification_rows(class_p))
-            if split_rows(rows, sig.v, class_p, scales.params.refine_delta) is None:
+            if split_rows(rows, v, class_p, scales.params.refine_delta) is None:
                 last_error = RefineFailedError(
                     "signal direction failed the refinement floor classification"
                 )
@@ -550,7 +507,7 @@ def refine_checker(
             last_error = err
             continue
         comp = complement_basis(ch)
-        v_full = comp @ sig.v
+        v_full = comp @ v
         v_full /= np.linalg.norm(v_full)
         new_basis, _ = np.linalg.qr(np.column_stack([ch.basis, v_full]))
         # QR may flip signs; realign the last column with the signal direction.
@@ -564,11 +521,11 @@ def refine_checker(
         )
         good = frac >= 0.9 * w_star
         svals = kept @ v_full
-        lo_good = np.flatnonzero(good & (svals <= sig.theta - sig.delta))
-        hi_good = np.flatnonzero(good & (svals >= sig.theta + sig.delta))
+        lo_good = np.flatnonzero(good & (svals <= split - delta))
+        hi_good = np.flatnonzero(good & (svals >= split + delta))
         if len(lo_good) == 0 or len(hi_good) == 0:
-            lo_good = np.flatnonzero(good & (svals <= sig.theta))
-            hi_good = np.flatnonzero(good & (svals > sig.theta))
+            lo_good = np.flatnonzero(good & (svals <= split))
+            hi_good = np.flatnonzero(good & (svals > split))
         if len(lo_good) == 0 or len(hi_good) == 0:
             last_error = RefineFailedError("no good samples on both sides of the split")
             continue
@@ -577,7 +534,7 @@ def refine_checker(
         chosen = pick_lo if rng.integers(2) == 0 else pick_hi
         refined = Checker(new_basis, chosen @ new_basis, 10.0 * theta)
         trail.append({"action": "refine", "checker_dim": refined.a, "radius": refined.r,
-                      "gamma": int(gamma), "signal_delta": sig.delta})
+                      "gamma": int(gamma), "signal_delta": delta})
         return refined
     raise RefineFailedError(f"refinement exhausted gamma attempts: {last_error}")
 
@@ -788,18 +745,18 @@ def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
     relative weights, and warnings.
 
     Each checker gets its chain (:func:`_checker_chain`) once, when it comes
-    into being: the trivial checker at the start of a level, a refined one
-    after its refinement.  Every search at the checker runs under it."""
+    into being: the trivial checker at the start of a level and on the
+    remainder, a refined one after its refinement.  Every search at the
+    checker runs under it."""
     tests = []
     warnings = []
     current = sampler
-    level_chain = None  # the trivial checker's chain on ``current``, once built
     for comp_idx in range(scales.k - 1):
         level = level_base + comp_idx
         ch = trivial_checker(current.d)
         start = len(trail)
         try:
-            chain = level_chain = _checker_chain(current, ch, scales, int(rng.integers(2**62)))
+            chain = _checker_chain(current, ch, scales, int(rng.integers(2**62)))
             for _ in range(scales.rounds):
                 if test_max_separation(current, ch, scales, chain=chain, trail=trail):
                     break
@@ -818,7 +775,6 @@ def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
                 event["level"] = level
         tests.append(test)
         current = ReducedSampler(current, lambda x, test=test: ~test.accept_batch(x))
-        level_chain = None
 
     # Provisional means: one per isolated component from its own predicate,
     # plus the never-isolated remainder.  The remainder stream still carries
@@ -834,10 +790,8 @@ def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
             warnings.append(f"component {j}: predicate matched too few samples; using its candidate")
             provisional.append(test.approx_mean)
     try:
-        # a loop that stopped at a level left that level's chain on ``current``
-        if level_chain is None:
-            level_chain = _checker_chain(current, trivial_checker(current.d), scales, int(rng.integers(2**62)))
-        tail_means = full_cluster_bounded(current, scales, chain=level_chain)
+        chain = _checker_chain(current, trivial_checker(current.d), scales, int(rng.integers(2**62)))
+        tail_means = full_cluster_bounded(current, scales, chain=chain)
     except StarvationError as err:
         tail_means = np.zeros((0, sampler.d))
         warnings.append(f"remainder clustering failed: {err}")
@@ -902,15 +856,14 @@ def recursive_cluster(
     all_weights = []
     warnings = []
     level_base = 0
-    for g, group in enumerate(groups):
+    for g in range(len(groups)):
+        k_g = max(1, int(round(k * shares[g])))
         if len(groups) == 1:
             group_sampler = mix_sampler
-            k_g = k
         else:
             # The groups are separated by huge empty gaps, so nearest-center
             # assignment is exact up to exponentially rare errors.
             group_sampler = ReducedSampler(mix_sampler, lambda x, g=g: nearest(x, offsets) == g)
-            k_g = max(1, int(round(k * shares[g])))
 
         if group_sampler.d > k_g:
             shifted = np.asarray(group_sampler.draw(COV_SAMPLES), dtype=float) - offsets[g]

@@ -153,10 +153,6 @@ class BaseSampler:
         return np.zeros((n, self.d))
 
 
-def base_sampler(dist_tag: str, d: int, seed: int, *stream_ids: int) -> BaseSampler:
-    return BaseSampler(dist_tag, d, seed, *stream_ids)
-
-
 class MixtureSampler:
     """Stateful labeled sample stream from a mixture spec."""
 
@@ -175,5 +171,5 @@ class MixtureSampler:
         return self.draw_labeled(n)[0]
 
 
-def sample_stream(spec: MixtureSpec, seed: int, stream_id: int = 2) -> MixtureSampler:
-    return MixtureSampler(spec, seed, stream_id)
+# the names the package exports for the two root streams
+base_sampler, sample_stream = BaseSampler, MixtureSampler

@@ -106,9 +106,27 @@ def assign_batch(xs, means, band: float):
     return np.argmin(margins, axis=1), np.count_nonzero(margins <= band, axis=1) != 1
 
 
+def probe_candidates(points, batches, chain, cfg: st.TestConfig, noise) -> np.ndarray:
+    """The probe step: each probe's accepted batch rows averaged, (P, d),
+    with a NaN row for a probe that accepts none.
+
+    points (P, d) holds the probes and batches (P, m, d) their batches.  One
+    :func:`st.pair_test_batch` call tests every probe under ``chain``, with
+    one request of P * reps * (2t-1) rows from ``noise``, the stream the
+    chain was built on, and per probe reps * ((d+t-1)^t + t^t) word images
+    for the statistic's coefficients."""
+    probes, m, d = batches.shape
+    accept = st.pair_test_batch(points, batches.reshape(-1, d), chain, cfg, noise).reshape(probes, m)
+    candidates = np.full((probes, d), np.nan)
+    for i in range(probes):
+        if accept[i].any():
+            candidates[i] = batches[i][accept[i]].mean(axis=0)
+    return candidates
+
+
 def probe_batch_vote(
     mix_sampler,
-    base_sampler,
+    noise,
     chain,
     cfg: st.TestConfig,
     probes: int,
@@ -118,24 +136,14 @@ def probe_batch_vote(
 ):
     """Probe/batch/vote mean recovery.
 
-    Each probe is pair-tested against a fresh batch, the accepted rows
-    average into one candidate (NaN when none is accepted), and
+    One mixture request holds every probe's row followed by its batch, probe
+    by probe; :func:`probe_candidates` turns each probe into a candidate and
     :func:`majority_vote` admits candidates.  Returns the vote's ball means
     in admission order and their support counts.
-
-    One mixture request holds every probe's row followed by its batch, probe
-    by probe.  One :func:`st.pair_test_batch` call then tests every probe:
-    one base request of probes * reps * (2t-1) rows, and per probe
-    reps * ((d+t-1)^t + t^t) word images for the statistic's coefficients.
     """
     d = mix_sampler.d
     rows = np.asarray(mix_sampler.draw(probes * (batch + 1)), dtype=float).reshape(probes, batch + 1, d)
-    points, batches = rows[:, 0], rows[:, 1:]
-    accept = st.pair_test_batch(points, batches.reshape(-1, d), chain, cfg, base_sampler).reshape(probes, batch)
-    candidates = np.full((probes, d), np.nan)
-    for i in range(probes):
-        if accept[i].any():
-            candidates[i] = batches[i][accept[i]].mean(axis=0)
+    candidates = probe_candidates(rows[:, 0], rows[:, 1:], chain, cfg, noise)
     return majority_vote(candidates, alpha, support_threshold)
 
 
@@ -174,8 +182,7 @@ def learn_means(
         warnings.append(f"separation {sep:.3g} below regime floor {regime_floor:.3g}")
     capped = False
     if t is None:
-        choice = st.choose_degree(sep, k, w_min, st.DELTA, t_max=2)
-        t, capped = choice.t, choice.capped
+        t, capped = st.choose_degree(sep, k, w_min, st.DELTA, t_max=2)
         if capped:
             warnings.append(f"degree capped at t={t}")
     m = batch if batch is not None else int(round(50 * k / w_min))
@@ -184,11 +191,10 @@ def learn_means(
     tau = st.choose_threshold(sep, t)
     void = not st.threshold_feasible(sep, t, k, st.DELTA)
     cfg = st.TestConfig(t, tau, reps=reps)
-    chain = iterative_projection(DifferenceSampler(mix_sampler), DifferenceSampler(base_sampler), t, k, n_per_stage)
-
-    means, support = probe_batch_vote(
-        mix_sampler, base_sampler, chain, cfg, l, m, alpha, 0.9 * w_min * l
-    )
+    # the vote's statistic tests (z - z')/sqrt(2), so it reads the noise the chain was built on
+    noise = DifferenceSampler(base_sampler)
+    chain = iterative_projection(DifferenceSampler(mix_sampler), noise, t, k, n_per_stage)
+    means, support = probe_batch_vote(mix_sampler, noise, chain, cfg, l, m, alpha, 0.9 * w_min * l)
 
     band = default_band(k, w_min, c)
     if len(means) > 0:

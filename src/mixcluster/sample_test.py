@@ -55,12 +55,6 @@ class TestConfig:
             raise ValueError("tau must be positive")
 
 
-@dataclass(frozen=True)
-class DegreeChoice:
-    t: int
-    capped: bool
-
-
 def choose_threshold(sep: float, t: int) -> float:
     """tau = (0.2 * sep)^t."""
     if not sep > 0:
@@ -74,8 +68,9 @@ def threshold_feasible(sep: float, t: int, k: int, delta: float) -> bool:
     return choose_threshold(sep, t) >= (20 * t) ** t * k / delta
 
 
-def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = MAX_DEGREE) -> DegreeChoice:
-    """Smallest t with (sep / ln K)^t >= K^10, K = k/(w* delta), capped at t_max."""
+def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = MAX_DEGREE) -> tuple:
+    """Smallest t with (sep / ln K)^t >= K^10, K = k/(w* delta), capped at
+    t_max; returns ``(t, capped)``."""
     big_k = k / (w_star * delta)
     log_k = math.log(big_k)
     if not sep > log_k:
@@ -85,8 +80,8 @@ def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = 
     base = sep / log_k
     t = max(1, math.ceil(10.0 * log_k / math.log(base)))
     if t > t_max:
-        return DegreeChoice(t_max, True)
-    return DegreeChoice(t, False)
+        return t_max, True
+    return t, False
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -465,6 +466,32 @@ class TestValidate:
         monkeypatch.setattr(cli, kernel, lambda *args: real(*args) + 1e-8)
         assert main(["validate", "projection", "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "validate_projection.json").read_text())
+        assert report["result"]["passed"] is False
+        assert report["result"]["max_deviation"] > 1e-10
+
+    @pytest.mark.parametrize("suite", ["rank1-identity", "hermite"])
+    def test_oracle_suite_passes(self, tmp_path, suite):
+        assert main(["validate", suite, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"validate_{suite}.json").read_text())
+        assert report["result"]["passed"] is True
+        assert report["result"]["max_deviation"] <= 1e-10
+
+    @pytest.mark.parametrize("suite", ["rank1-identity", "hermite"])
+    def test_oracle_suite_fails_on_a_perturbed_kernel(self, tmp_path, monkeypatch, suite):
+        import mixcluster.cli as cli
+
+        if suite == "rank1-identity":
+            real = cli.r_poly_terms
+
+            def shifted(*args):
+                return types.SimpleNamespace(dense_sum=lambda: real(*args).dense_sum() + 1e-8)
+
+            monkeypatch.setattr(cli, "r_poly_terms", shifted)
+        else:
+            real = cli.hermite_tensor
+            monkeypatch.setattr(cli, "hermite_tensor", lambda *args: real(*args) + 1e-8)
+        assert main(["validate", suite, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / f"validate_{suite}.json").read_text())
         assert report["result"]["passed"] is False
         assert report["result"]["max_deviation"] > 1e-10
 

@@ -435,6 +435,51 @@ class TestRecursiveDeterminism:
         levels = [e["level"] for e in trail if e["action"] not in ("split", "project")]
         assert levels == sorted(levels) and levels[0] == 0
 
+    @staticmethod
+    def _fail_on_call(monkeypatch, name, call, outcome):
+        """Replaces gc's ``name`` by a wrapper whose ``call``-th call returns
+        ``outcome(*args)`` instead of calling through."""
+        real = getattr(gc, name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return outcome(*args) if len(calls) == call else real(*args, **kwargs)
+
+        monkeypatch.setattr(gc, name, wrapper)
+
+    def test_failed_isolation_leaves_the_remainder_its_own_chain(self, monkeypatch):
+        def fail(*args):
+            raise gc.IsolateFailedError("no cluster qualified")
+
+        self._fail_on_call(monkeypatch, "isolate_component", 2, fail)
+        calls = _count_chain_builds(monkeypatch)
+        learned = self._run(3)
+        assert learned.metadata["warnings"] == ["level 1: no cluster qualified"]
+        assert len(learned.means) == 2
+        actions = [e["action"] for e in learned.metadata["trail"]]
+        # the failed level's trivial checker and the remainder each build one
+        assert len(calls) == actions.count("isolate") + actions.count("refine") + 2
+
+    def test_starved_remainder_falls_back_to_the_stream_average(self, monkeypatch):
+        def starve(*args):
+            raise gc.StarvationError("kept too few rows")
+
+        # two isolations cluster first; the third call is the remainder's
+        self._fail_on_call(monkeypatch, "full_cluster_bounded", 3, starve)
+        learned = self._run(3)
+        assert learned.metadata["warnings"] == [
+            "remainder clustering failed: kept too few rows",
+            "remainder mean falls back to the filtered-stream average",
+        ]
+        assert len(learned.means) == 3
+
+    def test_remainder_mean_nearest_to_no_row_is_dropped(self, monkeypatch):
+        self._fail_on_call(monkeypatch, "full_cluster_bounded", 3, lambda mix, *args: np.full((1, mix.d), 1e6))
+        learned = self._run(3)
+        assert learned.metadata["warnings"] == ["component 2: only 0 assigned samples; dropped"]
+        assert len(learned.means) == 2
+
 
 class TestMultiGroupRecursion:
     # two pairs of means 10 apart, the pairs 1e11 apart: the gap split gives
@@ -473,10 +518,6 @@ class TestSignalDirection:
     def test_draws_at_least_twenty_per_mass_level(self):
         assert gc._verification_rows(0.004) == 5_000
         assert gc._verification_rows(0.4) == gc.SIGNAL_SAMPLES
-
-    def test_direction_must_be_unit(self):
-        with pytest.raises(ValueError):
-            gc.SignalDirection(np.array([2.0, 0.0]), 1.0, 0.0)
 
     def test_one_verification_pool_per_search(self, monkeypatch):
         monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)

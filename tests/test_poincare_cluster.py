@@ -285,6 +285,19 @@ class TestLearnMeans:
             )
         assert np.array_equal(np.asarray(results[0].means), np.asarray(results[1].means))
 
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_vote_reads_the_chains_difference_noise(self, t):
+        # the chain's stages and the vote's pair tests both read difference
+        # rows, two base rows each: raw base rows in the vote would leave the
+        # count short by probes * reps * (2t-1)
+        n_per_stage, probes, batch, reps = 200, 5, 7, 3
+        spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])
+        base = RowCounter(BaseSampler("gaussian", 2, 4, 7))
+        learn_means(MixtureSampler(spec, seed=4), base, 2, 0.4, 12.0, 2.0, 0.5,
+                    t=t, reps=reps, probes=probes, batch=batch, n_per_stage=n_per_stage)
+        stages = n_per_stage * sum(4 * s - 1 for s in range(2, t + 1))
+        assert base.rows == 2 * (stages + probes * reps * (2 * t - 1))
+
     def test_degree_past_max_raises_before_any_draw(self):
         spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])
         mix = RowCounter(MixtureSampler(spec, seed=2))

@@ -172,13 +172,11 @@ class TestThresholdPolicy:
 class TestDegreeChoice:
     def test_absurd_separation_gives_degree_one(self):
         K = math.exp(2.0)
-        choice = st.choose_degree(math.log(K) * K**10, 2, 1.0, 1.0)
-        assert choice.t == 1 and not choice.capped
+        assert st.choose_degree(math.log(K) * K**10, 2, 1.0, 1.0) == (1, False)
 
     def test_moderate_separation_caps(self):
         K = math.exp(10.0)  # k/(w* delta) = e^10, sep = 2 ln K
-        choice = st.choose_degree(20.0, K, 1.0, 1.0)
-        assert choice.t == MAX_DEGREE and choice.capped
+        assert st.choose_degree(20.0, K, 1.0, 1.0) == (MAX_DEGREE, True)
 
     def test_too_small_separation_raises(self):
         with pytest.raises(st.SeparationTooSmallError):
