@@ -28,11 +28,13 @@ over the seeds that recovered every mean (null when none did), the mean
 seconds per seed, and a SHA-256 digest of every seed's learned means and
 weights: two checkouts learn the same bits on a pool when their digests
 agree, so checking bit-identity is one comparison of the ``sha256`` fields.
-``--expect FILE`` makes that comparison: FILE is an earlier run's output,
-every pool whose digest differs from its line there (or has no line) is
-named on stderr, and the exit status is 1 if any does.  The committed
-FILE is ``scripts/pools_expected.jsonl``, the six pools' output at the last
-change that moved learned bits, run with ``OPENBLAS_NUM_THREADS=1``:
+``--expect FILE`` makes that comparison, together with the other
+deterministic fields (``passes``, ``mean_rows_per_seed`` and
+``max_rows_per_seed``): FILE is an earlier run's output, every field of a
+pool that differs from its line there (or a pool with no line) is named on
+stderr, and the exit status is 1 if any does.  The committed FILE is
+``scripts/pools_expected.jsonl``, the six pools' output at the last change
+that moved learned bits or row counts, run with ``OPENBLAS_NUM_THREADS=1``:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/pools.py --expect scripts/pools_expected.jsonl
 """
@@ -56,6 +58,8 @@ from mixcluster.mixture_gen import GenConfig, base_sampler, build_spec, sample_s
 from mixcluster.poincare_cluster import learn_means  # noqa: E402
 
 SEEDS = 20
+# the fields of a pool's line that repeat exactly from run to run
+EXPECTED_FIELDS = ("passes", "mean_rows_per_seed", "max_rows_per_seed", "sha256")
 
 
 class RowCounter:
@@ -154,18 +158,24 @@ def run_pool(name: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pools", nargs="+", choices=list(POOLS), default=list(POOLS))
-    parser.add_argument("--expect", type=Path, metavar="FILE", help="an earlier run's output to compare digests with")
+    parser.add_argument("--expect", type=Path, metavar="FILE", help="an earlier run's output to compare with")
     args = parser.parse_args(argv)
     expected = None
     if args.expect is not None:
         lines = args.expect.read_text(encoding="utf-8").splitlines()
-        expected = {row["pool"]: row["sha256"] for row in map(json.loads, filter(str.strip, lines))}
+        expected = {row["pool"]: row for row in map(json.loads, filter(str.strip, lines))}
     differ = []
     for name in args.pools:
         result = run_pool(name)
         print(json.dumps(result), flush=True)
-        if expected is not None and result["sha256"] != expected.get(name):
-            differ.append(f"{name}: sha256 {result['sha256']}, {args.expect} has {expected.get(name, 'no line')}")
+        if expected is None:
+            continue
+        if name not in expected:
+            differ.append(f"{name}: {args.expect} has no line")
+            continue
+        for key in EXPECTED_FIELDS:
+            if result[key] != expected[name].get(key):
+                differ.append(f"{name}: {key} {result[key]}, {args.expect} has {expected[name].get(key)}")
     for line in differ:
         print(line, file=sys.stderr)
     return 1 if differ else 0

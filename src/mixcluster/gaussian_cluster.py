@@ -34,7 +34,15 @@ from . import nested_projection
 from . import sample_test as st
 from .mixture_gen import BaseSampler
 from .moment_pipeline import iterative_projection, lead_positive
-from .poincare_cluster import DifferenceSampler, LearnedMixture, margin_matrix, nearest, probe_batch_vote, probe_candidates
+from .poincare_cluster import (
+    DifferenceSampler,
+    LearnedMixture,
+    difference_noise,
+    margin_matrix,
+    nearest,
+    probe_batch_vote,
+    probe_candidates,
+)
 from .rng import stream
 
 _ORTHO_TOL = 1e-10
@@ -438,12 +446,12 @@ def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int):
       per-scope construction needs.  The chain on the trivial checker's
       stream rests on the same independence.
 
-    The chain is built on pairwise differences, so it is mean-free.  The
-    base difference (g - g')/sqrt(2) of two standard normals is again a
-    standard normal, so the chain draws its base rows directly.
+    The chain is built on pairwise differences, so it is mean-free.  Its
+    base rows are the difference noise of a standard normal stream, which
+    :func:`poincare_cluster.difference_noise` draws directly.
     """
     source = reduce_by_checker(mix_sampler, ch.with_radius(scales.source_radius))
-    base = BaseSampler("gaussian", source.d, seed, 3)
+    base = difference_noise(BaseSampler("gaussian", source.d, seed, 3))
     return iterative_projection(DifferenceSampler(source), base, PAIR_DEGREE, scales.k, N_PER_STAGE), base
 
 

@@ -43,6 +43,22 @@ class DifferenceSampler:
         return (x[0::2] - x[1::2]) / math.sqrt(2.0)
 
 
+def difference_noise(base):
+    """The difference noise (g - g')/sqrt(2) of a base stream, which is all
+    of the base law the estimators read.
+
+    A law that is its own difference law is read directly: the standard
+    normal ("gaussian"), since (g - g')/sqrt(2) of two independent standard
+    normals is a standard normal, and "point_mass", whose draws are all
+    zeros.  Such a base is returned as it is, not an inner stream, so a
+    wrapper that counts its draws still sees every row.  Any other base, or
+    a stream with no ``dist_tag``, gets a ``DifferenceSampler``, which is
+    valid for every law."""
+    if getattr(base, "dist_tag", None) in ("gaussian", "point_mass"):
+        return base
+    return DifferenceSampler(base)
+
+
 def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float):
     """Sequentially admit candidates (l, d; a NaN row per failed probe) with
     enough 0.2*alpha-ball support that are at least alpha away from
@@ -172,6 +188,10 @@ def learn_means(
     probability ``st.DELTA``, capped at 2; ``probes`` and ``batch`` to
     20k/w_min and 50k/w_min.  Weights come from ``WEIGHT_SAMPLES`` rows.
 
+    The chain is built on difference rows of the mixture stream, and both
+    the chain and the vote read the base law through
+    :func:`difference_noise`, so a Gaussian base is drawn directly.
+
     Separations below the (ln K)^{1+c} regime run anyway and are flagged in
     the metadata, as are degree caps; desk-scale runs live outside the
     asymptotic regime by design.
@@ -192,7 +212,7 @@ def learn_means(
     void = not st.threshold_feasible(sep, t, k, st.DELTA)
     cfg = st.TestConfig(t, tau, reps=reps)
     # the vote's statistic tests (z - z')/sqrt(2), so it reads the noise the chain was built on
-    noise = DifferenceSampler(base_sampler)
+    noise = difference_noise(base_sampler)
     chain = iterative_projection(DifferenceSampler(mix_sampler), noise, t, k, n_per_stage)
     means, support = probe_batch_vote(mix_sampler, noise, chain, cfg, l, m, alpha, 0.9 * w_min * l)
 

@@ -22,7 +22,8 @@ class RowCounter:
     """Passes draws through to a stream, counts the rows it returns and
     records each request size.  Counters given one shared ``log`` list also
     append ``(name, n)`` to it, so a test can read the order of requests
-    across streams."""
+    across streams.  Other attributes, such as a base stream's
+    ``dist_tag``, are the inner stream's."""
 
     def __init__(self, inner, name=None, log=None):
         self.inner = inner
@@ -39,6 +40,9 @@ class RowCounter:
         out = self.inner.draw(n)
         self.rows += len(out)
         return out
+
+    def __getattr__(self, attr):
+        return getattr(self.inner, attr)
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from mixcluster.poincare_cluster import (
     LearnedMixture,
     assign_batch,
     default_band,
+    difference_noise,
     learn_means,
     majority_vote,
     probe_batch_vote,
@@ -97,6 +98,55 @@ class TestDifferenceSampler:
         cov = draws.T @ draws / len(draws)
         assert np.max(np.abs(cov - np.eye(2))) < 0.05
         assert np.max(np.abs(draws.mean(axis=0))) < 0.05
+
+
+class _Untagged:
+    """Passes draws through to a stream and hides its ``dist_tag``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d = inner.d
+
+    def draw(self, n):
+        return self.inner.draw(n)
+
+
+class TestDifferenceNoise:
+    @pytest.mark.parametrize("tag", ["gaussian", "point_mass"])
+    def test_own_difference_law_is_the_base_itself(self, tag):
+        # the object passed in, not an inner stream, so a counting wrapper sees every draw
+        base = BaseSampler(tag, 2, 0, 7)
+        assert difference_noise(base) is base
+        wrapped = RowCounter(base)
+        assert difference_noise(wrapped) is wrapped
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RowCounter(BaseSampler("laplace", 2, 0, 7)),
+            lambda: RowCounter(BaseSampler("uniform_cube", 2, 0, 7)),
+            lambda: _Untagged(BaseSampler("gaussian", 2, 0, 7)),
+        ],
+        ids=["laplace", "uniform_cube", "untagged"],
+    )
+    def test_any_other_stream_takes_the_difference(self, make):
+        base = make()
+        noise = difference_noise(base)
+        assert isinstance(noise, DifferenceSampler) and noise.inner is base
+
+    def test_point_mass_run_learns_the_difference_paths_bits(self):
+        # zeros are their own difference rows, so reading them directly changes no learned bit
+        means = np.array([[0.0, 0.0, 0.0], [12.0, 0.0, 0.0], [0.0, 12.0, 0.0]])
+        spec = _spec(np.full(3, 1 / 3), means, "point_mass")
+        learned = []
+        for wrap in (RowCounter, _Untagged):
+            base = RowCounter(wrap(BaseSampler("point_mass", 3, 5, 7)))
+            run = learn_means(MixtureSampler(spec, seed=5), base, 3, 0.25, 12.0, 2.0, 0.5, reps=2, n_per_stage=500)
+            learned.append((run, base.rows))
+        (direct, direct_rows), (difference, difference_rows) = learned
+        assert difference_rows == 2 * direct_rows
+        assert np.array_equal(direct.means, difference.means)
+        assert np.array_equal(direct.weights, difference.weights)
 
 
 # Reference for majority_vote in its loop form: one norm per candidate for
@@ -285,18 +335,21 @@ class TestLearnMeans:
             )
         assert np.array_equal(np.asarray(results[0].means), np.asarray(results[1].means))
 
+    @pytest.mark.parametrize("tag", ["gaussian", "laplace", "uniform_cube"])
     @pytest.mark.parametrize("t", [2, 3])
-    def test_vote_reads_the_chains_difference_noise(self, t):
-        # the chain's stages and the vote's pair tests both read difference
-        # rows, two base rows each: raw base rows in the vote would leave the
-        # count short by probes * reps * (2t-1)
+    def test_vote_reads_the_chains_difference_noise(self, t, tag):
+        # the chain's stages and the vote's pair tests both read the difference
+        # noise: one base row each for a Gaussian base, two for any other law,
+        # so raw base rows in the vote would leave a non-Gaussian count short
+        # by probes * reps * (2t-1)
         n_per_stage, probes, batch, reps = 200, 5, 7, 3
-        spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])
-        base = RowCounter(BaseSampler("gaussian", 2, 4, 7))
+        spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]], tag)
+        base = RowCounter(BaseSampler(tag, 2, 4, 7))
         learn_means(MixtureSampler(spec, seed=4), base, 2, 0.4, 12.0, 2.0, 0.5,
                     t=t, reps=reps, probes=probes, batch=batch, n_per_stage=n_per_stage)
         stages = n_per_stage * sum(4 * s - 1 for s in range(2, t + 1))
-        assert base.rows == 2 * (stages + probes * reps * (2 * t - 1))
+        base_rows_per_noise_row = 1 if tag == "gaussian" else 2
+        assert base.rows == base_rows_per_noise_row * (stages + probes * reps * (2 * t - 1))
 
     def test_degree_past_max_raises_before_any_draw(self):
         spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])
