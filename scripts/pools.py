@@ -2,17 +2,21 @@
 
 Usage, from the repository root:
 
-    python3 scripts/pools.py [--pools c8-gaussian c8-laplace deg3 c9-sep10 c9-sep7 c9-sep6] [--expect FILE]
+    python3 scripts/pools.py [--pools c8-gaussian c8-laplace c8-wtrue deg3 c9-sep10 c9-sep7 c9-sep6] [--expect FILE]
 
 Each pool runs one learner call on learner seeds 0-19:
 
 - ``c8-gaussian``, ``c8-laplace``: C8's call (``learn_means`` on k=3, d=3 at
   separation 12, ``reps`` 32, ``n_per_stage`` 15,000), with C8's checks: a
   seed passes when every mean is within 0.25 and every weight within 0.05.
+- ``c8-wtrue``: C8's Gaussian call and checks with ``w_min`` at the spec's
+  true weight 1/3 in place of 0.25 (180 probes of 450 rows), as the CLI's
+  ``cluster`` runs when its config leaves ``w_min`` out.  Ungated.
 - ``deg3``: ``learn_means`` at t=3 (k=4, d=6, separation 12, spec seed =
   learner seed, 60 probes of 120 rows), as in the ``poincare-deg3``
-  benchmark workload, with its checks (0.4 and 0.05).  Seeds 7, 12 and 14
-  lose a component at this probe budget, so the pool passes 17/20.
+  benchmark workload, with its checks (0.4 and 0.05).  It passes 20/20;
+  the benchmark's pool still leaves out seeds 7, 12 and 14, which lost a
+  component before the vote admitted at half the expected support.
 - ``c9-sep10``, ``c9-sep7``, ``c9-sep6``: C9's call (``recursive_cluster``
   on k=4, d=16, the hierarchical spec with outer ratio 1000, ``w_min`` 0.25,
   ``c`` 1, ``alpha`` 2) with the inner ratio and ``sep_hint`` both set to
@@ -33,7 +37,7 @@ deterministic fields (``passes``, ``mean_rows_per_seed`` and
 ``max_rows_per_seed``): FILE is an earlier run's output, every field of a
 pool that differs from its line there (or a pool with no line) is named on
 stderr, and the exit status is 1 if any does.  The committed FILE is
-``scripts/pools_expected.jsonl``, the six pools' output at the last change
+``scripts/pools_expected.jsonl``, the seven pools' output at the last change
 that moved learned bits or row counts, run with ``OPENBLAS_NUM_THREADS=1``:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/pools.py --expect scripts/pools_expected.jsonl
@@ -84,12 +88,12 @@ def _poincare_pass(spec, learned, mean_tol: float, weight_tol: float) -> tuple:
     return bool(ok), errors
 
 
-def c8(tag: str):
+def c8(tag: str, w_min: float = 0.25):
     spec = build_spec(GenConfig(k=3, d=3, separation=12.0, dist_tag=tag, seed=7))
 
     def run(seed: int):
         mix = RowCounter(sample_stream(spec, seed))
-        learned = learn_means(mix, base_sampler(tag, 3, seed, 1), 3, 0.25, 12.0, 2.0, 0.5,
+        learned = learn_means(mix, base_sampler(tag, 3, seed, 1), 3, w_min, 12.0, 2.0, 0.5,
                               reps=32, n_per_stage=15_000)
         return (mix.rows, learned) + _poincare_pass(spec, learned, 0.25, 0.05)
 
@@ -123,6 +127,7 @@ def c9(sep: float):
 POOLS = {
     "c8-gaussian": c8("gaussian"),
     "c8-laplace": c8("laplace"),
+    "c8-wtrue": c8("gaussian", 1 / 3),
     "deg3": deg3,
     "c9-sep10": c9(10.0),
     "c9-sep7": c9(7.0),

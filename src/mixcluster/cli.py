@@ -246,7 +246,7 @@ def validate_config(cfg: dict, command: str, seed: int | None = None) -> Run:
         for j in range(grid["seeds_per_cell"]):
             _, spec = _mixture(mix, separation=sep, seed=seed + 1000 * i + j)
             if spec.w_min == 0:
-                raise ConfigError("bench runs at 0.6 times the smallest mixture weight, which is 0")
+                raise ConfigError("bench runs at the smallest mixture weight, which is 0")
             cells += [(sep, t, seed + 1000 * i + j, spec) for t in grid["degrees"]]
     return Run(cfg, seed, grid=grid, cells=tuple(cells))
 
@@ -539,13 +539,11 @@ def _bench_cell(sep: float, t: int, seed: int, spec: MixtureSpec, cfg: dict) -> 
 
     t0 = time.perf_counter()
     try:
-        # A deliberately loose weight floor: bench cells run with small probe
-        # counts, where the nominal support threshold rejects true components.
         learned = learn_means(
             mix,
             base,
             spec.k,
-            0.6 * spec.w_min,
+            spec.w_min,
             sep,
             alpha=max(2.0, 0.2 * sep),
             t=t,

@@ -65,7 +65,6 @@ REJECTION_BLOCK = 512  # inner rows per rejection-sampler read
 N_PER_STAGE = 5_000
 PROBES = 48  # vote probes l
 BATCH = 120  # batch size m per probe
-SUPPORT_FACTOR = 0.5  # vote support threshold factor (x w* x l)
 GAMMA_COUNT = 2  # truncation radii (30 + gamma) theta tried per checker
 GRID_STEPS = 40  # max separation-grid length
 SIGNAL_TRIALS = 4  # anchor redraws per grid point
@@ -462,12 +461,10 @@ def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> n
     s, params = scales.s, scales.params
     chain, base = chain
     cfg = pair_config(max(s, params.pair_sep_floor))
-    means, support = probe_batch_vote(
-        mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, SUPPORT_FACTOR * scales.w_star * PROBES
-    )
-    # Strongest-supported first.  Dedup guarantees the spacing only up to the
-    # candidate error, so enforce the pairwise floor explicitly.
-    means = means[np.argsort(-support, kind="stable")]
+    means, _ = probe_batch_vote(mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, scales.w_star)
+    # The vote admits strongest-supported first, and its dedup guarantees the
+    # spacing only up to the candidate error, so enforce the pairwise floor
+    # explicitly, in that order.
     kept = []
     for i in range(len(means)):
         if all(np.linalg.norm(means[i] - means[j]) >= 0.5 * s for j in kept):

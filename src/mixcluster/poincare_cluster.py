@@ -19,6 +19,7 @@ from . import sample_test as st
 from .moment_pipeline import iterative_projection
 
 WEIGHT_SAMPLES = 2_000  # fresh rows assigned to estimate the weights
+SUPPORT_FACTOR = 0.5  # the vote admits at SUPPORT_FACTOR * w_min * probes
 
 
 @dataclass(frozen=True)
@@ -60,19 +61,21 @@ def difference_noise(base):
 
 
 def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float):
-    """Sequentially admit candidates (l, d; a NaN row per failed probe) with
-    enough 0.2*alpha-ball support that are at least alpha away from
-    everything admitted so far.  Returns their means and support counts in
-    admission order.  A mean averages the valid candidates in its ball:
-    they come from disjoint probe batches, so this cuts the variance by the
-    support count without changing what gets admitted."""
+    """Admit candidates (l, d; a NaN row per failed probe), strongest
+    0.2*alpha-ball support first (ties in candidate order), that have at
+    least ``support_threshold`` support and are at least alpha away from
+    everything admitted so far.  Each ball thus keeps its most central
+    candidate.  Returns their means and support counts in admission order,
+    which is decreasing support.  A mean averages the valid candidates in
+    its ball: they come from disjoint probe batches, so this cuts the
+    variance by the support count without changing what gets admitted."""
     points = candidates[~np.isnan(candidates[:, 0])]
     # dists[i, j] = ||points[j] - points[i]||, one pairwise matrix over the valid candidates
     dists = np.linalg.norm(points[None, :, :] - points[:, None, :], axis=2)
     ball = dists <= 0.2 * alpha
     support = np.count_nonzero(ball, axis=1)
     admitted = []
-    for row in range(len(points)):
+    for row in np.argsort(-support, kind="stable"):
         if support[row] >= support_threshold and not np.any(dists[row, admitted] < alpha):
             admitted.append(row)
     means = np.array([points[ball[row]].mean(axis=0) for row in admitted]).reshape(len(admitted), candidates.shape[1])
@@ -148,19 +151,21 @@ def probe_batch_vote(
     probes: int,
     batch: int,
     alpha: float,
-    support_threshold: float,
+    w_min: float,
 ):
-    """Probe/batch/vote mean recovery.
+    """Probe/batch/vote mean recovery, the one vote rule of both learners.
 
     One mixture request holds every probe's row followed by its batch, probe
     by probe; :func:`probe_candidates` turns each probe into a candidate and
-    :func:`majority_vote` admits candidates.  Returns the vote's ball means
-    in admission order and their support counts.
+    :func:`majority_vote` admits candidates with support of at least
+    ``SUPPORT_FACTOR * w_min * probes``, half the probes a component of
+    weight ``w_min`` is expected to win.  Returns the vote's ball means in
+    admission order, strongest-supported first, and their support counts.
     """
     d = mix_sampler.d
     rows = np.asarray(mix_sampler.draw(probes * (batch + 1)), dtype=float).reshape(probes, batch + 1, d)
     candidates = probe_candidates(rows[:, 0], rows[:, 1:], chain, cfg, noise)
-    return majority_vote(candidates, alpha, support_threshold)
+    return majority_vote(candidates, alpha, SUPPORT_FACTOR * w_min * probes)
 
 
 def default_band(k: int, w_min: float, c: float) -> float:
@@ -186,7 +191,9 @@ def learn_means(
 
     ``t`` defaults to the least degree the separation allows at failure
     probability ``st.DELTA``, capped at 2; ``probes`` and ``batch`` to
-    20k/w_min and 50k/w_min.  Weights come from ``WEIGHT_SAMPLES`` rows.
+    20k/w_min and 50k/w_min.  The vote admits a mean by the rule of
+    :func:`probe_batch_vote`, so ``w_min`` may be a true weight.  Weights
+    come from ``WEIGHT_SAMPLES`` rows.
 
     The chain is built on difference rows of the mixture stream, and both
     the chain and the vote read the base law through
@@ -214,7 +221,7 @@ def learn_means(
     # the vote's statistic tests (z - z')/sqrt(2), so it reads the noise the chain was built on
     noise = difference_noise(base_sampler)
     chain = iterative_projection(DifferenceSampler(mix_sampler), noise, t, k, n_per_stage)
-    means, support = probe_batch_vote(mix_sampler, noise, chain, cfg, l, m, alpha, 0.9 * w_min * l)
+    means, support = probe_batch_vote(mix_sampler, noise, chain, cfg, l, m, alpha, w_min)
 
     band = default_band(k, w_min, c)
     if len(means) > 0:

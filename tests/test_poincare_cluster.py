@@ -13,6 +13,7 @@ from mixcluster.cli import match_means
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster.moment_pipeline import MAX_DEGREE, MixtureSpec, SizeLimitError
 from mixcluster.poincare_cluster import (
+    SUPPORT_FACTOR,
     DifferenceSampler,
     LearnedMixture,
     assign_batch,
@@ -31,7 +32,7 @@ def _spec(weights, means, tag="gaussian"):
 
 # probe_batch_vote's earlier loop, the reference for its merged request:
 # one probe row, then its batch, probe by probe
-def _interleaved_probe_batch_vote(mix, base, chain, cfg, probes, batch, alpha, support_threshold):
+def _interleaved_probe_batch_vote(mix, base, chain, cfg, probes, batch, alpha, w_min):
     d = mix.d
     points = np.empty((probes, d))
     batches = np.empty((probes, batch, d))
@@ -43,7 +44,7 @@ def _interleaved_probe_batch_vote(mix, base, chain, cfg, probes, batch, alpha, s
     for i in range(probes):
         if accept[i].any():
             candidates[i] = batches[i][accept[i]].mean(axis=0)
-    return majority_vote(candidates, alpha, support_threshold)
+    return majority_vote(candidates, alpha, SUPPORT_FACTOR * w_min * probes)
 
 
 class TestProbeBatchVote:
@@ -58,7 +59,7 @@ class TestProbeBatchVote:
         mix = RowCounter(MixtureSampler(spec, seed=2), "mix", log)
         base = RowCounter(BaseSampler("gaussian", d, 2, 7), "base", log)
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        probe_batch_vote(mix, base, chain, cfg, probes, batch, 2.0, 1.0)
+        probe_batch_vote(mix, base, chain, cfg, probes, batch, 2.0, 0.4)
         assert mix.requests == [probes * (batch + 1)]
         assert base.rows == probes * reps * (2 * t - 1)
         assert log == [("mix", probes * (batch + 1)), ("base", probes * reps * (2 * t - 1))]
@@ -76,7 +77,7 @@ class TestProbeBatchVote:
         for vote in (probe_batch_vote, _interleaved_probe_batch_vote):
             root = RowCounter(MixtureSampler(spec, seed=4))
             stream = gc.reduce_by_checker(root, checker)
-            means, support = vote(stream, BaseSampler("gaussian", d - 1, 4, 7), chain, cfg, probes, batch, 2.0, 1.0)
+            means, support = vote(stream, BaseSampler("gaussian", d - 1, 4, 7), chain, cfg, probes, batch, 2.0, 1 / 6)
             results.append((means, support, root.rows))
         (means, support, rows), (ref_means, ref_support, ref_rows) = results
         assert len(means) > 0
@@ -150,18 +151,18 @@ class TestDifferenceNoise:
 
 
 # Reference for majority_vote in its loop form: one norm per candidate for
-# its support, then the same sequential admission, then each admitted
-# candidate's mean over the valid candidates in its 0.2*alpha ball (the
-# second pass probe_batch_vote once made after the vote).
+# its support, then the same sequential admission over the valid candidates
+# in stable decreasing-support order, then each admitted candidate's mean
+# over the valid candidates in its 0.2*alpha ball (the second pass
+# probe_batch_vote once made after the vote).
 def _reference_majority_vote(candidates, alpha, support_threshold):
     valid = ~np.isnan(candidates[:, 0])
     support = np.zeros(len(candidates), dtype=int)
-    accepted = []
-    for i in range(len(candidates)):
-        if not valid[i]:
-            continue
+    for i in np.flatnonzero(valid):
         dists = np.linalg.norm(candidates[valid] - candidates[i], axis=1)
         support[i] = int(np.sum(dists <= 0.2 * alpha))
+    accepted = []
+    for i in sorted(np.flatnonzero(valid), key=lambda i: -support[i]):
         if support[i] < support_threshold:
             continue
         if any(np.linalg.norm(candidates[j] - candidates[i]) < alpha for j in accepted):
@@ -201,6 +202,14 @@ class TestMajorityVote:
         assert any(np.linalg.norm(a) < 1.0 for a in means)
         # the singleton far candidate lacks support
         assert all(np.linalg.norm(a - [50.0, 0.0]) > 1.0 for a in means)
+
+    def test_stronger_candidate_admitted_before_a_weaker_one_in_its_ball(self):
+        # the first candidate sits at the ball's edge with 4 in its ball; the
+        # second, 0.3 further in, has all 5 and is admitted in its place
+        cands = np.array([[-0.3, 0.0], [0.0, 0.0], [0.05, 0.0], [-0.05, 0.0], [0.15, 0.0]])
+        means, support = majority_vote(cands, alpha=2.0, support_threshold=3.0)
+        assert support.tolist() == [5]
+        assert np.array_equal(means, cands.mean(axis=0, keepdims=True))
 
     def test_accepted_pairwise_separated(self):
         cands = np.vstack([np.zeros((8, 2)), np.full((8, 2), 10.0)])
@@ -378,6 +387,19 @@ class TestLearnMeans:
         want = not st.threshold_feasible(sep, 1, 2, st.DELTA)
         assert want == (sep < 4_000.0)
         assert learned.metadata["guarantee_void"] is want
+
+    def test_c8_spec_at_its_true_w_min(self):
+        # C8's Gaussian call with w_min at the spec's true weight 1/3: the vote
+        # must admit a component that wins only about its expected share of probes
+        spec = build_spec(GenConfig(k=3, d=3, separation=12.0, seed=7))
+        assert np.allclose(spec.weights, 1 / 3)
+        wins = 0
+        for seed in range(20):
+            learned = learn_means(MixtureSampler(spec, seed), BaseSampler("gaussian", 3, seed, 1), 3, 1 / 3,
+                                  12.0, 2.0, 0.5, reps=32, n_per_stage=15_000)
+            perm, errors = match_means(learned.means, spec.means)
+            wins += bool(np.all(errors <= 0.25) and np.all(np.abs(learned.weights[perm] - spec.weights) <= 0.05))
+        assert wins >= 18, f"{wins}/20 seeds"
 
 
 class TestExports:
