@@ -353,7 +353,7 @@ def desk_params(k: int, w_min: float, sep_hint: float | None = None) -> ClusterP
     known separation (ln(k/w_min) without one), a dedup radius scaled to
     it, and a refinement floor of at least twice it."""
     log_k = math.log(k / w_min)
-    s = sep_hint if sep_hint is not None else log_k ** 1.0
+    s = sep_hint if sep_hint is not None else log_k
     return ClusterParams(
         sep_hint=sep_hint,
         vote_alpha=0.5 * s,
@@ -514,10 +514,7 @@ def refine_checker(
         comp = complement_basis(ch)
         v_full = comp @ v
         v_full /= np.linalg.norm(v_full)
-        new_basis, _ = np.linalg.qr(np.column_stack([ch.basis, v_full]))
-        # QR may flip signs; realign the last column with the signal direction.
-        if new_basis[:, -1] @ v_full < 0:
-            new_basis[:, -1] = -new_basis[:, -1]
+        new_basis = np.column_stack([ch.basis, v_full])
         keep_ch = ch.with_radius(scales.refine_radius(gamma + 2))
         in_keep = functools.partial(checker_contains_batch, keep_ch)
         kept = ReducedSampler(mix_sampler, in_keep).draw(REFINE_SAMPLES)
