@@ -158,18 +158,24 @@ def complement_basis(ch: Checker) -> np.ndarray:
 
 class ReducedSampler:
     """Rejection-samples an inner stream: keeps the rows for which ``keep``
-    (a row block -> bool mask) is true, or every row when ``keep`` is None,
-    subtracts ``offset`` (d,) from them when one is given and, given a
-    ``basis`` (d, d') of columns, emits their coordinates in it.
+    (a row block -> bool mask, judging each row on its own) is true, or
+    every row when ``keep`` is None, subtracts ``offset`` (d,) from them
+    when one is given and, given a ``basis`` (d, d') of columns, emits their
+    coordinates in it.
 
-    The inner stream is read in blocks of ``REJECTION_BLOCK`` rows, each
-    block's kept rows projected together, and kept rows beyond a request are
-    held back and served first on the next one.  So the rows returned, to
-    the bit, and the inner rows taken depend only on the total requested.
-    The rows stay i.i.d. from the scoped distribution: only ``keep`` has
-    looked at them.  The budget applies per request: once one request has
-    drawn more than ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows it starves,
-    and the rows it kept are held for the next."""
+    The inner stream is read in whole blocks of ``REJECTION_BLOCK`` rows,
+    and kept rows beyond a request are held back and served first on the
+    next one.  So the rows returned, to the bit, and the inner rows taken
+    depend only on the total requested.  One inner read takes every block a
+    block-at-a-time loop is certain to read next: enough to hold the rows
+    still wanted were every row kept, and no more than reach the first
+    block past the budget.  ``keep`` runs once per read, but each block's
+    kept rows are projected by a product of their own, as BLAS may round a
+    row differently in a taller one.  The rows stay i.i.d. from the scoped
+    distribution: only ``keep`` has looked at them.  The budget applies per
+    request: once one request has drawn more than
+    ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows it starves, and the rows it
+    kept are held for the next."""
 
     def __init__(self, inner, keep, basis=None, offset=None):
         self.inner = inner
@@ -185,13 +191,21 @@ class ReducedSampler:
         drawn = 0
         budget = MAX_DRAW_FACTOR * max(n, 64)
         while got < n:
-            x = np.asarray(self.inner.draw(REJECTION_BLOCK), dtype=float)
-            drawn += REJECTION_BLOCK
-            kept = x if self.keep is None else x[self.keep(x)]
+            blocks = min(math.ceil((n - got) / REJECTION_BLOCK), (budget - drawn) // REJECTION_BLOCK + 1)
+            x = np.asarray(self.inner.draw(blocks * REJECTION_BLOCK), dtype=float)
+            drawn += blocks * REJECTION_BLOCK
+            if self.keep is None:
+                kept, per_block = x, np.full(blocks, REJECTION_BLOCK)
+            else:
+                mask = self.keep(x)
+                kept, per_block = x[mask], mask.reshape(blocks, REJECTION_BLOCK).sum(axis=1)
             if self.offset is not None:
                 kept = kept - self.offset
             got += len(kept)
-            out.append(kept if self.basis is None else kept @ self.basis)
+            if self.basis is None:
+                out.append(kept)
+            else:
+                out.extend(part @ self.basis for part in np.split(kept, np.cumsum(per_block)[:-1]))
             if drawn > budget:
                 self._surplus = np.concatenate(out)
                 raise StarvationError(
@@ -488,7 +502,10 @@ def refine_checker(
 ) -> Checker:
     """Grow the checker subspace by one signal direction and recenter on a
     well-supported sample from one side of the split, searching under the
-    checker's ``chain``; ``seed`` orders the gammas and picks the center."""
+    checker's ``chain``; ``seed`` orders the gammas and picks the center.
+    A sample is well supported when at least 0.9 w* of the kept samples lie
+    within theta of it in the new checker's coordinates, counted by
+    :func:`_neighbour_fractions` (by sorting when those are 1-D)."""
     rng = stream(seed, 19)
     theta, w_star = scales.theta, scales.w_star
     class_p = 0.4 * w_star
@@ -518,9 +535,7 @@ def refine_checker(
         keep_ch = ch.with_radius(scales.refine_radius(gamma + 2))
         in_keep = functools.partial(checker_contains_batch, keep_ch)
         kept = ReducedSampler(mix_sampler, in_keep).draw(REFINE_SAMPLES)
-        frac = np.concatenate(
-            [(dists <= theta).mean(axis=1) for _, dists in _distance_blocks(kept @ new_basis)]
-        )
+        frac = _neighbour_fractions(kept @ new_basis, theta)
         good = frac >= 0.9 * w_star
         svals = kept @ v_full
         lo_good = np.flatnonzero(good & (svals <= split - delta))
@@ -676,6 +691,41 @@ def _distance_blocks(pts: np.ndarray):
     for start in range(0, n, step):
         block = pts[start : start + step]
         yield start, np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
+
+
+def _neighbour_fractions(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Each row's fraction of the rows (itself included) within ``radius``
+    of it, to the bit as ``(dists <= radius).mean(axis=1)`` over
+    :func:`_distance_blocks`.
+
+    One-dimensional points are counted by sorting.  Rounding is monotone,
+    so a point's neighbours are one run of the sorted values; each end of
+    the window ``searchsorted`` finds is moved, a run of tied values at a
+    time, to the exact predicate ``|x_i - x_j| <= radius``, which is the 1-D
+    norm (``sqrt(x * x) == |x|`` in IEEE arithmetic, short of over- and
+    underflow).  Other dimensions scan the distance blocks."""
+    n, d = pts.shape
+    if d != 1:
+        return np.concatenate([(dists <= radius).mean(axis=1) for _, dists in _distance_blocks(pts)])
+    x = pts[:, 0]
+    s = np.sort(x)
+
+    def near(j):
+        return np.abs(x - s[j]) <= radius
+
+    # narrow each end first, so it sits in the run (x_i itself is in it),
+    # then widen it to the run's edge
+    lo = np.searchsorted(s, x - radius, "left")
+    while not (ok := near(lo)).all():
+        lo = np.where(ok, lo, np.searchsorted(s, s[lo], "right"))
+    while (step := (lo > 0) & near(lo - 1)).any():
+        lo = np.where(step, np.searchsorted(s, s[lo - 1], "left"), lo)
+    hi = np.searchsorted(s, x + radius, "right")
+    while not (ok := near(hi - 1)).all():
+        hi = np.where(ok, hi, np.searchsorted(s, s[hi - 1], "left"))
+    while (step := (hi < n) & near(np.minimum(hi, n - 1))).any():
+        hi = np.where(step, np.searchsorted(s, s[np.minimum(hi, n - 1)], "right"), hi)
+    return (hi - lo) / n
 
 
 def _far_pair(pts: np.ndarray, threshold: float):

@@ -10,7 +10,9 @@ of one ``draw(a + b)`` and takes the same rows from the stream it reads, so
 neither a stream's rows nor its root's depend on how a caller splits its
 requests, to the bit.  The rejection sampler
 (gaussian_cluster.ReducedSampler), which also recentres and projects, keeps
-it by reading its inner stream in blocks of a fixed size.
+it by reading its inner stream in whole blocks of a fixed size, as many in
+one read as its request is certain to need, and projecting each block's
+kept rows on their own.
 """
 
 from __future__ import annotations

@@ -245,16 +245,24 @@ class TestReduction:
         sizes=hst.lists(hst.one_of(hst.sampled_from([1, 2]), hst.integers(1, 700)), min_size=1, max_size=12),
         rate=hst.sampled_from([0.02, 0.3, 1.0]),
         nested=hst.booleans(),
+        wide=hst.booleans(),
     )
-    @example(seed=3, sizes=[1, 120] * 48, rate=0.3, nested=False)
-    @example(seed=3, sizes=[1, 120] * 48, rate=0.3, nested=True)
+    @example(seed=3, sizes=[1, 120] * 48, rate=0.3, nested=False, wide=False)
+    @example(seed=3, sizes=[1, 120] * 48, rate=0.3, nested=True, wide=False)
+    # one read of 32 and one of 31 full blocks through a (16, 4) basis, a
+    # shape whose single gemm rounds rows differently from per-block gemms
+    @example(seed=5, sizes=[16_000, 15_872], rate=1.0, nested=False, wide=True)
+    @example(seed=5, sizes=[1, 16_000], rate=0.3, nested=True, wide=True)
+    # blocks that keep one row, whose product BLAS computes on another path
+    @example(seed=5, sizes=[3_000], rate=0.005, nested=False, wide=True)
     @settings(max_examples=120, deadline=None)
-    def test_output_is_the_kept_rows_whatever_the_request_sizes(self, seed, sizes, rate, nested):
+    def test_output_is_the_kept_rows_whatever_the_request_sizes(self, seed, sizes, rate, nested, wide):
         cut = norm.ppf(rate)
-        # the basis spans axes 1 and 2, so the outer filter is independent
+        d, a = (16, 4) if wide else (3, 2)
+        # the basis spans axes 1 to d - 1, so the outer filter is independent
         # of the inner one and never starves
-        basis = np.zeros((3, 2))
-        basis[1:], _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((2, 2)))
+        basis = np.zeros((d, a))
+        basis[1:], _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d - 1, a)))
 
         def keep_inner(x):
             return x[:, 0] <= cut
@@ -266,12 +274,12 @@ class TestReduction:
             sampler = gc.ReducedSampler(root, keep_inner, basis)
             return gc.ReducedSampler(sampler, keep_outer) if nested else sampler
 
-        inner = _NormalSampler(3, seed)
+        inner = _NormalSampler(d, seed)
         sampler = reduced(inner)
         out = np.concatenate([sampler.draw(n) for n in sizes])
         # the root is read in whole blocks, and each block's kept rows are
         # projected together
-        ref = _NormalSampler(3, seed).draw(inner.rows)
+        ref = _NormalSampler(d, seed).draw(inner.rows)
         blocks = np.split(ref, range(gc.REJECTION_BLOCK, len(ref), gc.REJECTION_BLOCK))
         want = np.concatenate([block[keep_inner(block)] @ basis for block in blocks])
         if nested:
@@ -279,9 +287,14 @@ class TestReduction:
         assert len(out) == sum(sizes) <= len(want)
         assert np.array_equal(out, want[: len(out)])
         # one request for the total takes the same root rows
-        root = _NormalSampler(3, seed)
+        root = _NormalSampler(d, seed)
         reduced(root).draw(sum(sizes))
         assert root.rows == inner.rows
+
+    def test_reads_every_block_it_needs_in_one_inner_draw(self):
+        inner = RowCounter(_NormalSampler(2, 0))
+        out = gc.ReducedSampler(inner, None).draw(5_000)
+        assert len(out) == 5_000 and inner.requests == [10 * gc.REJECTION_BLOCK]
 
     def test_oracle_weights_trivial_checker(self):
         spec = _spec([0.3, 0.7], [[0.0, 0.0], [5.0, 0.0]])
@@ -609,6 +622,32 @@ class TestFarPairShortcut:
         threshold = ref * factor if ref > 0 else factor
         with mock.patch.object(npj, "WORKING_SET", working_set):
             assert gc._far_pair(pts, threshold) == _far_pair_scan(pts, threshold)
+
+
+class TestNeighbourFractions:
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 60),
+        d=hst.integers(1, 3),
+        scale=hst.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+        ties=hst.booleans(),
+        radius=hst.sampled_from(["gap", "scaled"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_distance_scan(self, seed, n, d, scale, ties, radius):
+        r = np.random.default_rng(seed)
+        pts = r.standard_normal((n, d)) * scale
+        if ties:
+            pts = pts[r.integers(max(1, n // 4), size=n)]
+        if radius == "gap":
+            # a computed pairwise distance: searchsorted on x +- theta alone
+            # puts the far end off by one on about a quarter of such draws
+            i, j = r.integers(n, size=2)
+            theta = float(np.linalg.norm(pts[i] - pts[j]))
+        else:
+            theta = float(r.uniform(0.0, 3.0)) * scale
+        want = np.concatenate([(dists <= theta).mean(axis=1) for _, dists in gc._distance_blocks(pts)])
+        assert np.array_equal(gc._neighbour_fractions(pts, theta), want)
 
 
 class TestDimensionReduction:
