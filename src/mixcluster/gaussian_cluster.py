@@ -713,8 +713,8 @@ def _neighbour_fractions(pts: np.ndarray, radius: float) -> np.ndarray:
     def near(j):
         return np.abs(x - s[j]) <= radius
 
-    # narrow each end first, so it sits in the run (x_i itself is in it),
-    # then widen it to the run's edge
+    # narrow each end until it is a neighbour (x_i itself is one), then
+    # widen it while the next value out is one too
     lo = np.searchsorted(s, x - radius, "left")
     while not (ok := near(lo)).all():
         lo = np.where(ok, lo, np.searchsorted(s, s[lo], "right"))

@@ -249,8 +249,8 @@ class TestReduction:
     )
     @example(seed=3, sizes=[1, 120] * 48, rate=0.3, nested=False, wide=False)
     @example(seed=3, sizes=[1, 120] * 48, rate=0.3, nested=True, wide=False)
-    # one read of 32 and one of 31 full blocks through a (16, 4) basis, a
-    # shape whose single gemm rounds rows differently from per-block gemms
+    # one read of 32 and one of 31 full blocks through a C-ordered (16, 4)
+    # basis, whose single gemm rounds rows differently from per-block gemms
     @example(seed=5, sizes=[16_000, 15_872], rate=1.0, nested=False, wide=True)
     @example(seed=5, sizes=[1, 16_000], rate=0.3, nested=True, wide=True)
     # blocks that keep one row, whose product BLAS computes on another path
