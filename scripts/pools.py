@@ -10,7 +10,7 @@ Each pool runs one learner call on learner seeds 0-19:
   separation 12, ``reps`` 32, ``n_per_stage`` 15,000), with C8's checks: a
   seed passes when every mean is within 0.25 and every weight within 0.05.
 - ``c8-wtrue``: C8's Gaussian call and checks with ``w_min`` at the spec's
-  true weight 1/3 in place of 0.25 (180 probes of 450 rows), as the CLI's
+  true weight 1/3 in place of 0.25 (99 probes of 225 rows), as the CLI's
   ``cluster`` runs when its config leaves ``w_min`` out.  Ungated.
 - ``deg3``: ``learn_means`` at t=3 (k=4, d=6, separation 12, spec seed =
   learner seed, 60 probes of 120 rows), as in the ``poincare-deg3``

@@ -174,8 +174,8 @@ class ReducedSampler:
     row differently in a taller one.  The rows stay i.i.d. from the scoped
     distribution: only ``keep`` has looked at them.  The budget applies per
     request: once one request has drawn more than
-    ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows it starves, and the rows it
-    kept are held for the next."""
+    ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows it starves.  Whether it or
+    its inner stream starves, the rows it kept are held for the next."""
 
     def __init__(self, inner, keep, basis=None, offset=None):
         self.inner = inner
@@ -192,7 +192,11 @@ class ReducedSampler:
         budget = MAX_DRAW_FACTOR * max(n, 64)
         while got < n:
             blocks = min(math.ceil((n - got) / REJECTION_BLOCK), (budget - drawn) // REJECTION_BLOCK + 1)
-            x = np.asarray(self.inner.draw(blocks * REJECTION_BLOCK), dtype=float)
+            try:
+                x = np.asarray(self.inner.draw(blocks * REJECTION_BLOCK), dtype=float)
+            except StarvationError:
+                self._surplus = np.concatenate(out)
+                raise
             drawn += blocks * REJECTION_BLOCK
             if self.keep is None:
                 kept, per_block = x, np.full(blocks, REJECTION_BLOCK)

@@ -168,6 +168,16 @@ def probe_batch_vote(
     return majority_vote(candidates, alpha, SUPPORT_FACTOR * w_min * probes)
 
 
+def vote_sizes(k: int, d: int, w_min: float, alpha: float) -> tuple:
+    """The least (probes, batch) the vote's admission rule needs, for k
+    components of weight at least ``w_min`` in d dimensions and a vote ball
+    of 0.2*alpha: :func:`learn_means`'s defaults, whose docstring gives both
+    rules."""
+    probes = math.ceil(2.0 * math.log(k / st.DELTA) / ((1.0 - SUPPORT_FACTOR) ** 2 * w_min))
+    batch = math.ceil(4.0 * d / (w_min * (0.2 * alpha) ** 2))
+    return probes, batch
+
+
 def default_band(k: int, w_min: float, c: float) -> float:
     return math.log(k / w_min) ** (1.0 + 0.5 * c)
 
@@ -190,10 +200,19 @@ def learn_means(
     """Recover the component means and weights of a 1-Poincare mixture.
 
     ``t`` defaults to the least degree the separation allows at failure
-    probability ``st.DELTA``, capped at 2; ``probes`` and ``batch`` to
-    20k/w_min and 50k/w_min.  The vote admits a mean by the rule of
-    :func:`probe_batch_vote`, so ``w_min`` may be a true weight.  Weights
-    come from ``WEIGHT_SAMPLES`` rows.
+    probability ``st.DELTA``, capped at 2.  The vote admits a mean by the
+    rule of :func:`probe_batch_vote`, so ``w_min`` may be a true weight, and
+    ``probes`` and ``batch`` default to the least sizes that rule needs
+    (:func:`vote_sizes`):
+
+    - probes l = ceil(2 ln(k/DELTA) / ((1 - SUPPORT_FACTOR)^2 w_min)), the
+      least l whose Chernoff lower tail exp(-(1 - SUPPORT_FACTOR)^2 w_min l/2)
+      for a component's support to miss the threshold is at most DELTA/k;
+    - batch m = ceil(4d / (w_min (0.2 alpha)^2)): two candidates of one
+      component sit about sqrt(2d/(m w)) apart, which this keeps under the
+      vote ball 0.2*alpha divided by sqrt(2).
+
+    Weights come from ``WEIGHT_SAMPLES`` rows.
 
     The chain is built on difference rows of the mixture stream, and both
     the chain and the vote read the base law through
@@ -212,8 +231,9 @@ def learn_means(
         t, capped = st.choose_degree(sep, k, w_min, st.DELTA, t_max=2)
         if capped:
             warnings.append(f"degree capped at t={t}")
-    m = batch if batch is not None else int(round(50 * k / w_min))
-    l = probes if probes is not None else int(round(20 * k / w_min))
+    l, m = vote_sizes(k, mix_sampler.d, w_min, alpha)
+    l = probes if probes is not None else l
+    m = batch if batch is not None else m
 
     tau = st.choose_threshold(sep, t)
     void = not st.threshold_feasible(sep, t, k, st.DELTA)

@@ -291,6 +291,27 @@ class TestReduction:
         reduced(root).draw(sum(sizes))
         assert root.rows == inner.rows
 
+    def test_inner_starvation_keeps_the_outer_requests_rows(self):
+        # root row i holds i; the inner sampler keeps rows below 600 and from
+        # 2,048 on, so its second 512-row read starves, by which time the
+        # outer request has kept the 256 even rows of its first read
+        root = _ArraySampler(np.arange(4_096.0)[:, None])
+
+        def keep_inner(x):
+            return (x[:, 0] < 600) | (x[:, 0] >= 2_048)
+
+        def keep_outer(y):
+            return y[:, 0] % 2 == 0
+
+        sampler = gc.ReducedSampler(gc.ReducedSampler(root, keep_inner), keep_outer)
+        with mock.patch.object(gc, "MAX_DRAW_FACTOR", 2):
+            with pytest.raises(gc.StarvationError):
+                sampler.draw(512)
+            out = sampler.draw(512)
+        ref = np.arange(4_096.0)[:, None]
+        want = ref[keep_inner(ref)]
+        assert np.array_equal(out, want[keep_outer(want)][:512])
+
     def test_reads_every_block_it_needs_in_one_inner_draw(self):
         inner = RowCounter(_NormalSampler(2, 0))
         out = gc.ReducedSampler(inner, None).draw(5_000)

@@ -22,6 +22,7 @@ from mixcluster.poincare_cluster import (
     learn_means,
     majority_vote,
     probe_batch_vote,
+    vote_sizes,
     write_assignments_csv,
 )
 
@@ -400,6 +401,39 @@ class TestLearnMeans:
             perm, errors = match_means(learned.means, spec.means)
             wins += bool(np.all(errors <= 0.25) and np.all(np.abs(learned.weights[perm] - spec.weights) <= 0.05))
         assert wins >= 18, f"{wins}/20 seeds"
+
+
+class TestVoteSizes:
+    def test_c8_call_runs_the_least_vote(self):
+        # l = ceil(32 ln 60) = 132 and m = ceil(12 / (0.25 * 0.4^2)) = 300, where
+        # the float quotient is 299.99999999999994; mixture rows are the chain's
+        # 2 * 15,000, the vote's 132 * 301 and the weights' 2,000
+        spec = build_spec(GenConfig(k=3, d=3, separation=12.0, seed=7))
+        mix = RowCounter(MixtureSampler(spec, seed=0))
+        learned = learn_means(mix, BaseSampler("gaussian", 3, 0, 1), 3, 0.25, 12.0, 2.0, 0.5,
+                              reps=32, n_per_stage=15_000)
+        assert (learned.metadata["probes"], learned.metadata["batch"]) == (132, 300)
+        assert mix.rows == 71_732
+
+    def test_explicit_sizes_win(self):
+        # the poincare-deg3 call: its 60 probes of 120 rows, not the rule's
+        spec = build_spec(GenConfig(k=4, d=6, separation=12.0, seed=0))
+        mix = RowCounter(MixtureSampler(spec, seed=0))
+        learned = learn_means(mix, BaseSampler("gaussian", 6, 0, 1), 4, 0.15, 12.0, 4.0, 0.5, t=3, reps=16,
+                              n_per_stage=20_000, probes=60, batch=120)
+        assert vote_sizes(4, 6, 0.15, 4.0) != (60, 120)
+        assert (learned.metadata["probes"], learned.metadata["batch"]) == (60, 120)
+        assert mix.rows == 89_260
+
+    @given(k=hst.integers(1, 64), w_min=hst.floats(1e-3, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_probes_are_the_least_count_the_chernoff_tail_allows(self, k, w_min):
+        probes, _ = vote_sizes(k, 3, w_min, 2.0)
+
+        def tail(l):
+            return math.exp(-((1.0 - SUPPORT_FACTOR) ** 2) * w_min * l / 2.0)
+
+        assert tail(probes) <= st.DELTA / k < tail(probes - 1)
 
 
 class TestExports:

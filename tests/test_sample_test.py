@@ -453,7 +453,7 @@ class TestWorkingSet:
     @pytest.mark.parametrize(
         "probes, n, d, widths, reps",
         [
-            (240, 600, 3, [3, 3], 32),  # poincare-c8's vote
+            (132, 300, 3, [3, 3], 32),  # poincare-c8's vote
             (60, 120, 6, [6, 4, 4], 16),  # poincare-deg3's vote
         ],
     )
