@@ -24,7 +24,8 @@ Each pool runs one learner call on learner seeds 0-19:
   a learned mean within 0.3 and the trail holds an ``isolate`` event at
   level >= 1 (C9's checks, without its time bound).  At 10 the pool is C9's,
   at 7 it is ``tests/test_chain_sensitivity.py``'s ``[C9-sep7]``, and at 6
-  it sits on the learner's separation cliff, too slow for a tier-1 gate.
+  it sits on the learner's separation cliff, where most failing seeds
+  starve on an empty remainder.
 
 Prints one JSON line per pool: passes, mean and max mixture rows per seed
 (counted at the root stream, so rejected rows count), the worst mean error

@@ -56,7 +56,7 @@ ISOLATE_SAMPLES = 3_000  # samples clustered when isolating
 MEAN_SAMPLES = 20_000  # samples for final mean/weight estimates
 PILOT_SAMPLES = 4_000  # samples for the bounded-spread split
 COV_SAMPLES = 60_000  # samples for the covariance-based projection
-MAX_DRAW_FACTOR = 500  # rejection-sampling budget multiplier
+MAX_DRAW_FACTOR = 500  # a rejection sampler starves below 1/MAX_DRAW_FACTOR acceptance
 REJECTION_BLOCK = 512  # inner rows per rejection-sampler read
 # Difference rows per chain stage (each reads two scoped rows).  The
 # smallest of 2,500, 5,000, 7,500 and 10,000 that kept C9 at 20/20, C9's call
@@ -89,8 +89,8 @@ class IsolateFailedError(RuntimeError):
 
 
 class StarvationError(RuntimeError):
-    """A rejection sampler spent its draw budget before collecting the rows
-    it was asked for."""
+    """A rejection sampler's acceptance fell below 1/MAX_DRAW_FACTOR before
+    it collected the rows it was asked for."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +165,19 @@ class ReducedSampler:
 
     The inner stream is read in whole blocks of ``REJECTION_BLOCK`` rows,
     and kept rows beyond a request are held back and served first on the
-    next one.  So the rows returned, to the bit, and the inner rows taken
-    depend only on the total requested.  One inner read takes every block a
-    block-at-a-time loop is certain to read next: enough to hold the rows
-    still wanted were every row kept, and no more than reach the first
-    block past the budget.  ``keep`` runs once per read, but each block's
-    kept rows are projected by a product of their own, as BLAS may round a
-    row differently in a taller one.  The rows stay i.i.d. from the scoped
-    distribution: only ``keep`` has looked at them.  The budget applies per
-    request: once one request has drawn more than
-    ``MAX_DRAW_FACTOR * max(n, 64)`` inner rows it starves.  Whether it or
-    its inner stream starves, the rows it kept are held for the next."""
+    next one.  Over its life the stream counts the inner rows it drew and
+    the rows it kept, and it starves (``StarvationError``) rather than read
+    once drawn > ``MAX_DRAW_FACTOR * max(kept, 64)``, its acceptance so far
+    then being below 1/MAX_DRAW_FACTOR.  So the rows returned, to the bit,
+    the inner rows taken and where it starves depend only on the total
+    requested; once starved it serves only what its held rows cover.  One
+    inner read takes every block a block-at-a-time loop is certain to read
+    next: enough to hold the rows still wanted were every row kept, and no
+    more than reach the first block past that limit.  ``keep`` runs once
+    per read, but each block's kept rows are projected by a product of their
+    own, as BLAS may round a row differently in a taller one.  The rows stay
+    i.i.d. from the scoped distribution: only ``keep`` has looked at them.
+    Whether it or its inner stream starves, its kept rows are held."""
 
     def __init__(self, inner, keep, basis=None, offset=None):
         self.inner = inner
@@ -184,38 +186,38 @@ class ReducedSampler:
         self.offset = offset
         self.d = inner.d if basis is None else basis.shape[1]
         self._surplus = np.zeros((0, self.d))
+        self._drawn = 0  # inner rows read over the stream's life
+        self._kept = 0  # of those, the rows kept
 
     def draw(self, n: int) -> np.ndarray:
         out = [self._surplus]
         got = len(self._surplus)
-        drawn = 0
-        budget = MAX_DRAW_FACTOR * max(n, 64)
-        while got < n:
-            blocks = min(math.ceil((n - got) / REJECTION_BLOCK), (budget - drawn) // REJECTION_BLOCK + 1)
-            try:
+        try:
+            while got < n:
+                limit = MAX_DRAW_FACTOR * max(self._kept, 64)
+                if self._drawn > limit:
+                    raise StarvationError(f"kept {self._kept} of {self._drawn} drawn rows, wanted {n - got} "
+                                          f"more: acceptance below 1/{MAX_DRAW_FACTOR}")
+                blocks = min(math.ceil((n - got) / REJECTION_BLOCK), (limit - self._drawn) // REJECTION_BLOCK + 1)
                 x = np.asarray(self.inner.draw(blocks * REJECTION_BLOCK), dtype=float)
-            except StarvationError:
-                self._surplus = np.concatenate(out)
-                raise
-            drawn += blocks * REJECTION_BLOCK
-            if self.keep is None:
-                kept, per_block = x, np.full(blocks, REJECTION_BLOCK)
-            else:
-                mask = self.keep(x)
-                kept, per_block = x[mask], mask.reshape(blocks, REJECTION_BLOCK).sum(axis=1)
-            if self.offset is not None:
-                kept = kept - self.offset
-            got += len(kept)
-            if self.basis is None:
-                out.append(kept)
-            else:
-                out.extend(part @ self.basis for part in np.split(kept, np.cumsum(per_block)[:-1]))
-            if drawn > budget:
-                self._surplus = np.concatenate(out)
-                raise StarvationError(
-                    f"kept {got} of {drawn} drawn rows, wanted {n}: acceptance "
-                    f"below 1/{MAX_DRAW_FACTOR}"
-                )
+                self._drawn += blocks * REJECTION_BLOCK
+                if self.keep is None:
+                    kept, per_block = x, np.full(blocks, REJECTION_BLOCK)
+                else:
+                    mask = self.keep(x)
+                    kept, per_block = x[mask], mask.reshape(blocks, REJECTION_BLOCK).sum(axis=1)
+                if self.offset is not None:
+                    kept = kept - self.offset
+                got += len(kept)
+                self._kept += len(kept)
+                if self.basis is None:
+                    out.append(kept)
+                else:
+                    out.extend(part @ self.basis for part in np.split(kept, np.cumsum(per_block)[:-1]))
+        except StarvationError:
+            # this stream's or its inner stream's: the rows kept so far are held
+            self._surplus = np.concatenate(out)
+            raise
         rows = np.concatenate(out)
         # a copy: a view would keep the whole request's block alive
         self._surplus = rows[n:].copy()
@@ -848,18 +850,13 @@ def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
     try:
         chain = _checker_chain(current, trivial_checker(current.d), scales, int(rng.integers(2**62)))
         tail_means = full_cluster_bounded(current, scales, chain=chain)
-    except StarvationError as err:
-        tail_means = np.zeros((0, sampler.d))
-        warnings.append(f"remainder clustering failed: {err}")
-    if len(tail_means):
-        provisional.append(tail_means[0])
-    else:
-        try:
-            tail_batch = np.asarray(current.draw(2_000), dtype=float)
+        if len(tail_means):
+            provisional.append(tail_means[0])
+        else:
+            provisional.append(np.asarray(current.draw(2_000), dtype=float).mean(axis=0))
             warnings.append("remainder mean falls back to the filtered-stream average")
-            provisional.append(tail_batch.mean(axis=0))
-        except StarvationError:
-            warnings.append("remainder stream exhausted; no remainder component emitted")
+    except StarvationError as err:
+        warnings.append(f"remainder stream starved; no remainder component emitted: {err}")
     provisional = np.array(provisional)
 
     # Final pass: nearest provisional mean wins, which reassigns the tail

@@ -12,7 +12,10 @@ requests, to the bit.  The rejection sampler
 (gaussian_cluster.ReducedSampler), which also recentres and projects, keeps
 it by reading its inner stream in whole blocks of a fixed size, as many in
 one read as its request is certain to need, and projecting each block's
-kept rows on their own.
+kept rows on their own.  The contract covers starvation too: the sampler
+starves on its acceptance over every row it has read, so where it starves
+depends only on the total requested, and a request that starves returns no
+rows and leaves the rows it kept for the next.
 """
 
 from __future__ import annotations

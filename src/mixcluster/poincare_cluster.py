@@ -155,17 +155,23 @@ def probe_batch_vote(
 ):
     """Probe/batch/vote mean recovery, the one vote rule of both learners.
 
-    One mixture request holds every probe's row followed by its batch, probe
-    by probe; :func:`probe_candidates` turns each probe into a candidate and
+    The probes are drawn and tested in passes of :func:`st.probes_per_pass`
+    probes, the statistic's own, so the vote's memory is bounded at any
+    size; a pass's mixture request holds each probe's row followed by its
+    batch.  :func:`probe_candidates` turns each probe into a candidate and
     :func:`majority_vote` admits candidates with support of at least
     ``SUPPORT_FACTOR * w_min * probes``, half the probes a component of
     weight ``w_min`` is expected to win.  Returns the vote's ball means in
     admission order, strongest-supported first, and their support counts.
     """
     d = mix_sampler.d
-    rows = np.asarray(mix_sampler.draw(probes * (batch + 1)), dtype=float).reshape(probes, batch + 1, d)
-    candidates = probe_candidates(rows[:, 0], rows[:, 1:], chain, cfg, noise)
-    return majority_vote(candidates, alpha, SUPPORT_FACTOR * w_min * probes)
+    per_pass = st.probes_per_pass(batch, chain, cfg.reps)
+    candidates = []
+    for start in range(0, probes, per_pass):
+        p = min(per_pass, probes - start)
+        rows = np.asarray(mix_sampler.draw(p * (batch + 1)), dtype=float).reshape(p, batch + 1, d)
+        candidates.append(probe_candidates(rows[:, 0], rows[:, 1:], chain, cfg, noise))
+    return majority_vote(np.concatenate(candidates), alpha, SUPPORT_FACTOR * w_min * probes)
 
 
 def vote_sizes(k: int, d: int, w_min: float, alpha: float) -> tuple:

@@ -103,15 +103,18 @@ def r_expansion_arrays(t: int):
     return words, coeffs
 
 
-def _probe_floats(n: int, chain: NestedProjection, reps: int) -> int:
-    """Floats one probe of n test points holds in a pass's largest
-    intermediates: per rep, the last images, their product with Pi_l and
-    the new images at word_images' widest stage; per point, z^(x)(t-1)
-    twice and a chain row's widest intermediate."""
+def probes_per_pass(n: int, chain: NestedProjection, reps: int) -> int:
+    """Probes of n test points each that one pass of the statistic takes:
+    as many as keep the pass's largest intermediates within WORKING_SET / 8
+    floats, and at least one.  Per rep a probe holds the last images, their
+    product with Pi_l and the new images at word_images' widest stage; per
+    point, z^(x)(t-1) twice and a chain row's widest intermediate.  The
+    probe vote draws and tests its probes in passes of this size."""
     d, t, widths = chain.d, chain.stage_count, chain.widths
     q = d + t - 1
     per_rep = max(q ** (l - 1) * (widths[l - 1] + d * widths[l]) + q**l * widths[l] for l in range(1, t + 1))
-    return reps * per_rep + n * (2 * d ** (t - 1) + d * max(t, *widths))
+    floats = reps * per_rep + n * (2 * d ** (t - 1) + d * max(t, *widths))
+    return max(1, nested_projection.WORKING_SET // (8 * floats))
 
 
 def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, base_sampler) -> np.ndarray:
@@ -135,11 +138,11 @@ def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, b
     reps * ((d+t-1)^t + t^t) word images; per test point,
     sum_{k<t} c_t d^k multiply-adds and one chain row.
 
-    The probes run in passes of whole probes, at least one, whose largest
-    intermediates hold at most WORKING_SET / 8 floats (_probe_floats): the
-    probe vote holds its batches and their differences beside the pass, and
-    a pass must stay well under the chain build's WORKING_SET so that the
-    vote never sets the process's peak memory.  Each pass makes two
+    The probes run in passes of whole probes (probes_per_pass), whose
+    largest intermediates hold at most WORKING_SET / 8 floats: the probe
+    vote holds a pass's batches and their differences beside it, and a pass
+    must stay well under the chain build's WORKING_SET so that the vote
+    never sets the process's peak memory.  Each pass makes two
     word_images calls, one chain pass over all its points and one batched
     matmul per polynomial term.
     """
@@ -151,7 +154,7 @@ def _statistic_batch(zs: np.ndarray, chain: NestedProjection, cfg: TestConfig, b
     draws = np.asarray(base_sampler.draw(probes * reps * (2 * t - 1)), dtype=float)
     draws = draws.reshape(probes, reps, 2 * t - 1, d)
     words, coeffs = r_expansion_arrays(t)
-    chunk = max(1, nested_projection.WORKING_SET // (8 * _probe_floats(n, chain, reps)))
+    chunk = probes_per_pass(n, chain, reps)
     eye = np.eye(d)
     out = np.empty((probes, n))
     for start in range(0, probes, chunk):

@@ -293,8 +293,9 @@ class TestReduction:
 
     def test_inner_starvation_keeps_the_outer_requests_rows(self):
         # root row i holds i; the inner sampler keeps rows below 600 and from
-        # 2,048 on, so its second 512-row read starves, by which time the
-        # outer request has kept the 256 even rows of its first read
+        # 2,048 on, so it starves after 1,536 root rows (600 kept, limit
+        # 1,200), by which time the outer request has kept the 256 even rows
+        # of its first read
         root = _ArraySampler(np.arange(4_096.0)[:, None])
 
         def keep_inner(x):
@@ -307,10 +308,57 @@ class TestReduction:
         with mock.patch.object(gc, "MAX_DRAW_FACTOR", 2):
             with pytest.raises(gc.StarvationError):
                 sampler.draw(512)
-            out = sampler.draw(512)
-        ref = np.arange(4_096.0)[:, None]
-        want = ref[keep_inner(ref)]
-        assert np.array_equal(out, want[keep_outer(want)][:512])
+            # the held rows serve a later request
+            out = sampler.draw(256)
+            # and the starved inner stream refuses what they cannot serve
+            with pytest.raises(gc.StarvationError):
+                sampler.draw(1)
+        assert np.array_equal(out, np.arange(0.0, 512.0, 2.0)[:, None])
+        assert root._pos == 1_536
+
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        sizes=hst.lists(hst.integers(1, 120), min_size=1, max_size=10),
+        cuts=hst.lists(hst.booleans(), min_size=10, max_size=10),
+    )
+    # a budget per request, of MAX_DRAW_FACTOR * max(n, 64) rows, starves a
+    # 60-row request about one time in three and the merged 600 rows less
+    @example(seed=0, sizes=[60] * 10, cuts=[False] * 10)
+    @settings(max_examples=60, deadline=None)
+    def test_where_a_nested_stream_starves_is_independent_of_the_split(self, seed, sizes, cuts):
+        # the inner filter keeps about 1 row in 1,000, at the limit of
+        # acceptance 1/MAX_DRAW_FACTOR, so streams starve on some seeds
+        cut = norm.ppf(0.001)
+
+        def run(requests):
+            root = _NormalSampler(2, seed)
+            sampler = gc.ReducedSampler(gc.ReducedSampler(root, lambda x: x[:, 0] <= cut), lambda y: y[:, 1] >= -1.0)
+            out = []
+            with mock.patch.object(gc, "MAX_DRAW_FACTOR", 1_000):
+                for i, n in enumerate(requests):
+                    try:
+                        out.append(sampler.draw(n))
+                    except gc.StarvationError:
+                        return out, i, root.rows
+            return out, None, root.rows
+
+        # each request alone, and runs of consecutive requests merged into one
+        groups = [[sizes[0]]]
+        for n, cut_here in zip(sizes[1:], cuts):
+            if cut_here:
+                groups.append([n])
+            else:
+                groups[-1].append(n)
+        fine, fine_failed, fine_rows = run(sizes)
+        coarse, coarse_failed, coarse_rows = run([sum(g) for g in groups])
+        # the same root rows are taken before the first starvation or by the end
+        assert coarse_rows == fine_rows
+        group_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        assert coarse_failed == (None if fine_failed is None else group_of[fine_failed])
+        # and the rows returned are those of the requests in the served groups
+        served = sum(len(g) for g in groups[: len(coarse)])
+        want = np.concatenate([np.zeros((0, 2))] + fine[:served])
+        assert np.array_equal(np.concatenate([np.zeros((0, 2))] + coarse), want)
 
     def test_reads_every_block_it_needs_in_one_inner_draw(self):
         inner = RowCounter(_NormalSampler(2, 0))
@@ -495,18 +543,23 @@ class TestRecursiveDeterminism:
         # the failed level's trivial checker and the remainder each build one
         assert len(calls) == actions.count("isolate") + actions.count("refine") + 2
 
-    def test_starved_remainder_falls_back_to_the_stream_average(self, monkeypatch):
+    def test_voteless_remainder_takes_the_stream_mean(self, monkeypatch):
+        # two isolations cluster first; the third call is the remainder's
+        self._fail_on_call(monkeypatch, "full_cluster_bounded", 3, lambda mix, *args: np.zeros((0, mix.d)))
+        learned = self._run(3)
+        assert learned.metadata["warnings"] == ["remainder mean falls back to the filtered-stream average"]
+        assert len(learned.means) == 3
+
+    def test_starved_remainder_emits_no_component(self, monkeypatch):
         def starve(*args):
             raise gc.StarvationError("kept too few rows")
 
-        # two isolations cluster first; the third call is the remainder's
         self._fail_on_call(monkeypatch, "full_cluster_bounded", 3, starve)
         learned = self._run(3)
         assert learned.metadata["warnings"] == [
-            "remainder clustering failed: kept too few rows",
-            "remainder mean falls back to the filtered-stream average",
+            "remainder stream starved; no remainder component emitted: kept too few rows"
         ]
-        assert len(learned.means) == 3
+        assert len(learned.means) == 2
 
     def test_remainder_mean_nearest_to_no_row_is_dropped(self, monkeypatch):
         self._fail_on_call(monkeypatch, "full_cluster_bounded", 3, lambda mix, *args: np.full((1, mix.d), 1e6))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mixcluster.gaussian_cluster as gc
+import mixcluster.nested_projection as npj
 import mixcluster.sample_test as st
 from conftest import RowCounter, random_nested_projection
 from mixcluster.cli import match_means
@@ -22,6 +23,7 @@ from mixcluster.poincare_cluster import (
     learn_means,
     majority_vote,
     probe_batch_vote,
+    probe_candidates,
     vote_sizes,
     write_assignments_csv,
 )
@@ -85,6 +87,38 @@ class TestProbeBatchVote:
         assert np.array_equal(means, ref_means)
         assert np.array_equal(support, ref_support)
         assert rows == ref_rows
+
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("working_set", [1, 2**14])
+    def test_passes_learn_what_one_request_did(self, monkeypatch, t, working_set):
+        # a small working set splits the vote into passes of 1 probe, or of 7
+        # (t = 1) and 4 (t = 2); each pass's mixture request is its own
+        # probes' rows, and on a rejection-sampled stream the passes return
+        # the rows of one request and leave the root at the same row
+        d, probes, batch = 3, 12, 40
+        spec = _spec([0.5, 0.5], [[0.0, 0.0, 0.0], [6.0, 2.0, 0.0]])
+        checker = gc.Checker(np.array([[0.0], [0.0], [1.0]]), np.array([0.0]), 1.0)
+        chain = random_nested_projection(d - 1, [2] * t, np.random.default_rng(t))
+        cfg = st.TestConfig(t, tau=1.0, reps=3)
+        monkeypatch.setattr(npj, "WORKING_SET", working_set)
+        per_pass = st.probes_per_pass(batch, chain, cfg.reps)
+        assert per_pass < probes
+        root = RowCounter(MixtureSampler(spec, seed=4))
+        mix = RowCounter(gc.reduce_by_checker(root, checker))
+        noise = BaseSampler("gaussian", d - 1, 4, 7)
+        means, support = probe_batch_vote(mix, noise, chain, cfg, probes, batch, 2.0, 1 / 6)
+        assert mix.requests == [min(per_pass, probes - s) * (batch + 1) for s in range(0, probes, per_pass)]
+        # the reference draws every probe's rows in one request
+        ref_root = RowCounter(MixtureSampler(spec, seed=4))
+        rows = gc.reduce_by_checker(ref_root, checker).draw(probes * (batch + 1)).reshape(probes, batch + 1, d - 1)
+        noise = BaseSampler("gaussian", d - 1, 4, 7)
+        candidates = probe_candidates(rows[:, 0], rows[:, 1:], chain, cfg, noise)
+        ref_means, ref_support = majority_vote(candidates, 2.0, SUPPORT_FACTOR * (1 / 6) * probes)
+        assert len(means) > 0
+        assert np.array_equal(means, ref_means)
+        assert np.array_equal(support, ref_support)
+        assert root.rows == ref_root.rows
 
 
 class TestDifferenceSampler:

@@ -505,22 +505,23 @@ class TestProbeAxis:
         base = BaseSampler(tag, d, seed, 5)
         single_masks = [st.pair_test_batch(z[p], others[p * m : (p + 1) * m], chain, cfg, base) for p in range(probes)]
         sizes = _chunk_sizes(probes)
-        passes = []
+        passes, per_pass = [], probes
         if sizes:
-            # shrink WORKING_SET so that the probes split into 2-4 passes, the last partial
-            size = sizes[pick % len(sizes)]
-            working_set = 8 * size * st._probe_floats(m, chain, reps)
-            passes = [size] * (probes // size) + [probes % size]
-        else:
-            working_set = npj.WORKING_SET
+            # passes that split the probes into 2-4 passes, the last partial
+            per_pass = sizes[pick % len(sizes)]
+            passes = [per_pass] * (probes // per_pass) + [probes % per_pass]
         pools = []
 
         def images(np_, pool):
             pools.append(len(pool))
             return word_images(np_, pool)
 
+        def pass_rule(n, chain_, reps_):
+            assert (n, chain_, reps_) == (m, chain, reps)
+            return per_pass
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(npj, "WORKING_SET", working_set)
+            mp.setattr(st, "probes_per_pass", pass_rule)
             mp.setattr(npj, "word_images", images)
             got = st._statistic_batch(diffs, chain, cfg, BaseSampler(tag, d, seed, 5))
             mask = st.pair_test_batch(z, others, chain, cfg, BaseSampler(tag, d, seed, 5))
