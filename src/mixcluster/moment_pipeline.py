@@ -235,6 +235,8 @@ def lead_positive(rows: np.ndarray) -> np.ndarray:
 
 
 RANK_TOL = 1e-12  # top_k_subspace's relative tolerance: rows whose |eigenvalue| falls below it drop
+STAGE_START = 512  # rows in each of a chain stage's first two halves
+STAGE_SLACK = 0.01  # a stage stops once each half's top-k subspace captures 1 - STAGE_SLACK of the other's top-k mass
 
 
 def top_k_subspace(m: np.ndarray, k: int) -> np.ndarray:
@@ -267,11 +269,54 @@ def next_stage(chain: NestedProjection, matrix: np.ndarray, k: int) -> NestedPro
     return NestedProjection(chain.stages + (pi,), chain.d)
 
 
+def _halves_agree(a: np.ndarray, b: np.ndarray, k: int) -> bool:
+    """Whether the top-k subspace of each estimate captures at least
+    1 - STAGE_SLACK of the other's best k-mass.
+
+    The k-mass a k-row orthonormal P captures of a symmetric m is the
+    nuclear norm of P m P^T; its maximum over P is the sum of the k largest
+    |eigenvalues| of m, which :func:`top_k_subspace`'s rows attain."""
+    for basis, other in ((a, b), (b, a)):
+        pi = top_k_subspace(basis, k)
+        captured = np.abs(np.linalg.eigvalsh(pi @ other @ pi.T)).sum()
+        best = np.sort(np.abs(np.linalg.eigvalsh(other)))[::-1][:k].sum()
+        if captured < (1.0 - STAGE_SLACK) * best:
+            return False
+    return True
+
+
+def stage_matrix(mix_sampler, base_sampler, s: int, chain: NestedProjection, k: int, cap: int) -> np.ndarray:
+    """The estimated A_{2s} of one chain stage, from at most ``cap`` rows.
+
+    The stage is drawn in halves on a doubling schedule: the first holds
+    STAGE_START rows and each later one is a fresh estimate with as many
+    rows as all those drawn before it, so a stage draws min(cap,
+    STAGE_START * 2^j) rows for some j >= 0.  After each half the stage
+    stops once the half and the estimate of the rows before it agree
+    (:func:`_halves_agree`).  The last half is cut to fit the cap, and no
+    check runs on a cut half.  Returns the row-weighted mean of the halves,
+    which is the one-call estimate over the same rows up to the order of
+    summation; a cap of STAGE_START or less makes that one call.
+    """
+    drawn = min(cap, STAGE_START)
+    matrix = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, drawn)
+    while drawn < cap:
+        half = min(drawn, cap - drawn)
+        fresh = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, half)
+        merged = (drawn * matrix + half * fresh) / (drawn + half)
+        if half == drawn and _halves_agree(matrix, fresh, k):
+            return merged
+        matrix, drawn = merged, drawn + half
+    return matrix
+
+
 def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage: int) -> NestedProjection:
     """Builds Pi_1 = I_d, then Pi_s from the estimated A_{2s} for s = 2..t.
 
-    Stage sample sets are disjoint by construction: the samplers are streams
-    and every stage draws fresh.  A t past MAX_DEGREE raises before any draw.
+    Each stage draws until its halves agree, at most ``n_per_stage`` rows
+    (:func:`stage_matrix`).  Stage sample sets are disjoint by construction:
+    the samplers are streams and every stage draws fresh.  A t past
+    MAX_DEGREE raises before any draw.
     """
     if t < 1:
         raise ValueError("degree t must be >= 1")
@@ -279,6 +324,5 @@ def iterative_projection(mix_sampler, base_sampler, t: int, k: int, n_per_stage:
         raise SizeLimitError(f"degree {t} exceeds MAX_DEGREE = {MAX_DEGREE}")
     chain = identity_projection(mix_sampler.d)
     for s in range(2, t + 1):
-        matrix = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, n_per_stage)
-        chain = next_stage(chain, matrix, k)
+        chain = next_stage(chain, stage_matrix(mix_sampler, base_sampler, s, chain, k, n_per_stage), k)
     return chain

@@ -220,7 +220,9 @@ def learn_means(
 
     Weights come from ``WEIGHT_SAMPLES`` rows.
 
-    The chain is built on difference rows of the mixture stream, and both
+    The chain is built on difference rows of the mixture stream, each stage
+    from at most ``n_per_stage`` of them: a stage stops earlier once two
+    halves of its draws agree (:func:`moment_pipeline.stage_matrix`).  Both
     the chain and the vote read the base law through
     :func:`difference_noise`, so a Gaussian base is drawn directly.
 

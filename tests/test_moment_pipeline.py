@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from conftest import RowCounter, random_nested_projection
-from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
+from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, GenConfig, MixtureSampler, build_spec
 from mixcluster.moment_pipeline import (
     MAX_DEGREE,
+    STAGE_START,
     EmptySampleError,
     _half_word_floats,
     _half_word_tables,
@@ -23,6 +24,7 @@ from mixcluster.moment_pipeline import (
     identity_projection,
     iterative_projection,
     lead_positive,
+    stage_matrix,
     top_k_subspace,
 )
 import mixcluster.nested_projection as npj
@@ -492,3 +494,56 @@ class TestIterativeProjection:
         spec = _spec([1.0], [[1.0, 0.0]])
         chain = exact_projection_chain(spec, 4, 1)
         assert chain.stage_count == 4
+
+
+class TestStageMatrix:
+    @given(cap=hst.integers(1, 5_000), k=hst.integers(1, 4), seed=hst.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_draws_a_doubling_count_up_to_the_cap(self, cap, k, seed):
+        spec = _spec([0.5, 0.5], [[4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        mix = RowCounter(MixtureSampler(spec, seed=seed))
+        stage_matrix(mix, BaseSampler("gaussian", 3, seed, 7), 2, identity_projection(3), k, cap)
+        assert mix.rows <= cap
+        assert mix.rows in {min(cap, STAGE_START * 2**j) for j in range(cap.bit_length() + 1)}
+
+    @pytest.mark.parametrize("s, widths, cap", [(2, (), 3_000), (2, (), 2_048), (3, (3, 2), 1_500)])
+    def test_merged_halves_are_one_estimate_over_the_same_rows(self, rng, s, widths, cap):
+        # a one-component spec runs every stage to the cap, so the halves
+        # 512, 512, 1,024 and a cut last one are all merged
+        d = 3
+        chain = random_nested_projection(d, widths, rng) if widths else identity_projection(d)
+        spec = _spec([1.0], [[1.0, -2.0, 0.5]])
+        mix = RowCounter(MixtureSampler(spec, seed=4))
+        got = stage_matrix(mix, BaseSampler("gaussian", d, 4, 7), s, chain, 2, cap)
+        assert mix.rows == cap and len(mix.requests) > 1
+        want = estimate_moment_matrix(MixtureSampler(spec, seed=4), BaseSampler("gaussian", d, 4, 7), s, chain, cap)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_a_one_component_spec_runs_every_stage_to_the_cap(self, d):
+        # the difference mixture of one component is mean-free, so its
+        # moment matrices are noise and two halves never agree
+        spec = _spec([1.0], [np.full(d, 2.0)])
+        mix = RowCounter(MixtureSampler(spec, seed=d))
+        iterative_projection(DifferenceSampler(mix), BaseSampler("gaussian", d, d, 1), 3, 2, n_per_stage=5_000)
+        assert mix.rows == 2 * 2 * 5_000
+
+    @pytest.mark.parametrize("tag", ["gaussian", "laplace"])
+    def test_c8_stage_stops_at_its_first_check(self, tag):
+        # C8's chain: one stage, capped at 15,000 difference rows, settles on
+        # its first two halves of 512 on every learner seed
+        spec = build_spec(GenConfig(k=3, d=3, separation=12.0, dist_tag=tag, seed=7))
+        for seed in range(20):
+            mix = RowCounter(MixtureSampler(spec, seed=seed))
+            iterative_projection(DifferenceSampler(mix), BaseSampler("gaussian", 3, seed, 1), 2, 3, n_per_stage=15_000)
+            assert mix.rows == 2 * 1_024, f"seed {seed}"
+
+    @pytest.mark.parametrize("cap", [1, 200, 400, STAGE_START])
+    def test_a_cap_of_stage_start_or_less_is_one_estimate(self, cap):
+        spec = _spec([0.5, 0.5], [[4.0, 0.0], [0.0, 0.0]])
+        mix = RowCounter(MixtureSampler(spec, seed=6))
+        got = stage_matrix(mix, BaseSampler("gaussian", 2, 6, 7), 2, identity_projection(2), 2, cap)
+        assert mix.requests == [cap]
+        want = estimate_moment_matrix(MixtureSampler(spec, seed=6), BaseSampler("gaussian", 2, 6, 7),
+                                      2, identity_projection(2), cap)
+        assert np.array_equal(got, want)

@@ -441,23 +441,27 @@ class TestVoteSizes:
     def test_c8_call_runs_the_least_vote(self):
         # l = ceil(32 ln 60) = 132 and m = ceil(12 / (0.25 * 0.4^2)) = 300, where
         # the float quotient is 299.99999999999994; mixture rows are the chain's
-        # 2 * 15,000, the vote's 132 * 301 and the weights' 2,000
+        # 2 * 1,024 (its one stage settles on its first two halves of 512,
+        # well under the 15,000 cap), the vote's 132 * 301 and the weights' 2,000
         spec = build_spec(GenConfig(k=3, d=3, separation=12.0, seed=7))
         mix = RowCounter(MixtureSampler(spec, seed=0))
         learned = learn_means(mix, BaseSampler("gaussian", 3, 0, 1), 3, 0.25, 12.0, 2.0, 0.5,
                               reps=32, n_per_stage=15_000)
         assert (learned.metadata["probes"], learned.metadata["batch"]) == (132, 300)
-        assert mix.rows == 71_732
+        assert mix.rows == 43_780
 
     def test_explicit_sizes_win(self):
-        # the poincare-deg3 call: its 60 probes of 120 rows, not the rule's
+        # the poincare-deg3 call: its 60 probes of 120 rows, not the rule's;
+        # mixture rows are the chain's 2 * (2,048 + 2,048), each of its two
+        # stages settling on its third half, the vote's 60 * 121 and the
+        # weights' 2,000
         spec = build_spec(GenConfig(k=4, d=6, separation=12.0, seed=0))
         mix = RowCounter(MixtureSampler(spec, seed=0))
         learned = learn_means(mix, BaseSampler("gaussian", 6, 0, 1), 4, 0.15, 12.0, 4.0, 0.5, t=3, reps=16,
                               n_per_stage=20_000, probes=60, batch=120)
         assert vote_sizes(4, 6, 0.15, 4.0) != (60, 120)
         assert (learned.metadata["probes"], learned.metadata["batch"]) == (60, 120)
-        assert mix.rows == 89_260
+        assert mix.rows == 17_452
 
     @given(k=hst.integers(1, 64), w_min=hst.floats(1e-3, 1.0))
     @settings(max_examples=200, deadline=None)
