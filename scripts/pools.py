@@ -26,9 +26,10 @@ Each pool runs one learner call on learner seeds 0-19:
   at 7 it is ``tests/test_chain_sensitivity.py``'s ``[C9-sep7]``, and at 6
   it sits on the learner's separation cliff, where most failing seeds
   starve on an empty remainder.  Over learner seeds 0-99 the c9-sep6 call
-  passes 44/100 with each chain stage sized by its halves' agreement, and
-  passed 48/100 with a fixed 5,000 rows per stage, 36/100 with a slack of
-  0.05 in place of 0.01, and 41/100 with a fixed 1,024.
+  passes 42/100 with each chain stage stopped once its halves agree on the
+  directions they resolve.  It passed 44/100 when the halves had to agree
+  on all k directions, 48/100 with a fixed 5,000 rows per stage, 36/100
+  with a slack of 0.05 in place of 0.01, and 41/100 with a fixed 1,024.
 
 Prints one JSON line per pool: passes, mean and max mixture rows per seed
 (counted at the root stream, so rejected rows count), the worst mean error

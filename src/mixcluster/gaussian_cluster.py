@@ -59,11 +59,12 @@ COV_SAMPLES = 60_000  # samples for the covariance-based projection
 MAX_DRAW_FACTOR = 500  # a rejection sampler starves below 1/MAX_DRAW_FACTOR acceptance
 REJECTION_BLOCK = 512  # inner rows per rejection-sampler read
 # The cap on a chain stage's difference rows (each reads two scoped rows);
-# the stage stops earlier once two halves agree (moment_pipeline.stage_matrix).
-# As a fixed count it was the smallest of 2,500, 5,000, 7,500 and 10,000 that
-# kept C9 at 20/20, C9's call at separation 7 at >= 19/20 and at separation 6
-# at >= 10/20 on seeds 0-19 (scripts/pools.py); 2,500 dropped separation 6 to
-# 8/20.  As a cap it keeps 20/20, 20/20 and 10/20.
+# the stage stops earlier once two halves agree on the directions they
+# resolve (moment_pipeline.stage_matrix), and 6 of C9's 133 stages on seeds
+# 0-19 reach it.  As a fixed count it was the smallest of 2,500, 5,000, 7,500
+# and 10,000 that kept C9 at 20/20, C9's call at separation 7 at >= 19/20 and
+# at separation 6 at >= 10/20 on seeds 0-19 (scripts/pools.py); 2,500 dropped
+# separation 6 to 8/20.  As a cap it keeps 20/20, 20/20 and 10/20.
 N_PER_STAGE = 5_000
 PROBES = 48  # vote probes l
 BATCH = 120  # batch size m per probe

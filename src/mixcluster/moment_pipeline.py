@@ -236,7 +236,9 @@ def lead_positive(rows: np.ndarray) -> np.ndarray:
 
 RANK_TOL = 1e-12  # top_k_subspace's relative tolerance: rows whose |eigenvalue| falls below it drop
 STAGE_START = 512  # rows in each of a chain stage's first two halves
-STAGE_SLACK = 0.01  # a stage stops once each half's top-k subspace captures 1 - STAGE_SLACK of the other's top-k mass
+# a stage stops once each half's top-r subspace captures 1 - STAGE_SLACK of
+# the other's top-r mass, r the directions the halves resolve (_halves_agree)
+STAGE_SLACK = 0.01
 
 
 def top_k_subspace(m: np.ndarray, k: int) -> np.ndarray:
@@ -270,16 +272,27 @@ def next_stage(chain: NestedProjection, matrix: np.ndarray, k: int) -> NestedPro
 
 
 def _halves_agree(a: np.ndarray, b: np.ndarray, k: int) -> bool:
-    """Whether the top-k subspace of each estimate captures at least
-    1 - STAGE_SLACK of the other's best k-mass.
+    """Whether two half-estimates agree on the directions they resolve.
 
-    The k-mass a k-row orthonormal P captures of a symmetric m is the
-    nuclear norm of P m P^T; its maximum over P is the sum of the k largest
-    |eigenvalues| of m, which :func:`top_k_subspace`'s rows attain."""
+    The halves' noise is ||a - b||_2, the largest |eigenvalue| of their
+    difference, and they resolve r = min(k, the number of |eigenvalues| of
+    (a + b) / 2 above it) directions.  For two equal independent halves the
+    difference carries sqrt(2) times one half's noise and the merged
+    estimate 1/sqrt(2) times it, so the cut sits at about twice the merged
+    estimate's noise.  With r = 0 they agree: more rows buy no direction
+    above the stage's own disagreement.  Otherwise each half's top-r
+    subspace must capture at least 1 - STAGE_SLACK of the other's best
+    r-mass.  The r-mass an r-row orthonormal P captures of a symmetric m is
+    the nuclear norm of P m P^T; its maximum over P is the sum of the r
+    largest |eigenvalues| of m, which :func:`top_k_subspace`'s rows attain."""
+    noise = np.max(np.abs(np.linalg.eigvalsh(a - b)))
+    r = min(k, int(np.sum(np.abs(np.linalg.eigvalsh((a + b) / 2.0)) > noise)))
+    if r == 0:
+        return True
     for basis, other in ((a, b), (b, a)):
-        pi = top_k_subspace(basis, k)
+        pi = top_k_subspace(basis, r)
         captured = np.abs(np.linalg.eigvalsh(pi @ other @ pi.T)).sum()
-        best = np.sort(np.abs(np.linalg.eigvalsh(other)))[::-1][:k].sum()
+        best = np.sort(np.abs(np.linalg.eigvalsh(other)))[::-1][:r].sum()
         if captured < (1.0 - STAGE_SLACK) * best:
             return False
     return True
@@ -292,11 +305,13 @@ def stage_matrix(mix_sampler, base_sampler, s: int, chain: NestedProjection, k: 
     STAGE_START rows and each later one is a fresh estimate with as many
     rows as all those drawn before it, so a stage draws min(cap,
     STAGE_START * 2^j) rows for some j >= 0.  After each half the stage
-    stops once the half and the estimate of the rows before it agree
-    (:func:`_halves_agree`).  The last half is cut to fit the cap, and no
-    check runs on a cut half.  Returns the row-weighted mean of the halves,
-    which is the one-call estimate over the same rows up to the order of
-    summation; a cap of STAGE_START or less makes that one call.
+    stops once the half and the estimate of the rows before it agree on the
+    directions they resolve above their own difference
+    (:func:`_halves_agree`), so a stage whose scope holds no signal stops,
+    as a rule, at its first check.  The last half is cut to fit the cap,
+    and no check runs on a cut half.  Returns the row-weighted mean of the
+    halves, which is the one-call estimate over the same rows up to the
+    order of summation; a cap of STAGE_START or less makes that one call.
     """
     drawn = min(cap, STAGE_START)
     matrix = estimate_moment_matrix(mix_sampler, base_sampler, s, chain, drawn)

@@ -17,6 +17,7 @@ from mixcluster.moment_pipeline import (
     EmptySampleError,
     _half_word_floats,
     _half_word_tables,
+    _halves_agree,
     MixtureSpec,
     NumericError,
     SizeLimitError,
@@ -508,11 +509,14 @@ class TestStageMatrix:
 
     @pytest.mark.parametrize("s, widths, cap", [(2, (), 3_000), (2, (), 2_048), (3, (3, 2), 1_500)])
     def test_merged_halves_are_one_estimate_over_the_same_rows(self, rng, s, widths, cap):
-        # a one-component spec runs every stage to the cap, so the halves
-        # 512, 512, 1,024 and a cut last one are all merged
+        # one component off the origin: each check resolves its mean's
+        # direction (at s = 3 only once the mean is 1.5 times as long), but
+        # the halves' top-1 subspaces still differ by more than STAGE_SLACK,
+        # so the stage runs to the cap and the halves 512, 512, 1,024 and a
+        # cut last one are all merged
         d = 3
         chain = random_nested_projection(d, widths, rng) if widths else identity_projection(d)
-        spec = _spec([1.0], [[1.0, -2.0, 0.5]])
+        spec = _spec([1.0], [{2: 1.0, 3: 1.5}[s] * np.array([1.0, -2.0, 0.5])])
         mix = RowCounter(MixtureSampler(spec, seed=4))
         got = stage_matrix(mix, BaseSampler("gaussian", d, 4, 7), s, chain, 2, cap)
         assert mix.rows == cap and len(mix.requests) > 1
@@ -520,13 +524,14 @@ class TestStageMatrix:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d", [3, 4, 6])
-    def test_a_one_component_spec_runs_every_stage_to_the_cap(self, d):
+    def test_a_one_component_stage_stops_at_its_first_check(self, d):
         # the difference mixture of one component is mean-free, so its
-        # moment matrices are noise and two halves never agree
+        # moment matrix is noise: the first two halves of 512 resolve no
+        # direction, and the stage stops there, far under its cap
         spec = _spec([1.0], [np.full(d, 2.0)])
         mix = RowCounter(MixtureSampler(spec, seed=d))
-        iterative_projection(DifferenceSampler(mix), BaseSampler("gaussian", d, d, 1), 3, 2, n_per_stage=5_000)
-        assert mix.rows == 2 * 2 * 5_000
+        iterative_projection(DifferenceSampler(mix), BaseSampler("gaussian", d, d, 1), 2, 2, n_per_stage=5_000)
+        assert mix.rows == 2 * 2 * STAGE_START
 
     @pytest.mark.parametrize("tag", ["gaussian", "laplace"])
     def test_c8_stage_stops_at_its_first_check(self, tag):
@@ -547,3 +552,37 @@ class TestStageMatrix:
         want = estimate_moment_matrix(MixtureSampler(spec, seed=6), BaseSampler("gaussian", 2, 6, 7),
                                       2, identity_projection(2), cap)
         assert np.array_equal(got, want)
+
+
+def _noise(n, scale, seed):
+    """A symmetric n x n matrix of N(0, scale^2) entries."""
+    g = np.random.default_rng(seed).normal(0.0, scale, (n, n))
+    return (g + g.T) / np.sqrt(2.0)
+
+
+class TestHalvesAgree:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_pure_noise_pair_agrees(self, seed):
+        # no |eigenvalue| of the merged noise stands above the halves'
+        # difference, so no direction is resolved and more rows buy nothing
+        a, b = _noise(6, 1.0, seed), _noise(6, 1.0, seed + 100)
+        assert _halves_agree(a, b, 2)
+
+    def test_a_strong_rank1_signal_is_judged_on_its_top_1_alone(self):
+        # one direction of eigenvalue 100 over noise of scale 1: the halves
+        # resolve it alone, so the noise directions that fill a top-4 do not count
+        v = np.array([1.0, 2.0, -1.0, 0.5, 0.0, 3.0])
+        signal = 100.0 * np.outer(v, v) / (v @ v)
+        a, b = signal + _noise(6, 1.0, 0), signal + _noise(6, 1.0, 1)
+        assert _halves_agree(a, b, 4) and _halves_agree(a, b, 1)
+        pi_a, pi_b = top_k_subspace(a, 4), top_k_subspace(b, 4)
+        # the halves' top-4 subspaces themselves differ in their noise directions
+        assert np.linalg.norm(pi_a.T @ pi_a - pi_b.T @ pi_b, 2) > 0.5
+
+    def test_two_resolved_directions_that_swap_disagree(self):
+        # both directions stand far above the halves' difference (merged
+        # eigenvalues 9 and 9 against 2), but each half ranks the other first
+        a, b = np.diag([10.0, 8.0, 0.0, 0.0]), np.diag([8.0, 10.0, 0.0, 0.0])
+        assert not _halves_agree(a, b, 1)
+        # with room for both, the halves' top-2 subspaces are the same
+        assert _halves_agree(a, b, 2)
