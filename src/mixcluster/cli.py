@@ -27,6 +27,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import __version__
 from . import gaussian_cluster as gc
+from . import sample_test as st
 from .mixture_gen import BaseSampler, GenConfig, MixtureSampler, PlacementError, build_spec
 from .moment_pipeline import MAX_DEGREE, MixtureSpec
 from .nested_projection import apply_rank1_batch, word_images
@@ -153,7 +154,8 @@ class Run:
 
 def _check(value, expect, path: str) -> None:
     """Type- and range-check value against a schema entry: a dict of entries
-    (unknown keys are errors), ``[entry]`` for a list of entry, or a Key."""
+    (unknown keys are errors), ``[entry]`` for a non-empty list of entry, or
+    a Key."""
     if isinstance(expect, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{path or 'config'} must be an object")
@@ -163,8 +165,8 @@ def _check(value, expect, path: str) -> None:
                 raise ConfigError(f"unknown config key {here!r}")
             _check(item, expect[key], here)
     elif isinstance(expect, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a non-empty list")
         for i, item in enumerate(value):
             _check(item, expect[0], f"{path}[{i}]")
     elif expect.type is float:
@@ -239,8 +241,8 @@ def validate_config(cfg: dict, command: str, seed: int | None = None) -> Run:
         return Run(cfg, seed if seed is not None else cfg.get("seed", gen.seed), spec, w_min)
 
     seed = seed if seed is not None else cfg.get("seed", 0)
-    grid = {"separations": [float(sep) for sep in cfg["separations"]], "degrees": cfg.get("degrees", [2]),
-            "seeds_per_cell": cfg.get("seeds_per_cell", 3)}
+    grid = {"separations": [float(sep) for sep in cfg["separations"]],
+            "degrees": cfg.get("degrees", [st.PAIR_DEGREE]), "seeds_per_cell": cfg.get("seeds_per_cell", 3)}
     cells = []
     for i, sep in enumerate(grid["separations"]):
         for j in range(grid["seeds_per_cell"]):

@@ -47,7 +47,6 @@ from .rng import stream
 
 _ORTHO_TOL = 1e-10
 
-PAIR_DEGREE = 2  # pair-test degree t
 GRID_RATIO = 1.1  # separation-guess grid ratio
 SIGNAL_BATCH = 96  # batch size per anchor
 SIGNAL_SAMPLES = 1_500  # least rows of a signal verification pool
@@ -360,9 +359,9 @@ class ClusterParams:
 
     The derived values have no default: build them with :func:`desk_params`
     from the spec's ``k``, and vary one with ``dataclasses.replace``.  The
-    pair test has degree ``PAIR_DEGREE`` and averages ``st.DEFAULT_REPS``
-    draws at failure probability ``st.DELTA``; every count and sample size
-    is a module constant.
+    pair test has degree ``st.PAIR_DEGREE`` and averages ``st.DEFAULT_REPS``
+    draws; the vote's ``PROBES`` probes of ``BATCH`` rows, and every other
+    count and sample size, are module constants.
     """
 
     sep_hint: float | None  # known minimum separation, if any
@@ -423,9 +422,9 @@ class GroupScales:
 
 
 def pair_config(sep: float) -> st.TestConfig:
-    """The pair test at separation ``sep``: degree PAIR_DEGREE, threshold
-    (0.2 sep)^PAIR_DEGREE."""
-    return st.TestConfig(PAIR_DEGREE, st.choose_threshold(sep, PAIR_DEGREE))
+    """The pair test at separation ``sep``: degree st.PAIR_DEGREE, threshold
+    (0.2 sep)^st.PAIR_DEGREE."""
+    return st.TestConfig(st.PAIR_DEGREE, st.choose_threshold(sep, st.PAIR_DEGREE))
 
 
 def group_scales(k: int, w_min: float, c: float, params: ClusterParams) -> GroupScales:
@@ -474,7 +473,7 @@ def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int):
     """
     source = reduce_by_checker(mix_sampler, ch.with_radius(scales.source_radius))
     base = difference_noise(BaseSampler("gaussian", source.d, seed, 3))
-    return iterative_projection(DifferenceSampler(source), base, PAIR_DEGREE, scales.k, N_PER_STAGE), base
+    return iterative_projection(DifferenceSampler(source), base, st.PAIR_DEGREE, scales.k, N_PER_STAGE), base
 
 
 def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> np.ndarray:

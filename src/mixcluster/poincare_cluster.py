@@ -197,7 +197,7 @@ def learn_means(
     alpha: float,
     c: float = 0.5,
     *,
-    t: int | None = None,
+    t: int = st.PAIR_DEGREE,
     reps: int = st.DEFAULT_REPS,
     probes: int | None = None,
     batch: int | None = None,
@@ -205,11 +205,10 @@ def learn_means(
 ) -> LearnedMixture:
     """Recover the component means and weights of a 1-Poincare mixture.
 
-    ``t`` defaults to the least degree the separation allows at failure
-    probability ``st.DELTA``, capped at 2.  The vote admits a mean by the
-    rule of :func:`probe_batch_vote`, so ``w_min`` may be a true weight, and
-    ``probes`` and ``batch`` default to the least sizes that rule needs
-    (:func:`vote_sizes`):
+    ``t`` defaults to ``st.PAIR_DEGREE``, the recursive learner's degree
+    too.  The vote admits a mean by the rule of :func:`probe_batch_vote`, so
+    ``w_min`` may be a true weight, and ``probes`` and ``batch`` default to
+    the least sizes that rule needs (:func:`vote_sizes`):
 
     - probes l = ceil(2 ln(k/DELTA) / ((1 - SUPPORT_FACTOR)^2 w_min)), the
       least l whose Chernoff lower tail exp(-(1 - SUPPORT_FACTOR)^2 w_min l/2)
@@ -227,24 +226,18 @@ def learn_means(
     :func:`difference_noise`, so a Gaussian base is drawn directly.
 
     Separations below the (ln K)^{1+c} regime run anyway and are flagged in
-    the metadata, as are degree caps; desk-scale runs live outside the
-    asymptotic regime by design.
+    the metadata; desk-scale runs live outside the asymptotic regime by
+    design.
     """
     warnings = []
     regime_floor = math.log(k / w_min) ** (1.0 + c)
     if sep < regime_floor:
         warnings.append(f"separation {sep:.3g} below regime floor {regime_floor:.3g}")
-    capped = False
-    if t is None:
-        t, capped = st.choose_degree(sep, k, w_min, st.DELTA, t_max=2)
-        if capped:
-            warnings.append(f"degree capped at t={t}")
     l, m = vote_sizes(k, mix_sampler.d, w_min, alpha)
     l = probes if probes is not None else l
     m = batch if batch is not None else m
 
     tau = st.choose_threshold(sep, t)
-    void = not st.threshold_feasible(sep, t, k, st.DELTA)
     cfg = st.TestConfig(t, tau, reps=reps)
     # the vote's statistic tests (z - z')/sqrt(2), so it reads the noise the chain was built on
     noise = difference_noise(base_sampler)
@@ -264,14 +257,12 @@ def learn_means(
 
     meta = {
         "t": t,
-        "degree_capped": capped,
         "tau": tau,
         "reps": reps,
         "probes": l,
         "batch": m,
         "alpha": alpha,
         "band": band,
-        "guarantee_void": void,
         "ambiguous_assignment_rate": ambiguous_rate,
         "support_counts": support.tolist(),
         "warnings": warnings,

@@ -16,8 +16,9 @@ probe from reps * ((d+t-1)^t + t^t) word images (nested_projection.word_images,
 the moment estimator's routine), all of a pass's probes in one word_images
 call; each test point then costs sum_{k<t} c_t d^k multiply-adds and one
 chain row, whatever reps is.
-Threshold and degree policies follow the separation-driven forms; the
-averaging count is a knob since the in-theory count is astronomically large.
+The threshold follows the separation-driven form (0.2 sep)^t; both learners
+test at one degree, ``PAIR_DEGREE``, and the averaging count is a knob since
+the in-theory count is astronomically large.
 """
 
 from __future__ import annotations
@@ -33,12 +34,9 @@ from . import nested_projection
 from .moment_pipeline import MAX_DEGREE, SizeLimitError, partition_coeff
 from .nested_projection import NestedProjection
 
+PAIR_DEGREE = 2  # pair-test degree t of both learners
 DEFAULT_REPS = 64
-DELTA = 0.05  # failure probability both learners size their tests for
-
-
-class SeparationTooSmallError(ValueError):
-    pass
+DELTA = 0.05  # failure probability the Poincare vote's probe count is sized for
 
 
 @dataclass(frozen=True)
@@ -60,28 +58,6 @@ def choose_threshold(sep: float, t: int) -> float:
     if not sep > 0:
         raise ValueError("separation must be positive")
     return (0.2 * sep) ** t
-
-
-def threshold_feasible(sep: float, t: int, k: int, delta: float) -> bool:
-    """Gate predicate: the threshold clears the Close-side noise floor of a
-    1-Poincare base."""
-    return choose_threshold(sep, t) >= (20 * t) ** t * k / delta
-
-
-def choose_degree(sep: float, k: int, w_star: float, delta: float, t_max: int = MAX_DEGREE) -> tuple:
-    """Smallest t with (sep / ln K)^t >= K^10, K = k/(w* delta), capped at
-    t_max; returns ``(t, capped)``."""
-    big_k = k / (w_star * delta)
-    log_k = math.log(big_k)
-    if not sep > log_k:
-        raise SeparationTooSmallError(
-            f"separation {sep:.3g} must exceed ln(k/(w* delta)) = {log_k:.3g}"
-        )
-    base = sep / log_k
-    t = max(1, math.ceil(10.0 * log_k / math.log(base)))
-    if t > t_max:
-        return t_max, True
-    return t, False
 
 
 @lru_cache(maxsize=None)

@@ -603,15 +603,25 @@ class TestBench:
         assert not (tmp_path / "bench.json").exists()
 
     @pytest.mark.parametrize(
-        "key, value, want", [("separations", ["a"], "a number"), ("degrees", [2, "x"], "int"), ("degrees", [2.0], "int")]
+        "key, value, want",
+        [
+            ("separations", ["a"], "a number"),
+            ("degrees", [2, "x"], "int"),
+            ("degrees", [2.0], "int"),
+            ("separations", [], "a non-empty list"),
+            ("degrees", [], "a non-empty list"),
+        ],
     )
     def test_mistyped_list_element_exits_2(self, tmp_path, capsys, key, value, want):
+        # an empty list, which would run no cell, names the list itself
         doc = self._cfg()
         doc[key] = value
         cfg = _write(tmp_path / "b.json", doc)
-        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert f"{key}[{len(value) - 1}] must be {want}" in capsys.readouterr().err
-        assert not (tmp_path / "bench.json").exists()
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        where = f"{key}[{len(value) - 1}]" if value else key
+        assert f"{where} must be {want}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failing_cell_is_reported_with_exit_1(self, tmp_path, capsys, monkeypatch):
         import mixcluster.cli as cli

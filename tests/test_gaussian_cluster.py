@@ -456,7 +456,7 @@ class TestDifferenceChain:
         monkeypatch.setattr(gc, "N_PER_STAGE", 500)
         gc._checker_chain(MixtureSampler(self.spec, seed=3), gc.trivial_checker(2), self.scales, seed=0)
         # a stage at degree 2s draws 4s - 1 base rows per mixture row
-        assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, gc.PAIR_DEGREE + 1))
+        assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, st.PAIR_DEGREE + 1))
 
     def test_chain_draws_two_scope_rows_per_stage_sample(self, monkeypatch):
         # a pair-test chain estimates one stage, of at most N_PER_STAGE
@@ -648,7 +648,7 @@ class TestSignalDirection:
         m = gc.SIGNAL_BATCH
         assert log == [
             ("mix", 2 + 2 * m),
-            ("base", 2 * st.DEFAULT_REPS * (2 * gc.PAIR_DEGREE - 1)),
+            ("base", 2 * st.DEFAULT_REPS * (2 * st.PAIR_DEGREE - 1)),
             ("mix", gc._verification_rows(0.8 * scales.w_star)),
         ]
 

@@ -402,26 +402,30 @@ class TestLearnMeans:
             learn_means(mix, BaseSampler("gaussian", 2, 2, 7), 2, 0.4, 12.0, 2.0, t=MAX_DEGREE + 1)
         assert mix.rows == 0
 
-    @pytest.mark.parametrize("t, error", [(None, st.SeparationTooSmallError), (2, ValueError)])
-    def test_nan_separation_raises_before_any_draw(self, t, error):
+    @pytest.mark.parametrize("t", [None, 2])
+    def test_nan_separation_raises_before_any_draw(self, t):
         # on C8's spec a NaN separation once got past every threshold check
-        # and learned 1 mean of 3 with tau NaN and no warning
+        # and learned 1 mean of 3 with tau NaN and no warning; t=None leaves t out
         spec = build_spec(GenConfig(k=3, d=3, separation=12.0, seed=7))
         mix = RowCounter(MixtureSampler(spec, seed=0))
-        with pytest.raises(error, match="separation"):
-            learn_means(mix, BaseSampler("gaussian", 3, 0, 1), 3, 0.25, math.nan, 2.0, 0.5, t=t, reps=32, n_per_stage=15_000)
+        degree = {} if t is None else {"t": t}
+        with pytest.raises(ValueError, match="separation"):
+            learn_means(mix, BaseSampler("gaussian", 3, 0, 1), 3, 0.25, math.nan, 2.0, 0.5, reps=32,
+                        n_per_stage=15_000, **degree)
         assert mix.rows == 0
 
-    @pytest.mark.parametrize("sep", [12.0, 5_000.0])
-    def test_guarantee_void_is_the_feasibility_gate(self, sep):
-        # at t = 1 and k = 2 the threshold 0.2 sep clears 20 k / DELTA from sep = 4,000 on
-        spec = _spec([0.5, 0.5], [[0.0, 0.0], [sep, 0.0]], "point_mass")
-        mix = MixtureSampler(spec, seed=2)
-        base = BaseSampler("point_mass", 2, 2, 7)
-        learned = learn_means(mix, base, 2, 0.4, sep, 2.0, 0.5, t=1, reps=2, n_per_stage=200)
-        want = not st.threshold_feasible(sep, 1, 2, st.DELTA)
-        assert want == (sep < 4_000.0)
-        assert learned.metadata["guarantee_void"] is want
+    @pytest.mark.parametrize("sep", [5.0, 12.0])
+    def test_default_degree_is_the_pair_degree(self, sep):
+        # left out, t is st.PAIR_DEGREE at every separation, 5 included,
+        # which lies below ln(k/(w_min DELTA)) = 5.48 on this call
+        spec = build_spec(GenConfig(k=3, d=3, separation=12.0, seed=7))
+        runs = [
+            learn_means(MixtureSampler(spec, seed=0), BaseSampler("gaussian", 3, 0, 1), 3, 0.25, sep, 2.0, 0.5,
+                        reps=32, n_per_stage=15_000, **degree)
+            for degree in ({}, {"t": st.PAIR_DEGREE})
+        ]
+        assert np.array_equal(runs[0].means, runs[1].means)
+        assert np.array_equal(runs[0].weights, runs[1].weights)
 
     def test_c8_spec_at_its_true_w_min(self):
         # C8's Gaussian call with w_min at the spec's true weight 1/3: the vote

@@ -11,7 +11,7 @@ import mixcluster.nested_projection as npj
 import mixcluster.sample_test as st
 from conftest import RowCounter, grouped_tail_images, random_nested_projection
 from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
-from mixcluster.moment_pipeline import MAX_DEGREE, MixtureSpec
+from mixcluster.moment_pipeline import MixtureSpec
 from mixcluster.nested_projection import NestedProjection, apply_rank1_batch, word_images
 from mixcluster.oracles import dense_matrix, exact_projection_chain, prefix, r_poly_terms
 from mixcluster.sample_test import r_expansion_arrays
@@ -167,24 +167,6 @@ class TestThresholdPolicy:
     def test_non_positive_separation_rejected(self, sep):
         with pytest.raises(ValueError, match="separation must be positive"):
             st.choose_threshold(sep, 2)
-
-
-class TestDegreeChoice:
-    def test_absurd_separation_gives_degree_one(self):
-        K = math.exp(2.0)
-        assert st.choose_degree(math.log(K) * K**10, 2, 1.0, 1.0) == (1, False)
-
-    def test_moderate_separation_caps(self):
-        K = math.exp(10.0)  # k/(w* delta) = e^10, sep = 2 ln K
-        assert st.choose_degree(20.0, K, 1.0, 1.0) == (MAX_DEGREE, True)
-
-    def test_too_small_separation_raises(self):
-        with pytest.raises(st.SeparationTooSmallError):
-            st.choose_degree(1.0, math.e**4, 1.0, 1.0)
-
-    def test_nan_separation_raises(self):
-        with pytest.raises(st.SeparationTooSmallError):
-            st.choose_degree(math.nan, 3, 0.25, st.DELTA)
 
 
 def _statistic(z, chain, cfg, base):
