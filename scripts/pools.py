@@ -2,7 +2,8 @@
 
 Usage, from the repository root:
 
-    python3 scripts/pools.py [--pools c8-gaussian c8-laplace c8-wtrue deg3 c9-sep10 c9-sep7 c9-sep6] [--expect FILE]
+    python3 scripts/pools.py [--pools c8-gaussian c8-laplace c8-wtrue deg3 c9-sep10 c9-sep7 c9-sep6
+                              c9-wide c9-nohint] [--expect FILE]
 
 Each pool runs one learner call on learner seeds 0-19:
 
@@ -30,6 +31,15 @@ Each pool runs one learner call on learner seeds 0-19:
   directions they resolve.  It passed 44/100 when the halves had to agree
   on all k directions, 48/100 with a fixed 5,000 rows per stage, 36/100
   with a slack of 0.05 in place of 0.01, and 41/100 with a fixed 1,024.
+  With one pair-test threshold per group, (0.2 s)^2 at the spacing s, in
+  place of one per signal-search guess, it passes 46/100.
+- ``c9-wide``: C9's call with the outer ratio at 1e9 in place of 1000,
+  below the gap split's threshold, so one group spans the whole spread and
+  its covariance basis must keep the inner directions.  Ungated.
+- ``c9-nohint``: C9's call with ``sep_hint`` left out, so every value it
+  sets comes from ln(k/w_min) and the group's spacing ln^(0.5+c).  Ungated;
+  it fails every seed with one mean: the threshold (0.2 s)^2 = 0.85 sits
+  below the same-component noise floor, so the vote admits none.
 
 Prints one JSON line per pool: passes, mean and max mixture rows per seed
 (counted at the root stream, so rejected rows count), the worst mean error
@@ -42,7 +52,7 @@ deterministic fields (``passes``, ``mean_rows_per_seed`` and
 ``max_rows_per_seed``): FILE is an earlier run's output, every field of a
 pool that differs from its line there (or a pool with no line) is named on
 stderr, and the exit status is 1 if any does.  The committed FILE is
-``scripts/pools_expected.jsonl``, the seven pools' output at the last change
+``scripts/pools_expected.jsonl``, the nine pools' output at the last change
 that moved learned bits or row counts, run with ``OPENBLAS_NUM_THREADS=1``:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/pools.py --expect scripts/pools_expected.jsonl
@@ -113,11 +123,11 @@ def deg3(seed: int):
     return (mix.rows, learned) + _poincare_pass(spec, learned, 0.4, 0.05)
 
 
-def c9(sep: float):
+def c9(sep: float, outer: float = 1000.0, hint: bool = True):
     spec = build_spec(
-        GenConfig(k=4, d=16, profile="hierarchical", ratios=(sep, 1000.0), dist_tag="gaussian", seed=0)
+        GenConfig(k=4, d=16, profile="hierarchical", ratios=(sep, outer), dist_tag="gaussian", seed=0)
     )
-    params = desk_params(4, 0.25, sep_hint=sep)
+    params = desk_params(4, 0.25, sep_hint=sep if hint else None)
 
     def run(seed: int):
         mix = RowCounter(sample_stream(spec, seed))
@@ -137,6 +147,8 @@ POOLS = {
     "c9-sep10": c9(10.0),
     "c9-sep7": c9(7.0),
     "c9-sep6": c9(6.0),
+    "c9-wide": c9(10.0, outer=1e9),
+    "c9-nohint": c9(10.0, hint=False),
 }
 
 

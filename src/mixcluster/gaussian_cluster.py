@@ -294,9 +294,10 @@ def find_signal_direction(
     For each separation guess on a descending x1.1 grid: draw two anchors
     and a fresh batch for each in one request, average each anchor's
     accepted batch rows into a candidate mean (:func:`probe_candidates`, the
-    vote's probe step), and verify the normalized difference as a signal
-    direction — by default at (0.8*w_star, 0.8*guess), or at a caller-fixed
-    level when ``check_p``/``check_delta`` are given.  ``chain`` is the
+    vote's probe step, at the group's one pair test ``scales.pair``), and
+    verify the normalized difference as a signal direction — by default at
+    (0.8*w_star, 0.8*guess), or at a caller-fixed level when
+    ``check_p``/``check_delta`` are given.  ``chain`` is the
     checker's ``(chain, base)`` pair (:func:`_checker_chain`).
 
     Every candidate the call tests is verified on one pool of
@@ -322,11 +323,10 @@ def find_signal_direction(
     pool = None  # the call's verification rows, drawn at its first verification
     tried = []
     for delta in delta_guess_grid:
-        cfg = pair_config(max(0.01 * delta, scales.params.pair_sep_floor))
         d_lvl = check_delta if check_delta is not None else 0.8 * delta
         for _ in range(SIGNAL_TRIALS):
             rows = np.asarray(mix_sampler.draw(2 + 2 * m), dtype=float)
-            mu0, mu1 = probe_candidates(rows[:2], rows[2:].reshape(2, m, -1), chain, cfg, base)
+            mu0, mu1 = probe_candidates(rows[:2], rows[2:].reshape(2, m, -1), chain, scales.pair, base)
             if np.isnan(mu0[0]) or np.isnan(mu1[0]):
                 tried.append({"delta": delta, "reason": "empty batch"})
                 continue
@@ -359,27 +359,26 @@ class ClusterParams:
 
     The derived values have no default: build them with :func:`desk_params`
     from the spec's ``k``, and vary one with ``dataclasses.replace``.  The
-    pair test has degree ``st.PAIR_DEGREE`` and averages ``st.DEFAULT_REPS``
-    draws; the vote's ``PROBES`` probes of ``BATCH`` rows, and every other
-    count and sample size, are module constants.
+    pair test is not among them: each group builds its one config from its
+    spacing (``GroupScales.pair``).  The vote's ``PROBES`` probes of
+    ``BATCH`` rows, and every other count and sample size, are module
+    constants.
     """
 
     sep_hint: float | None  # known minimum separation, if any
     vote_alpha: float  # dedup radius; the vote ball is 0.2 * vote_alpha
-    pair_sep_floor: float  # lower bound on the pair-test separation
     refine_delta: float  # signal floor for refinement
 
 
 def desk_params(k: int, w_min: float, sep_hint: float | None = None) -> ClusterParams:
-    """Values sized for small-k runs: pair-test thresholds floored at the
-    known separation (ln(k/w_min) without one), a dedup radius scaled to
-    it, and a refinement floor of at least twice it."""
+    """Values sized for small-k runs: a dedup radius of half the known
+    separation (ln(k/w_min) without one), and a refinement floor of at
+    least twice it."""
     log_k = math.log(k / w_min)
     s = sep_hint if sep_hint is not None else log_k
     return ClusterParams(
         sep_hint=sep_hint,
         vote_alpha=0.5 * s,
-        pair_sep_floor=s,
         refine_delta=max(0.04 * log_k**4, 2.0 * s),
     )
 
@@ -391,9 +390,9 @@ class GroupScales:
     mixture's ``params``.
 
     ``ln`` below is ln(k/w*) for the group's own ``k``; the ``params`` come
-    from the whole mixture's (:func:`desk_params`).  The spacing ``s`` and
-    ``params.pair_sep_floor`` default differently without a ``sep_hint``,
-    ln^(0.5+c) and ln(k/w) respectively, and each keeps its own default.
+    from the whole mixture's (:func:`desk_params`).  Every pair test in the
+    group, the vote's and each signal search's, runs at the one config
+    ``pair``, whose threshold comes from the spacing ``s``.
     """
 
     k: int
@@ -402,7 +401,8 @@ class GroupScales:
     theta: float  # ln^((1+c)/2): the unit of every scope radius
     beta: float  # ln^((1+1.1c)/2): refinement's base radius
     s: float  # cluster spacing: sep_hint, else ln^(0.5+c)
-    grid_floor: float  # lowest guess of the signal search's separation grid
+    pair: st.TestConfig  # the pair test: degree st.PAIR_DEGREE, threshold (0.2 s)^st.PAIR_DEGREE
+    grid_floor: float  # lowest guess of the signal search's separation grid, max(0.04 ln^4, s)
     split_delta: float  # signal floor of the separation test, 0.4 ln^4
     rounds: int  # test/refine rounds per level
 
@@ -421,24 +421,20 @@ class GroupScales:
         return max(self.separation_radius(GAMMA_COUNT), self.refine_radius(GAMMA_COUNT))
 
 
-def pair_config(sep: float) -> st.TestConfig:
-    """The pair test at separation ``sep``: degree st.PAIR_DEGREE, threshold
-    (0.2 sep)^st.PAIR_DEGREE."""
-    return st.TestConfig(st.PAIR_DEGREE, st.choose_threshold(sep, st.PAIR_DEGREE))
-
-
 def group_scales(k: int, w_min: float, c: float, params: ClusterParams) -> GroupScales:
     """The scales of a group of ``k`` components of weight at least
     ``w_min``, for trade-off constant ``c``."""
     log_k = math.log(k / w_min)
+    s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
     return GroupScales(
         k=k,
         w_star=w_min,
         params=params,
         theta=log_k ** ((1.0 + c) / 2.0),
         beta=log_k ** ((1.0 + 1.1 * c) / 2.0),
-        s=params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c),
-        grid_floor=max(0.04 * log_k**4, params.pair_sep_floor, 1e-6),
+        s=s,
+        pair=st.TestConfig(st.PAIR_DEGREE, st.choose_threshold(s, st.PAIR_DEGREE)),
+        grid_floor=max(0.04 * log_k**4, s),
         split_delta=0.4 * log_k**4,
         rounds=max(1, math.ceil(log_k ** (1.0 + 0.1 * c))),
     )
@@ -482,8 +478,7 @@ def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> n
     means pairwise >= s/2 apart."""
     s, params = scales.s, scales.params
     chain, base = chain
-    cfg = pair_config(max(s, params.pair_sep_floor))
-    means, _ = probe_batch_vote(mix_sampler, base, chain, cfg, PROBES, BATCH, params.vote_alpha, scales.w_star)
+    means, _ = probe_batch_vote(mix_sampler, base, chain, scales.pair, PROBES, BATCH, params.vote_alpha, scales.w_star)
     # The vote admits strongest-supported first, and its dedup guarantees the
     # spacing only up to the candidate error, so enforce the pairwise floor
     # explicitly, in that order.
@@ -783,9 +778,29 @@ def reduce_bounded_means(samples, k: int, w_min: float, threshold: float | None 
     return out
 
 
+def _row_basis(rows: np.ndarray, k: int) -> np.ndarray:
+    """Top-k right singular vectors of ``rows`` (n, d) as (min(k, d), d)
+    rows, signed by ``lead_positive``: for centred rows, the top-k
+    directions of (mixture covariance - base covariance).  They come from R
+    of a QR, as a Gram matrix's rounding (eps times the spread squared)
+    buries the inner directions from a spread of about 1e8.  R grows by
+    512-row blocks: no (n, d) factor is formed, and each LAPACK call is small
+    enough to run on one BLAS thread, so the bits do not depend on the
+    thread count (one QR of 60,000 rows does)."""
+    r = rows[:0]
+    for start in range(0, len(rows), 512):
+        r = np.linalg.qr(np.concatenate([r, rows[start : start + 512]]), mode="r")
+    return lead_positive(np.linalg.svd(r)[2][:k])
+
+
 def dimension_basis(cov_diff: np.ndarray, k: int) -> np.ndarray:
     """Top-k principal directions of (mixture covariance - base covariance)
-    as (min(k, d), d) rows, deterministically signed."""
+    as (min(k, d), d) rows, deterministically signed.
+
+    The learner does not call it: it takes its basis from the rows
+    themselves (:func:`_row_basis`), as a Gram matrix of the rows loses the
+    inner directions at wide spread.  It stays as the oracle of C10c, which
+    hands it an exact ``cov_diff``."""
     cov_diff = np.asarray(cov_diff, dtype=float)
     d = cov_diff.shape[0]
     k = min(k, d)
@@ -921,9 +936,9 @@ def recursive_cluster(
             group_sampler = ReducedSampler(mix_sampler, lambda x, g=g: nearest(x, offsets) == g)
 
         if group_sampler.d > k_g:
-            shifted = np.asarray(group_sampler.draw(COV_SAMPLES), dtype=float) - offsets[g]
-            second = shifted.T @ shifted / len(shifted)
-            basis = dimension_basis(second - np.eye(d0), k_g)
+            shifted = np.asarray(group_sampler.draw(COV_SAMPLES), dtype=float)
+            shifted -= offsets[g]
+            basis = _row_basis(shifted, k_g)
             trail.append({"action": "project", "level": -1, "checker_dim": 0, "radius": None, "dims": int(basis.shape[0])})
         else:
             basis = np.eye(group_sampler.d)

@@ -16,9 +16,13 @@ probe from reps * ((d+t-1)^t + t^t) word images (nested_projection.word_images,
 the moment estimator's routine), all of a pass's probes in one word_images
 call; each test point then costs sum_{k<t} c_t d^k multiply-adds and one
 chain row, whatever reps is.
-The threshold follows the separation-driven form (0.2 sep)^t; both learners
-test at one degree, ``PAIR_DEGREE``, and the averaging count is a knob since
-the in-theory count is astronomically large.
+The threshold follows the separation-driven form (0.2 sep)^t
+(:func:`choose_threshold`), set once per learner call: the Poincare learner
+reads ``sep`` from its caller, and the recursive learner reads each
+bounded-spread group's spacing (``gaussian_cluster.GroupScales.pair``), so
+every test in a group has one threshold.  Both learners test at one degree,
+``PAIR_DEGREE``, and the averaging count is a knob since the in-theory count
+is astronomically large.
 """
 
 from __future__ import annotations

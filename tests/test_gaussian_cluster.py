@@ -601,6 +601,40 @@ class TestMultiGroupRecursion:
         assert again.metadata["trail"] == learned.metadata["trail"]
 
 
+def test_wide_spread_keeps_the_inner_directions():
+    # C9's spec with its pairs 1e9 apart: below the gap split's threshold, so
+    # one group, whose covariance basis must hold the inner directions under
+    # an outer one about 1e18 larger in the second moment
+    spec = build_spec(GenConfig(k=4, d=16, profile="hierarchical", ratios=(10.0, 1e9), seed=0))
+    learned = gc.recursive_cluster(MixtureSampler(spec, seed=0), 4, 0.25, 1.0, 2.0,
+                                   params=gc.desk_params(4, 0.25, sep_hint=10.0), seed=0)
+    assert learned.metadata["groups"] == 1
+    _, errors = match_means(learned.means, spec.means)
+    assert len(learned.means) == 4 and np.all(errors <= 0.3)
+
+
+class TestOnePairTestPerGroup:
+    # C9's spec at inner separation 7: one group, whose vote and signal
+    # searches all test at its one config (0.2 s)^2, whatever the grid guess
+    spec = build_spec(GenConfig(k=4, d=16, profile="hierarchical", ratios=(7.0, 1000.0), seed=0))
+    params = gc.desk_params(4, 0.25, sep_hint=7.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_pair_test_reads_the_group_config(self, monkeypatch, seed):
+        configs = []
+        for name in ("probe_candidates", "probe_batch_vote"):
+            def spy(*args, real=getattr(gc, name), **kwargs):
+                configs.append(args[3])  # both take the config fourth
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(gc, name, spy)
+        learned = gc.recursive_cluster(MixtureSampler(self.spec, seed=seed), 4, 0.25, 1.0, 2.0,
+                                       params=self.params, seed=seed)
+        assert learned.metadata["groups"] == 1
+        assert len(configs) > 2
+        assert set(configs) == {st.TestConfig(st.PAIR_DEGREE, (0.2 * 7.0) ** st.PAIR_DEGREE)}
+
+
 class TestSignalDirection:
     def test_two_clusters_is_signal(self, rng):
         xs = np.concatenate([rng.standard_normal(300) - 10, rng.standard_normal(300) + 10])
@@ -755,12 +789,31 @@ class TestDimensionReduction:
         assert basis.shape == (rows, d)
         assert np.max(np.abs(basis @ basis.T - np.eye(rows))) < 1e-10
 
+    # 3,000 rows span six 512-row blocks, the last one short
+    def test_row_basis_is_the_covariance_basis(self, rng):
+        rows = rng.standard_normal((3_000, 6)) * [5.0, 1.0, 3.0, 1.0, 2.0, 1.0]
+        basis = gc._row_basis(rows, 3)
+        assert basis.shape == (3, 6)
+        assert np.max(np.abs(basis - gc.dimension_basis(rows.T @ rows, 3))) < 1e-8
+
+    def test_row_basis_keeps_inner_directions_at_wide_spread(self, rng):
+        # two pairs of points 10 apart along one direction, the pairs 2e9
+        # apart along another, both oblique to the axes: the inner variance
+        # is 1e-16 of the outer one's, under a Gram matrix's rounding
+        n = 4_000
+        rows = rng.standard_normal((n, 4))
+        rows[:, 0] += 1e9 * rng.choice([-1.0, 1.0], n)
+        rows[:, 1] += 5.0 * rng.choice([-1.0, 1.0], n)
+        rot = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        basis = gc._row_basis(rows @ rot.T, 2)
+        assert abs(basis[0] @ rot[:, 0]) > 1 - 1e-12
+        assert abs(basis[1] @ rot[:, 1]) > 0.9999
+
 
 class TestParams:
     def test_desk_params_overrides(self):
         p = gc.desk_params(4, 0.25, sep_hint=10.0)
         assert p.sep_hint == 10.0
-        assert p.pair_sep_floor == 10.0
         assert p.vote_alpha == 5.0
         assert p.refine_delta == pytest.approx(max(0.04 * math.log(16.0) ** 4, 20.0))
 
@@ -768,7 +821,7 @@ class TestParams:
         # a value every caller leaves at one setting belongs in a module
         # constant, and the derived values have no default to fall back on
         names = [f.name for f in dataclasses.fields(gc.ClusterParams)]
-        assert names == ["sep_hint", "vote_alpha", "pair_sep_floor", "refine_delta"]
+        assert names == ["sep_hint", "vote_alpha", "refine_delta"]
         with pytest.raises(TypeError):
             gc.ClusterParams()
 
