@@ -7,7 +7,8 @@ the subspace one direction at a time until every mean still in scope sits
 within a polylog-radius ball.  At that point the scoped submixture has
 bounded separation, so the probe/batch/vote procedure recovers its means,
 one component is isolated by an explicit accept/reject predicate, its
-samples are filtered out, and everything repeats on what remains.
+samples are filtered out, and everything repeats on what remains; after
+the last level, the rows no predicate accepts are the last component.
 
 Two preprocessing reductions make this viable in general position: samples
 are partitioned along huge empty gaps so each part has polynomially bounded
@@ -814,17 +815,16 @@ def dimension_basis(cov_diff: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
+def _isolation_levels(sampler, scales: GroupScales, rng, trail, warnings, level_base: int) -> list:
     """Run the refine/test/isolate recursion on one bounded-spread group
-    (already recentered and dimension-reduced); returns reduced-space means,
-    relative weights, and warnings.
+    (already recentered and dimension-reduced) for its ``k - 1`` levels;
+    returns the isolation predicates, one per level that isolated a
+    component, and appends each failed step's warning to ``warnings``.
 
     Each checker gets its chain (:func:`_checker_chain`) once, when it comes
-    into being: the trivial checker at the start of a level and on the
-    remainder, a refined one after its refinement.  Every search at the
-    checker runs under it."""
+    into being: the trivial checker at the start of a level, a refined one
+    after its refinement.  Every search at the checker runs under it."""
     tests = []
-    warnings = []
     current = sampler
     for comp_idx in range(scales.k - 1):
         level = level_base + comp_idx
@@ -850,35 +850,36 @@ def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
                 event["level"] = level
         tests.append(test)
         current = ReducedSampler(current, lambda x, test=test: ~test.accept_batch(x))
+    return tests
 
-    # Provisional means: one per isolated component from its own predicate,
-    # plus the never-isolated remainder.  The remainder stream still carries
-    # the tails each predicate rejected, so its mean comes from another
-    # probe/batch/vote pass (tails are outvoted) rather than a plain average.
+
+def _final_estimates(sampler, tests: list, warnings):
+    """One group's reduced-space means and relative weights from one batch
+    of ``MEAN_SAMPLES`` rows, given its isolation predicates (none for a
+    group of one component); appends its warnings to ``warnings``.
+
+    The provisional means are the rows each predicate accepts, plus the
+    remainder: the rows no predicate accepts, emitted when there are at
+    least 10 of them.  The remainder still holds the tails each predicate
+    rejected, which pull its mean off a little; the final pass hands them
+    back, as the nearest provisional mean wins each row."""
     batch = np.asarray(sampler.draw(MEAN_SAMPLES), dtype=float)
     provisional = []
+    rest = np.ones(len(batch), dtype=bool)
     for j, test in enumerate(tests):
         members = test.accept_batch(batch)
+        rest &= ~members
         if members.sum() >= 10:
             provisional.append(batch[members].mean(axis=0))
         else:
             warnings.append(f"component {j}: predicate matched too few samples; using its candidate")
             provisional.append(test.approx_mean)
-    try:
-        chain = _checker_chain(current, trivial_checker(current.d), scales, int(rng.integers(2**62)))
-        tail_means = full_cluster_bounded(current, scales, chain=chain)
-        if len(tail_means):
-            provisional.append(tail_means[0])
-        else:
-            provisional.append(np.asarray(current.draw(2_000), dtype=float).mean(axis=0))
-            warnings.append("remainder mean falls back to the filtered-stream average")
-    except StarvationError as err:
-        warnings.append(f"remainder stream starved; no remainder component emitted: {err}")
-    provisional = np.array(provisional)
+    if rest.sum() >= 10:
+        provisional.append(batch[rest].mean(axis=0))
+    else:
+        warnings.append(f"remainder: {int(rest.sum())} rows outside every predicate; no remainder component emitted")
 
-    # Final pass: nearest provisional mean wins, which reassigns the tail
-    # samples the predicates rejected back to their own components.
-    labels = nearest(batch, provisional)
+    labels = nearest(batch, np.array(provisional))
     means = []
     weights = []
     for j in range(len(provisional)):
@@ -889,7 +890,7 @@ def _cluster_group(sampler, scales: GroupScales, rng, trail, level_base: int):
             continue
         means.append(batch[members].mean(axis=0))
         weights.append(count / len(batch))
-    return np.array(means), np.array(weights), warnings
+    return np.array(means), np.array(weights)
 
 
 def recursive_cluster(
@@ -944,17 +945,13 @@ def recursive_cluster(
             basis = np.eye(group_sampler.d)
         reduced = ReducedSampler(group_sampler, None, basis.T, offsets[g])
 
-        if k_g == 1:
-            batch = np.asarray(reduced.draw(MEAN_SAMPLES), dtype=float)
-            means_g = batch.mean(axis=0, keepdims=True)
-            weights_g = np.array([1.0])
-            warn_g = []
-        else:
-            # params come from the whole mixture's k, the scales from k_g
-            means_g, weights_g, warn_g = _cluster_group(
-                reduced, group_scales(k_g, w_min, c, params), rng, trail, level_base
-            )
-        warnings.extend(warn_g)
+        # params come from the whole mixture's k, the scales from k_g; a group
+        # of one component has nothing to isolate (nor, at k = w_min = 1
+        # without a hint, a pair-test threshold)
+        tests = []
+        if k_g > 1:
+            tests = _isolation_levels(reduced, group_scales(k_g, w_min, c, params), rng, trail, warnings, level_base)
+        means_g, weights_g = _final_estimates(reduced, tests, warnings)
         level_base += max(k_g - 1, 1)
         for mu, w in zip(means_g, weights_g):
             all_means.append(offsets[g] + mu @ basis)

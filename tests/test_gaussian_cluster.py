@@ -522,8 +522,9 @@ class TestRecursiveDeterminism:
         assert learned.metadata["warnings"] == []
         trail = learned.metadata["trail"]
         actions = [e["action"] for e in trail]
-        # each level's trivial checker, each refined checker, the remainder
-        assert len(calls) == actions.count("isolate") + actions.count("refine") + 1
+        # each level's trivial checker and each refined checker; the
+        # remainder is the rows no predicate accepts and builds none
+        assert len(calls) == actions.count("isolate") + actions.count("refine")
         levels = [e["level"] for e in trail if e["action"] not in ("split", "project")]
         assert levels == sorted(levels) and levels[0] == 0
 
@@ -540,7 +541,7 @@ class TestRecursiveDeterminism:
 
         monkeypatch.setattr(gc, name, wrapper)
 
-    def test_failed_isolation_leaves_the_remainder_its_own_chain(self, monkeypatch):
+    def test_failed_isolation_ends_the_levels(self, monkeypatch):
         def fail(*args):
             raise gc.IsolateFailedError("no cluster qualified")
 
@@ -550,32 +551,71 @@ class TestRecursiveDeterminism:
         assert learned.metadata["warnings"] == ["level 1: no cluster qualified"]
         assert len(learned.means) == 2
         actions = [e["action"] for e in learned.metadata["trail"]]
-        # the failed level's trivial checker and the remainder each build one
-        assert len(calls) == actions.count("isolate") + actions.count("refine") + 2
+        # the failed level's trivial checker builds one chain too
+        assert len(calls) == actions.count("isolate") + actions.count("refine") + 1
 
-    def test_voteless_remainder_takes_the_stream_mean(self, monkeypatch):
-        # two isolations cluster first; the third call is the remainder's
-        self._fail_on_call(monkeypatch, "full_cluster_bounded", 3, lambda mix, *args: np.zeros((0, mix.d)))
-        learned = self._run(3)
-        assert learned.metadata["warnings"] == ["remainder mean falls back to the filtered-stream average"]
-        assert len(learned.means) == 3
+    def test_few_rows_outside_every_predicate_emit_no_remainder(self, monkeypatch):
+        # the last level's predicate accepts every row: one candidate leaves
+        # every margin zero
+        def accept_all(mix, *args):
+            return gc.ComponentTest(gc.trivial_checker(mix.d), np.eye(mix.d), np.zeros((1, mix.d)), 0, 1.0)
 
-    def test_starved_remainder_emits_no_component(self, monkeypatch):
-        def starve(*args):
-            raise gc.StarvationError("kept too few rows")
-
-        self._fail_on_call(monkeypatch, "full_cluster_bounded", 3, starve)
+        self._fail_on_call(monkeypatch, "isolate_component", 2, accept_all)
         learned = self._run(3)
         assert learned.metadata["warnings"] == [
-            "remainder stream starved; no remainder component emitted: kept too few rows"
+            "remainder: 0 rows outside every predicate; no remainder component emitted"
         ]
         assert len(learned.means) == 2
 
-    def test_remainder_mean_nearest_to_no_row_is_dropped(self, monkeypatch):
-        self._fail_on_call(monkeypatch, "full_cluster_bounded", 3, lambda mix, *args: np.full((1, mix.d), 1e6))
+    def test_candidate_mean_nearest_to_no_row_is_dropped(self, monkeypatch):
+        # the last level's predicate accepts no row, so its provisional mean
+        # is its candidate, 1e6 out along the first axis
+        def accept_none(mix, *args):
+            ch = _checker_1d(mix.d, 0, 1e6, 1.0)
+            return gc.ComponentTest(ch, gc.complement_basis(ch), np.zeros((1, mix.d - 1)), 0, 1.0)
+
+        self._fail_on_call(monkeypatch, "isolate_component", 2, accept_none)
         learned = self._run(3)
-        assert learned.metadata["warnings"] == ["component 2: only 0 assigned samples; dropped"]
+        assert learned.metadata["warnings"] == [
+            "component 1: predicate matched too few samples; using its candidate",
+            "component 1: only 0 assigned samples; dropped",
+        ]
         assert len(learned.means) == 2
+
+
+class TestOneComponentGroups:
+    # two means 1e11 apart: the gap split gives two groups of k_g = 1, which
+    # run the final pass with no predicates
+    spec = build_spec(GenConfig(k=2, d=4, profile="hierarchical", ratios=(1e11,), seed=0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_mean_is_its_batch_mean(self, monkeypatch, seed):
+        passes = []
+        real = gc._final_estimates
+
+        def spy(sampler, tests, warnings):
+            draws = []
+
+            def draw(n, inner=sampler.draw):
+                draws.append(inner(n))
+                return draws[-1]
+
+            sampler.draw = draw
+            means, weights = real(sampler, tests, warnings)
+            passes.append((tests, draws, means, weights))
+            return means, weights
+
+        monkeypatch.setattr(gc, "_final_estimates", spy)
+        learned = gc.recursive_cluster(MixtureSampler(self.spec, seed=seed), 2, 0.5, 1.0, 2.0,
+                                       params=gc.desk_params(2, 0.5), seed=seed)
+        assert learned.metadata["groups"] == 2 and learned.metadata["warnings"] == []
+        assert len(passes) == 2
+        for tests, draws, means, weights in passes:
+            assert tests == [] and len(draws) == 1 and len(draws[0]) == gc.MEAN_SAMPLES
+            assert np.array_equal(means, draws[0].mean(axis=0, keepdims=True))
+            assert np.array_equal(weights, [1.0])
+        _, errors = match_means(learned.means, self.spec.means)
+        assert np.all(errors <= 0.3)
 
 
 class TestMultiGroupRecursion:

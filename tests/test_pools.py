@@ -1,7 +1,8 @@
 """Both learners' bits on four of their seed pools.
 
 Runs ``scripts/pools.py``'s ``c9-sep10`` pool (C9's call on seeds 0-19), its
-``c9-sep6`` pool (the same call at separation 6, where remainders starve),
+``c9-sep6`` pool (the same call at separation 6, where predicates often
+leave no remainder),
 its ``c8-gaussian`` pool (C8's ``learn_means`` call) and its ``deg3`` pool
 (``learn_means`` at t=3), and compares each pool's pass count, mixture row
 counts and digest of the learned means and weights with its line in
