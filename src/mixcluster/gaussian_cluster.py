@@ -71,16 +71,7 @@ BATCH = 120  # batch size m per probe
 GAMMA_COUNT = 2  # truncation radii (30 + gamma) theta tried per checker
 GRID_STEPS = 40  # max separation-grid length
 SIGNAL_TRIALS = 4  # anchor redraws per grid point
-REFINE_ATTEMPTS = 2  # gamma redraws inside refine_checker
 MARGIN_FACTOR = 0.3  # clustering margin as a fraction of s
-
-
-class NoSignalError(RuntimeError):
-    """No verified signal direction found; carries search diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class RefineFailedError(RuntimeError):
@@ -279,27 +270,20 @@ def _default_grid(mix_sampler, floor: float) -> list:
     return grid
 
 
-def find_signal_direction(
-    mix_sampler,
-    scales: GroupScales,
-    delta_guess_grid=None,
-    *,
-    chain: tuple,
-    check_p: float | None = None,
-    check_delta: float | None = None,
-) -> tuple:
+def find_signal_direction(mix_sampler, scales: GroupScales, floors, p_level: float, *, chain: tuple):
     """Search for a direction along which the mixture splits into two heavy,
     well-separated halves; returns ``(v, delta, split)``: the unit direction,
-    the signal floor it was verified at and the split point along it.
+    the signal floor it was verified at and the split point along it, or
+    None when no trial verifies.
 
-    For each separation guess on a descending x1.1 grid: draw two anchors
-    and a fresh batch for each in one request, average each anchor's
-    accepted batch rows into a candidate mean (:func:`probe_candidates`, the
-    vote's probe step, at the group's one pair test ``scales.pair``), and
-    verify the normalized difference as a signal direction — by default at
-    (0.8*w_star, 0.8*guess), or at a caller-fixed level when
-    ``check_p``/``check_delta`` are given.  ``chain`` is the
-    checker's ``(chain, base)`` pair (:func:`_checker_chain`).
+    For each signal floor in ``floors``, in order, up to SIGNAL_TRIALS
+    times: draw two anchors and a fresh batch for each in one request,
+    average each anchor's accepted batch rows into a candidate mean
+    (:func:`probe_candidates`, the vote's probe step, at the group's one
+    pair test ``scales.pair``), and verify the normalized difference as a
+    signal direction at mass level ``p_level`` and that floor
+    (:func:`split_rows`).  ``chain`` is the checker's ``(chain, base)`` pair
+    (:func:`_checker_chain`).
 
     Every candidate the call tests is verified on one pool of
     ``_verification_rows(p_level)`` rows, drawn at the call's first
@@ -309,43 +293,30 @@ def find_signal_direction(
     anchors and batch (and of the chain, built earlier) only, and those rows
     are drawn apart from the pool, so the pool is independent of every v it
     verifies.  Each test therefore keeps its own error probability, and the
-    union bound over the at most ``len(grid) * SIGNAL_TRIALS`` tests of a
+    union bound over the at most ``len(floors) * SIGNAL_TRIALS`` tests of a
     call, which needs no independence between the tests, is the one a fresh
     draw per test gives.  What stays fresh: the anchors and batch of every
     trial, and any later check of the returned direction (refinement's
     classification in :func:`refine_checker`), because the returned v was
     chosen by its success on the pool.
     """
-    if delta_guess_grid is None:
-        delta_guess_grid = _default_grid(mix_sampler, scales.grid_floor)
     chain, base = chain
     m = SIGNAL_BATCH
-    p_lvl = check_p if check_p is not None else 0.8 * scales.w_star
     pool = None  # the call's verification rows, drawn at its first verification
-    tried = []
-    for delta in delta_guess_grid:
-        d_lvl = check_delta if check_delta is not None else 0.8 * delta
+    for delta in floors:
         for _ in range(SIGNAL_TRIALS):
             rows = np.asarray(mix_sampler.draw(2 + 2 * m), dtype=float)
             mu0, mu1 = probe_candidates(rows[:2], rows[2:].reshape(2, m, -1), chain, scales.pair, base)
-            if np.isnan(mu0[0]) or np.isnan(mu1[0]):
-                tried.append({"delta": delta, "reason": "empty batch"})
-                continue
             gap = np.linalg.norm(mu0 - mu1)
-            if gap < 1e-12:
-                tried.append({"delta": delta, "reason": "coincident candidates"})
+            if not gap >= 1e-12:  # coincident candidates, or an empty batch's NaN one
                 continue
             v = (mu0 - mu1) / gap
             if pool is None:
-                pool = mix_sampler.draw(_verification_rows(p_lvl))
-            split = split_rows(pool, v, p_lvl, d_lvl)
+                pool = mix_sampler.draw(_verification_rows(p_level))
+            split = split_rows(pool, v, p_level, delta)
             if split is not None:
-                return v, d_lvl, split
-            tried.append({"delta": delta, "reason": "verification failed"})
-    raise NoSignalError(
-        "no verified signal direction on the separation grid",
-        {"grid": [float(x) for x in delta_guess_grid], "attempts": tried[-20:]},
-    )
+                return v, delta, split
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -495,41 +466,38 @@ def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> n
 # ---------------------------------------------------------------------------
 
 
-def refine_checker(
-    mix_sampler,
-    ch: Checker,
-    scales: GroupScales,
-    *,
-    chain: tuple,
-    seed: int,
-    trail: list,
-) -> Checker:
+def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tuple, seed: int) -> tuple:
     """Grow the checker subspace by one signal direction and recenter on a
     well-supported sample from one side of the split, searching under the
     checker's ``chain``; ``seed`` orders the gammas and picks the center.
-    A sample is well supported when at least 0.9 w* of the kept samples lie
-    within theta of it in the new checker's coordinates, counted by
-    :func:`_neighbour_fractions` (by sorting when those are 1-D)."""
+    Returns ``(checker, gamma, delta)``: the refined checker, the gamma whose
+    scope gave the direction and the signal floor it was verified at; raises
+    RefineFailedError when no gamma gives one.  A sample is well supported
+    when at least 0.9 w* of the kept samples lie within theta of it in the
+    new checker's coordinates, counted by :func:`_neighbour_fractions` (by
+    sorting when those are 1-D)."""
     rng = stream(seed, 19)
     theta, w_star = scales.theta, scales.w_star
     class_p = 0.4 * w_star
-    gammas = rng.permutation(np.arange(1, GAMMA_COUNT + 1))[:REFINE_ATTEMPTS]
-    last_error: Exception | None = None
-    for gamma in gammas:
+    last_error = None
+    for gamma in rng.permutation(np.arange(1, GAMMA_COUNT + 1)):
         try:
             reduced = reduce_by_checker(mix_sampler, ch.with_radius(scales.refine_radius(gamma)))
             # The grid search verifies at (0.8w*, 0.8*guess) with the largest
             # guess first, which forces alignment with the widest split; the
             # found direction must then also classify as a signal at the
             # refinement floor.
-            v, delta, split = find_signal_direction(reduced, scales, chain=chain)
+            grid = _default_grid(reduced, scales.grid_floor)
+            found = find_signal_direction(reduced, scales, [0.8 * g for g in grid], 0.8 * w_star, chain=chain)
+            if found is None:
+                last_error = "no verified signal direction on the separation grid"
+                continue
+            v, delta, split = found
             rows = reduced.draw(_verification_rows(class_p))
             if split_rows(rows, v, class_p, scales.params.refine_delta) is None:
-                last_error = RefineFailedError(
-                    "signal direction failed the refinement floor classification"
-                )
+                last_error = "signal direction failed the refinement floor classification"
                 continue
-        except (NoSignalError, StarvationError) as err:
+        except StarvationError as err:
             last_error = err
             continue
         comp = complement_basis(ch)
@@ -548,49 +516,28 @@ def refine_checker(
             lo_good = np.flatnonzero(good & (svals <= split))
             hi_good = np.flatnonzero(good & (svals > split))
         if len(lo_good) == 0 or len(hi_good) == 0:
-            last_error = RefineFailedError("no good samples on both sides of the split")
+            last_error = "no good samples on both sides of the split"
             continue
         pick_lo = kept[int(rng.choice(lo_good))]
         pick_hi = kept[int(rng.choice(hi_good))]
         chosen = pick_lo if rng.integers(2) == 0 else pick_hi
-        refined = Checker(new_basis, chosen @ new_basis, 10.0 * theta)
-        trail.append({"action": "refine", "checker_dim": refined.a, "radius": refined.r,
-                      "gamma": int(gamma), "signal_delta": delta})
-        return refined
+        return Checker(new_basis, chosen @ new_basis, 10.0 * theta), int(gamma), delta
     raise RefineFailedError(f"refinement exhausted gamma attempts: {last_error}")
 
 
-def test_max_separation(
-    mix_sampler,
-    ch: Checker,
-    scales: GroupScales,
-    *,
-    chain: tuple,
-    trail: list,
-) -> bool:
+def test_max_separation(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tuple) -> bool:
     """False (reject) iff a verified wide split, searched under the
     checker's ``chain``, survives in some truncated reduction of the checker
     scope; True (accept) otherwise."""
-    delta = scales.split_delta
-    accept = True
     for gamma in range(1, GAMMA_COUNT + 1):
         try:
             reduced = reduce_by_checker(mix_sampler, ch.with_radius(scales.separation_radius(gamma)))
-            find_signal_direction(
-                reduced,
-                scales,
-                delta_guess_grid=[delta],
-                chain=chain,
-                check_p=0.4 * scales.w_star,
-                check_delta=delta,
-            )
-            accept = False
-            break
-        except (NoSignalError, StarvationError):
+            found = find_signal_direction(reduced, scales, [scales.split_delta], 0.4 * scales.w_star, chain=chain)
+            if found is not None:
+                return False
+        except StarvationError:
             continue
-    radius = ch.r if math.isfinite(ch.r) else None
-    trail.append({"action": "accept" if accept else "reject", "checker_dim": ch.a, "radius": radius})
-    return accept
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +580,7 @@ class ComponentTest:
         return self.labels(xs) == self.target
 
 
-def isolate_component(
-    mix_sampler,
-    ch: Checker,
-    scales: GroupScales,
-    *,
-    chain: tuple,
-    trail: list,
-) -> ComponentTest:
+def isolate_component(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tuple) -> ComponentTest:
     """Fully cluster the checker scope under the checker's ``chain`` and
     return the predicate for the cluster that is heavy and concentrated
     near the checker center."""
@@ -668,8 +608,6 @@ def isolate_component(
             best, best_count = j, count
     if best is None:
         raise IsolateFailedError("no cluster was both heavy and concentrated in the core")
-    radius = scope17.r if math.isfinite(scope17.r) else None
-    trail.append({"action": "isolate", "checker_dim": ch.a, "radius": radius, "clusters": len(means_r), "target": best})
     return dataclasses.replace(test, target=best)
 
 
@@ -819,35 +757,41 @@ def _isolation_levels(sampler, scales: GroupScales, rng, trail, warnings, level_
     """Run the refine/test/isolate recursion on one bounded-spread group
     (already recentered and dimension-reduced) for its ``k - 1`` levels;
     returns the isolation predicates, one per level that isolated a
-    component, and appends each failed step's warning to ``warnings``.
+    component.  It alone writes the steps' events to ``trail``, each with
+    its level, and each failed step's warning to ``warnings``.
 
     Each checker gets its chain (:func:`_checker_chain`) once, when it comes
     into being: the trivial checker at the start of a level, a refined one
     after its refinement.  Every search at the checker runs under it."""
+
+    def record(action: str, ch: Checker, **fields):
+        radius = ch.r if math.isfinite(ch.r) else None
+        trail.append({"action": action, "checker_dim": ch.a, "radius": radius, **fields, "level": level})
+
     tests = []
     current = sampler
     for comp_idx in range(scales.k - 1):
         level = level_base + comp_idx
         ch = trivial_checker(current.d)
-        start = len(trail)
         try:
             chain = _checker_chain(current, ch, scales, int(rng.integers(2**62)))
             for _ in range(scales.rounds):
-                if test_max_separation(current, ch, scales, chain=chain, trail=trail):
+                accept = test_max_separation(current, ch, scales, chain=chain)
+                record("accept" if accept else "reject", ch)
+                if accept:
                     break
                 try:
-                    ch = refine_checker(current, ch, scales, chain=chain, seed=int(rng.integers(2**62)), trail=trail)
+                    ch, gamma, delta = refine_checker(current, ch, scales, chain=chain, seed=int(rng.integers(2**62)))
                 except RefineFailedError as err:
                     warnings.append(f"level {level}: {err}")
                     break
+                record("refine", ch, gamma=gamma, signal_delta=delta)
                 chain = _checker_chain(current, ch, scales, int(rng.integers(2**62)))
-            test = isolate_component(current, ch, scales, chain=chain, trail=trail)
+            test = isolate_component(current, ch, scales, chain=chain)
         except (IsolateFailedError, StarvationError) as err:
             warnings.append(f"level {level}: {err}")
             break
-        finally:
-            for event in trail[start:]:
-                event["level"] = level
+        record("isolate", test.checker, clusters=len(test.means), target=test.target)
         tests.append(test)
         current = ReducedSampler(current, lambda x, test=test: ~test.accept_batch(x))
     return tests

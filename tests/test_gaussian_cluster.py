@@ -414,7 +414,7 @@ class TestDifferenceChain:
     @pytest.fixture(autouse=True)
     def _small_searches(self, monkeypatch):
         for name, value in [
-            ("N_PER_STAGE", 2_000), ("GRID_STEPS", 2), ("SIGNAL_TRIALS", 1), ("REFINE_ATTEMPTS", 1)
+            ("N_PER_STAGE", 2_000), ("GRID_STEPS", 2), ("SIGNAL_TRIALS", 1)
         ]:
             monkeypatch.setattr(gc, name, value)
 
@@ -432,17 +432,19 @@ class TestDifferenceChain:
         ch = _checker_1d(2, 0, 0.0, 1.0)
         chain = gc._checker_chain(stream, ch, self.scales, seed=0)
         # the separation test scopes to 31 and 32 theta, refinement to
-        # beta + gamma theta (seed 2 draws gamma 2) and isolation to 19 theta
-        assert gc.test_max_separation(stream, ch, self.scales, chain=chain, trail=[]) is True
-        with pytest.raises(gc.RefineFailedError):
-            gc.refine_checker(stream, ch, self.scales, chain=chain, seed=2, trail=[])
-        test = gc.isolate_component(stream, ch, self.scales, chain=chain, trail=[])
+        # beta + gamma theta at both gammas (seed 2 walks gamma 2 first) and
+        # isolation to 19 theta
+        assert gc.test_max_separation(stream, ch, self.scales, chain=chain) is True
+        with pytest.raises(gc.RefineFailedError, match="^refinement exhausted gamma attempts: no verified signal"):
+            gc.refine_checker(stream, ch, self.scales, chain=chain, seed=2)
+        test = gc.isolate_component(stream, ch, self.scales, chain=chain)
         assert np.linalg.norm(test.approx_mean) < 0.5
         assert len(calls) == 1
         # the chain's source scope is the widest a search at the checker uses
         theta = self.scales.theta
         assert radii[0] == self.scales.source_radius == max(radii)
-        assert radii[1:] == [31 * theta, 32 * theta, self.scales.beta + 2 * theta, 19 * theta]
+        beta = self.scales.beta
+        assert radii[1:] == [31 * theta, 32 * theta, beta + 2 * theta, beta + theta, 19 * theta]
 
     def test_chain_draws_its_gaussian_base_directly(self, monkeypatch):
         rows = []
@@ -696,13 +698,21 @@ class TestSignalDirection:
         scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
         chain = gc._checker_chain(MixtureSampler(spec, seed=5), gc.trivial_checker(2), scales, seed=0)
         stream = RowCounter(MixtureSampler(spec, seed=3))
+        pools = []
+        real = gc.split_rows
+
+        def spy(rows, *args):
+            pools.append(rows)
+            return real(rows, *args)
+
+        monkeypatch.setattr(gc, "split_rows", spy)
         # one Gaussian has no split, so every trial reaches a failing verification
-        with pytest.raises(gc.NoSignalError) as err:
-            gc.find_signal_direction(stream, scales, [4.0], chain=chain)
-        attempts = err.value.diagnostics["attempts"]
-        assert [a["reason"] for a in attempts] == ["verification failed"] * gc.SIGNAL_TRIALS
+        p_level = 0.8 * scales.w_star
+        assert gc.find_signal_direction(stream, scales, [3.2], p_level, chain=chain) is None
+        assert len(pools) == gc.SIGNAL_TRIALS
+        assert all(rows is pools[0] for rows in pools)
         search = gc.SIGNAL_TRIALS * (2 + 2 * gc.SIGNAL_BATCH)
-        assert stream.rows == search + gc._verification_rows(0.8 * scales.w_star)
+        assert stream.rows == search + gc._verification_rows(p_level)
 
 
     def test_draw_schedule_of_one_trial_is_pinned(self, monkeypatch):
@@ -717,14 +727,33 @@ class TestSignalDirection:
         log = []
         stream = RowCounter(MixtureSampler(spec, seed=3), "mix", log)
         base = RowCounter(base, "base", log)
-        with pytest.raises(gc.NoSignalError):
-            gc.find_signal_direction(stream, scales, [4.0], chain=(chain, base))
+        assert gc.find_signal_direction(stream, scales, [3.2], 0.8 * scales.w_star, chain=(chain, base)) is None
         m = gc.SIGNAL_BATCH
         assert log == [
             ("mix", 2 + 2 * m),
             ("base", 2 * st.DEFAULT_REPS * (2 * st.PAIR_DEGREE - 1)),
             ("mix", gc._verification_rows(0.8 * scales.w_star)),
         ]
+
+    def test_separation_test_rejects_at_its_first_verified_scope(self, monkeypatch):
+        # two Gaussians 20 apart across the checker's complement split at
+        # gamma 1, so the test never scopes to gamma 2
+        monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
+        spec = _spec([0.5, 0.5], [[0.0, -10.0, 0.0], [0.0, 10.0, 0.0]])
+        scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+        ch = _checker_1d(3, 0, 0.0, 1.0)
+        chain = gc._checker_chain(MixtureSampler(spec, seed=5), ch, scales, seed=0)
+        radii = []
+        reduce = gc.reduce_by_checker
+
+        def recording(sampler, ch):
+            radii.append(ch.r)
+            return reduce(sampler, ch)
+
+        monkeypatch.setattr(gc, "reduce_by_checker", recording)
+        assert gc.test_max_separation(MixtureSampler(spec, seed=3), ch, scales, chain=chain) is False
+        assert radii == [scales.separation_radius(1)]
+
 
 class TestBoundedMeansSplit:
     def test_no_split_below_threshold(self, rng):
@@ -925,4 +954,4 @@ class TestTypedFailures:
         scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
         chain = gc._checker_chain(_NormalSampler(2, 0), checker, scales, seed=0)
         with pytest.raises(RuntimeError, match="inner stream failed"):
-            gc.test_max_separation(_BrokenSampler(), checker, scales, chain=chain, trail=[])
+            gc.test_max_separation(_BrokenSampler(), checker, scales, chain=chain)
