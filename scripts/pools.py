@@ -39,10 +39,12 @@ Each pool runs one learner call on learner seeds 0-19:
 - ``c9-wide``: C9's call with the outer ratio at 1e9 in place of 1000,
   below the gap split's threshold, so one group spans the whole spread and
   its covariance basis must keep the inner directions.  Ungated.
-- ``c9-nohint``: C9's call with ``sep_hint`` left out, so every value it
-  sets comes from ln(k/w_min) and the group's spacing ln^(0.5+c).  Ungated;
-  it fails every seed with one mean: the threshold (0.2 s)^2 = 0.85 sits
-  below the same-component noise floor, so the vote admits none.
+- ``c9-nohint``: C9's call with ``sep_hint`` left out, so every scale it
+  sets comes from the group's spacing s = ln(k_g/w_min)^(0.5+c): the
+  pair-test threshold (0.2 s)^2, the vote radius 0.5 s and the refinement
+  floor max(0.04 ln^4, 2 s).  Ungated; it fails every seed with one mean:
+  the threshold (0.2 s)^2 = 0.85 sits below the same-component noise floor,
+  so the vote admits none.
 
 Prints one JSON line per pool: passes, mean and max mixture rows per seed
 (counted at the root stream, so rejected rows count), the worst mean error

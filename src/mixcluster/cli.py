@@ -380,7 +380,7 @@ def _learn(spec, cfg: dict, seed: int, w_min: float) -> LearnedMixture:
     alpha = float(cfg.get("alpha", 2.0))
     c = float(cfg.get("c", DEFAULT_C[cfg["variant"]]))
     if cfg["variant"] == "gaussian-recursive":
-        params = gc.desk_params(spec.k, w_min, sep_hint=cfg.get("sep_hint"))
+        params = gc.ClusterParams(sep_hint=cfg.get("sep_hint"))
         return gc.recursive_cluster(mix, spec.k, w_min, c, alpha, params=params, seed=seed)
     base = BaseSampler(spec.dist_tag, spec.d, seed, 7)
     sep = float(cfg.get("sep", spec.min_separation()))

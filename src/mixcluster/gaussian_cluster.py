@@ -18,8 +18,9 @@ components of (mixture covariance - base covariance).
 The paper's constants (a 0.02 vote ball, 1e4 ln ln(k/w*) truncation radii
 per checker, 20k/w* probes) recover nothing at any size this package runs, so the counts
 and sample sizes are module constants sized for small ``k``, and
-:class:`ClusterParams` holds only the separation hint and the values
-:func:`desk_params` derives from ``(k, w_min, sep_hint)``.
+:class:`ClusterParams` holds only the separation hint.  Every scale a
+bounded-spread group runs at comes from its ``(k, w_min, c)`` and that hint,
+once (:func:`group_scales`).
 """
 
 from __future__ import annotations
@@ -326,56 +327,48 @@ def find_signal_direction(mix_sampler, scales: GroupScales, floors, p_level: flo
 
 @dataclass(frozen=True, kw_only=True)
 class ClusterParams:
-    """The separation hint, and the values :func:`desk_params` derives from
-    the mixture's ``(k, w_min, sep_hint)``.
+    """The separation hint: the known minimum separation, or None; one that
+    is not a finite number above 0 raises ValueError.  It has no default, so
+    a caller states whether it knows one.  Every other value the learner
+    runs at comes from it and each group's ``(k, w_min, c)``
+    (:func:`group_scales`), or is a module constant."""
 
-    The derived values have no default: build them with :func:`desk_params`
-    from the spec's ``k``, and vary one with ``dataclasses.replace``.  The
-    pair test is not among them: each group builds its one config from its
-    spacing (``GroupScales.pair``).  The vote's ``PROBES`` probes of
-    ``BATCH`` rows, and every other count and sample size, are module
-    constants.
-    """
+    sep_hint: float | None
 
-    sep_hint: float | None  # known minimum separation, if any
-    vote_alpha: float  # dedup radius; the vote ball is 0.2 * vote_alpha
-    refine_delta: float  # signal floor for refinement
+    def __post_init__(self):
+        if self.sep_hint is not None and not (math.isfinite(self.sep_hint) and self.sep_hint > 0):
+            raise ValueError(f"sep_hint must be None or a finite number above 0, got {self.sep_hint}")
 
 
 def desk_params(k: int, w_min: float, sep_hint: float | None = None) -> ClusterParams:
-    """Values sized for small-k runs: a dedup radius of half the known
-    separation (ln(k/w_min) without one), and a refinement floor of at
-    least twice it."""
-    log_k = math.log(k / w_min)
-    s = sep_hint if sep_hint is not None else log_k
-    return ClusterParams(
-        sep_hint=sep_hint,
-        vote_alpha=0.5 * s,
-        refine_delta=max(0.04 * log_k**4, 2.0 * s),
-    )
+    """The params a run with separation hint ``sep_hint`` takes; ``k`` and
+    ``w_min`` are not read, as each group derives its scales from its own
+    (:func:`group_scales`)."""
+    return ClusterParams(sep_hint=sep_hint)
 
 
 @dataclass(frozen=True)
 class GroupScales:
     """The scales every search in one bounded-spread group runs at, derived
     once by :func:`group_scales` from the group's ``(k, w_min, c)`` and the
-    mixture's ``params``.
+    separation hint.
 
-    ``ln`` below is ln(k/w*) for the group's own ``k``; the ``params`` come
-    from the whole mixture's (:func:`desk_params`).  Every pair test in the
-    group, the vote's and each signal search's, runs at the one config
-    ``pair``, whose threshold comes from the spacing ``s``.
+    ``ln`` below is ln(k/w*) for the group's own ``k``.  The spacing ``s``
+    is the hint, or ln^(0.5+c) without one; the pair test, the vote radius
+    (0.5 s), the refinement floor, the grid floor and the isolation margin
+    all come from it.  Every pair test in the group, the vote's and each
+    signal search's, runs at the one config ``pair``.
     """
 
     k: int
     w_star: float
-    params: ClusterParams
     theta: float  # ln^((1+c)/2): the unit of every scope radius
     beta: float  # ln^((1+1.1c)/2): refinement's base radius
     s: float  # cluster spacing: sep_hint, else ln^(0.5+c)
     pair: st.TestConfig  # the pair test: degree st.PAIR_DEGREE, threshold (0.2 s)^st.PAIR_DEGREE
     grid_floor: float  # lowest guess of the signal search's separation grid, max(0.04 ln^4, s)
     split_delta: float  # signal floor of the separation test, 0.4 ln^4
+    refine_delta: float  # signal floor of refinement's classification, max(0.04 ln^4, 2 s)
     rounds: int  # test/refine rounds per level
 
     def separation_radius(self, gamma) -> float:
@@ -393,21 +386,21 @@ class GroupScales:
         return max(self.separation_radius(GAMMA_COUNT), self.refine_radius(GAMMA_COUNT))
 
 
-def group_scales(k: int, w_min: float, c: float, params: ClusterParams) -> GroupScales:
+def group_scales(k: int, w_min: float, c: float, sep_hint: float | None) -> GroupScales:
     """The scales of a group of ``k`` components of weight at least
-    ``w_min``, for trade-off constant ``c``."""
+    ``w_min``, for trade-off constant ``c`` and separation hint ``sep_hint``."""
     log_k = math.log(k / w_min)
-    s = params.sep_hint if params.sep_hint is not None else log_k ** (0.5 + c)
+    s = sep_hint if sep_hint is not None else log_k ** (0.5 + c)
     return GroupScales(
         k=k,
         w_star=w_min,
-        params=params,
         theta=log_k ** ((1.0 + c) / 2.0),
         beta=log_k ** ((1.0 + 1.1 * c) / 2.0),
         s=s,
         pair=st.TestConfig(st.PAIR_DEGREE, st.choose_threshold(s, st.PAIR_DEGREE)),
         grid_floor=max(0.04 * log_k**4, s),
         split_delta=0.4 * log_k**4,
+        refine_delta=max(0.04 * log_k**4, 2.0 * s),
         rounds=max(1, math.ceil(log_k ** (1.0 + 0.1 * c))),
     )
 
@@ -448,15 +441,16 @@ def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> n
     """Probe/batch/vote mean recovery, under the checker's ``chain``, for a
     mixture whose maximum separation is polylog-bounded; returns r <= k
     means pairwise >= s/2 apart."""
-    s, params = scales.s, scales.params
+    half = 0.5 * scales.s
     chain, base = chain
-    means, _ = probe_batch_vote(mix_sampler, base, chain, scales.pair, PROBES, BATCH, params.vote_alpha, scales.w_star)
+    # the vote's dedup radius is the floor below, half the spacing
+    means, _ = probe_batch_vote(mix_sampler, base, chain, scales.pair, PROBES, BATCH, half, scales.w_star)
     # The vote admits strongest-supported first, and its dedup guarantees the
     # spacing only up to the candidate error, so enforce the pairwise floor
     # explicitly, in that order.
     kept = []
     for i in range(len(means)):
-        if all(np.linalg.norm(means[i] - means[j]) >= 0.5 * s for j in kept):
+        if all(np.linalg.norm(means[i] - means[j]) >= half for j in kept):
             kept.append(i)
     return means[kept]
 
@@ -494,7 +488,7 @@ def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tupl
                 continue
             v, delta, split = found
             rows = reduced.draw(_verification_rows(class_p))
-            if split_rows(rows, v, class_p, scales.params.refine_delta) is None:
+            if split_rows(rows, v, class_p, scales.refine_delta) is None:
                 last_error = "signal direction failed the refinement floor classification"
                 continue
         except StarvationError as err:
@@ -854,8 +848,11 @@ def recursive_cluster(
     the top-k covariance directions; the core loop alternates separation
     testing and checker refinement, then isolates and strips one component
     per level.  ``alpha`` is a target accuracy knob recorded in the metadata
-    (estimates are driven by the module's fixed sample sizes).
+    (estimates are driven by the module's fixed sample sizes).  ``k`` below
+    1 or ``w_min`` outside (0, 1] raises ValueError before any row is drawn.
     """
+    if k < 1 or not 0 < w_min <= 1:
+        raise ValueError(f"need k >= 1 and w_min in (0, 1], got k={k}, w_min={w_min}")
     rng = stream(seed, 29)
     trail: list = []
     d0 = mix_sampler.d
@@ -889,12 +886,12 @@ def recursive_cluster(
             basis = np.eye(group_sampler.d)
         reduced = ReducedSampler(group_sampler, None, basis.T, offsets[g])
 
-        # params come from the whole mixture's k, the scales from k_g; a group
-        # of one component has nothing to isolate (nor, at k = w_min = 1
-        # without a hint, a pair-test threshold)
+        # every scale comes from k_g and the hint; a group of one component
+        # has nothing to isolate (nor, at k = w_min = 1 without a hint, a
+        # pair-test threshold)
         tests = []
         if k_g > 1:
-            tests = _isolation_levels(reduced, group_scales(k_g, w_min, c, params), rng, trail, warnings, level_base)
+            tests = _isolation_levels(reduced, group_scales(k_g, w_min, c, params.sep_hint), rng, trail, warnings, level_base)
         means_g, weights_g = _final_estimates(reduced, tests, warnings)
         level_base += max(k_g - 1, 1)
         for mu, w in zip(means_g, weights_g):

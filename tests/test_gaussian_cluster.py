@@ -409,7 +409,7 @@ def _count_chain_builds(monkeypatch) -> list:
 class TestDifferenceChain:
     # one Gaussian has no split, so the separation test walks every gamma
     spec = _spec([1.0], [[0.0, 0.0]])
-    scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+    scales = gc.group_scales(2, 0.5, 1.0, 4.0)
 
     @pytest.fixture(autouse=True)
     def _small_searches(self, monkeypatch):
@@ -677,6 +677,29 @@ class TestOnePairTestPerGroup:
         assert set(configs) == {st.TestConfig(st.PAIR_DEGREE, (0.2 * 7.0) ** st.PAIR_DEGREE)}
 
 
+class TestOneSpacingPerGroup:
+    # C9's spec: one group of k_g = 4 at w_min = 0.25, so ln = ln 16
+    spec = build_spec(GenConfig(k=4, d=16, profile="hierarchical", ratios=(10.0, 1000.0), seed=0))
+
+    @pytest.mark.parametrize("hint", [10.0, None])
+    def test_vote_radius_and_refinement_floor_come_from_the_spacing(self, monkeypatch, hint):
+        ln = math.log(16.0)
+        s = hint if hint is not None else ln**1.5
+        scales = gc.group_scales(4, 0.25, 1.0, hint)
+        assert scales.s == s
+        assert scales.refine_delta == max(0.04 * ln**4, 2.0 * s)
+        alphas = []
+
+        def spy(*args, real=gc.probe_batch_vote, **kwargs):
+            alphas.append(args[6])  # the dedup radius, seventh
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gc, "probe_batch_vote", spy)
+        gc.recursive_cluster(MixtureSampler(self.spec, seed=0), 4, 0.25, 1.0, 2.0,
+                             params=gc.ClusterParams(sep_hint=hint), seed=0)
+        assert alphas and set(alphas) == {0.5 * s}
+
+
 class TestSignalDirection:
     def test_two_clusters_is_signal(self, rng):
         xs = np.concatenate([rng.standard_normal(300) - 10, rng.standard_normal(300) + 10])
@@ -695,7 +718,7 @@ class TestSignalDirection:
     def test_one_verification_pool_per_search(self, monkeypatch):
         monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
         spec = _spec([1.0], [[0.0, 0.0]])
-        scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+        scales = gc.group_scales(2, 0.5, 1.0, 4.0)
         chain = gc._checker_chain(MixtureSampler(spec, seed=5), gc.trivial_checker(2), scales, seed=0)
         stream = RowCounter(MixtureSampler(spec, seed=3))
         pools = []
@@ -722,7 +745,7 @@ class TestSignalDirection:
         monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
         monkeypatch.setattr(gc, "SIGNAL_TRIALS", 1)
         spec = _spec([1.0], [[0.0, 0.0]])
-        scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+        scales = gc.group_scales(2, 0.5, 1.0, 4.0)
         chain, base = gc._checker_chain(MixtureSampler(spec, seed=5), gc.trivial_checker(2), scales, seed=0)
         log = []
         stream = RowCounter(MixtureSampler(spec, seed=3), "mix", log)
@@ -740,7 +763,7 @@ class TestSignalDirection:
         # gamma 1, so the test never scopes to gamma 2
         monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
         spec = _spec([0.5, 0.5], [[0.0, -10.0, 0.0], [0.0, 10.0, 0.0]])
-        scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+        scales = gc.group_scales(2, 0.5, 1.0, 4.0)
         ch = _checker_1d(3, 0, 0.0, 1.0)
         chain = gc._checker_chain(MixtureSampler(spec, seed=5), ch, scales, seed=0)
         radii = []
@@ -881,16 +904,15 @@ class TestDimensionReduction:
 
 class TestParams:
     def test_desk_params_overrides(self):
-        p = gc.desk_params(4, 0.25, sep_hint=10.0)
-        assert p.sep_hint == 10.0
-        assert p.vote_alpha == 5.0
-        assert p.refine_delta == pytest.approx(max(0.04 * math.log(16.0) ** 4, 20.0))
+        # the benchmark's and the gates' params are the CLI's
+        for hint in (10.0, None):
+            assert gc.desk_params(4, 0.25, sep_hint=hint) == gc.ClusterParams(sep_hint=hint)
 
     def test_fields_are_the_values_callers_vary(self):
         # a value every caller leaves at one setting belongs in a module
-        # constant, and the derived values have no default to fall back on
+        # constant or a group's scales, and the hint has no default
         names = [f.name for f in dataclasses.fields(gc.ClusterParams)]
-        assert names == ["sep_hint", "vote_alpha", "refine_delta"]
+        assert names == ["sep_hint"]
         with pytest.raises(TypeError):
             gc.ClusterParams()
 
@@ -947,11 +969,23 @@ class TestComponentLabels:
 
 
 class TestTypedFailures:
+    @pytest.mark.parametrize(
+        "k, w_min, hint",
+        [(4, 0.25, math.nan), (4, 0.25, 0.0), (4, 0.25, -3.0), (4, 0.25, math.inf),
+         (4, 0.0, 10.0), (4, -0.1, 10.0), (4, 1.5, 10.0), (0, 0.25, 10.0)],
+    )
+    def test_invalid_inputs_raise_before_any_draw(self, k, w_min, hint):
+        spec = build_spec(GenConfig(k=4, d=16, profile="hierarchical", ratios=(10.0, 1000.0), seed=0))
+        stream = RowCounter(MixtureSampler(spec, seed=0))
+        with pytest.raises(ValueError):
+            gc.recursive_cluster(stream, k, w_min, 1.0, 2.0, params=gc.ClusterParams(sep_hint=hint), seed=0)
+        assert stream.rows == 0
+
     @pytest.mark.parametrize("checker", [gc.trivial_checker(2), _checker_1d(2, 0, 0.0, 1.0)])
     def test_separation_test_propagates_stream_errors(self, monkeypatch, checker):
         # only starvation and a missing signal count as "no split found"
         monkeypatch.setattr(gc, "GAMMA_COUNT", 1)
-        scales = gc.group_scales(2, 0.5, 1.0, gc.desk_params(2, 0.5, sep_hint=4.0))
+        scales = gc.group_scales(2, 0.5, 1.0, 4.0)
         chain = gc._checker_chain(_NormalSampler(2, 0), checker, scales, seed=0)
         with pytest.raises(RuntimeError, match="inner stream failed"):
             gc.test_max_separation(_BrokenSampler(), checker, scales, chain=chain)
