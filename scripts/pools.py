@@ -79,7 +79,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mixcluster.cli import match_means  # noqa: E402
-from mixcluster.gaussian_cluster import desk_params, recursive_cluster  # noqa: E402
+from mixcluster.gaussian_cluster import ClusterParams, recursive_cluster  # noqa: E402
 from mixcluster.mixture_gen import GenConfig, base_sampler, build_spec, sample_stream  # noqa: E402
 from mixcluster.poincare_cluster import learn_means  # noqa: E402
 
@@ -134,7 +134,7 @@ def c9(sep: float, outer: float = 1000.0, hint: bool = True):
     spec = build_spec(
         GenConfig(k=4, d=16, profile="hierarchical", ratios=(sep, outer), dist_tag="gaussian", seed=0)
     )
-    params = desk_params(4, 0.25, sep_hint=sep if hint else None)
+    params = ClusterParams(sep_hint=sep if hint else None)
 
     def run(seed: int):
         mix = RowCounter(sample_stream(spec, seed))

@@ -6,9 +6,11 @@ which the restricted mixture visibly splits (a *signal direction*), and grow
 the subspace one direction at a time until every mean still in scope sits
 within a polylog-radius ball.  At that point the scoped submixture has
 bounded separation, so the probe/batch/vote procedure recovers its means,
-one component is isolated by an explicit accept/reject predicate, its
-samples are filtered out, and everything repeats on what remains; after
-the last level, the rows no predicate accepts are the last component.
+pairwise >= s/2 apart, one component is isolated by an explicit
+accept/reject predicate, its samples are filtered out, and everything
+repeats on what remains; after the last level, the rows no predicate
+accepts are the last component.  Each checker's searches share one pair
+test (:func:`_checker_chain`).
 
 Two preprocessing reductions make this viable in general position: samples
 are partitioned along huge empty gaps so each part has polynomially bounded
@@ -35,11 +37,11 @@ import numpy as np
 from . import nested_projection
 from . import sample_test as st
 from .mixture_gen import BaseSampler
-from .moment_pipeline import iterative_projection, lead_positive
+from .moment_pipeline import lead_positive
 from .poincare_cluster import (
-    DifferenceSampler,
     LearnedMixture,
-    difference_noise,
+    PairTest,
+    difference_chain,
     margin_matrix,
     nearest,
     probe_batch_vote,
@@ -271,7 +273,7 @@ def _default_grid(mix_sampler, floor: float) -> list:
     return grid
 
 
-def find_signal_direction(mix_sampler, scales: GroupScales, floors, p_level: float, *, chain: tuple):
+def find_signal_direction(mix_sampler, floors, p_level: float, *, chain: PairTest):
     """Search for a direction along which the mixture splits into two heavy,
     well-separated halves; returns ``(v, delta, split)``: the unit direction,
     the signal floor it was verified at and the split point along it, or
@@ -280,11 +282,10 @@ def find_signal_direction(mix_sampler, scales: GroupScales, floors, p_level: flo
     For each signal floor in ``floors``, in order, up to SIGNAL_TRIALS
     times: draw two anchors and a fresh batch for each in one request,
     average each anchor's accepted batch rows into a candidate mean
-    (:func:`probe_candidates`, the vote's probe step, at the group's one
-    pair test ``scales.pair``), and verify the normalized difference as a
-    signal direction at mass level ``p_level`` and that floor
-    (:func:`split_rows`).  ``chain`` is the checker's ``(chain, base)`` pair
-    (:func:`_checker_chain`).
+    (:func:`probe_candidates`, the vote's probe step, under the checker's
+    pair test ``chain`` from :func:`_checker_chain`), and verify the
+    normalized difference as a signal direction at mass level ``p_level``
+    and that floor (:func:`split_rows`).
 
     Every candidate the call tests is verified on one pool of
     ``_verification_rows(p_level)`` rows, drawn at the call's first
@@ -301,13 +302,12 @@ def find_signal_direction(mix_sampler, scales: GroupScales, floors, p_level: flo
     classification in :func:`refine_checker`), because the returned v was
     chosen by its success on the pool.
     """
-    chain, base = chain
     m = SIGNAL_BATCH
     pool = None  # the call's verification rows, drawn at its first verification
     for delta in floors:
         for _ in range(SIGNAL_TRIALS):
             rows = np.asarray(mix_sampler.draw(2 + 2 * m), dtype=float)
-            mu0, mu1 = probe_candidates(rows[:2], rows[2:].reshape(2, m, -1), chain, scales.pair, base)
+            mu0, mu1 = probe_candidates(rows[:2], rows[2:].reshape(2, m, -1), chain)
             gap = np.linalg.norm(mu0 - mu1)
             if not gap >= 1e-12:  # coincident candidates, or an empty batch's NaN one
                 continue
@@ -356,8 +356,9 @@ class GroupScales:
     ``ln`` below is ln(k/w*) for the group's own ``k``.  The spacing ``s``
     is the hint, or ln^(0.5+c) without one; the pair test, the vote radius
     (0.5 s), the refinement floor, the grid floor and the isolation margin
-    all come from it.  Every pair test in the group, the vote's and each
-    signal search's, runs at the one config ``pair``.
+    all come from it.  ``pair`` is read once, when a checker's pair test is
+    built (:func:`_checker_chain`), so every pair test in the group, the
+    vote's and each signal search's, runs at that one config.
     """
 
     k: int
@@ -405,12 +406,13 @@ def group_scales(k: int, w_min: float, c: float, sep_hint: float | None) -> Grou
     )
 
 
-def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int):
-    """The ``(chain, base)`` pair every search at ``ch`` runs its pair tests
-    under, built once when the checker comes into being.  Its rows are the
-    level stream restricted to the checker's source scope, the widest radius
-    any search uses there (``scales.source_radius``); at the trivial checker
-    that is the level stream itself.  Every search still draws its rows from
+def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int) -> PairTest:
+    """The pair test every search at ``ch`` runs, at the group's config
+    ``scales.pair``, under a chain built once when the checker comes into
+    being (:func:`poincare_cluster.difference_chain`).  The chain's rows are
+    the level stream restricted to the checker's source scope, the widest
+    radius any search uses there (``scales.source_radius``); at the trivial
+    checker that is the level stream itself.  Every search still draws its rows from
     its own scoped stream; only the chain is shared.
 
     The shared chain keeps the paper's per-scope guarantee at every scope:
@@ -433,26 +435,14 @@ def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int):
     :func:`poincare_cluster.difference_noise` draws directly.
     """
     source = reduce_by_checker(mix_sampler, ch.with_radius(scales.source_radius))
-    base = difference_noise(BaseSampler("gaussian", source.d, seed, 3))
-    return iterative_projection(DifferenceSampler(source), base, st.PAIR_DEGREE, scales.k, N_PER_STAGE), base
+    return difference_chain(source, BaseSampler("gaussian", source.d, seed, 3), scales.k, scales.pair, N_PER_STAGE)
 
 
-def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> np.ndarray:
-    """Probe/batch/vote mean recovery, under the checker's ``chain``, for a
-    mixture whose maximum separation is polylog-bounded; returns r <= k
-    means pairwise >= s/2 apart."""
-    half = 0.5 * scales.s
-    chain, base = chain
-    # the vote's dedup radius is the floor below, half the spacing
-    means, _ = probe_batch_vote(mix_sampler, base, chain, scales.pair, PROBES, BATCH, half, scales.w_star)
-    # The vote admits strongest-supported first, and its dedup guarantees the
-    # spacing only up to the candidate error, so enforce the pairwise floor
-    # explicitly, in that order.
-    kept = []
-    for i in range(len(means)):
-        if all(np.linalg.norm(means[i] - means[j]) >= half for j in kept):
-            kept.append(i)
-    return means[kept]
+def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: PairTest) -> np.ndarray:
+    """Probe/batch/vote mean recovery, under the checker's pair test
+    ``chain``, for a mixture whose maximum separation is polylog-bounded;
+    returns r <= k means pairwise >= s/2 apart, the vote's radius."""
+    return probe_batch_vote(mix_sampler, chain, PROBES, BATCH, 0.5 * scales.s, scales.w_star)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +450,13 @@ def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: tuple) -> n
 # ---------------------------------------------------------------------------
 
 
-def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tuple, seed: int) -> tuple:
+def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: PairTest, seed: int) -> tuple:
     """Grow the checker subspace by one signal direction and recenter on a
     well-supported sample from one side of the split, searching under the
-    checker's ``chain``; ``seed`` orders the gammas and picks the center.
-    Returns ``(checker, gamma, delta)``: the refined checker, the gamma whose
-    scope gave the direction and the signal floor it was verified at; raises
-    RefineFailedError when no gamma gives one.  A sample is well supported
+    checker's pair test ``chain``; ``seed`` orders the gammas and picks the
+    center.  Returns ``(checker, gamma, delta)``: the refined checker, the
+    gamma whose scope gave the direction and the signal floor it was
+    verified at; raises RefineFailedError when no gamma gives one.  A sample is well supported
     when at least 0.9 w* of the kept samples lie within theta of it in the
     new checker's coordinates, counted by :func:`_neighbour_fractions` (by
     sorting when those are 1-D)."""
@@ -482,7 +472,7 @@ def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tupl
             # found direction must then also classify as a signal at the
             # refinement floor.
             grid = _default_grid(reduced, scales.grid_floor)
-            found = find_signal_direction(reduced, scales, [0.8 * g for g in grid], 0.8 * w_star, chain=chain)
+            found = find_signal_direction(reduced, [0.8 * g for g in grid], 0.8 * w_star, chain=chain)
             if found is None:
                 last_error = "no verified signal direction on the separation grid"
                 continue
@@ -519,14 +509,14 @@ def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tupl
     raise RefineFailedError(f"refinement exhausted gamma attempts: {last_error}")
 
 
-def test_max_separation(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tuple) -> bool:
+def test_max_separation(mix_sampler, ch: Checker, scales: GroupScales, *, chain: PairTest) -> bool:
     """False (reject) iff a verified wide split, searched under the
-    checker's ``chain``, survives in some truncated reduction of the checker
+    checker's pair test ``chain``, survives in some truncated reduction of the checker
     scope; True (accept) otherwise."""
     for gamma in range(1, GAMMA_COUNT + 1):
         try:
             reduced = reduce_by_checker(mix_sampler, ch.with_radius(scales.separation_radius(gamma)))
-            found = find_signal_direction(reduced, scales, [scales.split_delta], 0.4 * scales.w_star, chain=chain)
+            found = find_signal_direction(reduced, [scales.split_delta], 0.4 * scales.w_star, chain=chain)
             if found is not None:
                 return False
         except StarvationError:
@@ -550,12 +540,6 @@ class ComponentTest:
     target: int  # f(j): label that accepts
     margin: float  # absolute margin bound (MARGIN_FACTOR * s)
 
-    @property
-    def approx_mean(self) -> np.ndarray:
-        """The target candidate lifted back to the ambient space (the checker
-        coordinates are filled from the checker center)."""
-        return self.comp @ self.means[self.target] + self.checker.basis @ self.checker.p
-
     def labels(self, xs) -> np.ndarray:
         """Each row's closest candidate by worst-direction margin (the lowest
         on ties), or -1 for a row outside the checker or beyond the margin
@@ -574,10 +558,10 @@ class ComponentTest:
         return self.labels(xs) == self.target
 
 
-def isolate_component(mix_sampler, ch: Checker, scales: GroupScales, *, chain: tuple) -> ComponentTest:
-    """Fully cluster the checker scope under the checker's ``chain`` and
-    return the predicate for the cluster that is heavy and concentrated
-    near the checker center."""
+def isolate_component(mix_sampler, ch: Checker, scales: GroupScales, *, chain: PairTest) -> ComponentTest:
+    """Fully cluster the checker scope under the checker's pair test
+    ``chain`` and return the predicate for the cluster that is heavy and
+    concentrated near the checker center."""
     theta = scales.theta
     reduced = reduce_by_checker(mix_sampler, ch.with_radius(19.0 * theta))
     means_r = full_cluster_bounded(reduced, scales, chain=chain)
@@ -796,7 +780,8 @@ def _final_estimates(sampler, tests: list, warnings):
     of ``MEAN_SAMPLES`` rows, given its isolation predicates (none for a
     group of one component); appends its warnings to ``warnings``.
 
-    The provisional means are the rows each predicate accepts, plus the
+    The provisional means are the rows each predicate accepts, for a
+    predicate that accepts at least 10 (another one is dropped), plus the
     remainder: the rows no predicate accepts, emitted when there are at
     least 10 of them.  The remainder still holds the tails each predicate
     rejected, which pull its mean off a little; the final pass hands them
@@ -810,8 +795,7 @@ def _final_estimates(sampler, tests: list, warnings):
         if members.sum() >= 10:
             provisional.append(batch[members].mean(axis=0))
         else:
-            warnings.append(f"component {j}: predicate matched too few samples; using its candidate")
-            provisional.append(test.approx_mean)
+            warnings.append(f"component {j}: predicate matched too few samples; dropped")
     if rest.sum() >= 10:
         provisional.append(batch[rest].mean(axis=0))
     else:

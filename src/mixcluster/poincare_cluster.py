@@ -1,11 +1,11 @@
 """End-to-end learner for mixtures of translated 1-Poincare distributions.
 
-Works on the difference mixture: a chain is built for (z - z')/sqrt(2), pair
-tests decide same-component membership, accepted batches are averaged into
-candidate means, and majority voting dedups the candidates.  Weights come
-from assigning a fresh batch to the voted means by worst-direction margins.
-The recursive Gaussian learner reuses the probe/batch/vote routine, the
-margin classifier and nearest-center assignment.
+Works on the difference mixture: a chain built for (z - z')/sqrt(2)
+(:func:`difference_chain`) carries the pair tests that decide same-component
+membership, accepted batches are averaged into candidate means, and majority
+voting dedups them into means pairwise >= alpha apart.  Weights come from
+assigning a fresh batch to the voted means by worst-direction margins.  The
+recursive Gaussian learner reuses all of it but the weights.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import sample_test as st
 from .moment_pipeline import iterative_projection
+from .nested_projection import NestedProjection
 
 WEIGHT_SAMPLES = 2_000  # fresh rows assigned to estimate the weights
 SUPPORT_FACTOR = 0.5  # the vote admits at SUPPORT_FACTOR * w_min * probes
@@ -60,26 +61,49 @@ def difference_noise(base):
     return DifferenceSampler(base)
 
 
+@dataclass(frozen=True)
+class PairTest:
+    """A Far/Close pair test: its chain, the difference noise the chain was
+    built on (which the statistic reads too) and its config."""
+
+    chain: NestedProjection
+    noise: object
+    cfg: st.TestConfig
+
+
+def difference_chain(stream, base, k: int, cfg: st.TestConfig, cap: int) -> PairTest:
+    """The test ``cfg`` under a chain for ``k`` components built on
+    difference rows of ``stream``, at most ``cap`` a stage; the chain and the
+    statistic read ``base`` through :func:`difference_noise`."""
+    noise = difference_noise(base)
+    return PairTest(iterative_projection(DifferenceSampler(stream), noise, cfg.t, k, cap), noise, cfg)
+
+
 def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float):
     """Admit candidates (l, d; a NaN row per failed probe), strongest
     0.2*alpha-ball support first (ties in candidate order), that have at
     least ``support_threshold`` support and are at least alpha away from
     everything admitted so far.  Each ball thus keeps its most central
-    candidate.  Returns their means and support counts in admission order,
-    which is decreasing support.  A mean averages the valid candidates in
-    its ball: they come from disjoint probe batches, so this cuts the
-    variance by the support count without changing what gets admitted."""
+    candidate.  A mean averages the valid candidates in its ball: they come
+    from disjoint probe batches, so this cuts the variance by the support
+    count.  Averaging can pull two admitted balls' means closer than alpha,
+    so a mean within alpha of a stronger kept one is dropped.  Returns the
+    kept means, pairwise at least alpha apart, and their support counts in
+    admission order, which is decreasing support."""
     points = candidates[~np.isnan(candidates[:, 0])]
     # dists[i, j] = ||points[j] - points[i]||, one pairwise matrix over the valid candidates
     dists = np.linalg.norm(points[None, :, :] - points[:, None, :], axis=2)
     ball = dists <= 0.2 * alpha
     support = np.count_nonzero(ball, axis=1)
-    admitted = []
+    admitted, kept, means = [], [], []
     for row in np.argsort(-support, kind="stable"):
         if support[row] >= support_threshold and not np.any(dists[row, admitted] < alpha):
             admitted.append(row)
-    means = np.array([points[ball[row]].mean(axis=0) for row in admitted]).reshape(len(admitted), candidates.shape[1])
-    return means, support[admitted]
+            mean = points[ball[row]].mean(axis=0)
+            if all(np.linalg.norm(mean - other) >= alpha for other in means):
+                kept.append(row)
+                means.append(mean)
+    return np.array(means).reshape(len(kept), candidates.shape[1]), support[kept]
 
 
 def margin_matrix(xs, means) -> np.ndarray:
@@ -125,17 +149,17 @@ def assign_batch(xs, means, band: float):
     return np.argmin(margins, axis=1), np.count_nonzero(margins <= band, axis=1) != 1
 
 
-def probe_candidates(points, batches, chain, cfg: st.TestConfig, noise) -> np.ndarray:
+def probe_candidates(points, batches, test: PairTest) -> np.ndarray:
     """The probe step: each probe's accepted batch rows averaged, (P, d),
     with a NaN row for a probe that accepts none.
 
     points (P, d) holds the probes and batches (P, m, d) their batches.  One
-    :func:`st.pair_test_batch` call tests every probe under ``chain``, with
-    one request of P * reps * (2t-1) rows from ``noise``, the stream the
-    chain was built on, and per probe reps * ((d+t-1)^t + t^t) word images
-    for the statistic's coefficients."""
+    :func:`st.pair_test_batch` call runs ``test`` on every probe, with one
+    request of P * reps * (2t-1) rows from its noise, the stream its chain
+    was built on, and per probe reps * ((d+t-1)^t + t^t) word images for the
+    statistic's coefficients."""
     probes, m, d = batches.shape
-    accept = st.pair_test_batch(points, batches.reshape(-1, d), chain, cfg, noise).reshape(probes, m)
+    accept = st.pair_test_batch(points, batches.reshape(-1, d), test.chain, test.cfg, test.noise).reshape(probes, m)
     candidates = np.full((probes, d), np.nan)
     for i in range(probes):
         if accept[i].any():
@@ -143,17 +167,9 @@ def probe_candidates(points, batches, chain, cfg: st.TestConfig, noise) -> np.nd
     return candidates
 
 
-def probe_batch_vote(
-    mix_sampler,
-    noise,
-    chain,
-    cfg: st.TestConfig,
-    probes: int,
-    batch: int,
-    alpha: float,
-    w_min: float,
-):
-    """Probe/batch/vote mean recovery, the one vote rule of both learners.
+def probe_batch_vote(mix_sampler, test: PairTest, probes: int, batch: int, alpha: float, w_min: float):
+    """Probe/batch/vote mean recovery under the pair test ``test``, the one
+    vote rule of both learners.
 
     The probes are drawn and tested in passes of :func:`st.probes_per_pass`
     probes, the statistic's own, so the vote's memory is bounded at any
@@ -161,16 +177,17 @@ def probe_batch_vote(
     batch.  :func:`probe_candidates` turns each probe into a candidate and
     :func:`majority_vote` admits candidates with support of at least
     ``SUPPORT_FACTOR * w_min * probes``, half the probes a component of
-    weight ``w_min`` is expected to win.  Returns the vote's ball means in
-    admission order, strongest-supported first, and their support counts.
+    weight ``w_min`` is expected to win.  Returns the vote's ball means,
+    pairwise at least ``alpha`` apart, in admission order,
+    strongest-supported first, and their support counts.
     """
     d = mix_sampler.d
-    per_pass = st.probes_per_pass(batch, chain, cfg.reps)
+    per_pass = st.probes_per_pass(batch, test.chain, test.cfg.reps)
     candidates = []
     for start in range(0, probes, per_pass):
         p = min(per_pass, probes - start)
         rows = np.asarray(mix_sampler.draw(p * (batch + 1)), dtype=float).reshape(p, batch + 1, d)
-        candidates.append(probe_candidates(rows[:, 0], rows[:, 1:], chain, cfg, noise))
+        candidates.append(probe_candidates(rows[:, 0], rows[:, 1:], test))
     return majority_vote(np.concatenate(candidates), alpha, SUPPORT_FACTOR * w_min * probes)
 
 
@@ -223,7 +240,9 @@ def learn_means(
     from at most ``n_per_stage`` of them: a stage stops earlier once two
     halves of its draws agree (:func:`moment_pipeline.stage_matrix`).  Both
     the chain and the vote read the base law through
-    :func:`difference_noise`, so a Gaussian base is drawn directly.
+    :func:`difference_noise` (:func:`difference_chain`), so a Gaussian base
+    is drawn directly.  The returned means are pairwise at least ``alpha``
+    apart.
 
     Separations below the (ln K)^{1+c} regime run anyway and are flagged in
     the metadata; desk-scale runs live outside the asymptotic regime by
@@ -238,11 +257,8 @@ def learn_means(
     m = batch if batch is not None else m
 
     tau = st.choose_threshold(sep, t)
-    cfg = st.TestConfig(t, tau, reps=reps)
-    # the vote's statistic tests (z - z')/sqrt(2), so it reads the noise the chain was built on
-    noise = difference_noise(base_sampler)
-    chain = iterative_projection(DifferenceSampler(mix_sampler), noise, t, k, n_per_stage)
-    means, support = probe_batch_vote(mix_sampler, noise, chain, cfg, l, m, alpha, w_min)
+    test = difference_chain(mix_sampler, base_sampler, k, st.TestConfig(t, tau, reps=reps), n_per_stage)
+    means, support = probe_batch_vote(mix_sampler, test, l, m, alpha, w_min)
 
     band = default_band(k, w_min, c)
     if len(means) > 0:

@@ -14,6 +14,7 @@ from scipy.stats import chi2, ncx2, norm
 import mixcluster.gaussian_cluster as gc
 from mixcluster import moment_pipeline as mp
 from mixcluster import nested_projection as npj
+from mixcluster import poincare_cluster as pc
 from mixcluster.cli import match_means
 from mixcluster.moment_pipeline import MixtureSpec
 from mixcluster.mixture_gen import BaseSampler, GenConfig, MixtureSampler, build_spec
@@ -396,13 +397,13 @@ class TestReduction:
 
 def _count_chain_builds(monkeypatch) -> list:
     calls = []
-    build = gc.iterative_projection
+    build = pc.iterative_projection
 
     def counting(*args, **kwargs):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(gc, "iterative_projection", counting)
+    monkeypatch.setattr(pc, "iterative_projection", counting)
     return calls
 
 
@@ -438,7 +439,7 @@ class TestDifferenceChain:
         with pytest.raises(gc.RefineFailedError, match="^refinement exhausted gamma attempts: no verified signal"):
             gc.refine_checker(stream, ch, self.scales, chain=chain, seed=2)
         test = gc.isolate_component(stream, ch, self.scales, chain=chain)
-        assert np.linalg.norm(test.approx_mean) < 0.5
+        assert np.linalg.norm(test.comp @ test.means[test.target] + test.checker.basis @ test.checker.p) < 0.5
         assert len(calls) == 1
         # the chain's source scope is the widest a search at the checker uses
         theta = self.scales.theta
@@ -570,18 +571,15 @@ class TestRecursiveDeterminism:
         assert len(learned.means) == 2
 
     def test_candidate_mean_nearest_to_no_row_is_dropped(self, monkeypatch):
-        # the last level's predicate accepts no row, so its provisional mean
-        # is its candidate, 1e6 out along the first axis
+        # the last level's predicate accepts no row, its checker 1e6 out along
+        # the first axis, so it gives no provisional mean
         def accept_none(mix, *args):
             ch = _checker_1d(mix.d, 0, 1e6, 1.0)
             return gc.ComponentTest(ch, gc.complement_basis(ch), np.zeros((1, mix.d - 1)), 0, 1.0)
 
         self._fail_on_call(monkeypatch, "isolate_component", 2, accept_none)
         learned = self._run(3)
-        assert learned.metadata["warnings"] == [
-            "component 1: predicate matched too few samples; using its candidate",
-            "component 1: only 0 assigned samples; dropped",
-        ]
+        assert learned.metadata["warnings"] == ["component 1: predicate matched too few samples; dropped"]
         assert len(learned.means) == 2
 
 
@@ -664,9 +662,9 @@ class TestOnePairTestPerGroup:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_pair_test_reads_the_group_config(self, monkeypatch, seed):
         configs = []
-        for name in ("probe_candidates", "probe_batch_vote"):
-            def spy(*args, real=getattr(gc, name), **kwargs):
-                configs.append(args[3])  # both take the config fourth
+        for name, at in (("probe_candidates", 2), ("probe_batch_vote", 1)):
+            def spy(*args, real=getattr(gc, name), at=at, **kwargs):
+                configs.append(args[at].cfg)  # the pair test, third and second
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(gc, name, spy)
@@ -691,7 +689,7 @@ class TestOneSpacingPerGroup:
         alphas = []
 
         def spy(*args, real=gc.probe_batch_vote, **kwargs):
-            alphas.append(args[6])  # the dedup radius, seventh
+            alphas.append(args[4])  # the dedup radius, fifth
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gc, "probe_batch_vote", spy)
@@ -731,7 +729,7 @@ class TestSignalDirection:
         monkeypatch.setattr(gc, "split_rows", spy)
         # one Gaussian has no split, so every trial reaches a failing verification
         p_level = 0.8 * scales.w_star
-        assert gc.find_signal_direction(stream, scales, [3.2], p_level, chain=chain) is None
+        assert gc.find_signal_direction(stream, [3.2], p_level, chain=chain) is None
         assert len(pools) == gc.SIGNAL_TRIALS
         assert all(rows is pools[0] for rows in pools)
         search = gc.SIGNAL_TRIALS * (2 + 2 * gc.SIGNAL_BATCH)
@@ -746,11 +744,11 @@ class TestSignalDirection:
         monkeypatch.setattr(gc, "SIGNAL_TRIALS", 1)
         spec = _spec([1.0], [[0.0, 0.0]])
         scales = gc.group_scales(2, 0.5, 1.0, 4.0)
-        chain, base = gc._checker_chain(MixtureSampler(spec, seed=5), gc.trivial_checker(2), scales, seed=0)
+        chain = gc._checker_chain(MixtureSampler(spec, seed=5), gc.trivial_checker(2), scales, seed=0)
         log = []
         stream = RowCounter(MixtureSampler(spec, seed=3), "mix", log)
-        base = RowCounter(base, "base", log)
-        assert gc.find_signal_direction(stream, scales, [3.2], 0.8 * scales.w_star, chain=(chain, base)) is None
+        chain = dataclasses.replace(chain, noise=RowCounter(chain.noise, "base", log))
+        assert gc.find_signal_direction(stream, [3.2], 0.8 * scales.w_star, chain=chain) is None
         m = gc.SIGNAL_BATCH
         assert log == [
             ("mix", 2 + 2 * m),

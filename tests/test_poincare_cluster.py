@@ -17,6 +17,7 @@ from mixcluster.poincare_cluster import (
     SUPPORT_FACTOR,
     DifferenceSampler,
     LearnedMixture,
+    PairTest,
     assign_batch,
     default_band,
     difference_noise,
@@ -35,14 +36,14 @@ def _spec(weights, means, tag="gaussian"):
 
 # probe_batch_vote's earlier loop, the reference for its merged request:
 # one probe row, then its batch, probe by probe
-def _interleaved_probe_batch_vote(mix, base, chain, cfg, probes, batch, alpha, w_min):
+def _interleaved_probe_batch_vote(mix, test, probes, batch, alpha, w_min):
     d = mix.d
     points = np.empty((probes, d))
     batches = np.empty((probes, batch, d))
     for i in range(probes):
         points[i] = np.asarray(mix.draw(1), dtype=float)[0]
         batches[i] = np.asarray(mix.draw(batch), dtype=float)
-    accept = st.pair_test_batch(points, batches.reshape(-1, d), chain, cfg, base).reshape(probes, batch)
+    accept = st.pair_test_batch(points, batches.reshape(-1, d), test.chain, test.cfg, test.noise).reshape(probes, batch)
     candidates = np.full((probes, d), np.nan)
     for i in range(probes):
         if accept[i].any():
@@ -62,7 +63,7 @@ class TestProbeBatchVote:
         mix = RowCounter(MixtureSampler(spec, seed=2), "mix", log)
         base = RowCounter(BaseSampler("gaussian", d, 2, 7), "base", log)
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        probe_batch_vote(mix, base, chain, cfg, probes, batch, 2.0, 0.4)
+        probe_batch_vote(mix, PairTest(chain, base, cfg), probes, batch, 2.0, 0.4)
         assert mix.requests == [probes * (batch + 1)]
         assert base.rows == probes * reps * (2 * t - 1)
         assert log == [("mix", probes * (batch + 1)), ("base", probes * reps * (2 * t - 1))]
@@ -80,7 +81,8 @@ class TestProbeBatchVote:
         for vote in (probe_batch_vote, _interleaved_probe_batch_vote):
             root = RowCounter(MixtureSampler(spec, seed=4))
             stream = gc.reduce_by_checker(root, checker)
-            means, support = vote(stream, BaseSampler("gaussian", d - 1, 4, 7), chain, cfg, probes, batch, 2.0, 1 / 6)
+            test = PairTest(chain, BaseSampler("gaussian", d - 1, 4, 7), cfg)
+            means, support = vote(stream, test, probes, batch, 2.0, 1 / 6)
             results.append((means, support, root.rows))
         (means, support, rows), (ref_means, ref_support, ref_rows) = results
         assert len(means) > 0
@@ -107,13 +109,13 @@ class TestProbeBatchVote:
         root = RowCounter(MixtureSampler(spec, seed=4))
         mix = RowCounter(gc.reduce_by_checker(root, checker))
         noise = BaseSampler("gaussian", d - 1, 4, 7)
-        means, support = probe_batch_vote(mix, noise, chain, cfg, probes, batch, 2.0, 1 / 6)
+        means, support = probe_batch_vote(mix, PairTest(chain, noise, cfg), probes, batch, 2.0, 1 / 6)
         assert mix.requests == [min(per_pass, probes - s) * (batch + 1) for s in range(0, probes, per_pass)]
         # the reference draws every probe's rows in one request
         ref_root = RowCounter(MixtureSampler(spec, seed=4))
         rows = gc.reduce_by_checker(ref_root, checker).draw(probes * (batch + 1)).reshape(probes, batch + 1, d - 1)
         noise = BaseSampler("gaussian", d - 1, 4, 7)
-        candidates = probe_candidates(rows[:, 0], rows[:, 1:], chain, cfg, noise)
+        candidates = probe_candidates(rows[:, 0], rows[:, 1:], PairTest(chain, noise, cfg))
         ref_means, ref_support = majority_vote(candidates, 2.0, SUPPORT_FACTOR * (1 / 6) * probes)
         assert len(means) > 0
         assert np.array_equal(means, ref_means)
@@ -189,7 +191,8 @@ class TestDifferenceNoise:
 # its support, then the same sequential admission over the valid candidates
 # in stable decreasing-support order, then each admitted candidate's mean
 # over the valid candidates in its 0.2*alpha ball (the second pass
-# probe_batch_vote once made after the vote).
+# probe_batch_vote once made after the vote), then the alpha floor over the
+# means in admission order (the loop full_cluster_bounded once ran).
 def _reference_majority_vote(candidates, alpha, support_threshold):
     valid = ~np.isnan(candidates[:, 0])
     support = np.zeros(len(candidates), dtype=int)
@@ -207,7 +210,11 @@ def _reference_majority_vote(candidates, alpha, support_threshold):
     means = np.zeros((len(accepted), candidates.shape[1]))
     for row, i in enumerate(accepted):
         means[row] = points[np.linalg.norm(points - candidates[i], axis=1) <= 0.2 * alpha].mean(axis=0)
-    return means, support[accepted]
+    kept = []
+    for row in range(len(accepted)):
+        if all(np.linalg.norm(means[row] - means[j]) >= alpha for j in kept):
+            kept.append(row)
+    return means[kept], support[accepted][kept]
 
 
 class TestMajorityVote:
@@ -253,6 +260,36 @@ class TestMajorityVote:
         for i in range(len(means)):
             for j in range(i + 1, len(means)):
                 assert np.linalg.norm(means[i] - means[j]) >= 2.0
+
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 40),
+        d=hst.integers(1, 3),
+        spread=hst.sampled_from([0.3, 1.0, 3.0]),
+        failed=hst.floats(0.0, 0.5),
+        alpha=hst.sampled_from([0.5, 2.0, 5.0]),
+        threshold=hst.floats(0.0, 6.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_means_pairwise_at_least_alpha_apart(self, seed, n, d, spread, failed, alpha, threshold):
+        # candidates scattered on the scale of alpha, so ball means often sit
+        # closer than the candidates that were admitted
+        rng = np.random.default_rng(seed)
+        cands = spread * rng.standard_normal((n, d))
+        cands[rng.random(n) < failed] = np.nan
+        means, support = majority_vote(cands, alpha, threshold)
+        assert len(means) == len(support)
+        dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+        assert np.all(dists[np.triu_indices(len(means), 1)] >= alpha)
+        assert np.all(np.diff(support) <= 0)
+
+    def test_ball_means_closer_than_alpha_keep_the_stronger(self):
+        # 0 and 2 are alpha apart and both admitted, but each ball's other
+        # candidate pulls its mean in: 0.15 and 1.85 are 1.7 apart
+        cands = np.array([[0.0], [0.3], [2.0], [1.7]])
+        means, support = majority_vote(cands, alpha=2.0, support_threshold=2.0)
+        assert np.array_equal(means, [[0.15]])
+        assert support.tolist() == [2]
 
     def test_nan_candidates_skipped(self):
         cands = np.vstack([np.full((3, 2), np.nan), np.zeros((6, 2))])
