@@ -166,10 +166,16 @@ class MixtureSampler:
         self.d = spec.d
         self._rng = rngmod.stream(seed, stream_id)
         self._base = BaseSampler(spec.dist_tag, spec.d, seed, stream_id, 1)
+        # Generator.choice's own inverse-cdf table, built once per stream
+        self._cdf = spec.weights.cumsum()
+        self._cdf /= self._cdf[-1]
 
     def draw_labeled(self, n: int):
-        labels = self._rng.choice(self.spec.k, size=n, p=self.spec.weights)
-        x = self.spec.means[labels] + self._base.draw(n)
+        """n rows and their component labels; the labels are the bits of
+        ``Generator.choice(k, n, p=weights)``, whose algorithm this is."""
+        labels = self._cdf.searchsorted(self._rng.random(n), side="right")
+        x = self._base.draw(n)
+        x += self.spec.means[labels]
         return x, labels
 
     def draw(self, n: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from mixcluster.mixture_gen import (
     sample_stream,
 )
 from mixcluster.moment_pipeline import MixtureSpec
+from mixcluster.rng import stream as rng_stream
 from mixcluster.poincare_cluster import DifferenceSampler
 
 
@@ -176,6 +177,18 @@ class TestStreams:
             grp = xs[labels == i] - np.asarray(spec.means)[i]
             cov = grp.T @ grp / len(grp)
             assert np.max(np.abs(cov - np.eye(3))) < 0.06
+
+    @pytest.mark.parametrize("weights", [(0.25, 0.25, 0.5), (0.1, 0.0, 0.3, 0.6), (1 / 7,) * 7])
+    @pytest.mark.parametrize("n", [0, 1, 7, 512, 4_096, 60_000])
+    def test_labels_are_generator_choice_bits(self, weights, n):
+        # the labels are Generator.choice's on the same stream, call after call
+        spec = MixtureSpec(np.array(weights), np.zeros((len(weights), 2)))
+        stream, reference = MixtureSampler(spec, 9), rng_stream(9, 2)
+        for size in (n, 5):
+            labels = stream.draw_labeled(size)[1]
+            want = reference.choice(spec.k, size=size, p=spec.weights)
+            assert labels.dtype == want.dtype
+            assert np.array_equal(labels, want)
 
     def test_bit_identical_streams(self):
         spec = build_spec(GenConfig(k=2, d=2, separation=10.0, seed=7))
