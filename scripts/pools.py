@@ -25,15 +25,20 @@ Each pool runs one learner call on learner seeds 0-19:
   a learned mean within 0.3 and the trail holds an ``isolate`` event at
   level >= 1 (C9's checks, without its time bound).  At 10 the pool is C9's,
   at 7 it is ``tests/test_chain_sensitivity.py``'s ``[C9-sep7]``, and at 6
-  it sits on the learner's separation cliff: on 8 of its 10 failing seeds
-  the earlier predicates accept every row, leaving no remainder.  Over
-  learner seeds 0-99 the c9-sep6 call passes 42/100 with each chain stage
+  it sat on the learner's separation cliff until the Far/Close statistic's
+  coefficients were estimated once per chain, from 16 * reps blocks, in
+  place of once per probe from reps blocks: over learner seeds 0-99 the
+  call now passes 86/100 (4 means on 88 seeds, 3 on 9, 2 on 3), and no
+  seed's last isolation level starves on a stream the earlier levels have
+  emptied.  Before that, on 8 of the pool's 10 failing seeds the earlier
+  predicates accepted every row, leaving no remainder, and over learner
+  seeds 0-99 the c9-sep6 call passed 42/100 with each chain stage
   stopped once its halves agree on the directions they resolve.  It passed
   44/100 when the halves had to agree on all k directions, 48/100 with a
   fixed 5,000 rows per stage, 36/100 with a slack of 0.05 in place of
   0.01, and 41/100 with a fixed 1,024.  With one pair-test threshold per
   group, (0.2 s)^2 at the spacing s, in place of one per signal-search
-  guess, it passes 46/100, and still does with the remainder taken as the
+  guess, it passed 46/100, and still did with the remainder taken as the
   rows no predicate accepts in place of a vote of its own (4 means on 49
   seeds, 3 on 15, 2 on 36).
 - ``c9-wide``: C9's call with the outer ratio at 1e9 in place of 1000,
@@ -42,9 +47,9 @@ Each pool runs one learner call on learner seeds 0-19:
 - ``c9-nohint``: C9's call with ``sep_hint`` left out, so every scale it
   sets comes from the group's spacing s = ln(k_g/w_min)^(0.5+c): the
   pair-test threshold (0.2 s)^2, the vote radius 0.5 s and the refinement
-  floor max(0.04 ln^4, 2 s).  Ungated; it fails every seed with one mean:
-  the threshold (0.2 s)^2 = 0.85 sits below the same-component noise floor,
-  so the vote admits none.
+  floor max(0.04 ln^4, 2 s).  Ungated; it fails every seed, 19 of 20 with
+  one mean: the threshold (0.2 s)^2 = 0.85 sits below the same-component
+  noise floor, so the vote admits none.
 
 Prints one JSON line per pool: passes, mean and max mixture rows per seed
 (counted at the root stream, so rejected rows count), the worst mean error

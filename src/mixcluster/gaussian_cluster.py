@@ -40,7 +40,6 @@ from .mixture_gen import BaseSampler
 from .moment_pipeline import lead_positive
 from .poincare_cluster import (
     LearnedMixture,
-    PairTest,
     difference_chain,
     margin_matrix,
     nearest,
@@ -273,7 +272,7 @@ def _default_grid(mix_sampler, floor: float) -> list:
     return grid
 
 
-def find_signal_direction(mix_sampler, floors, p_level: float, *, chain: PairTest):
+def find_signal_direction(mix_sampler, floors, p_level: float, *, chain: st.PairTest):
     """Search for a direction along which the mixture splits into two heavy,
     well-separated halves; returns ``(v, delta, split)``: the unit direction,
     the signal floor it was verified at and the split point along it, or
@@ -290,10 +289,11 @@ def find_signal_direction(mix_sampler, floors, p_level: float, *, chain: PairTes
     Every candidate the call tests is verified on one pool of
     ``_verification_rows(p_level)`` rows, drawn at the call's first
     verification; the mass level is fixed within a call, so one pool serves
-    every test.  This is sound for the reason common random numbers are in
-    the Far/Close test: a candidate v is a function of its own trial's
-    anchors and batch (and of the chain, built earlier) only, and those rows
-    are drawn apart from the pool, so the pool is independent of every v it
+    every test.  This is sound for the reason the chain's one set of
+    coefficient rows is in the Far/Close test (sample_test): a candidate v
+    is a function of its own trial's anchors and batch (and of the chain
+    and its coefficients, built earlier) only, and those rows are drawn
+    apart from the pool, so the pool is independent of every v it
     verifies.  Each test therefore keeps its own error probability, and the
     union bound over the at most ``len(floors) * SIGNAL_TRIALS`` tests of a
     call, which needs no independence between the tests, is the one a fresh
@@ -406,7 +406,7 @@ def group_scales(k: int, w_min: float, c: float, sep_hint: float | None) -> Grou
     )
 
 
-def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int) -> PairTest:
+def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int) -> st.PairTest:
     """The pair test every search at ``ch`` runs, at the group's config
     ``scales.pair``, under a chain built once when the checker comes into
     being (:func:`poincare_cluster.difference_chain`).  The chain's rows are
@@ -431,14 +431,16 @@ def _checker_chain(mix_sampler, ch: Checker, scales: GroupScales, seed: int) -> 
       stream rests on the same independence.
 
     The chain is built on pairwise differences, so it is mean-free.  Its
-    base rows are the difference noise of a standard normal stream, which
-    :func:`poincare_cluster.difference_noise` draws directly.
+    base rows, and then the statistic's coefficient rows, are the difference
+    noise of a standard normal stream, which
+    :func:`poincare_cluster.difference_noise` draws directly; no search
+    under the chain draws base rows again.
     """
     source = reduce_by_checker(mix_sampler, ch.with_radius(scales.source_radius))
     return difference_chain(source, BaseSampler("gaussian", source.d, seed, 3), scales.k, scales.pair, N_PER_STAGE)
 
 
-def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: PairTest) -> np.ndarray:
+def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: st.PairTest) -> np.ndarray:
     """Probe/batch/vote mean recovery, under the checker's pair test
     ``chain``, for a mixture whose maximum separation is polylog-bounded;
     returns r <= k means pairwise >= s/2 apart, the vote's radius."""
@@ -450,7 +452,7 @@ def full_cluster_bounded(mix_sampler, scales: GroupScales, *, chain: PairTest) -
 # ---------------------------------------------------------------------------
 
 
-def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: PairTest, seed: int) -> tuple:
+def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: st.PairTest, seed: int) -> tuple:
     """Grow the checker subspace by one signal direction and recenter on a
     well-supported sample from one side of the split, searching under the
     checker's pair test ``chain``; ``seed`` orders the gammas and picks the
@@ -509,7 +511,7 @@ def refine_checker(mix_sampler, ch: Checker, scales: GroupScales, *, chain: Pair
     raise RefineFailedError(f"refinement exhausted gamma attempts: {last_error}")
 
 
-def test_max_separation(mix_sampler, ch: Checker, scales: GroupScales, *, chain: PairTest) -> bool:
+def test_max_separation(mix_sampler, ch: Checker, scales: GroupScales, *, chain: st.PairTest) -> bool:
     """False (reject) iff a verified wide split, searched under the
     checker's pair test ``chain``, survives in some truncated reduction of the checker
     scope; True (accept) otherwise."""
@@ -558,7 +560,7 @@ class ComponentTest:
         return self.labels(xs) == self.target
 
 
-def isolate_component(mix_sampler, ch: Checker, scales: GroupScales, *, chain: PairTest) -> ComponentTest:
+def isolate_component(mix_sampler, ch: Checker, scales: GroupScales, *, chain: st.PairTest) -> ComponentTest:
     """Fully cluster the checker scope under the checker's pair test
     ``chain`` and return the predicate for the cluster that is heavy and
     concentrated near the checker center."""

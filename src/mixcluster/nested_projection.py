@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _ORTHO_TOL = 1e-8  # largest |Pi Pi^T - I| entry a stage may carry
-# floats a chunk's largest intermediates may hold, in both kernels that push
-# rows through a chain (the moment estimator; sample_test._statistic_batch's
-# passes take an eighth of it)
+# floats a chunk's largest intermediates may hold, in the kernels that push
+# rows through a chain (the moment estimator; sample_test's coefficient
+# build and its statistic's passes take an eighth of it)
 WORKING_SET = 1 << 21
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import sample_test as st
 from .moment_pipeline import iterative_projection
-from .nested_projection import NestedProjection
 
 WEIGHT_SAMPLES = 2_000  # fresh rows assigned to estimate the weights
 SUPPORT_FACTOR = 0.5  # the vote admits at SUPPORT_FACTOR * w_min * probes
@@ -61,22 +60,16 @@ def difference_noise(base):
     return DifferenceSampler(base)
 
 
-@dataclass(frozen=True)
-class PairTest:
-    """A Far/Close pair test: its chain, the difference noise the chain was
-    built on (which the statistic reads too) and its config."""
-
-    chain: NestedProjection
-    noise: object
-    cfg: st.TestConfig
-
-
-def difference_chain(stream, base, k: int, cfg: st.TestConfig, cap: int) -> PairTest:
+def difference_chain(stream, base, k: int, cfg: st.TestConfig, cap: int) -> st.PairTest:
     """The test ``cfg`` under a chain for ``k`` components built on
-    difference rows of ``stream``, at most ``cap`` a stage; the chain and the
-    statistic read ``base`` through :func:`difference_noise`."""
+    difference rows of ``stream``, at most ``cap`` a stage, with the
+    statistic's coefficients cached on it.  The chain and then the
+    coefficients (:func:`st.build_pair_test`: one request of
+    ``st.COEFF_BLOCKS * cfg.reps * (2t-1)`` rows) read ``base`` through
+    :func:`difference_noise`; no test under the returned ``PairTest``
+    draws again."""
     noise = difference_noise(base)
-    return PairTest(iterative_projection(DifferenceSampler(stream), noise, cfg.t, k, cap), noise, cfg)
+    return st.build_pair_test(iterative_projection(DifferenceSampler(stream), noise, cfg.t, k, cap), cfg, noise)
 
 
 def majority_vote(candidates: np.ndarray, alpha: float, support_threshold: float):
@@ -149,17 +142,16 @@ def assign_batch(xs, means, band: float):
     return np.argmin(margins, axis=1), np.count_nonzero(margins <= band, axis=1) != 1
 
 
-def probe_candidates(points, batches, test: PairTest) -> np.ndarray:
+def probe_candidates(points, batches, test: st.PairTest) -> np.ndarray:
     """The probe step: each probe's accepted batch rows averaged, (P, d),
     with a NaN row for a probe that accepts none.
 
     points (P, d) holds the probes and batches (P, m, d) their batches.  One
-    :func:`st.pair_test_batch` call runs ``test`` on every probe, with one
-    request of P * reps * (2t-1) rows from its noise, the stream its chain
-    was built on, and per probe reps * ((d+t-1)^t + t^t) word images for the
-    statistic's coefficients."""
+    :func:`st.pair_test_batch` call runs ``test`` on every probe: it
+    evaluates the chain's cached polynomial at each pair, one chain row a
+    pair, and draws nothing."""
     probes, m, d = batches.shape
-    accept = st.pair_test_batch(points, batches.reshape(-1, d), test.chain, test.cfg, test.noise).reshape(probes, m)
+    accept = st.pair_test_batch(points, batches.reshape(-1, d), test).reshape(probes, m)
     candidates = np.full((probes, d), np.nan)
     for i in range(probes):
         if accept[i].any():
@@ -167,7 +159,7 @@ def probe_candidates(points, batches, test: PairTest) -> np.ndarray:
     return candidates
 
 
-def probe_batch_vote(mix_sampler, test: PairTest, probes: int, batch: int, alpha: float, w_min: float):
+def probe_batch_vote(mix_sampler, test: st.PairTest, probes: int, batch: int, alpha: float, w_min: float):
     """Probe/batch/vote mean recovery under the pair test ``test``, the one
     vote rule of both learners.
 
@@ -182,7 +174,7 @@ def probe_batch_vote(mix_sampler, test: PairTest, probes: int, batch: int, alpha
     strongest-supported first, and their support counts.
     """
     d = mix_sampler.d
-    per_pass = st.probes_per_pass(batch, test.chain, test.cfg.reps)
+    per_pass = st.probes_per_pass(batch, test.chain)
     candidates = []
     for start in range(0, probes, per_pass):
         p = min(per_pass, probes - start)
@@ -241,13 +233,24 @@ def learn_means(
     halves of its draws agree (:func:`moment_pipeline.stage_matrix`).  Both
     the chain and the vote read the base law through
     :func:`difference_noise` (:func:`difference_chain`), so a Gaussian base
-    is drawn directly.  The returned means are pairwise at least ``alpha``
-    apart.
+    is drawn directly.  ``reps`` is the statistic's coefficient blocks over
+    ``st.COEFF_BLOCKS``: the chain's Far/Close polynomial averages
+    ``st.COEFF_BLOCKS * reps`` blocks of 2t-1 noise rows, drawn once after
+    the chain, and every pair test of the vote evaluates it.  The returned
+    means are pairwise at least ``alpha`` apart.
+
+    k < 1, ``w_min`` outside (0, 1], and ``probes`` or ``batch`` below 1
+    raise ValueError before any row is drawn.
 
     Separations below the (ln K)^{1+c} regime run anyway and are flagged in
     the metadata; desk-scale runs live outside the asymptotic regime by
     design.
     """
+    # not 0 < w_min also rejects NaN
+    if k < 1 or not 0 < w_min <= 1:
+        raise ValueError(f"need k >= 1 and w_min in (0, 1], got k={k}, w_min={w_min}")
+    if (probes is not None and probes < 1) or (batch is not None and batch < 1):
+        raise ValueError(f"need probes and batch >= 1, got probes={probes}, batch={batch}")
     warnings = []
     regime_floor = math.log(k / w_min) ** (1.0 + c)
     if sep < regime_floor:

@@ -458,8 +458,12 @@ class TestDifferenceChain:
         monkeypatch.setattr(gc, "BaseSampler", CountingBase)
         monkeypatch.setattr(gc, "N_PER_STAGE", 500)
         gc._checker_chain(MixtureSampler(self.spec, seed=3), gc.trivial_checker(2), self.scales, seed=0)
-        # a stage at degree 2s draws 4s - 1 base rows per mixture row
-        assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, st.PAIR_DEGREE + 1))
+        # a stage at degree 2s draws 4s - 1 base rows per mixture row, and
+        # the statistic's coefficients one last request of
+        # COEFF_BLOCKS * reps blocks of 2t - 1 rows
+        coefficients = st.COEFF_BLOCKS * self.scales.pair.reps * (2 * st.PAIR_DEGREE - 1)
+        assert rows[-1] == coefficients
+        assert sum(rows) == 500 * sum(4 * s - 1 for s in range(2, st.PAIR_DEGREE + 1)) + coefficients
 
     def test_chain_draws_two_scope_rows_per_stage_sample(self, monkeypatch):
         # a pair-test chain estimates one stage, of at most N_PER_STAGE
@@ -737,24 +741,23 @@ class TestSignalDirection:
 
 
     def test_draw_schedule_of_one_trial_is_pinned(self, monkeypatch):
-        # one trial: one request for two anchors and their batches, then one
-        # base request for both anchors' pair tests, then the call's
-        # verification pool
+        # the chain's build reads its base rows, the coefficients' request of
+        # COEFF_BLOCKS * reps blocks last; then one trial: one request for
+        # two anchors and their batches, whose pair tests draw nothing, then
+        # the call's verification pool
         monkeypatch.setattr(gc, "N_PER_STAGE", 2_000)
         monkeypatch.setattr(gc, "SIGNAL_TRIALS", 1)
+        log = []
+        monkeypatch.setattr(gc, "BaseSampler", lambda *args: RowCounter(BaseSampler(*args), "base", log))
         spec = _spec([1.0], [[0.0, 0.0]])
         scales = gc.group_scales(2, 0.5, 1.0, 4.0)
         chain = gc._checker_chain(MixtureSampler(spec, seed=5), gc.trivial_checker(2), scales, seed=0)
-        log = []
+        assert log[-1] == ("base", st.COEFF_BLOCKS * st.DEFAULT_REPS * (2 * st.PAIR_DEGREE - 1))
+        log.clear()
         stream = RowCounter(MixtureSampler(spec, seed=3), "mix", log)
-        chain = dataclasses.replace(chain, noise=RowCounter(chain.noise, "base", log))
         assert gc.find_signal_direction(stream, [3.2], 0.8 * scales.w_star, chain=chain) is None
         m = gc.SIGNAL_BATCH
-        assert log == [
-            ("mix", 2 + 2 * m),
-            ("base", 2 * st.DEFAULT_REPS * (2 * st.PAIR_DEGREE - 1)),
-            ("mix", gc._verification_rows(0.8 * scales.w_star)),
-        ]
+        assert log == [("mix", 2 + 2 * m), ("mix", gc._verification_rows(0.8 * scales.w_star))]
 
     def test_separation_test_rejects_at_its_first_verified_scope(self, monkeypatch):
         # two Gaussians 20 apart across the checker's complement split at

@@ -17,7 +17,6 @@ from mixcluster.poincare_cluster import (
     SUPPORT_FACTOR,
     DifferenceSampler,
     LearnedMixture,
-    PairTest,
     assign_batch,
     default_band,
     difference_noise,
@@ -43,7 +42,7 @@ def _interleaved_probe_batch_vote(mix, test, probes, batch, alpha, w_min):
     for i in range(probes):
         points[i] = np.asarray(mix.draw(1), dtype=float)[0]
         batches[i] = np.asarray(mix.draw(batch), dtype=float)
-    accept = st.pair_test_batch(points, batches.reshape(-1, d), test.chain, test.cfg, test.noise).reshape(probes, batch)
+    accept = st.pair_test_batch(points, batches.reshape(-1, d), test).reshape(probes, batch)
     candidates = np.full((probes, d), np.nan)
     for i in range(probes):
         if accept[i].any():
@@ -54,8 +53,9 @@ def _interleaved_probe_batch_vote(mix, test, probes, batch, alpha, w_min):
 class TestProbeBatchVote:
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_draw_schedule_is_pinned(self, t):
-        # one mixture request holds every probe row and its batch; then one
-        # base request serves every probe's pair tests
+        # the pair test's build makes the one base request, of
+        # COEFF_BLOCKS * reps blocks; then one mixture request holds every
+        # probe row and its batch, and the probes' pair tests draw nothing
         d, probes, batch, reps = 2, 5, 7, 3
         spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])
         chain = random_nested_projection(d, [2] * t, np.random.default_rng(t))
@@ -63,10 +63,10 @@ class TestProbeBatchVote:
         mix = RowCounter(MixtureSampler(spec, seed=2), "mix", log)
         base = RowCounter(BaseSampler("gaussian", d, 2, 7), "base", log)
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        probe_batch_vote(mix, PairTest(chain, base, cfg), probes, batch, 2.0, 0.4)
+        probe_batch_vote(mix, st.build_pair_test(chain, cfg, base), probes, batch, 2.0, 0.4)
         assert mix.requests == [probes * (batch + 1)]
-        assert base.rows == probes * reps * (2 * t - 1)
-        assert log == [("mix", probes * (batch + 1)), ("base", probes * reps * (2 * t - 1))]
+        assert base.rows == st.COEFF_BLOCKS * reps * (2 * t - 1)
+        assert log == [("base", st.COEFF_BLOCKS * reps * (2 * t - 1)), ("mix", probes * (batch + 1))]
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_merged_request_learns_what_the_interleaved_loop_did(self, t):
@@ -81,7 +81,7 @@ class TestProbeBatchVote:
         for vote in (probe_batch_vote, _interleaved_probe_batch_vote):
             root = RowCounter(MixtureSampler(spec, seed=4))
             stream = gc.reduce_by_checker(root, checker)
-            test = PairTest(chain, BaseSampler("gaussian", d - 1, 4, 7), cfg)
+            test = st.build_pair_test(chain, cfg, BaseSampler("gaussian", d - 1, 4, 7))
             means, support = vote(stream, test, probes, batch, 2.0, 1 / 6)
             results.append((means, support, root.rows))
         (means, support, rows), (ref_means, ref_support, ref_rows) = results
@@ -94,28 +94,30 @@ class TestProbeBatchVote:
     @pytest.mark.parametrize("t", [1, 2])
     @pytest.mark.parametrize("working_set", [1, 2**14])
     def test_passes_learn_what_one_request_did(self, monkeypatch, t, working_set):
-        # a small working set splits the vote into passes of 1 probe, or of 7
-        # (t = 1) and 4 (t = 2); each pass's mixture request is its own
+        # a small working set splits the vote into passes of 1 probe, or of 8
+        # (t = 1) and 6 (t = 2); each pass's mixture request is its own
         # probes' rows, and on a rejection-sampled stream the passes return
-        # the rows of one request and leave the root at the same row
+        # the rows of one request and leave the root at the same row; no
+        # pass draws base rows
         d, probes, batch = 3, 12, 40
         spec = _spec([0.5, 0.5], [[0.0, 0.0, 0.0], [6.0, 2.0, 0.0]])
         checker = gc.Checker(np.array([[0.0], [0.0], [1.0]]), np.array([0.0]), 1.0)
         chain = random_nested_projection(d - 1, [2] * t, np.random.default_rng(t))
         cfg = st.TestConfig(t, tau=1.0, reps=3)
         monkeypatch.setattr(npj, "WORKING_SET", working_set)
-        per_pass = st.probes_per_pass(batch, chain, cfg.reps)
-        assert per_pass < probes
+        per_pass = st.probes_per_pass(batch, chain)
+        assert per_pass == (1 if working_set == 1 else (8, 6)[t - 1])
+        noise = RowCounter(BaseSampler("gaussian", d - 1, 4, 7))
+        test = st.build_pair_test(chain, cfg, noise)
         root = RowCounter(MixtureSampler(spec, seed=4))
         mix = RowCounter(gc.reduce_by_checker(root, checker))
-        noise = BaseSampler("gaussian", d - 1, 4, 7)
-        means, support = probe_batch_vote(mix, PairTest(chain, noise, cfg), probes, batch, 2.0, 1 / 6)
+        means, support = probe_batch_vote(mix, test, probes, batch, 2.0, 1 / 6)
         assert mix.requests == [min(per_pass, probes - s) * (batch + 1) for s in range(0, probes, per_pass)]
+        assert noise.requests == [st.COEFF_BLOCKS * cfg.reps * (2 * t - 1)]
         # the reference draws every probe's rows in one request
         ref_root = RowCounter(MixtureSampler(spec, seed=4))
         rows = gc.reduce_by_checker(ref_root, checker).draw(probes * (batch + 1)).reshape(probes, batch + 1, d - 1)
-        noise = BaseSampler("gaussian", d - 1, 4, 7)
-        candidates = probe_candidates(rows[:, 0], rows[:, 1:], PairTest(chain, noise, cfg))
+        candidates = probe_candidates(rows[:, 0], rows[:, 1:], test)
         ref_means, ref_support = majority_vote(candidates, 2.0, SUPPORT_FACTOR * (1 / 6) * probes)
         assert len(means) > 0
         assert np.array_equal(means, ref_means)
@@ -419,10 +421,11 @@ class TestLearnMeans:
     @pytest.mark.parametrize("tag", ["gaussian", "laplace", "uniform_cube"])
     @pytest.mark.parametrize("t", [2, 3])
     def test_vote_reads_the_chains_difference_noise(self, t, tag):
-        # the chain's stages and the vote's pair tests both read the difference
-        # noise: one base row each for a Gaussian base, two for any other law,
-        # so raw base rows in the vote would leave a non-Gaussian count short
-        # by probes * reps * (2t-1)
+        # the chain's stages and then its coefficients, in one last request of
+        # COEFF_BLOCKS * reps * (2t-1) rows, read the difference noise: one
+        # base row each for a Gaussian base, two for any other law, so raw
+        # base rows in the coefficients would leave a non-Gaussian count
+        # short; the vote's probes draw none
         n_per_stage, probes, batch, reps = 200, 5, 7, 3
         spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]], tag)
         base = RowCounter(BaseSampler(tag, 2, 4, 7))
@@ -430,7 +433,24 @@ class TestLearnMeans:
                     t=t, reps=reps, probes=probes, batch=batch, n_per_stage=n_per_stage)
         stages = n_per_stage * sum(4 * s - 1 for s in range(2, t + 1))
         base_rows_per_noise_row = 1 if tag == "gaussian" else 2
-        assert base.rows == base_rows_per_noise_row * (stages + probes * reps * (2 * t - 1))
+        coefficients = st.COEFF_BLOCKS * reps * (2 * t - 1)
+        assert base.rows == base_rows_per_noise_row * (stages + coefficients)
+        assert base.requests[-1] == base_rows_per_noise_row * coefficients
+
+    @pytest.mark.parametrize(
+        "k, w_min, sizes",
+        [(0, 0.25, {}), (3, 0.0, {}), (3, -0.1, {}), (3, 1.5, {}), (3, math.nan, {}),
+         (3, 0.25, {"probes": 0}), (3, 0.25, {"batch": 0}), (3, 0.25, {"probes": -2, "batch": 300})],
+    )
+    def test_invalid_sizes_raise_before_any_draw(self, k, w_min, sizes):
+        # once, w_min 0 divided by zero, w_min 1.5 drew 3,170 rows and
+        # returned no means, and probes 0 drew 2,048 rows before numpy failed
+        spec = build_spec(GenConfig(k=3, d=3, separation=12.0, seed=7))
+        mix = RowCounter(MixtureSampler(spec, seed=0))
+        base = RowCounter(BaseSampler("gaussian", 3, 0, 1))
+        with pytest.raises(ValueError):
+            learn_means(mix, base, k, w_min, 12.0, 2.0, 0.5, reps=32, n_per_stage=15_000, **sizes)
+        assert mix.rows == base.rows == 0
 
     def test_degree_past_max_raises_before_any_draw(self):
         spec = _spec([0.5, 0.5], [[0.0, 0.0], [12.0, 0.0]])

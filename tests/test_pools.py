@@ -1,8 +1,8 @@
 """Both learners' bits on five of their seed pools.
 
 Runs ``scripts/pools.py``'s ``c9-sep10`` pool (C9's call on seeds 0-19), its
-``c9-sep6`` pool (the same call at separation 6, where predicates often
-leave no remainder), its ``c9-nohint`` pool (C9's call with no separation
+``c9-sep6`` pool (the same call at separation 6, the learner's former
+separation cliff), its ``c9-nohint`` pool (C9's call with no separation
 hint, so every scale comes from the group's spacing ln(k/w_min)^(0.5+c)),
 its ``c8-gaussian`` pool (C8's ``learn_means`` call) and its ``deg3`` pool
 (``learn_means`` at t=3), and compares each pool's pass count, mixture row

@@ -13,7 +13,14 @@ from conftest import RowCounter, grouped_tail_images, random_nested_projection
 from mixcluster.mixture_gen import BASE_TAGS, BaseSampler, MixtureSampler
 from mixcluster.moment_pipeline import MixtureSpec
 from mixcluster.nested_projection import NestedProjection, apply_rank1_batch, word_images
-from mixcluster.oracles import dense_matrix, exact_projection_chain, prefix, r_poly_terms
+from mixcluster.oracles import (
+    adjusted_poly_recursive,
+    base_moments,
+    dense_matrix,
+    exact_projection_chain,
+    prefix,
+    r_poly_terms,
+)
 from mixcluster.sample_test import r_expansion_arrays
 
 
@@ -131,17 +138,6 @@ class _TiledSampler:
         return np.tile(np.asarray(self.inner.draw(m // self.n)), (self.n, 1))
 
 
-class _CountingSampler:
-    def __init__(self, inner):
-        self.inner = inner
-        self.d = inner.d
-        self.rows = 0
-
-    def draw(self, m):
-        self.rows += m
-        return self.inner.draw(m)
-
-
 def _point_mass_chain(mu, t):
     spec = MixtureSpec(np.array([1.0]), np.array([mu]), "point_mass")
     return spec, exact_projection_chain(spec, t, 1)
@@ -170,7 +166,14 @@ class TestThresholdPolicy:
 
 
 def _statistic(z, chain, cfg, base):
-    return float(st._statistic_batch(np.asarray(z, dtype=float)[None, None, :], chain, cfg, base)[0, 0])
+    test = st.build_pair_test(chain, cfg, base)
+    return float(st._statistic_batch(np.asarray(z, dtype=float)[None, None, :], test)[0, 0])
+
+
+def _chain_draws(cfg, base):
+    """The rows a chain's coefficient build reads: COEFF_BLOCKS * reps blocks
+    of 2t-1 rows, in one request."""
+    return base.draw(st.COEFF_BLOCKS * cfg.reps * (2 * cfg.t - 1))
 
 
 def _is_far(z, chain, cfg, base):
@@ -271,7 +274,7 @@ class TestPairTest:
         cfg = st.TestConfig(2, tau=1.0, reps=2)
         z = np.array([3.0, 0.0])
         others = np.array([[3.0, 0.0], [0.0, 0.0], [3.0, 0.1]])
-        mask = st.pair_test_batch(z, others, chain, cfg, base)
+        mask = st.pair_test_batch(z, others, st.build_pair_test(chain, cfg, base))
         singles = [st.pair_test(z, o, chain, cfg, base) for o in others]
         assert list(mask) == singles
 
@@ -308,12 +311,14 @@ class TestStatisticByLinearity:
         # Far-sized points sit ten times further out than Close-sized ones
         zs = (20.0 if far else 2.0) * rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        got = st._statistic_batch(zs[None], chain, cfg, BaseSampler(tag, d, seed, 5))[0]
-        gathered = _reference_statistic_batch(zs, chain, cfg, _TiledSampler(BaseSampler(tag, d, seed, 5), n))
-        linear = _reference_linearity_statistic_batch(zs, chain, cfg, BaseSampler(tag, d, seed, 5))
+        got = st._statistic_batch(zs[None], st.build_pair_test(chain, cfg, BaseSampler(tag, d, seed, 5)))[0]
+        # the references average the chain's one draw of COEFF_BLOCKS * reps blocks
+        blocks = dataclasses.replace(cfg, reps=st.COEFF_BLOCKS * reps)
+        gathered = _reference_statistic_batch(zs, chain, blocks, _TiledSampler(BaseSampler(tag, d, seed, 5), n))
+        linear = _reference_linearity_statistic_batch(zs, chain, blocks, BaseSampler(tag, d, seed, 5))
         # relative to the size of the rank-1 terms, so that a statistic that
         # cancels to near zero is not held to a relative bound on itself
-        draws = BaseSampler(tag, d, seed, 5).draw(reps * (2 * t - 1))
+        draws = _chain_draws(cfg, BaseSampler(tag, d, seed, 5))
         size = max(np.abs(zs).max(), np.abs(draws).max(), 1.0) ** t
         np.testing.assert_allclose(got, gathered, rtol=1e-12, atol=1e-12 * size)
         np.testing.assert_allclose(got, linear, rtol=1e-12, atol=1e-12 * size)
@@ -326,16 +331,11 @@ class TestStatisticByLinearity:
         chain = _random_chain(d, t, rng)
         zs = rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        got = st._statistic_batch(zs[None], chain, cfg, BaseSampler(tag, d, 11, 3))[0]
-        draws = BaseSampler(tag, d, 11, 3).draw(reps * (2 * t - 1)).reshape(reps, 2 * t - 1, d)
+        got = st._statistic_batch(zs[None], st.build_pair_test(chain, cfg, BaseSampler(tag, d, 11, 3)))[0]
+        draws = _chain_draws(cfg, BaseSampler(tag, d, 11, 3)).reshape(-1, 2 * t - 1, d)
         gamma = dense_matrix(chain)
         want = [
-            np.linalg.norm(
-                np.mean(
-                    [gamma @ r_poly_terms([z, *draws[r]], t).dense_sum().reshape(-1) for r in range(reps)],
-                    axis=0,
-                )
-            )
+            np.linalg.norm(np.mean([gamma @ r_poly_terms([z, *block], t).dense_sum().reshape(-1) for block in draws], axis=0))
             for z in zs
         ]
         np.testing.assert_allclose(got, want, rtol=1e-10)
@@ -345,16 +345,20 @@ class TestSharedDraws:
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 7, 600])
     def test_one_call_draws_one_set_of_base_rows(self, t, n):
+        # the chain's one build draws COEFF_BLOCKS * reps blocks in one
+        # request; a pair test under it, of any size, draws none
         rng = np.random.default_rng(10 * t + n)
         d, reps = 3, 4
         chain = _random_chain(d, t, rng)
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        base = _CountingSampler(BaseSampler("gaussian", d, 3, 1))
+        base = RowCounter(BaseSampler("gaussian", d, 3, 1))
+        test = st.build_pair_test(chain, cfg, base)
+        assert base.requests == [st.COEFF_BLOCKS * reps * (2 * t - 1)]
         z = rng.standard_normal(d)
         others = rng.standard_normal((n, d))
-        mask = st.pair_test_batch(z, others, chain, cfg, base)
+        mask = st.pair_test_batch(z, others, test)
         assert mask.shape == (n,)
-        assert base.rows == reps * (2 * t - 1)
+        assert base.requests == [st.COEFF_BLOCKS * reps * (2 * t - 1)]
 
     @pytest.mark.parametrize("t", [2, 3])
     @pytest.mark.parametrize("reps", [1, 4, 32])
@@ -370,14 +374,16 @@ class TestSharedDraws:
         d, n = 3, 50
         chain = _random_chain(d, t, rng)
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        test = st.build_pair_test(chain, cfg, BaseSampler("gaussian", d, 3, 1))
+        # the build goes through word_images, so the chain rows are Gamma(z^(x)t) alone
+        assert rows == []
         z = rng.standard_normal(d)
         others = rng.standard_normal((2 * n, d))
         counts = []
         for m in (n, 2 * n):
             rows.clear()
-            st.pair_test_batch(z, others[:m], chain, cfg, BaseSampler("gaussian", d, 3, 1))
+            st.pair_test_batch(z, others[:m], test)
             counts.append(sum(rows))
-        # the set-up goes through word_images, so the chain rows are Gamma(z^(x)t) alone
         assert counts == [n, 2 * n]
 
     @given(
@@ -394,26 +400,35 @@ class TestSharedDraws:
         chain = _random_chain(d, t, rng)
         zs = 2.0 * rng.standard_normal((n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        batch = st._statistic_batch(zs[None], chain, cfg, BaseSampler(tag, d, seed, 5))[0]
-        draws = BaseSampler(tag, d, seed, 5).draw(reps * (2 * t - 1))
+        test = st.build_pair_test(chain, cfg, BaseSampler(tag, d, seed, 5))
+        batch = st._statistic_batch(zs[None], test)[0]
+        draws = _chain_draws(cfg, BaseSampler(tag, d, seed, 5))
         size = max(np.abs(zs).max(), np.abs(draws).max(), 1.0) ** t
         for i in range(n):
-            single = st._statistic_batch(zs[None, i : i + 1], chain, cfg, BaseSampler(tag, d, seed, 5))[0]
+            single = st._statistic_batch(zs[None, i : i + 1], st.build_pair_test(chain, cfg, BaseSampler(tag, d, seed, 5)))[0]
             np.testing.assert_allclose(batch[i : i + 1], single, rtol=1e-12, atol=1e-12 * size)
 
 
 class TestWorkingSet:
     @pytest.mark.parametrize("t, d, k, reps", [(2, 3, 3, 32), (3, 3, 3, 8), (3, 6, 4, 16)])
     def test_chunks_do_not_change_the_statistic(self, monkeypatch, t, d, k, reps):
-        # 256 floats hold less than one probe at each shape, so every pass
-        # takes one probe: two word_images calls over its reps and one chain
-        # call over its points; the last shape is poincare-deg3's
+        # 256 floats hold less than one block or one probe at each shape, so
+        # the build images one block a chunk, two word_images calls each,
+        # and every pass takes one probe, one chain call over its points;
+        # the last shape is poincare-deg3's
         rng = np.random.default_rng(100 * t + d)
         chain = random_nested_projection(d, [k] * t, rng)
         probes, n = 5, 10
         zs = 3.0 * rng.standard_normal((probes, n, d))
         cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        want = st._statistic_batch(zs, chain, cfg, BaseSampler("laplace", d, 5, 1))
+        want = st._statistic_batch(zs, st.build_pair_test(chain, cfg, BaseSampler("laplace", d, 5, 1)))
+        # the reference: the chain's one draw averaged in one pass per block half
+        draws = _chain_draws(cfg, BaseSampler("laplace", d, 5, 1))
+        linear = _reference_linearity_statistic_batch(
+            zs.reshape(-1, d), chain, dataclasses.replace(cfg, reps=st.COEFF_BLOCKS * reps), BaseSampler("laplace", d, 5, 1)
+        )
+        size = max(np.abs(zs).max(), np.abs(draws).max(), 1.0) ** t
+        np.testing.assert_allclose(want.reshape(-1), linear, rtol=1e-12, atol=1e-12 * size)
         blocks, points = [], []
 
         def images(np_, pool):
@@ -427,8 +442,8 @@ class TestWorkingSet:
         monkeypatch.setattr(npj, "WORKING_SET", 256)
         monkeypatch.setattr(npj, "word_images", images)
         monkeypatch.setattr(npj, "apply_rank1_batch", rank1)
-        got = st._statistic_batch(zs, chain, cfg, BaseSampler("laplace", d, 5, 1))
-        assert blocks == [reps] * (2 * probes)
+        got = st._statistic_batch(zs, st.build_pair_test(chain, cfg, BaseSampler("laplace", d, 5, 1)))
+        assert blocks == [1] * (2 * st.COEFF_BLOCKS * reps)
         assert points == [n] * probes
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -440,16 +455,39 @@ class TestWorkingSet:
         ],
     )
     def test_peak_memory_at_the_vote_shapes(self, probes, n, d, widths, reps):
-        # one call over every probe of a vote stays under 2 WORKING_SET bytes
-        # (4 MiB); the points and the chain are built outside the measured call
+        # one evaluation over every probe of a vote stays under 2 WORKING_SET
+        # bytes (4 MiB); the points and the pair test are built outside the
+        # measured call
         rng = np.random.default_rng(len(widths))
         chain = random_nested_projection(d, widths, rng)
         zs = rng.standard_normal((probes, n, d))
         cfg = st.TestConfig(len(widths), tau=1.0, reps=reps)
-        r_expansion_arrays(cfg.t)
+        test = st.build_pair_test(chain, cfg, BaseSampler("gaussian", d, 1, 1))
         tracemalloc.start()
         try:
-            st._statistic_batch(zs, chain, cfg, BaseSampler("gaussian", d, 1, 1))
+            st._statistic_batch(zs, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * npj.WORKING_SET
+
+    @pytest.mark.parametrize(
+        "d, widths, reps",
+        [
+            (6, [6, 4, 4], 16),  # poincare-deg3's chain: 256 blocks at t = 3
+            (4, [4, 4], st.DEFAULT_REPS),  # a C9 group's chain: 1,024 blocks at d = 4
+        ],
+    )
+    def test_peak_memory_of_the_coefficient_build(self, d, widths, reps):
+        # a chain's coefficient build, its draws included, stays under
+        # 2 WORKING_SET bytes (4 MiB) too
+        chain = random_nested_projection(d, widths, np.random.default_rng(len(widths)))
+        cfg = st.TestConfig(len(widths), tau=1.0, reps=reps)
+        r_expansion_arrays(cfg.t)
+        base = BaseSampler("gaussian", d, 1, 1)
+        tracemalloc.start()
+        try:
+            st.build_pair_test(chain, cfg, base)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -479,51 +517,74 @@ class TestProbeAxis:
         z = 2.0 * rng.standard_normal((probes, d))
         others = z.repeat(m, axis=0) + rng.standard_normal((probes * m, d))
         diffs = (z[:, None, :] - others.reshape(probes, m, d)) / math.sqrt(2.0)
-        cfg = st.TestConfig(t, tau=1.0, reps=reps)
-        base = BaseSampler(tag, d, seed, 5)
-        singles = np.array([st._statistic_batch(diffs[p : p + 1], chain, cfg, base)[0] for p in range(probes)])
+        test = st.build_pair_test(chain, st.TestConfig(t, tau=1.0, reps=reps), BaseSampler(tag, d, seed, 5))
+        singles = np.array([st._statistic_batch(diffs[p : p + 1], test)[0] for p in range(probes)])
         # a threshold between the statistics, so that the masks are mixed
-        cfg = dataclasses.replace(cfg, tau=float(np.median(singles)) * (1.0 + 1e-6) + 1e-300)
-        base = BaseSampler(tag, d, seed, 5)
-        single_masks = [st.pair_test_batch(z[p], others[p * m : (p + 1) * m], chain, cfg, base) for p in range(probes)]
+        test = dataclasses.replace(test, cfg=dataclasses.replace(test.cfg, tau=float(np.median(singles)) * (1.0 + 1e-6) + 1e-300))
+        single_masks = [st.pair_test_batch(z[p], others[p * m : (p + 1) * m], test) for p in range(probes)]
         sizes = _chunk_sizes(probes)
         passes, per_pass = [], probes
         if sizes:
             # passes that split the probes into 2-4 passes, the last partial
             per_pass = sizes[pick % len(sizes)]
             passes = [per_pass] * (probes // per_pass) + [probes % per_pass]
-        pools = []
+        rows = []
 
-        def images(np_, pool):
-            pools.append(len(pool))
-            return word_images(np_, pool)
+        def rank1(np_, factors):
+            rows.append(len(factors))
+            return apply_rank1_batch(np_, factors)
 
-        def pass_rule(n, chain_, reps_):
-            assert (n, chain_, reps_) == (m, chain, reps)
+        def pass_rule(n, chain_):
+            assert (n, chain_) == (m, chain)
             return per_pass
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(st, "probes_per_pass", pass_rule)
-            mp.setattr(npj, "word_images", images)
-            got = st._statistic_batch(diffs, chain, cfg, BaseSampler(tag, d, seed, 5))
-            mask = st.pair_test_batch(z, others, chain, cfg, BaseSampler(tag, d, seed, 5))
+            mp.setattr(npj, "apply_rank1_batch", rank1)
+            got = st._statistic_batch(diffs, test)
+            mask = st.pair_test_batch(z, others, test)
         if passes:
-            assert pools[::2][: len(passes)] == [reps * p for p in passes]
-        draws = BaseSampler(tag, d, seed, 5).draw(probes * reps * (2 * t - 1))
-        size = max(np.abs(diffs).max(), np.abs(draws).max(), 1.0) ** t
+            assert rows[: len(passes)] == [m * p for p in passes]
+        size = max(np.abs(diffs).max(), 1.0) ** t
         np.testing.assert_allclose(got, singles, rtol=1e-12, atol=1e-12 * size)
         assert mask.shape == (probes * m,)
         np.testing.assert_array_equal(mask, np.concatenate(single_masks))
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_one_base_request_per_call(self, t):
+        # the entry points that take a base stream build the coefficients
+        # from it, in one request, then evaluate them at every probe's points
         rng = np.random.default_rng(t)
         d, probes, m, reps = 3, 4, 6, 5
         chain = _random_chain(d, t, rng)
+        cfg = st.TestConfig(t, tau=1.0, reps=reps)
+        zs = rng.standard_normal((probes, m, d))
         base = RowCounter(BaseSampler("gaussian", d, 3, 1))
-        mask = st.pair_test_batch(
-            rng.standard_normal((probes, d)), rng.standard_normal((probes * m, d)), chain,
-            st.TestConfig(t, tau=1.0, reps=reps), base,
-        )
-        assert mask.shape == (probes * m,)
-        assert base.requests == [probes * reps * (2 * t - 1)]
+        mask = st.test_sample_batch(zs, chain, cfg, base)
+        assert mask.shape == (probes, m)
+        assert base.requests == [st.COEFF_BLOCKS * reps * (2 * t - 1)]
+        want = st._statistic_batch(zs, st.build_pair_test(chain, cfg, BaseSampler("gaussian", d, 3, 1))) >= cfg.tau
+        np.testing.assert_array_equal(mask, want)
+
+
+class TestCoefficientLimit:
+    @pytest.mark.parametrize("blocks", [1, 4, 16, 64, 256])
+    def test_polynomial_tends_to_gamma_of_the_adjusted_polynomial(self, monkeypatch, blocks):
+        # at t = 2 with a Gaussian base, one block's polynomial is
+        # Gamma((z - y_0)^(x)2 - (y_1 - y_2)^(x)2), whose mean is
+        # Gamma(P_2(z)) = Gamma(z^(x)2 - I), and whose error has
+        # E||.||^2 <= 2(d+1)|z|^2 + 5d(d+1) (Gamma's rows are orthonormal):
+        # so over N = blocks * reps blocks the error stays within four
+        # standard errors sigma / sqrt(N)
+        d, reps = 3, 4
+        rng = np.random.default_rng(7)
+        chain = random_nested_projection(d, [3, 4], rng)
+        gamma = dense_matrix(chain)
+        moments = base_moments("gaussian", 2, d)
+        monkeypatch.setattr(st, "COEFF_BLOCKS", blocks)
+        test = st.build_pair_test(chain, st.TestConfig(2, tau=1.0, reps=reps), BaseSampler("gaussian", d, blocks, 1))
+        for z in 2.0 * rng.standard_normal((5, d)):
+            got = test.coeffs[0][0] + z @ test.coeffs[1] + apply_rank1_batch(chain, np.array([[z, z]]))[0]
+            want = gamma @ adjusted_poly_recursive(z, 2, moments).reshape(-1)
+            sigma = math.sqrt(2 * (d + 1) * (z @ z) + 5 * d * (d + 1))
+            assert np.linalg.norm(got - want) <= 4.0 * sigma / math.sqrt(blocks * reps)
